@@ -66,11 +66,9 @@ from .pricing import (
     build_pricing_scheme_general,
     build_pricing_scheme_k2,
     build_scheme,
-    cr_guarantee,
     inverse_price,
     price_at,
     prices_for_seeds,
-    sample_price_vector,
     scheme_from_json,
     scheme_to_json,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "compute_k_underbar",
     "compute_xi",
     "conjugate",
-    "cr_guarantee",
     "cumulative_cost",
     "eval_psi",
     "expected_welfare",
@@ -124,7 +121,6 @@ __all__ = [
     "read_instance",
     "run_posted_price",
     "run_trial",
-    "sample_price_vector",
     "scheme_from_json",
     "scheme_to_json",
     "solve_alpha_star",

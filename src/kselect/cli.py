@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .cost_model import CostModel, make_cost_model, model_from_json
+from .cost_model import CostModel, as_float, make_cost_model, model_from_json
 from .errors import SolverError, ValidationError
 from .instances import (
     Instance,
@@ -100,13 +100,6 @@ def _as_int(name: str, value) -> int:
     return out
 
 
-def _as_float(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-
-
 def _float_list(name: str, value) -> list[float]:
     """Accept a comma string from the command line or a list from a config."""
     if isinstance(value, str):
@@ -115,7 +108,7 @@ def _float_list(name: str, value) -> list[float]:
         parts = value
     else:
         raise ValidationError(f"{name} must be a comma list or JSON array")
-    return [_as_float(name, p) for p in parts]
+    return [as_float(name, p) for p in parts]
 
 
 def _load_model(args) -> CostModel:
@@ -142,17 +135,21 @@ def _load_model(args) -> CostModel:
 # solve / pricing
 
 
+def _solve_auto(model: CostModel, tol: float):
+    solver = solve_alpha_star if model.high_value else solve_alpha_star_general
+    return solver(model, tol)
+
+
+_SOLVERS = {
+    "auto": _solve_auto,
+    "high_value": solve_alpha_star,
+    "general": solve_alpha_star_general,
+}
+
+
 def cmd_solve(args) -> int:
     model = _load_model(args)
-    tol = _as_float("tol", args.tol)
-    if args.regime == "high_value":
-        sol = solve_alpha_star(model, tol=tol)
-    elif args.regime == "general":
-        sol = solve_alpha_star_general(model, tol=tol)
-    elif model.high_value:
-        sol = solve_alpha_star(model, tol=tol)
-    else:
-        sol = solve_alpha_star_general(model, tol=tol)
+    sol = _SOLVERS[args.regime](model, as_float("tol", args.tol))
     payload = {
         "alpha_star": sol.alpha,
         "k_underbar": sol.k_underbar,
@@ -178,8 +175,10 @@ _BUILDERS = {
 
 def cmd_pricing(args) -> int:
     model = _load_model(args)
-    scheme = _BUILDERS[args.builder](model, _as_float("tol", args.tol))
+    scheme = _BUILDERS[args.builder](model, as_float("tol", args.tol))
     samples = _as_int("samples", args.samples)
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
     if samples > 0:
         lines = ["unit,s,phi"]
         for i in range(1, model.k + 1):
@@ -212,24 +211,24 @@ def _sim_seed(master_seed: int, index: int) -> int:
 def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator) -> Instance:
     kind = spec.get("kind")
     if kind == "hard":
-        eps = _as_float("eps", spec.get("eps", 0.01))
-        terminal = _as_float("terminal", spec.get("terminal", model.U))
+        eps = as_float("eps", spec.get("eps", 0.01))
+        terminal = as_float("terminal", spec.get("terminal", model.U))
         return hard_instance(model, eps, terminal)
     if kind in ("iid", "sorted"):
         n = _as_int("n", spec.get("n", 1000))
-        mu = _as_float("mu", spec.get("mu", 15.0))
-        sdev = _as_float("sdev", spec.get("sdev", 15.0))
+        mu = as_float("mu", spec.get("mu", 15.0))
+        sdev = as_float("sdev", spec.get("sdev", 15.0))
         gen = gen_iid if kind == "iid" else gen_sorted
         return gen(model, n, mu, sdev, rng)
     if kind == "low2high":
         return gen_low2high(
             model,
             _as_int("n1", spec.get("n1", 500)),
-            _as_float("mu1", spec.get("mu1", 7.5)),
-            _as_float("sdev1", spec.get("sdev1", 7.5)),
+            as_float("mu1", spec.get("mu1", 7.5)),
+            as_float("sdev1", spec.get("sdev1", 7.5)),
             _as_int("n2", spec.get("n2", 500)),
-            _as_float("mu2", spec.get("mu2", 22.5)),
-            _as_float("sdev2", spec.get("sdev2", 7.5)),
+            as_float("mu2", spec.get("mu2", 22.5)),
+            as_float("sdev2", spec.get("sdev2", 7.5)),
             rng,
         )
     raise ValidationError(
@@ -267,7 +266,7 @@ def _make_mechanism(scheme, kind: str, sigma) -> Mechanism:
     if kind == "r-dynamic":
         return Mechanism(name="r-dynamic", kind="r-dynamic", scheme=scheme, surrogate=False)
     if kind == "pinned":
-        return make_pinned_deterministic(scheme, _as_float("sigma", sigma))
+        return make_pinned_deterministic(scheme, as_float("sigma", sigma))
     if kind == "static":
         return make_static_random(scheme)
     raise ValidationError(
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
         return 0
 
     if scheme is None:
-        scheme = build_scheme(model, _as_float("tol", args.tol))
+        scheme = build_scheme(model, as_float("tol", args.tol))
 
     if args.pin_seeds is not None:
         seeds = _float_list("pin-seeds", args.pin_seeds)
@@ -363,10 +362,10 @@ def _parse_mechanism_specs(raw) -> list[tuple[str, float]]:
     for item in items:
         if isinstance(item, dict):
             kind = item.get("kind")
-            sigma = _as_float("sigma", item.get("sigma", 0.5))
+            sigma = as_float("sigma", item.get("sigma", 0.5))
         else:
             kind, _, rest = str(item).partition(":")
-            sigma = _as_float("sigma", rest) if rest else 0.5
+            sigma = as_float("sigma", rest) if rest else 0.5
         if kind not in ("r-dynamic", "pinned", "static"):
             raise ValidationError(
                 f"unknown mechanism {kind!r}: expected r-dynamic, pinned or static"
@@ -393,7 +392,7 @@ def cmd_experiment(args) -> int:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
 
-    scheme = build_scheme(model, _as_float("tol", args.tol))
+    scheme = build_scheme(model, as_float("tol", args.tol))
     mechs = [
         _make_mechanism(scheme, kind, sigma)
         for kind, sigma in _parse_mechanism_specs(args.mechanisms)
@@ -429,14 +428,14 @@ def cmd_curves(args) -> int:
     k_max = _as_int("k-max", args.k_max)
     if k_min < 1 or k_max < k_min:
         raise ValidationError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
-    tol = _as_float("tol", args.tol)
+    tol = as_float("tol", args.tol)
     lines = ["k,alpha_star,cr_guarantee,regime"]
     emitted = 0
     for k in range(k_min, k_max + 1):
         try:
             model = make_cost_model(
-                _as_float("L", args.l), _as_float("U", args.u), k,
-                quadratic_coeff=_as_float("cost-coeff", args.cost_coeff),
+                as_float("L", args.l), as_float("U", args.u), k,
+                quadratic_coeff=as_float("cost-coeff", args.cost_coeff),
             )
             scheme = build_scheme(model, tol)
         except (ValidationError, SolverError) as exc:
@@ -478,9 +477,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p.add_argument(
         "--regime",
-        choices=("auto", "high_value", "general"),
+        choices=tuple(_SOLVERS),
         default="auto",
-        help="force a solver route (auto picks by the c_k < L test)",
+        help="check the setup against a regime and label the output with it "
+        "(auto picks by the c_k < L test)",
     )
     p.set_defaults(func=cmd_solve)
 

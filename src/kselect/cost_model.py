@@ -16,6 +16,7 @@ Two derived quantities drive the solvers:
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,10 +43,37 @@ class CostModel:
             out.append(acc)
         return tuple(out)
 
+    @cached_property
+    def g_steps(self) -> tuple[tuple[float, ...], array]:
+        """Step table of g: the distinct marginals ``b`` and g on each piece.
+
+        Piece j is ``[b[j-1], b[j])`` (unbounded below for j = 0, above for
+        j = len(b)); ``bisect_right(b, v)`` is the piece holding v, and g
+        equals ``counts[j]`` throughout it. The counts are a packed array
+        so that large ladders do not hold one int object per piece.
+        """
+        bps: list[float] = []
+        counts = array("q", [0])
+        for n, c in enumerate(self.marginals, start=1):
+            if bps and c == bps[-1]:
+                counts[-1] = n
+            else:
+                bps.append(c)
+                counts.append(n)
+        return tuple(bps), counts
+
     @property
     def high_value(self) -> bool:
         """True when every marginal cost lies strictly below L."""
         return self.marginals[-1] < self.L
+
+
+def as_float(name: str, value) -> float:
+    """``float(value)``, raising ValidationError instead of TypeError/ValueError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 def make_cost_model(
@@ -63,8 +91,8 @@ def make_cost_model(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(f"capacity k must be a positive integer, got {k!r}")
-    L = float(L)
-    U = float(U)
+    L = as_float("L", L)
+    U = as_float("U", U)
     if not (math.isfinite(L) and math.isfinite(U)):
         raise ValidationError("valuation bounds must be finite")
     if L < 1.0:
@@ -74,13 +102,18 @@ def make_cost_model(
     if (marginals is None) == (quadratic_coeff is None):
         raise ValidationError("give exactly one of marginals or quadratic_coeff")
     if marginals is None:
-        a = float(quadratic_coeff)
+        a = as_float("quadratic coefficient", quadratic_coeff)
         if not math.isfinite(a):
             raise ValidationError("quadratic coefficient must be finite")
         # c_i = f(i) - f(i-1) for f(i) = a*i^2
         ms = tuple(a * (2 * i - 1) for i in range(1, k + 1))
     else:
-        ms = tuple(float(c) for c in marginals)
+        if isinstance(marginals, (str, bytes, dict)):
+            raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}")
+        try:
+            ms = tuple(as_float(f"marginal c_{i}", c) for i, c in enumerate(marginals, 1))
+        except TypeError:
+            raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}") from None
         if len(ms) != k:
             raise ValidationError(f"expected {k} marginals, got {len(ms)}")
     for i, c in enumerate(ms):

@@ -10,16 +10,13 @@ sold at least i units once arrivals have swept past valuation v) rises from
 ``u_k = U``. ``u_k`` grows monotonically with alpha, so the bound is found
 by bisection.
 
-Two routes build the chain:
-
-* high_value (requires ``c_k < L``): every curve is a single logarithm and
-  each ``u_i`` has a closed form.
-* general (any valid cost ladder): the curves integrate the allocation-count
-  step function ``g``; integrals are evaluated exactly piece by piece
-  (``g`` is constant between distinct marginals), never by quadrature.
-
-On high-value setups the two routes agree; keeping both provides a live
-cross-check.
+One route builds the chain for every valid cost ladder: the curves integrate
+the allocation-count step function ``g``, exactly and piece by piece (``g``
+is constant between distinct marginals), never by quadrature. High-value
+setups (``c_k < L``) are the special case where every interval lies above
+all marginals, so ``g = k`` throughout and each curve is one logarithm; the
+``*_general`` entry points and the high-value ones differ only in the
+``regime`` label and the ``c_k < L`` check.
 """
 
 import bisect
@@ -120,38 +117,44 @@ def compute_xi(model: CostModel, alpha: float, k_underbar: int) -> float:
 # exact piecewise integration of the step function g
 
 
-def _breakpoints(model: CostModel) -> list[float]:
-    out = []
-    for c in model.marginals:
-        if not out or c > out[-1]:
-            out.append(c)
-    return out
+def piece_index(model: CostModel, v: float, start: int | None = None) -> int:
+    """Index of the g-piece holding v (see ``CostModel.g_steps``).
+
+    A caller sweeping v upward passes the index it reached last as ``start``;
+    the scan then moves forward from there instead of searching afresh.
+    """
+    bps = model.g_steps[0]
+    if start is None:
+        return bisect.bisect_right(bps, v)
+    j = start
+    while j < len(bps) and bps[j] <= v:
+        j += 1
+    return j
 
 
-def g_pieces(model: CostModel, a: float, b: float):
-    """Yield (lo, hi, g) sub-intervals of [a, b] on which g is constant."""
+def g_pieces(model: CostModel, a: float, b: float, j: int | None = None):
+    """Yield (lo, hi, g) sub-intervals of [a, b] on which g is constant.
+
+    ``j`` is the piece holding a, when the caller already knows it.
+    """
     if b < a:
         raise ValidationError(f"empty integration range [{a}, {b}]")
-    bps = _breakpoints(model)
-    ms = model.marginals
+    bps, counts = model.g_steps
+    if j is None:
+        j = piece_index(model, a)
     lo = a
     while lo < b:
-        j = bisect.bisect_right(bps, lo)
         hi = min(b, bps[j]) if j < len(bps) else b
-        yield lo, hi, bisect.bisect_right(ms, lo)
+        yield lo, hi, counts[j]
         lo = hi
+        j += 1
 
 
 def integrate_g(model: CostModel, a: float, b: float) -> float:
-    """Closed-form integral of the allocation count g over [a, b]."""
+    """Integral of the allocation count g over [a, b]: the conjugate's rise."""
     if b < a:
         raise ValidationError(f"empty integration range [{a}, {b}]")
-    total = 0.0
-    for c in model.marginals:
-        lo = max(a, c)
-        if lo < b:
-            total += b - lo
-    return total
+    return conjugate(model, b) - conjugate(model, a)
 
 
 def _integral_over_pole(model: CostModel, c: float, a: float, b: float) -> float:
@@ -163,21 +166,24 @@ def _integral_over_pole(model: CostModel, c: float, a: float, b: float) -> float
     return total
 
 
-def _solve_u(model: CostModel, c: float, a: float, target: float) -> float:
+def _solve_u(
+    model: CostModel, c: float, a: float, target: float, j: int | None = None
+) -> float:
     """Smallest u >= a with integral_a^u g(eta)/(eta - c) d eta = target.
 
-    Walks constant-g pieces accumulating their exact log contributions and
-    inverts inside the piece where the target is met. Overflows to +inf
-    rather than raising (callers treat that as "beyond any cap").
+    Walks constant-g pieces from the one holding a (``j``, when known)
+    accumulating their exact log contributions and inverts inside the piece
+    where the target is met. Overflows to +inf rather than raising (callers
+    treat that as "beyond any cap").
     """
-    bps = _breakpoints(model)
-    ms = model.marginals
+    bps, counts = model.g_steps
+    if j is None:
+        j = piece_index(model, a)
     acc = 0.0
     lo = a
     while True:
-        j = bisect.bisect_right(bps, lo)
         hi = bps[j] if j < len(bps) else math.inf
-        g = bisect.bisect_right(ms, lo)
+        g = counts[j]
         if g:
             piece = g * math.log((hi - c) / (lo - c)) if math.isfinite(hi) else math.inf
             if acc + piece >= target:
@@ -186,45 +192,43 @@ def _solve_u(model: CostModel, c: float, a: float, target: float) -> float:
         elif not math.isfinite(hi):
             raise AssertionError("allocation count vanishes above all marginals")
         lo = hi
+        j += 1
 
 
 # ---------------------------------------------------------------------------
-# interval chains
+# the interval chain
 
 
-def _chain_high_value(model: CostModel, alpha: float):
-    k_underbar = compute_k_underbar(model, alpha)
-    xi = compute_xi(model, alpha, k_underbar)
-    rate = alpha / model.k
-    ms = model.marginals
-    c = ms[k_underbar - 1]
-    u = (model.L - c) * _exp((1.0 - xi) * rate) + c
-    intervals = [(model.L, u)]
-    for i in range(k_underbar + 1, model.k + 1):
-        ell, c = u, ms[i - 1]
-        u = (ell - c) * _exp(rate) + c if math.isfinite(ell) else math.inf
-        intervals.append((ell, u))
-    return k_underbar, xi, intervals
-
-
-def _chain_general(model: CostModel, alpha: float):
+def _chain(model: CostModel, alpha: float):
     """Interval chain via exact g-integrals; None when alpha is infeasibly low.
 
     Infeasible means some interval would open at or below its own marginal
     cost (an integrand pole), which happens for small alpha when costs
     reach above L. Feasibility is monotone in alpha, so the bisection
     treats None as "chain falls short of U".
+
+    The intervals are contiguous, so the walk carries the index of the
+    g-piece holding the current endpoint from one unit to the next. Above
+    every marginal g = k, and each unit there scales by the same e^{alpha/k}.
     """
     k_underbar = compute_k_underbar(model, alpha)
     xi = compute_xi(model, alpha, k_underbar)
     ms = model.marginals
-    u = _solve_u(model, ms[k_underbar - 1], model.L, alpha * (1.0 - xi))
+    top = len(model.g_steps[0])
+    step = _exp(alpha / model.k)
+    j = piece_index(model, model.L)
+    u = _solve_u(model, ms[k_underbar - 1], model.L, alpha * (1.0 - xi), j)
     intervals = [(model.L, u)]
     for i in range(k_underbar + 1, model.k + 1):
+        if j < top:
+            j = piece_index(model, u, j)
         ell, c = u, ms[i - 1]
         if ell <= c:
             return None
-        u = _solve_u(model, c, ell, alpha) if math.isfinite(ell) else math.inf
+        if j == top:
+            u = c + (ell - c) * step
+        else:
+            u = _solve_u(model, c, ell, alpha, j)
         intervals.append((ell, u))
     return k_underbar, xi, intervals
 
@@ -243,33 +247,36 @@ def _mk_solution(alpha, chain, regime, notes=()) -> LowerBoundSolution:
     )
 
 
-def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
-    """Closed-form interval chain at a given alpha (high-value setups only)."""
-    if not model.high_value:
-        raise ValidationError(
-            "closed-form chain requires c_k < L; use the general solver"
-        )
+def _intervals_at(model: CostModel, alpha: float, regime: str) -> LowerBoundSolution:
     alpha = _check_alpha(alpha)
-    return _mk_solution(alpha, _chain_high_value(model, alpha), "high_value")
-
-
-def build_intervals_general(model: CostModel, alpha: float) -> LowerBoundSolution:
-    """Interval chain at a given alpha via exact piecewise-log integration."""
-    alpha = _check_alpha(alpha)
-    chain = _chain_general(model, alpha)
+    chain = _chain(model, alpha)
     if chain is None:
         raise ValidationError(
             f"alpha = {alpha} is below the feasible range for this setup "
             "(an interval would open below its unit's marginal cost)"
         )
-    return _mk_solution(alpha, chain, "general")
+    return _mk_solution(alpha, chain, regime)
+
+
+def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
+    """Interval chain at a given alpha for a high-value setup (c_k < L)."""
+    if not model.high_value:
+        raise ValidationError(
+            "high-value chain requires c_k < L; use build_intervals_general"
+        )
+    return _intervals_at(model, alpha, "high_value")
+
+
+def build_intervals_general(model: CostModel, alpha: float) -> LowerBoundSolution:
+    """Interval chain at a given alpha via exact piecewise-log integration."""
+    return _intervals_at(model, alpha, "general")
 
 
 # ---------------------------------------------------------------------------
 # bisection on alpha
 
 
-def _solve(model: CostModel, chain_fn, regime: str, tol: float) -> LowerBoundSolution:
+def _solve(model: CostModel, regime: str, tol: float) -> LowerBoundSolution:
     if not (tol > 0.0):
         raise ValidationError(f"tolerance must be positive, got {tol}")
     U = model.U
@@ -294,7 +301,7 @@ def _solve(model: CostModel, chain_fn, regime: str, tol: float) -> LowerBoundSol
         )
 
     def u_of(alpha):
-        chain = chain_fn(model, alpha)
+        chain = _chain(model, alpha)
         return (-math.inf, None) if chain is None else (chain[2][-1][1], chain)
 
     lo, hi = 1.0, 2.0
@@ -332,19 +339,19 @@ def _solve(model: CostModel, chain_fn, regime: str, tol: float) -> LowerBoundSol
 
 
 def solve_alpha_star(model: CostModel, tol: float = DEFAULT_TOL) -> LowerBoundSolution:
-    """Tight bound via the closed-form chain; requires the high-value regime."""
+    """Tight bound for a high-value setup (c_k < L), labelled ``high_value``."""
     if not model.high_value:
         raise ValidationError(
-            "closed-form solver requires c_k < L; use solve_alpha_star_general"
+            "high-value solver requires c_k < L; use solve_alpha_star_general"
         )
-    return _solve(model, _chain_high_value, "high_value", tol)
+    return _solve(model, "high_value", tol)
 
 
 def solve_alpha_star_general(
     model: CostModel, tol: float = DEFAULT_TOL
 ) -> LowerBoundSolution:
     """Tight bound for any valid cost ladder via exact piecewise integration."""
-    return _solve(model, _chain_general, "general", tol)
+    return _solve(model, "general", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +377,11 @@ def eval_psi(solution: LowerBoundSolution, model: CostModel, i: int, v: float) -
     if i == solution.k_underbar:
         if v <= model.L:
             return min(1.0, solution.xi)
-        if solution.regime == "high_value":
-            raw = solution.xi + (model.k / alpha) * math.log((v - c) / (model.L - c))
-        else:
-            raw = solution.xi + _integral_over_pole(model, c, model.L, v) / alpha
+        raw = solution.xi + _integral_over_pole(model, c, model.L, v) / alpha
     else:
         if v <= ell:
             return 0.0
-        if solution.regime == "high_value":
-            raw = (model.k / alpha) * math.log((v - c) / (ell - c))
-        else:
-            raw = _integral_over_pole(model, c, ell, v) / alpha
+        raw = _integral_over_pole(model, c, ell, v) / alpha
     return min(1.0, max(0.0, raw))
 
 
@@ -394,22 +395,19 @@ def verify_equality(
     scaled by 1/alpha:
 
         sum_i psi_i(L) * (L - c_i) + sum_i int_L^v (eta - c_i) d psi_i(eta)
-            = (1/alpha) * (k*v - f(k))          [high-value]
-            = (1/alpha) * conjugate(v)          [general]
+            = (1/alpha) * conjugate(v)
 
     Each inner integral is evaluated in closed form: d psi_i concentrates on
-    unit i's interval where (eta - c_i) d psi_i reduces to (k/alpha) d eta
-    (high-value) or g(eta)/alpha d eta (general).
+    unit i's interval, where (eta - c_i) d psi_i reduces to g(eta)/alpha d eta,
+    whose integral is the rise of the conjugate.
     """
     if grid_size < 2:
         raise ValidationError("grid_size must be at least 2")
-    L, U, k = model.L, model.U, model.k
+    L, U = model.L, model.U
     alpha = solution.alpha
     ms = model.marginals
     k_underbar, xi = solution.k_underbar, solution.xi
     base = sum(L - c for c in ms[: k_underbar - 1]) + xi * (L - ms[k_underbar - 1])
-    total_cost = model.cumulative[-1]
-    high_value = solution.regime == "high_value"
     max_residual = 0.0
     for t in range(grid_size):
         v = L + (U - L) * t / (grid_size - 1)
@@ -417,10 +415,6 @@ def verify_equality(
         for ell, u in solution.intervals:
             top = min(v, u)
             if top > ell:
-                if high_value:
-                    acc += (k / alpha) * (top - ell)
-                else:
-                    acc += integrate_g(model, ell, top) / alpha
-        target = (k * v - total_cost) / alpha if high_value else conjugate(model, v) / alpha
-        max_residual = max(max_residual, abs(acc - target))
+                acc += integrate_g(model, ell, top) / alpha
+        max_residual = max(max_residual, abs(acc - conjugate(model, v) / alpha))
     return max_residual

@@ -6,16 +6,17 @@ inverses of the bound solver's allocation curves: drawing each seed uniformly
 and posting phi_i for the next unsold unit i makes the mechanism's expected
 welfare competitive with the offline optimum.
 
-Three constructions:
+Two constructions:
 
-* build_pricing_scheme: high-value setups (c_k < L), one exponential segment
-  per unit plus a constant floor on the threshold unit. Guarantee
+* the general curves, for any valid setup: each constant-g piece of a unit's
+  interval becomes one exponential segment, plus a constant floor on the
+  threshold unit. build_pricing_scheme_general reports the guarantee
+  max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L;
+  build_pricing_scheme builds the same curves for high-value setups
+  (c_k < L, where each unit has one segment) and reports
   alpha_star * e^{alpha_star / k}.
 * build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
   form whose guarantee is alpha_star itself (no extra factor).
-* build_pricing_scheme_general: any valid setup. Curves invert the
-  piecewise-log allocation integrals segment by segment. Guarantee
-  max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
 """
 
 import math
@@ -30,6 +31,7 @@ from .lower_bound import (
     DEFAULT_TOL,
     LowerBoundSolution,
     g_pieces,
+    piece_index,
     solve_alpha_star,
     solve_alpha_star_general,
 )
@@ -152,17 +154,6 @@ def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_price_vector(scheme: PricingScheme, rng: np.random.Generator) -> PriceVector:
-    """Draw k independent uniform seeds and price every unit."""
-    seeds = rng.random(scheme.model.k)
-    prices = tuple(price_at(scheme, i, float(seeds[i - 1])) for i in range(1, scheme.model.k + 1))
-    return PriceVector(prices=prices, seeds=tuple(float(s) for s in seeds))
-
-
-def cr_guarantee(scheme: PricingScheme) -> float:
-    return scheme.cr_guarantee
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -171,52 +162,66 @@ def _flat_unit(L: float) -> tuple[Segment, ...]:
     return (Segment(0.0, 1.0, L, L, 0.0, 0.0),)
 
 
-def build_pricing_scheme(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Per-unit exponential curves for high-value setups (c_k < L)."""
-    if not model.high_value:
-        raise ValidationError(
-            "exponential-curve construction requires c_k < L; "
-            "use build_pricing_scheme_general"
-        )
-    sol = solve_alpha_star(model, tol)
-    return _scheme_from_solution(
-        model,
-        sol,
-        kind="high_value",
-        cr=sol.alpha * math.exp(sol.alpha / model.k),
-    )
+def _price_intervals(model: CostModel, sol: LowerBoundSolution):
+    return tuple((model.L, model.L) for _ in range(sol.k_underbar - 1)) + sol.intervals
 
 
-def _scheme_from_solution(
-    model: CostModel, sol: LowerBoundSolution, kind: str, cr: float
-) -> PricingScheme:
+def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> PricingScheme:
+    """Curves inverting the solution's piecewise-log allocation curves.
+
+    Each constant-g piece [a, b] of unit i's interval consumes a seed span of
+    (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
+    c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
+    construction; the last endpoint is snapped to exactly 1. The intervals
+    are contiguous, so the g-piece index carries from one unit to the next.
+    """
     alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
-    L, k = model.L, model.k
-    rate = alpha / k
+    L = model.L
     segments: list[tuple[Segment, ...]] = [_flat_unit(L) for _ in range(ku - 1)]
-    for i in range(ku, k + 1):
-        ell, u = sol.interval(i)
+    top = len(model.g_steps[0])
+    j = piece_index(model, L)
+    for i, (ell, u) in enumerate(sol.intervals, start=ku):
         c = model.marginals[i - 1]
+        raw: list[list[float]] = []
+        s = 0.0
         if i == ku:
-            segs = [Segment(0.0, xi, L, L, c, 0.0)]
-            if xi < 1.0 and u > ell:
-                segs.append(Segment(xi, 1.0, L, u, c, rate))
-            segments.append(tuple(segs))
-        elif u <= ell:
-            segments.append((Segment(0.0, 1.0, ell, ell, c, 0.0),))
-        else:
-            segments.append((Segment(0.0, 1.0, ell, u, c, rate),))
-    price_intervals = tuple((L, L) for _ in range(ku - 1)) + sol.intervals
+            raw.append([0.0, xi, L, L, c, 0.0])
+            s = xi
+        if u > ell:
+            for a, b, g in g_pieces(model, ell, u, j):
+                span = (g / alpha) * math.log((b - c) / (a - c))
+                raw.append([s, s + span, a, b, c, alpha / g])
+                s = s + span
+        if not raw:  # zero-width interval with no floor piece (u == ell == L)
+            raw.append([0.0, 1.0, ell, ell, c, 0.0])
+            s = 1.0
+        if abs(s - 1.0) > 1e-9:
+            raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
+        raw[-1][1] = 1.0
+        segments.append(tuple([Segment(*vals) for vals in raw]))
+        if j < top:
+            j = piece_index(model, u, j)
     return PricingScheme(
         model=model,
         alpha_star=alpha,
         k_underbar_star=ku,
         xi_star=xi,
         segments=tuple(segments),
-        price_intervals=price_intervals,
+        price_intervals=_price_intervals(model, sol),
         cr_guarantee=cr,
         kind=kind,
     )
+
+
+def build_pricing_scheme(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
+    """Curves for high-value setups (c_k < L), with guarantee alpha e^{alpha/k}."""
+    if not model.high_value:
+        raise ValidationError(
+            "exponential-curve construction requires c_k < L; "
+            "use build_pricing_scheme_general"
+        )
+    sol = solve_alpha_star(model, tol)
+    return _scheme(model, sol, "high_value", sol.alpha * math.exp(sol.alpha / model.k))
 
 
 def build_pricing_scheme_k2(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
@@ -268,57 +273,22 @@ def build_pricing_scheme_k2(model: CostModel, tol: float = DEFAULT_TOL) -> Prici
 
 
 def build_pricing_scheme_general(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Curves for any valid setup, inverting the piecewise-log allocation form.
+    """Curves for any valid setup.
 
-    Each constant-g piece [a, b] of unit i's interval consumes a seed span of
-    (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
-    c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
-    construction; the last endpoint is snapped to exactly 1.
+    Guarantee max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
     """
     sol = solve_alpha_star_general(model, tol)
-    alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
-    L, k = model.L, model.k
-    segments: list[tuple[Segment, ...]] = [_flat_unit(L) for _ in range(ku - 1)]
-    for i in range(ku, k + 1):
-        ell, u = sol.interval(i)
-        c = model.marginals[i - 1]
-        raw: list[list[float]] = []
-        s = 0.0
-        if i == ku:
-            raw.append([0.0, xi, L, L, c, 0.0])
-            s = xi
-        if u > ell:
-            for a, b, g in g_pieces(model, ell, u):
-                span = (g / alpha) * math.log((b - c) / (a - c))
-                raw.append([s, s + span, a, b, c, alpha / g])
-                s = s + span
-        if not raw:  # zero-width interval with no floor piece (u == ell == L)
-            raw.append([0.0, 1.0, ell, ell, c, 0.0])
-            s = 1.0
-        if abs(s - 1.0) > 1e-9:
-            raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
-        raw[-1][1] = 1.0
-        segments.append(tuple(Segment(*vals) for vals in raw))
-    price_intervals = tuple((L, L) for _ in range(ku - 1)) + sol.intervals
-    uppers = [L] + [iv[1] for iv in price_intervals]
+    uppers = [model.L] + [iv[1] for iv in _price_intervals(model, sol)]
     cr = max(
-        alpha * (1.0 + (uppers[i] - model.marginals[i - 1]) / conjugate(model, uppers[i - 1]))
-        for i in range(1, k + 1)
+        sol.alpha * (1.0 + (uppers[i] - model.marginals[i - 1]) / conjugate(model, uppers[i - 1]))
+        for i in range(1, model.k + 1)
     )
-    return PricingScheme(
-        model=model,
-        alpha_star=alpha,
-        k_underbar_star=ku,
-        xi_star=xi,
-        segments=tuple(segments),
-        price_intervals=price_intervals,
-        cr_guarantee=cr,
-        kind="general",
-    )
+    return _scheme(model, sol, "general", cr)
 
 
 def build_scheme(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Pick the strongest applicable construction for the setup."""
+    """Two-unit form for k = 2 high-value setups, else the high-value or
+    general labelling of the shared curves."""
     if model.high_value:
         if model.k == 2:
             return build_pricing_scheme_k2(model, tol)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kselect
 from kselect import (
     build_scheme,
     expected_welfare,
@@ -45,13 +47,59 @@ def test_solve_single_unit_closed_form(capsys):
 
 
 def test_solve_regime_override_routes_agree(capsys):
+    # one solver route: --regime only checks the setup and sets the label
     code, out_hv, _ = run_cli(capsys, "solve", "--model", FIG_MODEL, "--regime", "high_value")
     assert code == 0
     code, out_gen, _ = run_cli(capsys, "solve", "--model", FIG_MODEL, "--regime", "general")
     assert code == 0
-    a = json.loads(out_hv)["alpha_star"]
-    b = json.loads(out_gen)["alpha_star"]
-    assert abs(a - b) <= 1e-6
+    a, b = json.loads(out_hv), json.loads(out_gen)
+    assert (a.pop("regime"), b.pop("regime")) == ("high_value", "general")
+    assert a == b
+
+
+GEN2_MODEL = '{"L": 1, "U": 4, "k": 2, "cost": {"type": "explicit", "marginals": [0.5, 2]}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--regime", "high_value"),
+        ("pricing", "--builder", "high_value"),
+    ],
+)
+def test_high_value_route_rejects_general_setup(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--model", GEN2_MODEL)
+    assert code == 2
+    assert out == ""
+    assert "c_k < L" in err
+    assert "Traceback" not in err
+
+
+def _model_with(**changes):
+    spec = {"L": 1, "U": 5, "k": 2, "cost": {"type": "explicit", "marginals": [0.25, 0.5]}}
+    cost = changes.pop("cost", {})
+    spec.update(changes)
+    spec["cost"] = {**spec["cost"], **cost}
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--model", _model_with(cost={"marginals": "ab"})),
+        ("solve", "--model", _model_with(cost={"marginals": [0.1, None]})),
+        ("solve", "--model", _model_with(L="x")),
+        ("solve", "--model", _model_with(cost={"type": "quadratic", "coeff": [1]})),
+        ("pricing", "--model", K2_MODEL, "--samples", "-3"),
+    ],
+    ids=["marginals-string", "marginals-null", "L-string", "coeff-list", "negative-samples"],
+)
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_solve_invalid_model_exits_2(capsys):
@@ -346,9 +394,12 @@ def test_curves_rejects_bad_range(capsys):
 
 
 def test_module_invocation_in_subprocess():
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(kselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "kselect.cli", "solve", "--model", E_MODEL],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha_star"] == pytest.approx(2.0, abs=1e-9)

@@ -5,6 +5,8 @@ Oracles used here and nowhere else:
 * a closed-form sum for the chain endpoint u_k at any alpha (expanding the
   per-unit recursion into powers of e^{alpha/k}), evaluated independently
   of the recursion in the module under test;
+* the closed-form high-value chain and its bisection (``closed_form.py``),
+  which the package no longer carries;
 * hand-solved setups with frozen k_underbar / xi / interval values;
 * a hand-derived transcendental equation for one general-regime setup,
   checked as a residual at the solver's alpha.
@@ -13,9 +15,11 @@ Oracles used here and nowhere else:
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from closed_form import closed_form_alpha, closed_form_chain
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
@@ -170,11 +174,11 @@ class TestChainsAtFixedAlpha:
         for _ in range(60):
             m = random_high_value_model(rng)
             alpha = float(rng.uniform(1.0, 6.0))
-            a = build_intervals(m, alpha)
+            ku, xi, intervals = closed_form_chain(m, alpha)
             b = build_intervals_general(m, alpha)
-            assert a.k_underbar == b.k_underbar
-            assert a.xi == pytest.approx(b.xi, abs=1e-12)
-            for (la, ua), (lb, ub) in zip(a.intervals, b.intervals):
+            assert ku == b.k_underbar
+            assert xi == pytest.approx(b.xi, abs=1e-12)
+            for (la, ua), (lb, ub) in zip(intervals, b.intervals):
                 assert la == pytest.approx(lb, rel=1e-9)
                 assert ua == pytest.approx(ub, rel=1e-9)
 
@@ -239,11 +243,23 @@ class TestSolver:
         rng = np.random.default_rng(13)
         for _ in range(8):
             m = random_high_value_model(rng, k_max=8)
-            a = solve_alpha_star(m)
+            alpha = closed_form_alpha(m)
+            ku, xi, _ = closed_form_chain(m, alpha)
             b = solve_alpha_star_general(m)
-            assert abs(a.alpha - b.alpha) <= 1e-6
-            assert a.k_underbar == b.k_underbar
-            assert a.xi == pytest.approx(b.xi, abs=1e-6)
+            assert abs(alpha - b.alpha) <= 1e-6
+            assert ku == b.k_underbar
+            assert xi == pytest.approx(b.xi, abs=1e-6)
+            assert solve_alpha_star(m).alpha == b.alpha
+
+    def test_general_route_scales_to_large_k(self):
+        # c_k ~ 2 > L: most units walk several g-pieces; the walk carries its
+        # piece index, so the bisection stays linear in k per step
+        m = make_cost_model(L=1.0, U=30.0, k=2000, quadratic_coeff=1.0 / 2000.0)
+        assert not m.high_value
+        started = time.perf_counter()
+        sol = solve_alpha_star_general(m)
+        assert time.perf_counter() - started < 2.0
+        assert abs(sol.intervals[-1][1] - m.U) <= 1e-8
 
     def test_general_setup_hand_equation(self):
         # L=1, U=4, c=(0.5, 2): for alpha above 1 + ln 3,

@@ -16,11 +16,9 @@ from kselect.pricing import (
     build_pricing_scheme_general,
     build_pricing_scheme_k2,
     build_scheme,
-    cr_guarantee,
     inverse_price,
     price_at,
     prices_for_seeds,
-    sample_price_vector,
 )
 
 
@@ -64,7 +62,7 @@ class TestSingleUnitClosedForm:
 
     def test_guarantee_formula(self, single_unit_scheme):
         # alpha* e^{alpha*/k} = 2 e^2
-        assert cr_guarantee(single_unit_scheme) == pytest.approx(
+        assert single_unit_scheme.cr_guarantee == pytest.approx(
             2.0 * math.exp(2.0), rel=1e-8
         )
 
@@ -122,16 +120,6 @@ class TestSchemeShape:
         sch = build_pricing_scheme_general(m)
         prices = prices_for_seeds(sch, rng.random((10_000, 10)))
         assert np.all(np.diff(prices, axis=1) >= 0.0)
-
-    def test_sample_price_vector(self):
-        rng = np.random.default_rng(47)
-        m = random_high_value_model(rng, k_max=6)
-        sch = build_pricing_scheme(m)
-        for _ in range(50):
-            pv = sample_price_vector(sch, rng)
-            assert len(pv.prices) == m.k
-            assert all(0.0 <= s <= 1.0 for s in pv.seeds)
-            assert all(a <= b for a, b in zip(pv.prices, pv.prices[1:]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(53)
@@ -218,7 +206,7 @@ class TestTwoUnitConstruction:
         assert sch.xi_star == pytest.approx(2.0 / 3.0, abs=1e-8)
         assert sch.price_intervals[0][1] == pytest.approx(math.exp(0.5), rel=1e-8)
         assert sch.price_intervals[1][1] == m.U
-        assert cr_guarantee(sch) == sch.alpha_star
+        assert sch.cr_guarantee == sch.alpha_star
 
     def test_second_branch_pins_first_curve(self):
         # costs hug L and U sits close to L, keeping alpha* under the branch
