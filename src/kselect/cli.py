@@ -37,6 +37,8 @@ from .lower_bound import DEFAULT_TOL, solve_alpha_star, solve_alpha_star_general
 from .mechanisms import (
     Mechanism,
     expected_welfare,
+    instance_rng,
+    instance_sim_seed,
     make_pinned_deterministic,
     make_static_random,
     offline_opt,
@@ -48,7 +50,7 @@ from .pricing import (
     build_pricing_scheme_general,
     build_pricing_scheme_k2,
     build_scheme,
-    price_at,
+    prices_for_seeds,
     scheme_from_json,
     scheme_to_json,
 )
@@ -180,11 +182,12 @@ def cmd_pricing(args) -> int:
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
     if samples > 0:
+        grid = [j / samples for j in range(samples + 1)]
+        table = prices_for_seeds(scheme, np.repeat(np.array(grid)[:, None], model.k, axis=1))
         lines = ["unit,s,phi"]
         for i in range(1, model.k + 1):
-            for j in range(samples + 1):
-                s = j / samples
-                lines.append(f"{i},{_fmt(s)},{_fmt(price_at(scheme, i, s))}")
+            for s, phi in zip(grid, table[:, i - 1].tolist()):
+                lines.append(f"{i},{_fmt(s)},{_fmt(phi)}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_json_text(scheme_to_json(scheme)), args.out)
@@ -193,19 +196,6 @@ def cmd_pricing(args) -> int:
 
 # ---------------------------------------------------------------------------
 # instances
-
-
-def _spawned_rng(master_seed: int, lane: int, index: int) -> np.random.Generator:
-    """Independent substream addressed by (lane, index) under one master seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(lane, index))
-    )
-
-
-def _sim_seed(master_seed: int, index: int) -> int:
-    """Per-instance simulation seed, decoupled from the generation stream."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(1, index))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator) -> Instance:
@@ -316,11 +306,8 @@ def cmd_simulate(args) -> int:
         seeds = _float_list("pin-seeds", args.pin_seeds)
         if len(seeds) != model.k:
             raise ValidationError(f"expected {model.k} seeds, got {len(seeds)}")
-        for s in seeds:
-            if not 0.0 <= s <= 1.0:
-                raise ValidationError(f"seed {s} outside [0, 1]")
-        prices = tuple(price_at(scheme, i, seeds[i - 1]) for i in range(1, model.k + 1))
-        pv = PriceVector(prices=prices, seeds=tuple(seeds))
+        prices = prices_for_seeds(scheme, np.array([seeds]))[0]
+        pv = PriceVector(prices=tuple(prices.tolist()), seeds=tuple(seeds))
         out = run_posted_price(pv, instance, model)
         _emit(_json_text(_outcome_json(out, pv.prices, pv.seeds)), args.out)
         return 0
@@ -401,8 +388,8 @@ def cmd_experiment(args) -> int:
     ratios: list[list[float]] = [[] for _ in mechs]
     for idx in range(count):
         try:
-            inst = _build_instance(model, inst_spec, _spawned_rng(master_seed, 0, idx))
-            seed = _sim_seed(master_seed, idx)
+            inst = _build_instance(model, inst_spec, instance_rng(master_seed, idx))
+            seed = instance_sim_seed(master_seed, idx)
             for m, mech in enumerate(mechs):
                 est = expected_welfare(mech, inst, model, trials, seed)
                 ratios[m].append(est.ratio_to_opt)

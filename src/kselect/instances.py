@@ -3,7 +3,7 @@
 The staged worst-case family posts k identical buyers at each valuation
 stage L, L+eps, ... ; stochastic generators draw truncated normals by
 rejection. Every generated valuation lies in [L, U] by construction, never
-by clamping.
+by clamping, and no generator builds more than MAX_ARRIVALS arrivals.
 """
 
 import math
@@ -18,6 +18,14 @@ from .errors import ValidationError
 # rejection sampling gives up after this many rounds without filling the
 # request (acceptance rate effectively zero)
 _MAX_REJECTION_ROUNDS = 10_000
+
+# most arrivals one generated instance may hold, checked before it is built
+MAX_ARRIVALS = 10_000_000
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_ARRIVALS:
+        raise ValidationError(f"{n} arrivals exceed the ceiling of {MAX_ARRIVALS}")
 
 
 @dataclass(frozen=True)
@@ -40,13 +48,17 @@ def hard_instance(model: CostModel, epsilon: float, terminal_stage: float) -> In
     L, U = model.L, model.U
     if not L <= terminal_stage <= U:
         raise ValidationError(f"terminal stage {terminal_stage} outside [{L}, {U}]")
-    j_t = round((terminal_stage - L) / epsilon)
+    steps = (terminal_stage - L) / epsilon  # inf when epsilon is tiny against the range
+    if steps >= MAX_ARRIVALS:
+        raise ValidationError(f"epsilon {epsilon:g} gives more than {MAX_ARRIVALS} arrivals")
+    j_t = round(steps)
     snapped = L + j_t * epsilon
     if abs(snapped - terminal_stage) > 1e-12 * max(1.0, abs(terminal_stage)):
         raise ValidationError(
             f"terminal stage {terminal_stage} is not on the epsilon grid "
             f"(nearest stage {snapped})"
         )
+    _check_size((j_t + 1) * model.k)
     vals = []
     for j in range(j_t + 1):
         stage = terminal_stage if j == j_t else L + j * epsilon
@@ -62,6 +74,7 @@ def _truncated_normal(
 ) -> list[float]:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError(f"n must be a non-negative integer, got {n}")
+    _check_size(n)
     if not (math.isfinite(mu) and math.isfinite(sdev)) or sdev < 0:
         raise ValidationError(f"bad distribution parameters mu={mu}, sdev={sdev}")
     L, U = model.L, model.U
@@ -110,6 +123,8 @@ def gen_low2high(
     rng: np.random.Generator,
 ) -> Instance:
     """A low-valued block followed by a high-valued block, one stream."""
+    if isinstance(n1, int) and isinstance(n2, int):
+        _check_size(n1 + n2)
     vals = _truncated_normal(model, n1, mu1, sdev1, rng)
     vals += _truncated_normal(model, n2, mu2, sdev2, rng)
     return Instance(

@@ -91,23 +91,26 @@ def _check_unit(model: CostModel, i: int) -> None:
         raise ValidationError(f"unit index {i} out of range 1..{model.k}")
 
 
+def _unit_prices(scheme: PricingScheme, i: int, s: np.ndarray) -> np.ndarray:
+    """Unit i's curve at an array of seeds in [0, 1], unchecked.
+
+    Segment endpoints return the stored values exactly and the interior is
+    clamped into [v_lo, v_hi], so junction floats are never overshot.
+    """
+    s_lo, s_hi, cost, v_lo, v_hi, rate = scheme._unit_tables[i - 1]
+    idx = np.searchsorted(s_lo, s, side="right") - 1
+    p = cost[idx] + (v_lo[idx] - cost[idx]) * np.exp(rate[idx] * (s - s_lo[idx]))
+    p = np.clip(p, v_lo[idx], v_hi[idx])
+    p = np.where(s <= s_lo[idx], v_lo[idx], p)
+    return np.where(s >= s_hi[idx], v_hi[idx], p)
+
+
 def price_at(scheme: PricingScheme, i: int, s: float) -> float:
     """Price curve of unit i at seed s, clamped into [L_i, U_i]."""
     _check_unit(scheme.model, i)
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"seed {s} outside [0, 1]")
-    segs = scheme.segments[i - 1]
-    for seg in reversed(segs):
-        if s >= seg.s_lo:
-            # endpoints return the stored values exactly; the interior is
-            # clamped so junction floats are never overshot
-            if seg.rate == 0.0 or s == seg.s_lo:
-                return seg.v_lo
-            if s >= seg.s_hi:
-                return seg.v_hi
-            v = seg.cost + (seg.v_lo - seg.cost) * math.exp(seg.rate * (s - seg.s_lo))
-            return min(max(v, seg.v_lo), seg.v_hi)
-    raise AssertionError("segments do not cover [0, 1]")
+    return float(_unit_prices(scheme, i, np.array([s], dtype=float))[0])
 
 
 def inverse_price(scheme: PricingScheme, i: int, v: float) -> float:
@@ -132,25 +135,17 @@ def inverse_price(scheme: PricingScheme, i: int, v: float) -> float:
 def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
     """Vectorized curve evaluation: seeds (n, k) -> prices (n, k).
 
-    Matches price_at segment selection exactly; each column is clamped into
-    its segment's [v_lo, v_hi], so every row satisfies the price chain
-    P_1 <= ... <= P_k with no tolerance.
+    Column i - 1 is unit i's curve, evaluated as by price_at, so every row
+    satisfies the price chain P_1 <= ... <= P_k with no tolerance.
     """
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[1] != scheme.model.k:
         raise ValidationError(f"seed array must have shape (n, {scheme.model.k})")
-    if seeds.size and (seeds.min() < 0.0 or seeds.max() > 1.0):
+    if seeds.size and not (seeds.min() >= 0.0 and seeds.max() <= 1.0):
         raise ValidationError("seeds outside [0, 1]")
     out = np.empty_like(seeds)
-    for col, (s_lo, s_hi, cost, v_lo, v_hi, rate) in enumerate(scheme._unit_tables):
-        s = seeds[:, col]
-        idx = np.searchsorted(s_lo, s, side="right") - 1
-        p = cost[idx] + (v_lo[idx] - cost[idx]) * np.exp(rate[idx] * (s - s_lo[idx]))
-        p = np.clip(p, v_lo[idx], v_hi[idx])
-        # same endpoint semantics as price_at
-        p = np.where(s <= s_lo[idx], v_lo[idx], p)
-        p = np.where(s >= s_hi[idx], v_hi[idx], p)
-        out[:, col] = p
+    for col in range(scheme.model.k):
+        out[:, col] = _unit_prices(scheme, col + 1, seeds[:, col])
     return out
 
 

@@ -91,8 +91,22 @@ def _model_with(**changes):
         ("solve", "--model", _model_with(L="x")),
         ("solve", "--model", _model_with(cost={"type": "quadratic", "coeff": [1]})),
         ("pricing", "--model", K2_MODEL, "--samples", "-3"),
+        ("instances", "--model", FIG_MODEL, "--kind", "hard", "--eps", "9e-6", "--terminal", "10"),
+        ("instances", "--model", FIG_MODEL, "--kind", "hard", "--eps", "5e-324"),
+        ("instances", "--model", FIG_MODEL, "--kind", "iid", "--count", "10000001"),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--pin-seeds", "0.5,nan"),
     ],
-    ids=["marginals-string", "marginals-null", "L-string", "coeff-list", "negative-samples"],
+    ids=[
+        "marginals-string",
+        "marginals-null",
+        "L-string",
+        "coeff-list",
+        "negative-samples",
+        "hard-past-size-ceiling",
+        "hard-subnormal-eps",
+        "iid-past-size-ceiling",
+        "nan-pinned-seed",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

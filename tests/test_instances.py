@@ -9,6 +9,7 @@ import pytest
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import (
+    MAX_ARRIVALS,
     Instance,
     gen_iid,
     gen_low2high,
@@ -87,6 +88,32 @@ class TestHardInstance:
         assert len(inst) == 10 * 4
         for stage, count in zip(*np.unique(inst.valuations, return_counts=True)):
             assert count == 10
+
+
+class TestSizeCeiling:
+    """No generator builds more than MAX_ARRIVALS arrivals; the check comes
+    before any list is built, so each call below returns at once."""
+
+    def test_hard_instance_just_past_the_ceiling(self, wide_model):
+        # 10 copies of 10^6 + 1 stages: 10,000,010 arrivals
+        with pytest.raises(ValidationError, match="10000010 arrivals exceed"):
+            hard_instance(wide_model, epsilon=1e-5, terminal_stage=11.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-300, 5e-324])
+    def test_hard_instance_tiny_epsilon(self, wide_model, eps):
+        # 5e-324 makes the stage count overflow to inf
+        with pytest.raises(ValidationError, match="more than"):
+            hard_instance(wide_model, epsilon=eps, terminal_stage=30.0)
+
+    def test_stochastic_generators(self, wide_model):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="ceiling"):
+            gen_iid(wide_model, MAX_ARRIVALS + 1, 15.0, 15.0, rng)
+        with pytest.raises(ValidationError, match="ceiling"):
+            gen_sorted(wide_model, MAX_ARRIVALS + 1, 15.0, 15.0, rng)
+        half = MAX_ARRIVALS // 2 + 1
+        with pytest.raises(ValidationError, match="ceiling"):
+            gen_low2high(wide_model, half, 7.5, 7.5, half, 22.5, 7.5, rng)
 
 
 class TestStochasticGenerators:

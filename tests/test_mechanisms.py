@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from exact_welfare import dynamic_welfare, static_welfare
+from exact_welfare import dynamic_welfare, price_cdfs, static_welfare
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
@@ -18,12 +18,15 @@ from kselect.instances import Instance, gen_iid, hard_instance
 from kselect.mechanisms import (
     Mechanism,
     expected_welfare,
+    instance_rng,
+    instance_sim_seed,
     make_pinned_deterministic,
     make_static_random,
     offline_opt,
     run_posted_price,
     run_trial,
     static_prices_for_quantiles,
+    trial_rng,
 )
 from kselect.lower_bound import solve_alpha_star_general
 from kselect.pricing import (
@@ -33,6 +36,7 @@ from kselect.pricing import (
     build_scheme,
     inverse_price,
     price_at,
+    prices_for_seeds,
 )
 
 
@@ -149,7 +153,28 @@ class TestSubstreams:
         est2 = expected_welfare(sch, inst, m, trials=200, master_seed=42)
         assert est1 == est2
         manual = np.mean([run_trial(sch, inst, m, 42, t).welfare for t in range(200)])
-        assert est1.mean == pytest.approx(float(manual), rel=1e-9)
+        assert est1.mean == float(manual)
+
+    def test_run_trial_is_an_engine_row(self):
+        # k arrivals at U buy every unit, so the posted prices are the whole row
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+        sch = build_scheme(m)
+        stat = make_static_random(sch)
+        inst = Instance((m.U,) * m.k)
+        for t in range(20):
+            posted = [d.posted_price for d in run_trial(sch, inst, m, 8, t).decisions]
+            row = prices_for_seeds(sch, trial_rng(8, t).random(m.k)[None])[0]
+            assert posted == row.tolist()
+            posted = [d.posted_price for d in run_trial(stat, inst, m, 8, t).decisions]
+            p = static_prices_for_quantiles(sch, np.array([trial_rng(8, t).random()]))[0]
+            assert posted == [p] * m.k
+
+    def test_instance_seeds_keep_their_spawn_keys(self):
+        for master, idx in ((0, 0), (11, 3), (2**40, 299)):
+            ref = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(0, idx)))
+            assert instance_rng(master, idx).random(4).tolist() == ref.random(4).tolist()
+            ss = np.random.SeedSequence(master, spawn_key=(1, idx))
+            assert instance_sim_seed(master, idx) == int(ss.generate_state(1, np.uint64)[0])
 
     def test_trials_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
@@ -232,9 +257,39 @@ class TestSurrogates:
         sch = build_pricing_scheme(m)
         ps = static_prices_for_quantiles(sch, np.array([0.0, 1.0]))
         assert ps[0] == 1.0
-        assert ps[1] == pytest.approx(4.0, abs=1e-6)
+        # q = 1 is the top of the chain, which the solver ends within 1e-9 of U
+        assert ps[1] == sch.price_intervals[-1][1]
+        assert ps[1] == pytest.approx(4.0, abs=1e-9)
         grid = static_prices_for_quantiles(sch, np.linspace(0.0, 1.0, 41))
         assert np.all(np.diff(grid) >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "L, U, k, marginals, kind",
+        [
+            (1.0, 30.0, 10, None, "general"),
+            (1.0, 4.0, 3, [0.1, 0.2, 0.3], "high_value"),
+            (1.0, 5.0, 2, [0.25, 0.5], "two_unit"),  # first curve ramps
+            (1.0, 2.0, 2, [0.0, 0.0], "two_unit"),  # first curve pinned at L
+            (1.0, math.e, 1, [0.0], "high_value"),
+        ],
+        ids=["general", "high-value-k3", "two-unit-ramp", "two-unit-floor", "k1"],
+    )
+    def test_static_quantiles_invert_the_aggregate_cdf(self, L, U, k, marginals, kind):
+        # F = mean_i psi_i from the allocation curves, sharing no price table
+        if marginals is None:
+            m = make_cost_model(L=L, U=U, k=k, quadratic_coeff=1.0 / 16.0)
+        else:
+            m = make_cost_model(L=L, U=U, k=k, marginals=marginals)
+        sch = build_scheme(m)
+        assert sch.kind == kind
+        q = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), np.arange(k + 1) / k]))
+        p = static_prices_for_quantiles(sch, q)
+        F = price_cdfs(solve_alpha_star_general(m), m, p).mean(axis=0)
+        above = p > L
+        assert np.all(np.abs(F[above] - q[above]) <= 1e-12)
+        assert np.all(F[~above] >= q[~above])
+        assert np.all(p[~above] == L)
+        assert np.all(np.diff(p) >= 0.0)
 
     def test_static_single_unit_matches_dynamic_distribution(self):
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
