@@ -86,8 +86,17 @@ def _emit(text: str, out: str | None) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # write beside the target, then rename over it: a failed write leaves
+    # any existing file whole
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _as_int(name: str, value) -> int:
@@ -123,13 +132,18 @@ def _load_model(args) -> CostModel:
     if isinstance(spec, dict):
         return model_from_json(spec)
     text = str(spec).strip()
-    if not text.startswith("{"):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"model spec is not valid JSON: {exc}") from None
+        if not os.path.isfile(text):
+            raise ValidationError(
+                f"model spec is neither valid JSON ({exc}) nor a file"
+            ) from None
+        with open(text, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"model file {text} is not valid JSON: {exc}") from None
     return model_from_json(obj)
 
 

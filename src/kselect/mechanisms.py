@@ -10,6 +10,13 @@ One function, _price_matrix, draws the seeds and prices of any set of
 trials and is the only place the mechanisms differ: expected_welfare takes
 rows 0..trials-1 of it and run_trial replays one row through run_posted_price.
 
+One function, _welfares, sells: it builds an implicit max-tree over the
+arrivals once per call and, for each unit in turn, moves every live trial
+straight to the first later arrival whose valuation reaches the unit's
+price, in O(log n) vector steps. A trial costs k such jumps, never a step
+per arrival, and the tree holds about 2n floats. run_posted_price is its
+one-row run, with the trace rebuilt from the sale positions.
+
 Two documented baseline surrogates accompany the randomized mechanism:
 a deterministic variant with every seed pinned to one value, and a
 static-random variant that draws a single price from the aggregate price
@@ -70,40 +77,45 @@ class Mechanism:
 def run_posted_price(
     price_vector: PriceVector, instance: Instance, model: CostModel
 ) -> RunOutcome:
-    """Execute one pass of the sequential mechanism over the arrivals."""
+    """Execute one pass of the sequential mechanism over the arrivals, traced.
+
+    The sales come from the Monte-Carlo kernel's one-row run; the trace is
+    rebuilt from the sale positions: unit j + 1 is posted to every arrival
+    after unit j's sale up to and including its own.
+    """
     prices = price_vector.prices
     if len(prices) != model.k:
         raise ValidationError(
             f"price vector has {len(prices)} entries, model capacity is {model.k}"
         )
-    for t, v in enumerate(instance.valuations, start=1):
-        if not (model.L <= v <= model.U) or not math.isfinite(v):
-            raise ValidationError(
-                f"arrival {t}: valuation {v} outside [{model.L}, {model.U}]"
-            )
-    decisions = []
-    kappa = 1
-    sum_v = 0.0
+    _check_valuations(instance, model)
+    welfare, pos = _welfares(np.array([prices], dtype=float), instance, model)
+    n = len(instance)
+    sales = [t for t in pos[0].tolist() if t < n]
+    decisions: list[BuyerDecision] = []
+    for p, t in zip(prices, sales):
+        decisions += [BuyerDecision(posted_price=p, accepted=False)] * (t - len(decisions))
+        decisions.append(BuyerDecision(posted_price=p, accepted=True))
+    units = len(sales)
+    unsold = prices[units] if units < model.k else None
+    decisions += [BuyerDecision(posted_price=unsold, accepted=False)] * (n - len(decisions))
     sum_p = 0.0
-    for v in instance.valuations:
-        if kappa > model.k:
-            decisions.append(BuyerDecision(posted_price=None, accepted=False))
-            continue
-        p = prices[kappa - 1]
-        accepted = v >= p
-        decisions.append(BuyerDecision(posted_price=p, accepted=accepted))
-        if accepted:
-            sum_v += v
-            sum_p += p
-            kappa += 1
-    units = kappa - 1
-    cost = model.cumulative[units]
+    for p in prices[:units]:
+        sum_p += p
     return RunOutcome(
         decisions=tuple(decisions),
         units_sold=units,
-        welfare=sum_v - cost,
-        revenue=sum_p - cost,
+        welfare=float(welfare[0]),
+        revenue=sum_p - model.cumulative[units],
     )
+
+
+def _check_valuations(instance: Instance, model: CostModel) -> None:
+    for t, v in enumerate(instance.valuations, start=1):
+        if not (model.L <= v <= model.U and math.isfinite(v)):
+            raise ValidationError(
+                f"arrival {t}: valuation {v} outside [{model.L}, {model.U}]"
+            )
 
 
 def offline_opt(instance: Instance, model: CostModel) -> tuple[float, int]:
@@ -222,18 +234,89 @@ def _price_matrix(mech: Mechanism, trial_indices, master_seed: int):
 # Monte-Carlo welfare estimation
 
 
-def _welfares(P: np.ndarray, instance: Instance, model: CostModel) -> np.ndarray:
+def _max_tree(valuations) -> tuple[np.ndarray, list[int]]:
+    """Implicit max-tree over the arrivals, about 2n floats in one array.
+
+    Level l, stored from offsets[l], holds the maximum of each aligned block
+    of 2^l arrivals (its last block may be short) and then one -inf cell, so
+    a block index one past the end reads -inf. Level 0 is the valuations
+    themselves; the top level has at most one block. np.fmax skips NaN, so a
+    NaN arrival never sells and never hides a buyer in its block.
+    """
+    lens = [len(valuations)]
+    while lens[-1] > 1:
+        lens.append((lens[-1] + 1) // 2)
+    offsets = [0]
+    for m in lens:
+        offsets.append(offsets[-1] + m + 1)
+    tree = np.empty(offsets.pop())
+    tree[: lens[0]] = valuations
+    for lev, m in enumerate(lens):
+        a = offsets[lev]
+        tree[a + m] = -math.inf
+        if lev + 1 < len(lens):
+            c, h = offsets[lev + 1], lens[lev + 1]
+            np.fmax(tree[a : a + 2 * h : 2], tree[a + 1 : a + 2 * h : 2], out=tree[c : c + h])
+    return tree, offsets
+
+
+def _first_at_least(tree, offsets, n: int, start: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per row r, the first arrival t >= start[r] with valuation >= p[r], else n.
+
+    Climb: at level l row r looks at block b, whose arrivals before start[r]
+    are all known to lie below p[r], so block b holds the answer iff its
+    maximum reaches p[r]. On a miss the search moves to block (b + 1) // 2
+    of the next level, whose part before start[r] has just been ruled out.
+    Descend: from the block that holds the answer, take the left child
+    whenever its maximum reaches p[r]. Both take O(log n) vector steps.
+    """
+    rows, b, q = np.arange(len(p)), start, p
+    hits = []
+    for off in offsets:
+        hit = tree[off + b] >= q
+        hits.append((rows[hit], b[hit]))
+        miss = ~hit
+        rows, b, q = rows[miss], (b[miss] + 1) >> 1, q[miss]
+        if not rows.size:
+            break
+    out = np.full(len(p), n)
+    rows, b = hits.pop()
+    for lev in range(len(hits), 0, -1):
+        b = 2 * b
+        b += tree[offsets[lev - 1] + b] < p[rows]
+        r, c = hits[lev - 1]
+        rows, b = np.concatenate((rows, r)), np.concatenate((b, c))
+    out[rows] = b
+    return out
+
+
+def _welfares(P: np.ndarray, instance: Instance, model: CostModel):
+    """Welfare of posting row r of P to the arrivals, and each unit's sale position.
+
+    Event-driven: unit j + 1 of every live trial jumps at once to the first
+    arrival after unit j's sale whose valuation reaches its price, so a
+    trial costs k searches of O(log n) steps, never a step per arrival.
+    Returns (welfare (trials,), positions (trials, k)), with n for a unit
+    left unsold. Sold valuations are added unit by unit in sale order.
+    """
     trials, k = P.shape
-    kappa = np.zeros(trials, dtype=np.int64)
+    n = len(instance)
+    tree, offsets = _max_tree(instance.valuations)
+    pos = np.full((trials, k), n)
     sum_v = np.zeros(trials)
-    rows = np.arange(trials)
-    for v in instance.valuations:
-        idx = np.minimum(kappa, k - 1)
-        acc = (kappa < k) & (v >= P[rows, idx])
-        sum_v += np.where(acc, v, 0.0)
-        kappa += acc
-    cum = np.asarray(model.cumulative)
-    return sum_v - cum[kappa]
+    live = np.arange(trials)
+    start = np.zeros(trials, dtype=np.intp)
+    for j in range(k):
+        if not live.size:
+            break
+        t = _first_at_least(tree, offsets, n, start, P[live, j])
+        sold = t < n
+        live, t = live[sold], t[sold]
+        pos[live, j] = t
+        sum_v[live] += tree[t]
+        start = t + 1
+    units = np.count_nonzero(pos < n, axis=1)
+    return sum_v - np.asarray(model.cumulative)[units], pos
 
 
 def run_trial(
@@ -257,19 +340,12 @@ def expected_welfare(
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
     mech = _as_mechanism(target)
-    for t, v in enumerate(instance.valuations, start=1):
-        if not (model.L <= v <= model.U):
-            raise ValidationError(
-                f"arrival {t}: valuation {v} outside [{model.L}, {model.U}]"
-            )
+    _check_valuations(instance, model)
     opt, _ = offline_opt(instance, model)
-    if mech.kind == "pinned":
-        out = run_trial(mech, instance, model, master_seed, 0)
-        mean, std_error = out.welfare, 0.0
-    else:
-        w = _welfares(_price_matrix(mech, range(trials), master_seed)[1], instance, model)
-        mean = float(w.mean())
-        std_error = float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    rows = [0] if mech.kind == "pinned" else range(trials)
+    w, _ = _welfares(_price_matrix(mech, rows, master_seed)[1], instance, model)
+    mean = float(w.mean())
+    std_error = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
     if mean > 0.0:
         ratio = opt / mean
     else:

@@ -158,7 +158,11 @@ def _flat_unit(L: float) -> tuple[Segment, ...]:
 
 
 def _price_intervals(model: CostModel, sol: LowerBoundSolution):
-    return tuple((model.L, model.L) for _ in range(sol.k_underbar - 1)) + sol.intervals
+    """(L_i, U_i) per unit; the chain end u_k is clamped to U, since the
+    solver stops within its tolerance of U on either side."""
+    ivs = tuple((model.L, model.L) for _ in range(sol.k_underbar - 1)) + sol.intervals
+    lo, hi = ivs[-1]
+    return ivs[:-1] + ((lo, min(hi, model.U)),)
 
 
 def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> PricingScheme:
@@ -167,8 +171,9 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> 
     Each constant-g piece [a, b] of unit i's interval consumes a seed span of
     (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
     c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
-    construction; the last endpoint is snapped to exactly 1. The intervals
-    are contiguous, so the g-piece index carries from one unit to the next.
+    construction; the last endpoint is snapped to exactly 1. The last unit's
+    top price is clamped to U, as in _price_intervals. The intervals are
+    contiguous, so the g-piece index carries from one unit to the next.
     """
     alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
     L = model.L
@@ -193,6 +198,8 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> 
         if abs(s - 1.0) > 1e-9:
             raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
         raw[-1][1] = 1.0
+        if i == model.k:
+            raw[-1][3] = min(raw[-1][3], model.U)
         segments.append(tuple([Segment(*vals) for vals in raw]))
         if j < top:
             j = piece_index(model, u, j)

@@ -95,6 +95,7 @@ def _model_with(**changes):
         ("instances", "--model", FIG_MODEL, "--kind", "hard", "--eps", "5e-324"),
         ("instances", "--model", FIG_MODEL, "--kind", "iid", "--count", "10000001"),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--pin-seeds", "0.5,nan"),
+        ("solve", "--model", "[1]"),
     ],
     ids=[
         "marginals-string",
@@ -106,6 +107,7 @@ def _model_with(**changes):
         "hard-subnormal-eps",
         "iid-past-size-ceiling",
         "nan-pinned-seed",
+        "model-json-array",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
@@ -114,6 +116,7 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert "No such file" not in err
 
 
 def test_solve_invalid_model_exits_2(capsys):
@@ -150,6 +153,24 @@ def test_output_dir_env_var_resolves_relative_paths(tmp_path, monkeypatch, capsy
     target = tmp_path / "abs.json"
     code, _, _ = run_cli(capsys, "solve", "--model", E_MODEL, "--out", str(target))
     assert code == 0 and target.is_file()
+
+
+def test_out_write_is_atomic(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "sol.json"
+    target.write_text("old\n")
+    code, _, _ = run_cli(capsys, "solve", "--model", E_MODEL, "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run_cli(capsys, "solve", "--model", E_MODEL, "--out", str(target))
+    assert code == 2 and out == "" and "disk full" in err
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sol.json"]
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):

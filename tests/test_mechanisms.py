@@ -1,4 +1,5 @@
-"""Mechanism tests: hand-traced runs, an exhaustive-subset oracle for the
+"""Mechanism tests: hand-traced runs, the sell kernel against a literal
+per-arrival reading of the sell rule, an exhaustive-subset oracle for the
 offline optimum, substream determinism, surrogate behavior, the guarantee
 as an empirical upper bound on OPT / E[welfare], and the exact-welfare
 oracle against brute-force integration over seeds."""
@@ -7,16 +8,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from exact_welfare import dynamic_welfare, price_cdfs, static_welfare
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import Instance, gen_iid, hard_instance
 from kselect.mechanisms import (
     Mechanism,
+    _price_matrix,
+    _welfares,
     expected_welfare,
     instance_rng,
     instance_sim_seed,
@@ -33,6 +39,7 @@ from kselect.pricing import (
     PriceVector,
     build_pricing_scheme,
     build_pricing_scheme_general,
+    build_pricing_scheme_k2,
     build_scheme,
     inverse_price,
     price_at,
@@ -102,6 +109,100 @@ class TestRunPostedPrice:
             taken = [d.posted_price for d in out.decisions if d.accepted]
             assert all(a <= b for a, b in zip(taken, taken[1:]))
             assert out.units_sold == sum(d.accepted for d in out.decisions)
+
+
+def sequential_run(prices, valuations, model):
+    """The sell rule read literally, one step per arrival: sale positions,
+    (posted price, accepted) per arrival, welfare and revenue."""
+    kappa, sum_v, sum_p, sales, trace = 0, 0.0, 0.0, [], []
+    for t, v in enumerate(valuations):
+        if kappa == model.k:
+            trace.append((None, False))
+            continue
+        p = prices[kappa]
+        trace.append((p, v >= p))
+        if v >= p:
+            sum_v += v
+            sum_p += p
+            sales.append(t)
+            kappa += 1
+    cost = model.cumulative[kappa]
+    return sales, trace, sum_v - cost, sum_p - cost
+
+
+@st.composite
+def kernel_cases(draw):
+    """A scheme of a random general, high-value or two-unit setup, a price
+    matrix of one of the three mechanisms, and arrivals of length 0, 1, 2^m
+    or 2^m + 1, some of them set exactly to posted prices."""
+    kind = draw(st.sampled_from(("general", "high_value", "two_unit")))
+    L = draw(st.floats(1.0, 3.0))
+    U = L * draw(st.floats(1.5, 6.0))
+    if kind == "two_unit":
+        k = 2
+    else:
+        k = draw(st.integers(2 if kind == "general" else 1, 6))
+    cap = min(1.8 * L, 0.9 * U) if kind == "general" else 0.9 * L
+    ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
+    if kind == "general":
+        ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
+    model = make_cost_model(L=L, U=U, k=k, marginals=ms)
+    builder = {
+        "general": build_pricing_scheme_general,
+        "high_value": build_pricing_scheme,
+        "two_unit": build_pricing_scheme_k2,
+    }[kind]
+    scheme = builder(model)
+    mech_kind = draw(st.sampled_from(("r-dynamic", "static", "pinned")))
+    if mech_kind == "r-dynamic":
+        mech = Mechanism("r-dynamic", "r-dynamic", scheme, False)
+    elif mech_kind == "static":
+        mech = make_static_random(scheme)
+    else:
+        mech = make_pinned_deterministic(scheme, draw(st.floats(0.0, 1.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    P = _price_matrix(mech, range(draw(st.integers(1, 12))), seed)[1]
+    m = draw(st.integers(0, 9))
+    n = draw(st.sampled_from((0, 1, 2**m, 2**m + 1)))
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(L, U, size=n)
+    ties = rng.random(n) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+    vals[ties] = rng.choice(P.ravel(), size=int(ties.sum()))
+    return model, P, Instance(tuple(vals.tolist()))
+
+
+class TestSellKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_rows_match_the_sequential_rule(self, case):
+        model, P, inst = case
+        w, pos = _welfares(P, inst, model)
+        n = len(inst)
+        for r, row in enumerate(P.tolist()):
+            sales, trace, welfare, revenue = sequential_run(row, inst.valuations, model)
+            assert pos[r].tolist() == sales + [n] * (model.k - len(sales))
+            assert w[r].hex() == welfare.hex()
+            out = run_posted_price(PriceVector(tuple(row), ()), inst, model)
+            assert out.welfare.hex() == welfare.hex()
+            assert out.revenue.hex() == revenue.hex()
+            assert out.units_sold == len(sales)
+            assert [(d.posted_price, d.accepted) for d in out.decisions] == trace
+
+    def test_extra_memory_is_linear_in_arrivals(self):
+        # an n log n sparse table would need 20 * 8n bytes here
+        n = 2**20
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+        inst = Instance(tuple(np.random.default_rng(3).uniform(1.0, 30.0, n).tolist()))
+        P = prices_for_seeds(build_scheme(m), np.random.default_rng(4).random((4, m.k)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _welfares(P, inst, m)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < 4 * n * 8
 
 
 class TestOfflineOpt:

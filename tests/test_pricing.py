@@ -22,8 +22,8 @@ from kselect.pricing import (
 )
 
 
-def random_high_value_model(rng, k_max: int = 8):
-    k = int(rng.integers(1, k_max + 1))
+def random_high_value_model(rng, k_max: int = 8, k_min: int = 1):
+    k = int(rng.integers(k_min, k_max + 1))
     L = float(rng.uniform(1.0, 3.0))
     U = L * float(rng.uniform(1.2, 8.0))
     ms = np.sort(rng.uniform(0.0, 0.9 * L, size=k))
@@ -93,6 +93,27 @@ class TestSchemeShape:
                 for i in range(1, m.k + 1):
                     assert price_at(sch, i, 0.0) == ivs[i - 1][0]
                     assert price_at(sch, i, 1.0) == ivs[i - 1][1]
+
+    def test_top_price_never_exceeds_u(self):
+        # the solver stops within its tolerance of U on either side; the
+        # scheme clamps the chain end, so no posted price lies above U
+        rng = np.random.default_rng(83)
+        setups = [(build_pricing_scheme, random_high_value_model(rng)) for _ in range(60)]
+        setups += [(build_pricing_scheme_general, random_general_model(rng)) for _ in range(60)]
+        setups += [
+            (build_pricing_scheme_k2, random_high_value_model(rng, k_max=2, k_min=2))
+            for _ in range(60)
+        ]
+        above = 0
+        for builder, m in setups:
+            sch = builder(m)
+            top = prices_for_seeds(sch, np.ones((1, m.k)))[0, -1]
+            assert top <= m.U
+            assert sch.price_intervals[-1][1] == top
+            assert max(seg.v_hi for seg in sch.segments[-1]) <= m.U
+            assert abs(top - m.U) <= 1e-8
+            above += solve_alpha_star_general(m).intervals[-1][1] > m.U
+        assert above > 0  # the clamp is exercised
 
     def test_curves_nondecreasing(self):
         rng = np.random.default_rng(37)
