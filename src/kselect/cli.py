@@ -17,6 +17,7 @@ provide argument defaults; explicit flags override the file. Relative
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,10 +53,12 @@ from .pricing import (
     build_scheme,
     prices_for_seeds,
     scheme_from_json,
-    scheme_to_json,
+    scheme_json_text,
 )
 
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
+# Largest `pricing --samples` table, in (samples + 1) * k cells.
+MAX_SAMPLE_CELLS = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +115,28 @@ def _as_int(name: str, value) -> int:
 
 
 def _float_list(name: str, value) -> list[float]:
-    """Accept a comma string from the command line or a list from a config."""
+    """Finite numbers from a comma string (command line) or a list (config)."""
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     elif isinstance(value, (list, tuple)):
         parts = value
     else:
         raise ValidationError(f"{name} must be a comma list or JSON array")
-    return [as_float(name, p) for p in parts]
+    out = [as_float(name, p) for p in parts]
+    if not all(map(math.isfinite, out)):
+        raise ValidationError(f"{name} must be finite numbers, got {value!r}")
+    return out
+
+
+def _read_json_file(path: str, what: str):
+    """Parse a UTF-8 JSON file; undecodable bytes or bad JSON are invalid input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _load_model(args) -> CostModel:
@@ -139,11 +156,7 @@ def _load_model(args) -> CostModel:
             raise ValidationError(
                 f"model spec is neither valid JSON ({exc}) nor a file"
             ) from None
-        with open(text, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"model file {text} is not valid JSON: {exc}") from None
+        obj = _read_json_file(text, "model file")
     return model_from_json(obj)
 
 
@@ -191,10 +204,15 @@ _BUILDERS = {
 
 def cmd_pricing(args) -> int:
     model = _load_model(args)
-    scheme = _BUILDERS[args.builder](model, as_float("tol", args.tol))
     samples = _as_int("samples", args.samples)
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
+    if (samples + 1) * model.k > MAX_SAMPLE_CELLS:
+        raise ValidationError(
+            f"(samples + 1) * k = {(samples + 1) * model.k} curve points "
+            f"exceeds the ceiling of {MAX_SAMPLE_CELLS}"
+        )
+    scheme = _BUILDERS[args.builder](model, as_float("tol", args.tol))
     if samples > 0:
         grid = [j / samples for j in range(samples + 1)]
         table = prices_for_seeds(scheme, np.repeat(np.array(grid)[:, None], model.k, axis=1))
@@ -204,7 +222,7 @@ def cmd_pricing(args) -> int:
                 lines.append(f"{i},{_fmt(s)},{_fmt(phi)}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_text(scheme_to_json(scheme)), args.out)
+        _emit(scheme_json_text(scheme) + "\n", args.out)
     return 0
 
 
@@ -295,8 +313,7 @@ def _outcome_json(outcome, prices, seeds) -> dict:
 def cmd_simulate(args) -> int:
     scheme = None
     if args.scheme is not None:
-        with open(args.scheme, encoding="utf-8") as fh:
-            scheme = scheme_from_json(json.load(fh))
+        scheme = scheme_from_json(_read_json_file(args.scheme, "scheme file"))
         model = scheme.model
         if getattr(args, "model", None) is not None and _load_model(args) != model:
             raise ValidationError("--model disagrees with the model stored in --scheme")
@@ -575,8 +592,7 @@ def main(argv=None) -> int:
     known, rest = pre.parse_known_args(argv)
     try:
         if known.config is not None:
-            with open(known.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
+            cfg = _read_json_file(known.config, "config file")
             if not isinstance(cfg, dict):
                 raise ValidationError("config file must hold a JSON object")
             sub_name = next((a for a in rest if not a.startswith("-")), None)
@@ -593,9 +609,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,9 @@ from typing import Sequence
 
 from .errors import ValidationError
 
+# Largest capacity accepted; checked before any marginal is built.
+MAX_K = 10**6
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -42,6 +45,30 @@ class CostModel:
             acc += c
             out.append(acc)
         return tuple(out)
+
+    @cached_property
+    def floor_prefix(self) -> tuple[float, ...]:
+        """Running sums ``sum_{i<=j} (L - c_i)`` for j = 1..k, added left to right.
+
+        The price-floor profit of the first j units at valuation L.
+        """
+        acc = 0.0
+        out = []
+        L = self.L
+        for c in self.marginals:
+            acc += L - c
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def floor_peak(self) -> int:
+        """Number of units up to the first maximum of ``floor_prefix``.
+
+        The terms ``L - c_i`` never increase, so the prefix does not decrease
+        over these units and is searchable with ``bisect``.
+        """
+        prefix = self.floor_prefix
+        return prefix.index(max(prefix)) + 1
 
     @cached_property
     def g_steps(self) -> tuple[tuple[float, ...], array]:
@@ -91,6 +118,8 @@ def make_cost_model(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(f"capacity k must be a positive integer, got {k!r}")
+    if k > MAX_K:
+        raise ValidationError(f"capacity k = {k} exceeds the ceiling of {MAX_K}")
     L = as_float("L", L)
     U = as_float("U", U)
     if not (math.isfinite(L) and math.isfinite(U)):

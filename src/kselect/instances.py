@@ -154,17 +154,20 @@ def write_instance(instance: Instance, path: str | os.PathLike) -> None:
 def read_instance(path: str | os.PathLike) -> Instance:
     label = ""
     vals: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if text.startswith("# label:"):
-                    label = text[len("# label:") :].strip()
-                continue
-            try:
-                vals.append(float(text))
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: not a number: {text!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                if text.startswith("#"):
+                    if text.startswith("# label:"):
+                        label = text[len("# label:") :].strip()
+                    continue
+                try:
+                    vals.append(float(text))
+                except ValueError:
+                    raise ValidationError(f"{path}: line {lineno}: not a number: {text!r}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     return Instance(tuple(vals), label=label)

@@ -17,6 +17,13 @@ setups (``c_k < L``) are the special case where every interval lies above
 all marginals, so ``g = k`` throughout and each curve is one logarithm; the
 ``*_general`` entry points and the high-value ones differ only in the
 ``regime`` label and the ``c_k < L`` check.
+
+Each bisection step reads ``k_underbar`` (a bisect) and ``xi`` (one lookup)
+off the model's cached prefix table ``CostModel.floor_prefix``, then walks
+one step per unit: exact g-piece integration while the chain is below the
+top marginal, and a multiply-add by e^{alpha/k} once it is above. The walk
+keeps only the chain ends; the returned solution alone builds the
+``(ell_i, u_i)`` pairs.
 """
 
 import bisect
@@ -76,24 +83,17 @@ def compute_k_underbar(model: CostModel, alpha: float) -> int:
     j is the number of whole units that takes.
     """
     alpha = _check_alpha(alpha)
-    L = model.L
-    prefixes = []
-    acc = 0.0
-    for c in model.marginals:
-        acc += L - c
-        prefixes.append(acc)
-    best = max(prefixes)
+    prefix, peak = model.floor_prefix, model.floor_peak
+    best = prefix[peak - 1]
     if best <= 0.0:
         raise DegenerateModelError(
             "no unit sells at a profit at the lowest valuation (c_1 >= L)"
         )
     # best equals conjugate(L) analytically; the min() only absorbs the
     # one-ulp drift of sequential summation at the alpha = 1 tie.
-    target = min(conjugate(model, L) / alpha, best)
-    for i, p in enumerate(prefixes, start=1):
-        if p >= target:
-            return i
-    raise AssertionError("prefix maximum not reached")
+    target = min(conjugate(model, model.L) / alpha, best)
+    # the prefix does not decrease up to its peak, and the peak reaches target
+    return bisect.bisect_left(prefix, target, 0, peak) + 1
 
 
 def compute_xi(model: CostModel, alpha: float, k_underbar: int) -> float:
@@ -108,7 +108,7 @@ def compute_xi(model: CostModel, alpha: float, k_underbar: int) -> float:
             "xi undefined: lowest valuation equals the marginal cost of unit "
             f"{k_underbar}"
         )
-    head = sum(L - c for c in model.marginals[: k_underbar - 1])
+    head = model.floor_prefix[k_underbar - 2] if k_underbar > 1 else 0.0
     xi = (conjugate(model, L) / alpha - head) / denom
     return min(xi, 1.0)
 
@@ -200,48 +200,56 @@ def _solve_u(
 
 
 def _chain(model: CostModel, alpha: float):
-    """Interval chain via exact g-integrals; None when alpha is infeasibly low.
+    """Chain ends via exact g-integrals; None when alpha is infeasibly low.
 
+    Returns ``(k_underbar, xi, ends)`` with ``ends = [L, u_{k_underbar}, ...,
+    u_k]``: unit i's interval runs from the end before it to its own.
     Infeasible means some interval would open at or below its own marginal
     cost (an integrand pole), which happens for small alpha when costs
     reach above L. Feasibility is monotone in alpha, so the bisection
     treats None as "chain falls short of U".
 
     The intervals are contiguous, so the walk carries the index of the
-    g-piece holding the current endpoint from one unit to the next. Above
-    every marginal g = k, and each unit there scales by the same e^{alpha/k}.
+    g-piece holding the current endpoint from one unit to the next. Once
+    the chain is above every marginal, g = k for every later unit, and each
+    one scales by the same e^{alpha/k} in a plain float loop.
     """
     k_underbar = compute_k_underbar(model, alpha)
     xi = compute_xi(model, alpha, k_underbar)
     ms = model.marginals
     top = len(model.g_steps[0])
-    step = _exp(alpha / model.k)
     j = piece_index(model, model.L)
     u = _solve_u(model, ms[k_underbar - 1], model.L, alpha * (1.0 - xi), j)
-    intervals = [(model.L, u)]
-    for i in range(k_underbar + 1, model.k + 1):
-        if j < top:
-            j = piece_index(model, u, j)
-        ell, c = u, ms[i - 1]
-        if ell <= c:
-            return None
+    ends = [model.L, u]
+    i = k_underbar  # units walked so far
+    while i < model.k:
+        j = piece_index(model, u, j)
         if j == top:
-            u = c + (ell - c) * step
-        else:
-            u = _solve_u(model, c, ell, alpha, j)
-        intervals.append((ell, u))
-    return k_underbar, xi, intervals
+            break
+        c = ms[i]
+        if u <= c:
+            return None
+        u = _solve_u(model, c, u, alpha, j)
+        ends.append(u)
+        i += 1
+    step = _exp(alpha / model.k)
+    for c in ms[i:]:
+        if u <= c:
+            return None
+        u = c + (u - c) * step
+        ends.append(u)
+    return k_underbar, xi, ends
 
 
 def _mk_solution(alpha, chain, regime, notes=()) -> LowerBoundSolution:
-    k_underbar, xi, intervals = chain
+    k_underbar, xi, ends = chain
     if xi == 1.0:
         notes = notes + ("k_underbar threshold met exactly (xi == 1)",)
     return LowerBoundSolution(
         alpha=alpha,
         k_underbar=k_underbar,
         xi=xi,
-        intervals=tuple(intervals),
+        intervals=tuple(zip(ends, ends[1:])),
         regime=regime,
         notes=notes,
     )
@@ -286,7 +294,7 @@ def _solve(model: CostModel, regime: str, tol: float) -> LowerBoundSolution:
         # end strictly inside [L, U], so fix alpha at 1 with flat intervals.
         k_underbar = compute_k_underbar(model, 1.0)
         xi = compute_xi(model, 1.0, k_underbar)
-        flat = tuple((model.L, model.L) for _ in range(k_underbar, model.k + 1))
+        flat = [model.L] * (model.k - k_underbar + 2)
         return _mk_solution(
             1.0, (k_underbar, xi, flat), regime, notes=("U == L: alpha fixed at 1",)
         )
@@ -302,7 +310,7 @@ def _solve(model: CostModel, regime: str, tol: float) -> LowerBoundSolution:
 
     def u_of(alpha):
         chain = _chain(model, alpha)
-        return (-math.inf, None) if chain is None else (chain[2][-1][1], chain)
+        return (-math.inf, None) if chain is None else (chain[2][-1], chain)
 
     lo, hi = 1.0, 2.0
     u_lo, chain_lo = u_of(lo)
@@ -407,7 +415,8 @@ def verify_equality(
     alpha = solution.alpha
     ms = model.marginals
     k_underbar, xi = solution.k_underbar, solution.xi
-    base = sum(L - c for c in ms[: k_underbar - 1]) + xi * (L - ms[k_underbar - 1])
+    head = model.floor_prefix[k_underbar - 2] if k_underbar > 1 else 0.0
+    base = head + xi * (L - ms[k_underbar - 1])
     max_residual = 0.0
     for t in range(grid_size):
         v = L + (U - L) * t / (grid_size - 1)

@@ -88,6 +88,8 @@ def run_posted_price(
         raise ValidationError(
             f"price vector has {len(prices)} entries, model capacity is {model.k}"
         )
+    if not all(map(math.isfinite, prices)):
+        raise ValidationError(f"price vector must be finite, got {prices!r}")
     _check_valuations(instance, model)
     welfare, pos = _welfares(np.array([prices], dtype=float), instance, model)
     n = len(instance)

@@ -17,11 +17,19 @@ Two constructions:
   alpha_star * e^{alpha_star / k}.
 * build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
   form whose guarantee is alpha_star itself (no extra factor).
+
+scheme_to_json and scheme_from_json are the dict form of a scheme, and they
+round-trip every float bit-exactly. scheme_json_text writes the text of
+``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)`` straight
+from the segments, without the stdlib's pure-Python indenting encoder; it
+is what ``kselect pricing`` prints.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -316,6 +324,72 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
             for unit in scheme.segments
         ],
     }
+
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """Rendered items in a JSON array ("[]") or object ("{}"), laid out as
+    ``json.dumps(indent=2)`` does for a container opened at depth ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _object(pairs: list[tuple[str, str]], depth: int) -> str:
+    """JSON object of (key, rendered value) pairs, in the order given."""
+    return _block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
+
+
+def scheme_json_text(scheme: PricingScheme) -> str:
+    """``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``, written
+    directly from the scheme.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, which took
+    more than half of ``kselect pricing`` at k=20000. Here the number text
+    comes from one call of the C encoder on a flat list, so every number
+    (NaN and Infinity included) reads exactly as the stdlib writes it; only
+    the layout, with keys in sorted order, is written here.
+    """
+    model = scheme.model
+    fields = sorted(_SEGMENT_FIELDS)
+    width = len(fields)
+    seg_values = attrgetter(*fields)
+    values = [scheme.alpha_star, scheme.cr_guarantee, scheme.k_underbar_star]
+    values += [scheme.xi_star, model.L, model.U, model.k, *model.marginals]
+    for iv in scheme.price_intervals:
+        values += iv
+    for unit in scheme.segments:
+        for seg in unit:
+            values += seg_values(seg)
+    nums = json.dumps(values)[1:-1].split(", ")
+    alpha, cr, ku, xi, L, U, k = nums[:7]
+    pos = 7 + model.k
+    marginals = nums[7:pos]
+    interval = _block("[]", ["%s", "%s"], 2)
+    end = pos + 2 * len(scheme.price_intervals)
+    intervals = [interval % pair for pair in zip(nums[pos:end:2], nums[pos + 1 : end : 2])]
+    pos = end
+    segment = _object([(f, "%s") for f in fields], 3)
+    units = []
+    for unit in scheme.segments:
+        end = pos + width * len(unit)
+        segs = [segment % tuple(nums[p : p + width]) for p in range(pos, end, width)]
+        units.append(_block("[]", segs, 2))
+        pos = end
+    cost = _object([("marginals", _block("[]", marginals, 3)), ("type", '"explicit"')], 2)
+    return _object(
+        [
+            ("alpha_star", alpha),
+            ("cr_guarantee", cr),
+            ("k_underbar_star", ku),
+            ("kind", json.dumps(scheme.kind)),
+            ("model", _object([("L", L), ("U", U), ("cost", cost), ("k", k)], 1)),
+            ("price_intervals", _block("[]", intervals, 1)),
+            ("segments", _block("[]", units, 1)),
+            ("xi_star", xi),
+        ],
+        0,
+    )
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:

@@ -1,4 +1,5 @@
-"""Closed-form interval chain for high-value setups (c_k < L), as a test oracle.
+"""Closed-form interval chain for high-value setups (c_k < L), and the O(k)
+scans for k_underbar and xi, as test oracles.
 
 When every marginal lies below L, each interval sits above all marginals, so
 the allocation count g is k throughout and every unit's allocation curve is a
@@ -9,13 +10,39 @@ single logarithm. Its interval then has a closed form:
 
 The package builds chains by walking g piece by piece; these tests compare it
 against this independent recursion.
+
+The package reads k_underbar and xi off a cached prefix table of L - c_i;
+``scan_k_underbar`` and ``scan_xi`` recompute them by a plain scan over all
+units on every call, summing left to right as the table does.
 """
 
 from __future__ import annotations
 
 import math
 
+from kselect.cost_model import conjugate
 from kselect.lower_bound import compute_k_underbar, compute_xi
+
+
+def scan_k_underbar(model, alpha: float) -> int:
+    """Least j with sum_{i<=j} (L - c_i) >= min(conjugate(L) / alpha, max prefix)."""
+    prefixes = []
+    acc = 0.0
+    for c in model.marginals:
+        acc += model.L - c
+        prefixes.append(acc)
+    target = min(conjugate(model, model.L) / alpha, max(prefixes))
+    return next(j for j, p in enumerate(prefixes, start=1) if p >= target)
+
+
+def scan_xi(model, alpha: float, k_underbar: int) -> float:
+    """Fractional sell-out level of unit k_underbar at L, the head summed in order."""
+    L = model.L
+    head = 0.0
+    for c in model.marginals[: k_underbar - 1]:
+        head += L - c
+    xi = (conjugate(model, L) / alpha - head) / (L - model.marginals[k_underbar - 1])
+    return min(xi, 1.0)
 
 
 def closed_form_chain(model, alpha: float):

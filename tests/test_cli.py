@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -83,6 +84,9 @@ def _model_with(**changes):
     return json.dumps(spec)
 
 
+NOT_UTF8 = "<a file that starts with byte 0xff>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -96,6 +100,12 @@ def _model_with(**changes):
         ("instances", "--model", FIG_MODEL, "--kind", "iid", "--count", "10000001"),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--pin-seeds", "0.5,nan"),
         ("solve", "--model", "[1]"),
+        ("solve", "--model", NOT_UTF8),
+        ("solve", "--config", NOT_UTF8, "--model", K2_MODEL),
+        ("simulate", "--model", K2_MODEL, "--instance", NOT_UTF8),
+        ("simulate", "--scheme", NOT_UTF8, "--instance", os.devnull),
+        ("solve", "--model", _model_with(k=10**6 + 1, cost={"type": "quadratic", "coeff": 1e-9})),
+        ("pricing", "--model", K2_MODEL, "--samples", "5000000"),
     ],
     ids=[
         "marginals-string",
@@ -108,15 +118,32 @@ def _model_with(**changes):
         "iid-past-size-ceiling",
         "nan-pinned-seed",
         "model-json-array",
+        "model-not-utf8",
+        "config-not-utf8",
+        "instance-not-utf8",
+        "scheme-not-utf8",
+        "k-past-size-ceiling",
+        "samples-past-size-ceiling",
     ],
 )
-def test_malformed_input_exits_2_without_traceback(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    bad = tmp_path / "not-utf8"
+    bad.write_bytes(b'\xff{"L": 1}\n')
+    code, out, err = run_cli(capsys, *[str(bad) if a == NOT_UTF8 else a for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "No such file" not in err
+
+
+@pytest.mark.parametrize("flag", ["prices", "pin-seeds"])
+def test_non_finite_number_lists_are_rejected_on_parse(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", K2_MODEL, "--instance", os.devnull, f"--{flag}", "nan,inf"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be finite")
 
 
 def test_solve_invalid_model_exits_2(capsys):
@@ -438,6 +465,35 @@ def test_module_invocation_in_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_package_invocation_in_subprocess():
+    src = os.path.dirname(os.path.dirname(kselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kselect", "solve", "--model", E_MODEL],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_size_ceilings_reject_before_allocating(capsys):
+    huge_k = _model_with(k=10**8, cost={"type": "quadratic", "coeff": 1e-9})
+    tracemalloc.start()
+    try:
+        for argv in (
+            ("pricing", "--model", huge_k),
+            ("pricing", "--model", FIG_MODEL, "--samples", "1000000"),
+        ):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "ceiling" in err
+            assert tracemalloc.get_traced_memory()[1] - base < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_model_json_helpers_agree_with_cli_input():

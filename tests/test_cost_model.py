@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kselect.cost_model import (
+    MAX_K,
     allocation_count_g,
     conjugate,
     cumulative_cost,
@@ -59,6 +61,21 @@ class TestConstruction:
     def test_invalid_inputs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             make_cost_model(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(quadratic_coeff=1e-9), dict(marginals=[0.5])],
+        ids=["quadratic", "explicit"],
+    )
+    def test_capacity_ceiling_checked_before_any_marginal(self, kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValidationError, match="ceiling"):
+                make_cost_model(1.0, 2.0, MAX_K + 1, **kwargs)
+            assert tracemalloc.get_traced_memory()[1] - base < 2**16
+        finally:
+            tracemalloc.stop()
 
     def test_high_value_flag_boundary(self):
         # c_k == L is not high-value: the flag requires strict c_k < L.

@@ -19,9 +19,9 @@ import time
 
 import numpy as np
 import pytest
-from closed_form import closed_form_alpha, closed_form_chain
+from closed_form import closed_form_alpha, closed_form_chain, scan_k_underbar, scan_xi
 
-from kselect.cost_model import make_cost_model
+from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.lower_bound import (
     _integral_over_pole,
@@ -101,12 +101,31 @@ class TestKUnderbarAndXi:
             xi = compute_xi(m, alpha, ku)
             assert 0.0 < xi <= 1.0
             # minimality: the prefix one unit shorter must fall below target
-            from kselect.cost_model import conjugate
-
             target = conjugate(m, m.L) / alpha
             if ku > 1:
                 head = sum(m.L - c for c in m.marginals[: ku - 1])
                 assert head < target
+
+    def test_prefix_table_matches_the_scan(self):
+        # bit for bit, on setups with ties, costs exactly at L and above it,
+        # and at alphas whose target lands on a prefix sum
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            k = int(rng.integers(1, 60))
+            L = float(rng.uniform(1.0, 3.0))
+            ms = rng.uniform(0.0, float(rng.choice([0.9, 1.5, 3.0])) * L, size=k)
+            if rng.random() < 0.5:
+                ms = rng.choice(np.append(ms[: max(1, k // 3)], L), size=k)
+            ms = np.sort(ms)
+            ms[0] = min(ms[0], 0.9 * L)
+            m = make_cost_model(L=L, U=4.0 * L, k=k, marginals=ms.tolist())
+            top = conjugate(m, L)
+            on_prefix = [top / p for p in m.floor_prefix if p > 0.0 and top / p >= 1.0]
+            alphas = [1.0, *rng.uniform(1.0, 30.0, size=4).tolist(), *on_prefix[:6]]
+            for alpha in alphas:
+                ku = compute_k_underbar(m, alpha)
+                assert ku == scan_k_underbar(m, alpha)
+                assert compute_xi(m, alpha, ku).hex() == scan_xi(m, alpha, ku).hex()
 
     def test_degenerate_floor_cost(self):
         m = make_cost_model(L=1.0, U=3.0, k=2, marginals=[1.0, 1.5])

@@ -98,6 +98,9 @@ class TestRunPostedPrice:
             run_posted_price(PriceVector((1.0, 1.5), (0.0, 0.0)), Instance((1.5, 0.9)), m)
         with pytest.raises(ValidationError):
             run_posted_price(PriceVector((1.0,), (0.0,)), Instance((1.5,)), m)
+        for bad in ((1.0, math.nan), (math.inf, 1.5), (1.0, -math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                run_posted_price(PriceVector(bad, ()), Instance((1.5,)), m)
 
     def test_accepted_prices_nondecreasing(self):
         rng = np.random.default_rng(211)

@@ -3,10 +3,13 @@ curves, chain exactness, and cross-construction consistency."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
@@ -19,6 +22,9 @@ from kselect.pricing import (
     inverse_price,
     price_at,
     prices_for_seeds,
+    scheme_from_json,
+    scheme_json_text,
+    scheme_to_json,
 )
 
 
@@ -372,3 +378,78 @@ class TestDispatchAndValidation:
         for i in (1, 2):
             for s in (0.0, 0.4, 1.0):
                 assert price_at(sch, i, s) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the direct JSON writer
+
+
+def stdlib_text(scheme) -> str:
+    return json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def built_schemes(draw):
+    """A scheme of a random general, high-value or two-unit setup; k = 1 and
+    pairwise tied marginals are among the draws."""
+    kind = draw(st.sampled_from(("general", "high_value", "two_unit")))
+    L = draw(st.floats(1.0, 3.0))
+    U = L * draw(st.floats(1.2, 6.0))
+    if kind == "two_unit":
+        k = 2
+    else:
+        k = draw(st.integers(2 if kind == "general" else 1, 12))
+    cap = min(1.8 * L, 0.9 * U) if kind == "general" else 0.9 * L
+    ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        ms = [ms[i - i % 2] for i in range(k)]
+    if kind == "general":
+        ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
+    model = make_cost_model(L=L, U=U, k=k, marginals=ms)
+    builder = {
+        "general": build_pricing_scheme_general,
+        "high_value": build_pricing_scheme,
+        "two_unit": build_pricing_scheme_k2,
+    }[kind]
+    return builder(model)
+
+
+NAMED_SETUPS = {
+    # name: (L, U, marginals, property the setup must have)
+    "single-unit": (1.0, math.e, [0.0], lambda s: s.model.k == 1),
+    "two-unit": (1.0, 5.0, [0.25, 0.5], lambda s: s.kind == "two_unit"),
+    "tied-high-value": (
+        2.0, 9.0, [0.1, 0.1, 0.1, 0.7, 0.7, 1.5],
+        lambda s: s.kind == "high_value" and s.k_underbar_star > 1,
+    ),
+    "tied-general": (
+        1.0, 10.0, [0.2, 0.2, 0.5, 0.5, 0.5, 2.0, 2.0],
+        lambda s: s.kind == "general" and s.k_underbar_star > 1,
+    ),
+    "flat-range": (2.0, 2.0, [0.5, 1.0, 1.5], lambda s: s.alpha_star == 1.0),
+}
+
+
+class TestSchemeJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(built_schemes())
+    def test_matches_the_stdlib_indent_encoder(self, scheme):
+        assert scheme_json_text(scheme) + "\n" == stdlib_text(scheme)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SETUPS))
+    def test_named_setups(self, name):
+        L, U, ms, has_property = NAMED_SETUPS[name]
+        scheme = build_scheme(make_cost_model(L=L, U=U, k=len(ms), marginals=ms))
+        assert has_property(scheme)
+        assert scheme_json_text(scheme) + "\n" == stdlib_text(scheme)
+
+    def test_non_finite_numbers_read_as_the_stdlib_writes_them(self):
+        m = make_cost_model(L=1.0, U=10.0, k=4, marginals=[0.5, 1.5, 2.5, 3.5])
+        obj = scheme_to_json(build_scheme(m))
+        obj["alpha_star"] = math.inf
+        obj["xi_star"] = -math.inf
+        obj["segments"][1][0]["rate"] = math.nan
+        scheme = scheme_from_json(obj)
+        text = scheme_json_text(scheme) + "\n"
+        assert text == stdlib_text(scheme)
+        assert '"alpha_star": Infinity,' in text and '"rate": NaN,' in text
