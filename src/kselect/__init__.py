@@ -35,13 +35,10 @@ from .lower_bound import (
     DEFAULT_TOL,
     LowerBoundSolution,
     build_intervals,
-    build_intervals_general,
     compute_k_underbar,
     compute_xi,
     eval_psi,
-    integrate_g,
     solve_alpha_star,
-    solve_alpha_star_general,
     verify_equality,
 )
 from .mechanisms import (
@@ -62,8 +59,6 @@ from .pricing import (
     PriceVector,
     PricingScheme,
     Segment,
-    build_pricing_scheme,
-    build_pricing_scheme_general,
     build_pricing_scheme_k2,
     build_scheme,
     inverse_price,
@@ -92,9 +87,6 @@ __all__ = [
     "WelfareEstimate",
     "allocation_count_g",
     "build_intervals",
-    "build_intervals_general",
-    "build_pricing_scheme",
-    "build_pricing_scheme_general",
     "build_pricing_scheme_k2",
     "build_scheme",
     "compute_k_underbar",
@@ -108,7 +100,6 @@ __all__ = [
     "gen_sorted",
     "hard_instance",
     "instance_text",
-    "integrate_g",
     "inverse_price",
     "make_cost_model",
     "make_pinned_deterministic",
@@ -124,7 +115,6 @@ __all__ = [
     "scheme_from_json",
     "scheme_to_json",
     "solve_alpha_star",
-    "solve_alpha_star_general",
     "static_prices_for_quantiles",
     "trial_rng",
     "verify_equality",

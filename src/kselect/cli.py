@@ -34,7 +34,7 @@ from .instances import (
     instance_text,
     read_instance,
 )
-from .lower_bound import DEFAULT_TOL, solve_alpha_star, solve_alpha_star_general
+from .lower_bound import solve_alpha_star
 from .mechanisms import (
     Mechanism,
     expected_welfare,
@@ -47,9 +47,6 @@ from .mechanisms import (
 )
 from .pricing import (
     PriceVector,
-    build_pricing_scheme,
-    build_pricing_scheme_general,
-    build_pricing_scheme_k2,
     build_scheme,
     prices_for_seeds,
     scheme_from_json,
@@ -81,9 +78,12 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write ``text``, one string or an iterable of string parts written in
+    turn, to stdout or to the file ``out``."""
+    parts = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     path = _resolve_out(out)
     parent = os.path.dirname(path)
@@ -95,7 +95,7 @@ def _emit(text: str, out: str | None) -> None:
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -164,21 +164,9 @@ def _load_model(args) -> CostModel:
 # solve / pricing
 
 
-def _solve_auto(model: CostModel, tol: float):
-    solver = solve_alpha_star if model.high_value else solve_alpha_star_general
-    return solver(model, tol)
-
-
-_SOLVERS = {
-    "auto": _solve_auto,
-    "high_value": solve_alpha_star,
-    "general": solve_alpha_star_general,
-}
-
-
 def cmd_solve(args) -> int:
     model = _load_model(args)
-    sol = _SOLVERS[args.regime](model, as_float("tol", args.tol))
+    sol = solve_alpha_star(model)
     payload = {
         "alpha_star": sol.alpha,
         "k_underbar": sol.k_underbar,
@@ -194,12 +182,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-_BUILDERS = {
-    "auto": build_scheme,
-    "high_value": build_pricing_scheme,
-    "two_unit": build_pricing_scheme_k2,
-    "general": build_pricing_scheme_general,
-}
+def _sample_rows(scheme, samples: int):
+    """CSV text of every curve at seeds j / samples, yielded one unit at a
+    time so that only one unit's rows are held as text at once."""
+    k = scheme.model.k
+    grid = np.arange(samples + 1) / samples
+    table = prices_for_seeds(scheme, np.broadcast_to(grid[:, None], (samples + 1, k)))
+    s_text = [_fmt(s) for s in grid.tolist()]
+    yield "unit,s,phi\n"
+    for i in range(1, k + 1):
+        phis = table[:, i - 1].tolist()
+        yield "".join([f"{i},{s},{_fmt(phi)}\n" for s, phi in zip(s_text, phis)])
 
 
 def cmd_pricing(args) -> int:
@@ -212,15 +205,9 @@ def cmd_pricing(args) -> int:
             f"(samples + 1) * k = {(samples + 1) * model.k} curve points "
             f"exceeds the ceiling of {MAX_SAMPLE_CELLS}"
         )
-    scheme = _BUILDERS[args.builder](model, as_float("tol", args.tol))
+    scheme = build_scheme(model)
     if samples > 0:
-        grid = [j / samples for j in range(samples + 1)]
-        table = prices_for_seeds(scheme, np.repeat(np.array(grid)[:, None], model.k, axis=1))
-        lines = ["unit,s,phi"]
-        for i in range(1, model.k + 1):
-            for s, phi in zip(grid, table[:, i - 1].tolist()):
-                lines.append(f"{i},{_fmt(s)},{_fmt(phi)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_sample_rows(scheme, samples), args.out)
     else:
         _emit(scheme_json_text(scheme) + "\n", args.out)
     return 0
@@ -331,7 +318,7 @@ def cmd_simulate(args) -> int:
         return 0
 
     if scheme is None:
-        scheme = build_scheme(model, as_float("tol", args.tol))
+        scheme = build_scheme(model)
 
     if args.pin_seeds is not None:
         seeds = _float_list("pin-seeds", args.pin_seeds)
@@ -410,7 +397,7 @@ def cmd_experiment(args) -> int:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
 
-    scheme = build_scheme(model, as_float("tol", args.tol))
+    scheme = build_scheme(model)
     mechs = [
         _make_mechanism(scheme, kind, sigma)
         for kind, sigma in _parse_mechanism_specs(args.mechanisms)
@@ -446,7 +433,6 @@ def cmd_curves(args) -> int:
     k_max = _as_int("k-max", args.k_max)
     if k_min < 1 or k_max < k_min:
         raise ValidationError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
-    tol = as_float("tol", args.tol)
     lines = ["k,alpha_star,cr_guarantee,regime"]
     emitted = 0
     for k in range(k_min, k_max + 1):
@@ -455,7 +441,7 @@ def cmd_curves(args) -> int:
                 as_float("L", args.l), as_float("U", args.u), k,
                 quadratic_coeff=as_float("cost-coeff", args.cost_coeff),
             )
-            scheme = build_scheme(model, tol)
+            scheme = build_scheme(model)
         except (ValidationError, SolverError) as exc:
             print(f"k={k}: {exc}", file=sys.stderr)
             continue
@@ -472,6 +458,15 @@ def cmd_curves(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line (an unknown flag, a missing or invalid
+    value) as invalid input: ``error: ...`` on stderr and exit 2, through
+    the same handler as every other input check."""
+
+    def error(self, message):
+        raise ValidationError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON file of argument defaults")
@@ -479,9 +474,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     model_opts = argparse.ArgumentParser(add_help=False)
     model_opts.add_argument("--model", help="model JSON, inline or a file path")
-    model_opts.add_argument("--tol", default=DEFAULT_TOL, help="solver tolerance")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kselect",
         description="solver, pricing and simulation toolkit for capacitated "
         "posted-price selling with non-decreasing marginal costs",
@@ -493,23 +487,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs["solve"] = subs_action.add_parser(
         "solve", parents=[shared, model_opts], help="bound value and interval chain"
     )
-    p.add_argument(
-        "--regime",
-        choices=tuple(_SOLVERS),
-        default="auto",
-        help="check the setup against a regime and label the output with it "
-        "(auto picks by the c_k < L test)",
-    )
     p.set_defaults(func=cmd_solve)
 
     p = subs["pricing"] = subs_action.add_parser(
         "pricing", parents=[shared, model_opts], help="price curves as JSON or CSV"
-    )
-    p.add_argument(
-        "--builder",
-        choices=tuple(_BUILDERS),
-        default="auto",
-        help="curve construction (auto picks the strongest applicable)",
     )
     p.add_argument(
         "--samples",
@@ -578,7 +559,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument(
         "--cost-coeff", default=1.0 / 59.0, help="a in the cumulative cost a*i^2"
     )
-    p.add_argument("--tol", default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(func=cmd_curves)
 
     return parser, subs

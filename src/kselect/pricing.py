@@ -8,13 +8,14 @@ welfare competitive with the offline optimum.
 
 Two constructions:
 
-* the general curves, for any valid setup: each constant-g piece of a unit's
-  interval becomes one exponential segment, plus a constant floor on the
-  threshold unit. build_pricing_scheme_general reports the guarantee
-  max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L;
-  build_pricing_scheme builds the same curves for high-value setups
-  (c_k < L, where each unit has one segment) and reports
-  alpha_star * e^{alpha_star / k}.
+* build_scheme: the curves for any valid setup. Each constant-g piece of a
+  unit's interval becomes one exponential segment, plus a constant floor on
+  the threshold unit; in high-value setups (c_k < L) each unit has one
+  segment. The scheme's ``kind`` is the solver's regime label. High-value
+  schemes report the guarantee alpha_star * e^{alpha_star / k}; the others
+  report max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
+  For two-unit high-value setups build_scheme returns the special form
+  below instead.
 * build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
   form whose guarantee is alpha_star itself (no extra factor).
 
@@ -35,14 +36,7 @@ import numpy as np
 
 from .cost_model import CostModel, conjugate, model_from_json, model_to_json
 from .errors import ValidationError
-from .lower_bound import (
-    DEFAULT_TOL,
-    LowerBoundSolution,
-    g_pieces,
-    piece_index,
-    solve_alpha_star,
-    solve_alpha_star_general,
-)
+from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def _price_intervals(model: CostModel, sol: LowerBoundSolution):
     return ivs[:-1] + ((lo, min(hi, model.U)),)
 
 
-def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> PricingScheme:
+def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingScheme:
     """Curves inverting the solution's piecewise-log allocation curves.
 
     Each constant-g piece [a, b] of unit i's interval consumes a seed span of
@@ -219,22 +213,11 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, kind: str, cr: float) -> 
         segments=tuple(segments),
         price_intervals=_price_intervals(model, sol),
         cr_guarantee=cr,
-        kind=kind,
+        kind=sol.regime,
     )
 
 
-def build_pricing_scheme(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Curves for high-value setups (c_k < L), with guarantee alpha e^{alpha/k}."""
-    if not model.high_value:
-        raise ValidationError(
-            "exponential-curve construction requires c_k < L; "
-            "use build_pricing_scheme_general"
-        )
-    sol = solve_alpha_star(model, tol)
-    return _scheme(model, sol, "high_value", sol.alpha * math.exp(sol.alpha / model.k))
-
-
-def build_pricing_scheme_k2(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
+def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
     """Two-unit construction whose guarantee is alpha_star itself.
 
     Branches on which curve carries the randomization: when alpha_star is
@@ -246,8 +229,7 @@ def build_pricing_scheme_k2(model: CostModel, tol: float = DEFAULT_TOL) -> Prici
         raise ValidationError(f"two-unit construction requires k = 2, got k = {model.k}")
     if not model.high_value:
         raise ValidationError("two-unit construction requires c_2 < L")
-    sol = solve_alpha_star(model, tol)
-    a = sol.alpha
+    a = solve_alpha_star(model).alpha
     L, U = model.L, model.U
     c1, c2 = model.marginals
     threshold = (2.0 * L - c1 - c2) / (L - c1)
@@ -282,28 +264,25 @@ def build_pricing_scheme_k2(model: CostModel, tol: float = DEFAULT_TOL) -> Prici
     )
 
 
-def build_pricing_scheme_general(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Curves for any valid setup.
+def build_scheme(model: CostModel) -> PricingScheme:
+    """Price curves for any valid setup; the two-unit form when k = 2 and c_2 < L.
 
-    Guarantee max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
+    The guarantee is alpha e^{alpha/k} for high-value setups (c_k < L) and
+    max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L otherwise.
     """
-    sol = solve_alpha_star_general(model, tol)
-    uppers = [model.L] + [iv[1] for iv in _price_intervals(model, sol)]
-    cr = max(
-        sol.alpha * (1.0 + (uppers[i] - model.marginals[i - 1]) / conjugate(model, uppers[i - 1]))
-        for i in range(1, model.k + 1)
-    )
-    return _scheme(model, sol, "general", cr)
-
-
-def build_scheme(model: CostModel, tol: float = DEFAULT_TOL) -> PricingScheme:
-    """Two-unit form for k = 2 high-value setups, else the high-value or
-    general labelling of the shared curves."""
+    if model.high_value and model.k == 2:
+        return build_pricing_scheme_k2(model)
+    sol = solve_alpha_star(model)
     if model.high_value:
-        if model.k == 2:
-            return build_pricing_scheme_k2(model, tol)
-        return build_pricing_scheme(model, tol)
-    return build_pricing_scheme_general(model, tol)
+        cr = sol.alpha * math.exp(sol.alpha / model.k)
+    else:
+        uppers = [model.L] + [iv[1] for iv in _price_intervals(model, sol)]
+        cr = max(
+            sol.alpha
+            * (1.0 + (uppers[i] - model.marginals[i - 1]) / conjugate(model, uppers[i - 1]))
+            for i in range(1, model.k + 1)
+        )
+    return _scheme(model, sol, cr)
 
 
 _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")

@@ -22,9 +22,6 @@ from exact_welfare import dynamic_welfare, static_welfare
 from kselect import (
     Mechanism,
     build_intervals,
-    build_intervals_general,
-    build_pricing_scheme,
-    build_pricing_scheme_general,
     build_scheme,
     eval_psi,
     expected_welfare,
@@ -39,7 +36,6 @@ from kselect import (
     offline_opt,
     prices_for_seeds,
     solve_alpha_star,
-    solve_alpha_star_general,
     verify_equality,
 )
 from kselect.instances import Instance
@@ -53,8 +49,7 @@ def family_solution(k):
     """Tight bound for the curve family at capacity k, memoized."""
     if k not in _family_cache:
         model = make_cost_model(1.0, 10.0, k, quadratic_coeff=1.0 / 59.0)
-        solve = solve_alpha_star if model.high_value else solve_alpha_star_general
-        _family_cache[k] = (model, solve(model))
+        _family_cache[k] = (model, solve_alpha_star(model))
     return _family_cache[k]
 
 
@@ -110,7 +105,7 @@ def test_criterion_02_both_solver_routes_agree():
     for _ in range(20):
         model = random_high_value_model(rng)
         a = closed_form_alpha(model)
-        b = solve_alpha_star_general(model).alpha
+        b = solve_alpha_star(model).alpha
         assert abs(a - b) <= 1e-6, f"routes disagree on {model}: {a} vs {b}"
     assert time.perf_counter() - started < 10.0
 
@@ -125,12 +120,8 @@ def test_criterion_03_welfare_identity_residual():
     models = [random_high_value_model(rng) for _ in range(6)]
     models += [random_general_model(rng) for _ in range(4)]
     for model in models:
-        if model.high_value:
-            sol = solve_alpha_star(model)
-            loose = build_intervals(model, sol.alpha + 0.5)
-        else:
-            sol = solve_alpha_star_general(model)
-            loose = build_intervals_general(model, sol.alpha + 0.5)
+        sol = solve_alpha_star(model)
+        loose = build_intervals(model, sol.alpha + 0.5)
         assert verify_equality(sol, model, grid_size=1000) <= 1e-6
         assert verify_equality(loose, model, grid_size=1000) <= 1e-6
 
@@ -140,7 +131,7 @@ def test_criterion_04_interval_chain_ends_at_top_value():
     for k in range(2, 41):
         model, sol = family_solution(k)
         assert abs(sol.intervals[-1][1] - model.U) <= 1e-8, f"k={k}"
-    bench_sol = solve_alpha_star_general(BENCH)
+    bench_sol = solve_alpha_star(BENCH)
     assert abs(bench_sol.intervals[-1][1] - BENCH.U) <= 1e-8
 
 
@@ -156,12 +147,8 @@ def test_criterion_05_price_curves_invert_allocation_curves():
         random_general_model(rng),
     ]
     for model in setups:
-        if model.high_value:
-            sol = solve_alpha_star(model)
-            scheme = build_pricing_scheme(model)
-        else:
-            sol = solve_alpha_star_general(model)
-            scheme = build_pricing_scheme_general(model)
+        sol = solve_alpha_star(model)
+        scheme = build_scheme(model)
         for _ in range(500):
             i = int(rng.integers(1, model.k + 1))
             v = float(rng.uniform(model.L, model.U))
@@ -321,7 +308,7 @@ def test_criterion_11_ratio_cdf_shapes():
         for a baseline whose construction is not reproduced here, and
         nothing promises that the curves beat it.
     """
-    sol = solve_alpha_star_general(BENCH)
+    sol = solve_alpha_star(BENCH)
     scheme = build_scheme(BENCH)
     mechs = [dynamic(scheme), make_pinned_deterministic(scheme, 0.5), make_static_random(scheme)]
     trials, count = 400, 60

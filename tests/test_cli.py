@@ -47,35 +47,6 @@ def test_solve_single_unit_closed_form(capsys):
     assert payload["intervals"][-1]["u"] == pytest.approx(math.e, abs=1e-8)
 
 
-def test_solve_regime_override_routes_agree(capsys):
-    # one solver route: --regime only checks the setup and sets the label
-    code, out_hv, _ = run_cli(capsys, "solve", "--model", FIG_MODEL, "--regime", "high_value")
-    assert code == 0
-    code, out_gen, _ = run_cli(capsys, "solve", "--model", FIG_MODEL, "--regime", "general")
-    assert code == 0
-    a, b = json.loads(out_hv), json.loads(out_gen)
-    assert (a.pop("regime"), b.pop("regime")) == ("high_value", "general")
-    assert a == b
-
-
-GEN2_MODEL = '{"L": 1, "U": 4, "k": 2, "cost": {"type": "explicit", "marginals": [0.5, 2]}}'
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("solve", "--regime", "high_value"),
-        ("pricing", "--builder", "high_value"),
-    ],
-)
-def test_high_value_route_rejects_general_setup(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--model", GEN2_MODEL)
-    assert code == 2
-    assert out == ""
-    assert "c_k < L" in err
-    assert "Traceback" not in err
-
-
 def _model_with(**changes):
     spec = {"L": 1, "U": 5, "k": 2, "cost": {"type": "explicit", "marginals": [0.25, 0.5]}}
     cost = changes.pop("cost", {})
@@ -106,6 +77,12 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
         ("simulate", "--scheme", NOT_UTF8, "--instance", os.devnull),
         ("solve", "--model", _model_with(k=10**6 + 1, cost={"type": "quadratic", "coeff": 1e-9})),
         ("pricing", "--model", K2_MODEL, "--samples", "5000000"),
+        ("solve", "--model", K2_MODEL, "--regime", "general"),
+        ("pricing", "--model", K2_MODEL, "--builder", "general"),
+        (
+            "solve", "--tol", "1000", "--model",
+            '{"L":1,"U":30,"k":10,"cost":{"type":"quadratic","coeff":0.001}}',
+        ),
     ],
     ids=[
         "marginals-string",
@@ -124,6 +101,9 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
         "scheme-not-utf8",
         "k-past-size-ceiling",
         "samples-past-size-ceiling",
+        "no-regime-flag",
+        "no-builder-flag",
+        "no-tol-flag",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -202,13 +182,16 @@ def test_out_write_is_atomic(tmp_path, monkeypatch, capsys):
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": json.loads(FIG_MODEL), "regime": "general"}))
-    code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    cfg.write_text(json.dumps({"model": json.loads(K2_MODEL), "trials": 30}))
+    inst = write_inst(tmp_path, [1.0, 3.0, 4.5])
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--instance", inst)
     assert code == 0
-    assert json.loads(out)["regime"] == "general"
-    code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--regime", "high_value")
+    assert json.loads(out)["trials"] == 30
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--instance", inst, "--trials", "40"
+    )
     assert code == 0
-    assert json.loads(out)["regime"] == "high_value"
+    assert json.loads(out)["trials"] == 40
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +225,24 @@ def test_pricing_csv_samples_give_monotone_curves(capsys):
 
 # ---------------------------------------------------------------------------
 # instances
+
+
+def test_pricing_samples_stream_one_unit_at_a_time(tmp_path, capsys):
+    # 10^5 curve points: holding every CSV line at once peaked at 15.9 MB
+    bench = '{"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}'
+    out = tmp_path / "curves.csv"
+    tracemalloc.start()
+    try:
+        code = main(["pricing", "--model", bench, "--samples", "9999", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 15.9e6 / 3
+    lines = out.read_text().split("\n")
+    assert len(lines) == 1 + 10 * 10_000 + 1 and lines[-1] == ""
+    assert lines[0] == "unit,s,phi" and lines[1] == "1,0,1"
+    assert lines[-2] == "10,1,30"
 
 
 def test_instances_hard_matches_library_output(capsys):

@@ -27,13 +27,10 @@ from kselect.lower_bound import (
     _integral_over_pole,
     _solve_u,
     build_intervals,
-    build_intervals_general,
     compute_k_underbar,
     compute_xi,
     eval_psi,
-    integrate_g,
     solve_alpha_star,
-    solve_alpha_star_general,
     verify_equality,
 )
 
@@ -132,7 +129,7 @@ class TestKUnderbarAndXi:
         with pytest.raises(DegenerateModelError):
             compute_k_underbar(m, 2.0)
         with pytest.raises(DegenerateModelError):
-            solve_alpha_star_general(m)
+            solve_alpha_star(m)
 
     def test_alpha_validation(self):
         m = make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.0])
@@ -148,12 +145,13 @@ class TestKUnderbarAndXi:
 
 
 class TestExactIntegration:
-    def test_integrate_g_frozen(self):
+    def test_conjugate_rise_frozen(self):
+        # the integral of g over [a, b], as verify_equality reads it
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        assert integrate_g(m, 1.0, 4.0) == pytest.approx(5.0, abs=1e-15)
-        assert integrate_g(m, 1.0, 1.5) == pytest.approx(0.5, abs=1e-15)
-        assert integrate_g(m, 2.5, 3.0) == pytest.approx(1.0, abs=1e-15)
-        assert integrate_g(m, 3.0, 3.0) == 0.0
+        assert conjugate(m, 4.0) - conjugate(m, 1.0) == pytest.approx(5.0, abs=1e-15)
+        assert conjugate(m, 1.5) - conjugate(m, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert conjugate(m, 3.0) - conjugate(m, 2.5) == pytest.approx(1.0, abs=1e-15)
+        assert conjugate(m, 3.0) - conjugate(m, 3.0) == 0.0
 
     def test_pole_integral_frozen(self):
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
@@ -194,7 +192,7 @@ class TestChainsAtFixedAlpha:
             m = random_high_value_model(rng)
             alpha = float(rng.uniform(1.0, 6.0))
             ku, xi, intervals = closed_form_chain(m, alpha)
-            b = build_intervals_general(m, alpha)
+            b = build_intervals(m, alpha)
             assert ku == b.k_underbar
             assert xi == pytest.approx(b.xi, abs=1e-12)
             for (la, ua), (lb, ub) in zip(intervals, b.intervals):
@@ -205,7 +203,7 @@ class TestChainsAtFixedAlpha:
         rng = np.random.default_rng(5)
         for _ in range(60):
             m = random_general_model(rng)
-            sol = solve_alpha_star_general(m)
+            sol = solve_alpha_star(m)
             assert sol.intervals[0][0] == m.L
             for (l0, u0), (l1, _) in zip(sol.intervals, sol.intervals[1:]):
                 assert u0 == l1
@@ -229,8 +227,8 @@ class TestChainsAtFixedAlpha:
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
         # the second interval cannot open until alpha exceeds 1 + ln 3
         with pytest.raises(ValidationError):
-            build_intervals_general(m, 1.5)
-        build_intervals_general(m, 2.3)  # feasible
+            build_intervals(m, 1.5)
+        build_intervals(m, 2.3)  # feasible
 
 
 class TestSolver:
@@ -251,7 +249,7 @@ class TestSolver:
         rng = np.random.default_rng(11)
         for _ in range(40):
             m = random_general_model(rng)
-            sol = solve_alpha_star_general(m)
+            sol = solve_alpha_star(m)
             assert abs(sol.intervals[-1][1] - m.U) <= 1e-8
         for _ in range(40):
             m = random_high_value_model(rng)
@@ -264,11 +262,10 @@ class TestSolver:
             m = random_high_value_model(rng, k_max=8)
             alpha = closed_form_alpha(m)
             ku, xi, _ = closed_form_chain(m, alpha)
-            b = solve_alpha_star_general(m)
+            b = solve_alpha_star(m)
             assert abs(alpha - b.alpha) <= 1e-6
             assert ku == b.k_underbar
             assert xi == pytest.approx(b.xi, abs=1e-6)
-            assert solve_alpha_star(m).alpha == b.alpha
 
     def test_general_route_scales_to_large_k(self):
         # c_k ~ 2 > L: most units walk several g-pieces; the walk carries its
@@ -276,7 +273,7 @@ class TestSolver:
         m = make_cost_model(L=1.0, U=30.0, k=2000, quadratic_coeff=1.0 / 2000.0)
         assert not m.high_value
         started = time.perf_counter()
-        sol = solve_alpha_star_general(m)
+        sol = solve_alpha_star(m)
         assert time.perf_counter() - started < 2.0
         assert abs(sol.intervals[-1][1] - m.U) <= 1e-8
 
@@ -286,7 +283,7 @@ class TestSolver:
         #   u_2 = 2 + (u_1 - 2) e^{alpha/2},
         # so alpha* satisfies (e^{(alpha - 1 - ln3)/2} - 1) e^{alpha/2} = 4/3.
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        sol = solve_alpha_star_general(m)
+        sol = solve_alpha_star(m)
         a = sol.alpha
         assert a > 1.0 + math.log(3.0)
         resid = (math.exp((a - 1.0 - math.log(3.0)) / 2.0) - 1.0) * math.exp(a / 2.0) - 4.0 / 3.0
@@ -296,31 +293,19 @@ class TestSolver:
 
     def test_degenerate_interval_u_equals_l(self):
         m = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
-        for sol in (solve_alpha_star(m), solve_alpha_star_general(m)):
-            assert sol.alpha == 1.0
-            assert any("U == L" in n for n in sol.notes)
-            assert all(iv == (2.0, 2.0) for iv in sol.intervals)
+        sol = solve_alpha_star(m)
+        assert sol.alpha == 1.0
+        assert any("U == L" in n for n in sol.notes)
+        assert all(iv == (2.0, 2.0) for iv in sol.intervals)
 
     def test_top_unit_priced_out_raises(self):
         # c_k >= U: the last unit can never sell, so no chain ends at U
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.5])
         with pytest.raises(SolverError, match="cannot terminate at U"):
-            solve_alpha_star_general(m)
+            solve_alpha_star(m)
         m_eq = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.0])
         with pytest.raises(SolverError):
-            solve_alpha_star_general(m_eq)
-
-    def test_bad_tolerance(self):
-        m = make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.0])
-        with pytest.raises(ValidationError):
-            solve_alpha_star(m, tol=0.0)
-
-    def test_wrong_regime_rejected(self):
-        m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        with pytest.raises(ValidationError):
-            solve_alpha_star(m)
-        with pytest.raises(ValidationError):
-            build_intervals(m, 2.0)
+            solve_alpha_star(m_eq)
 
     def test_guarantee_decays_with_capacity(self):
         # same cost ladder shape, growing k: the per-step factor e^{alpha*/k}
@@ -337,7 +322,8 @@ class TestSolver:
         # k=10, quadratic ladder reaching above L: general regime
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         assert not m.high_value
-        sol = solve_alpha_star_general(m)
+        sol = solve_alpha_star(m)
+        assert sol.regime == "general"
         assert abs(sol.intervals[-1][1] - 30.0) <= 1e-8
         assert sol.alpha > 1.0
         assert verify_equality(sol, m, grid_size=400) <= 1e-6
@@ -361,13 +347,10 @@ class TestPsi:
 
     def test_monotone_and_clamped(self):
         rng = np.random.default_rng(17)
-        for solver, gen in (
-            (solve_alpha_star, random_high_value_model),
-            (solve_alpha_star_general, random_general_model),
-        ):
+        for gen in (random_high_value_model, random_general_model):
             for _ in range(10):
                 m = gen(rng, k_max=6)
-                sol = solver(m)
+                sol = solve_alpha_star(m)
                 grid = np.linspace(m.L, m.U, 120)
                 for i in range(1, m.k + 1):
                     vals = [eval_psi(sol, m, i, float(v)) for v in grid]
@@ -402,12 +385,8 @@ class TestWelfareIdentity:
         models = [random_high_value_model(rng, k_max=6) for _ in range(3)]
         models += [make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])]
         for m in models:
-            if m.high_value:
-                sol = solve_alpha_star(m)
-                above = build_intervals(m, sol.alpha + 0.5)
-            else:
-                sol = solve_alpha_star_general(m)
-                above = build_intervals_general(m, sol.alpha + 0.5)
+            sol = solve_alpha_star(m)
+            above = build_intervals(m, sol.alpha + 0.5)
             assert verify_equality(sol, m, grid_size=500) <= 1e-6
             assert verify_equality(above, m, grid_size=500) <= 1e-6
 

@@ -34,12 +34,9 @@ from kselect.mechanisms import (
     static_prices_for_quantiles,
     trial_rng,
 )
-from kselect.lower_bound import solve_alpha_star_general
+from kselect.lower_bound import solve_alpha_star
 from kselect.pricing import (
     PriceVector,
-    build_pricing_scheme,
-    build_pricing_scheme_general,
-    build_pricing_scheme_k2,
     build_scheme,
     inverse_price,
     price_at,
@@ -105,7 +102,7 @@ class TestRunPostedPrice:
     def test_accepted_prices_nondecreasing(self):
         rng = np.random.default_rng(211)
         m = make_cost_model(L=1.0, U=5.0, k=4, marginals=[0.1, 0.2, 0.3, 0.4])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         inst = gen_iid(m, 60, 3.0, 2.0, rng)
         for t in range(20):
             out = run_trial(sch, inst, m, 999, t)
@@ -150,12 +147,7 @@ def kernel_cases(draw):
     if kind == "general":
         ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
     model = make_cost_model(L=L, U=U, k=k, marginals=ms)
-    builder = {
-        "general": build_pricing_scheme_general,
-        "high_value": build_pricing_scheme,
-        "two_unit": build_pricing_scheme_k2,
-    }[kind]
-    scheme = builder(model)
+    scheme = build_scheme(model)
     mech_kind = draw(st.sampled_from(("r-dynamic", "static", "pinned")))
     if mech_kind == "r-dynamic":
         mech = Mechanism("r-dynamic", "r-dynamic", scheme, False)
@@ -241,7 +233,7 @@ class TestOfflineOpt:
 class TestSubstreams:
     def test_run_trial_bit_identical(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         inst = gen_iid(m, 40, 2.5, 1.0, np.random.default_rng(5))
         a = run_trial(sch, inst, m, 42, 17)
         b = run_trial(sch, inst, m, 42, 17)
@@ -251,7 +243,7 @@ class TestSubstreams:
 
     def test_estimate_reproducible_and_matches_per_trial_runs(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         inst = gen_iid(m, 30, 2.5, 1.0, np.random.default_rng(7))
         est1 = expected_welfare(sch, inst, m, trials=200, master_seed=42)
         est2 = expected_welfare(sch, inst, m, trials=200, master_seed=42)
@@ -282,7 +274,7 @@ class TestSubstreams:
 
     def test_trials_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         with pytest.raises(ValidationError):
             expected_welfare(sch, Instance((2.0,)), m, trials=0, master_seed=1)
 
@@ -292,7 +284,7 @@ class TestExpectedWelfare:
         # top price is U = e and utility at equality is accepted, so the one
         # buyer at v = e buys in every trial: zero variance, ratio exactly 1
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         est = expected_welfare(sch, Instance((math.e,)), m, trials=300, master_seed=3)
         assert est.mean == pytest.approx(math.e, rel=1e-12)
         assert est.std_error == 0.0
@@ -326,7 +318,7 @@ class TestExpectedWelfare:
 
     def test_empty_instance_ratio_convention(self):
         m = make_cost_model(L=1.0, U=2.0, k=1, marginals=[0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         est = expected_welfare(sch, Instance(()), m, trials=5, master_seed=1)
         assert est.mean == 0.0
         assert est.ratio_to_opt == 1.0
@@ -335,7 +327,7 @@ class TestExpectedWelfare:
 class TestSurrogates:
     def test_pinned_extremes_and_determinism(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         lo = make_pinned_deterministic(sch, 0.0)
         hi = make_pinned_deterministic(sch, 1.0)
         inst = gen_iid(m, 25, 2.5, 1.0, np.random.default_rng(43))
@@ -352,13 +344,13 @@ class TestSurrogates:
 
     def test_pinned_sigma_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         with pytest.raises(ValidationError):
             make_pinned_deterministic(sch, 1.2)
 
     def test_static_quantile_extremes(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         ps = static_prices_for_quantiles(sch, np.array([0.0, 1.0]))
         assert ps[0] == 1.0
         # q = 1 is the top of the chain, which the solver ends within 1e-9 of U
@@ -388,7 +380,7 @@ class TestSurrogates:
         assert sch.kind == kind
         q = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), np.arange(k + 1) / k]))
         p = static_prices_for_quantiles(sch, q)
-        F = price_cdfs(solve_alpha_star_general(m), m, p).mean(axis=0)
+        F = price_cdfs(solve_alpha_star(m), m, p).mean(axis=0)
         above = p > L
         assert np.all(np.abs(F[above] - q[above]) <= 1e-12)
         assert np.all(F[~above] >= q[~above])
@@ -397,7 +389,7 @@ class TestSurrogates:
 
     def test_static_single_unit_matches_dynamic_distribution(self):
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         stat = make_static_random(sch)
         inst = Instance((1.3, 2.0, 2.5))
         a = expected_welfare(sch, inst, m, trials=4000, master_seed=55)
@@ -407,7 +399,7 @@ class TestSurrogates:
 
     def test_static_posts_one_price(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        stat = make_static_random(build_pricing_scheme(m))
+        stat = make_static_random(build_scheme(m))
         out = run_trial(stat, Instance((3.9, 3.9, 3.9, 3.9)), m, 5, 2)
         posted = {d.posted_price for d in out.decisions if d.posted_price is not None}
         assert len(posted) == 1
@@ -452,7 +444,7 @@ class TestExactWelfareOracle:
 
     def test_dynamic_matches_seed_grid(self):
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 1.5])
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         inst = Instance((1.6, 1.2, 3.1, 1.9, 2.4, 3.8))
         cells = [
             _seed_cells([inverse_price(sch, i, v) for v in inst.valuations]) for i in (1, 2)
@@ -463,7 +455,7 @@ class TestExactWelfareOracle:
                 prices = (price_at(sch, 1, s1), price_at(sch, 2, s2))
                 out = run_posted_price(PriceVector(prices, (s1, s2)), inst, m)
                 brute += w1 * w2 * out.welfare
-        exact = dynamic_welfare(solve_alpha_star_general(m), m, inst.valuations)
+        exact = dynamic_welfare(solve_alpha_star(m), m, inst.valuations)
         assert exact == pytest.approx(brute, abs=1e-9)
 
     def test_static_matches_quantile_grid(self):
@@ -477,5 +469,5 @@ class TestExactWelfareOracle:
             w * run_posted_price(PriceVector((float(p),) * m.k, (q,) * m.k), inst, m).welfare
             for q, w, p in zip(qs, widths, static_prices_for_quantiles(sch, qs))
         )
-        exact = static_welfare(solve_alpha_star_general(m), m, inst.valuations)
+        exact = static_welfare(solve_alpha_star(m), m, inst.valuations)
         assert exact == pytest.approx(brute, abs=1e-9)

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
-from kselect.lower_bound import eval_psi, solve_alpha_star, solve_alpha_star_general
+from kselect.lower_bound import eval_psi, solve_alpha_star
 from kselect.pricing import (
-    build_pricing_scheme,
-    build_pricing_scheme_general,
+    _scheme,
     build_pricing_scheme_k2,
     build_scheme,
     inverse_price,
@@ -49,7 +48,7 @@ def random_general_model(rng, k_max: int = 8):
 def single_unit_scheme():
     # L=1, U=e, c=0: alpha* = 2, xi* = 1/2, phi(s) = e^{2(s - 1/2)} above xi*
     m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
-    return build_pricing_scheme(m)
+    return build_scheme(m)
 
 
 class TestSingleUnitClosedForm:
@@ -83,13 +82,10 @@ class TestSingleUnitClosedForm:
 class TestSchemeShape:
     def test_interval_chain(self):
         rng = np.random.default_rng(31)
-        for builder, gen in (
-            (build_pricing_scheme, random_high_value_model),
-            (build_pricing_scheme_general, random_general_model),
-        ):
+        for gen in (random_high_value_model, random_general_model):
             for _ in range(8):
                 m = gen(rng)
-                sch = builder(m)
+                sch = build_scheme(m)
                 ivs = sch.price_intervals
                 assert len(ivs) == m.k
                 assert ivs[0][0] == m.L
@@ -104,27 +100,24 @@ class TestSchemeShape:
         # the solver stops within its tolerance of U on either side; the
         # scheme clamps the chain end, so no posted price lies above U
         rng = np.random.default_rng(83)
-        setups = [(build_pricing_scheme, random_high_value_model(rng)) for _ in range(60)]
-        setups += [(build_pricing_scheme_general, random_general_model(rng)) for _ in range(60)]
-        setups += [
-            (build_pricing_scheme_k2, random_high_value_model(rng, k_max=2, k_min=2))
-            for _ in range(60)
-        ]
+        setups = [random_high_value_model(rng) for _ in range(60)]
+        setups += [random_general_model(rng) for _ in range(60)]
+        setups += [random_high_value_model(rng, k_max=2, k_min=2) for _ in range(60)]
         above = 0
-        for builder, m in setups:
-            sch = builder(m)
+        for m in setups:
+            sch = build_scheme(m)
             top = prices_for_seeds(sch, np.ones((1, m.k)))[0, -1]
             assert top <= m.U
             assert sch.price_intervals[-1][1] == top
             assert max(seg.v_hi for seg in sch.segments[-1]) <= m.U
             assert abs(top - m.U) <= 1e-8
-            above += solve_alpha_star_general(m).intervals[-1][1] > m.U
+            above += solve_alpha_star(m).intervals[-1][1] > m.U
         assert above > 0  # the clamp is exercised
 
     def test_curves_nondecreasing(self):
         rng = np.random.default_rng(37)
         m = random_general_model(rng)
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         grid = np.linspace(0.0, 1.0, 200)
         for i in range(1, m.k + 1):
             vals = [price_at(sch, i, float(s)) for s in grid]
@@ -134,7 +127,7 @@ class TestSchemeShape:
         rng = np.random.default_rng(41)
         for _ in range(10):
             m = random_high_value_model(rng)
-            sch = build_pricing_scheme(m)
+            sch = build_scheme(m)
             ku, xi = sch.k_underbar_star, sch.xi_star
             for s in (0.0, 0.5 * xi, xi):
                 assert price_at(sch, ku, s) == m.L
@@ -144,14 +137,14 @@ class TestSchemeShape:
     def test_price_chain_exact_over_sampled_vectors(self):
         rng = np.random.default_rng(43)
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         prices = prices_for_seeds(sch, rng.random((10_000, 10)))
         assert np.all(np.diff(prices, axis=1) >= 0.0)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(53)
         m = random_general_model(rng)
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         seeds = rng.random((100, m.k))
         vec = prices_for_seeds(sch, seeds)
         for r in range(0, 100, 7):
@@ -163,7 +156,7 @@ class TestSchemeShape:
     def test_extreme_seeds(self):
         rng = np.random.default_rng(59)
         m = random_high_value_model(rng)
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         zeros = prices_for_seeds(sch, np.zeros((1, m.k)))
         ones = prices_for_seeds(sch, np.ones((1, m.k)))
         for i in range(m.k):
@@ -174,7 +167,7 @@ class TestSchemeShape:
         # E[phi_k(S)] for a single exponential segment:
         # c_k + (L_k - c_k) (k/alpha)(e^{alpha/k} - 1)
         m = make_cost_model(L=1.0, U=8.0, k=3, marginals=[0.0, 0.0, 0.0])
-        sch = build_pricing_scheme(m)
+        sch = build_scheme(m)
         assert sch.k_underbar_star == 1
         a, k = sch.alpha_star, 3
         assert a == pytest.approx(1.0 + math.log(8.0), abs=1e-9)
@@ -192,10 +185,10 @@ class TestDuality:
         cases = []
         for _ in range(5):
             m = random_high_value_model(rng)
-            cases.append((m, build_pricing_scheme(m), solve_alpha_star(m)))
+            cases.append((m, build_scheme(m), solve_alpha_star(m)))
         for _ in range(5):
             m = random_general_model(rng)
-            cases.append((m, build_pricing_scheme_general(m), solve_alpha_star_general(m)))
+            cases.append((m, build_scheme(m), solve_alpha_star(m)))
         for m, sch, sol in cases:
             for _ in range(50):
                 i = int(rng.integers(1, m.k + 1))
@@ -206,12 +199,9 @@ class TestDuality:
 
     def test_round_trip_through_ramp_segments(self):
         rng = np.random.default_rng(71)
-        for builder, gen in (
-            (build_pricing_scheme, random_high_value_model),
-            (build_pricing_scheme_general, random_general_model),
-        ):
+        for gen in (random_high_value_model, random_general_model):
             m = gen(rng)
-            sch = builder(m)
+            sch = build_scheme(m)
             for i in range(1, m.k + 1):
                 for seg in sch.segments[i - 1]:
                     if seg.rate == 0.0:
@@ -264,9 +254,11 @@ class TestTwoUnitConstruction:
         [([0.0, 0.0], math.exp(2.0)), ([0.9, 0.95], 1.03), ([0.1, 0.4], 3.0)],
     )
     def test_consistent_with_generic_high_value_curves(self, marginals, U):
+        # build_scheme returns the two-unit form here, so build the shared
+        # curves straight from the solution
         m = make_cost_model(L=1.0, U=U, k=2, marginals=marginals)
         a = build_pricing_scheme_k2(m)
-        b = build_pricing_scheme(m)
+        b = _scheme(m, solve_alpha_star(m), math.nan)
         for i in (1, 2):
             for s in np.linspace(0.0, 1.0, 101):
                 assert price_at(a, i, float(s)) == pytest.approx(
@@ -292,22 +284,9 @@ class TestTwoUnitConstruction:
 
 
 class TestGeneralConstruction:
-    def test_reduces_to_high_value_curves(self):
-        rng = np.random.default_rng(79)
-        for _ in range(5):
-            m = random_high_value_model(rng, k_max=6)
-            a = build_pricing_scheme(m)
-            b = build_pricing_scheme_general(m)
-            assert abs(a.alpha_star - b.alpha_star) <= 1e-6
-            for i in range(1, m.k + 1):
-                for s in np.linspace(0.0, 1.0, 25):
-                    assert price_at(a, i, float(s)) == pytest.approx(
-                        price_at(b, i, float(s)), abs=1e-6
-                    )
-
     def test_piece_junctions_are_continuous(self):
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         for i in range(1, 11):
             segs = sch.segments[i - 1]
             for left, right in zip(segs, segs[1:]):
@@ -319,15 +298,21 @@ class TestGeneralConstruction:
                     assert from_left == pytest.approx(right.v_lo, rel=1e-10)
                 assert price_at(sch, i, left.s_hi) == right.v_lo
 
-    def test_single_unit_guarantee_formula(self):
-        # k=1: max formula collapses to alpha*(1 + (U_1 - c_1)/f*(L))
-        m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
-        sch = build_pricing_scheme_general(m)
-        assert sch.cr_guarantee == pytest.approx(2.0 * (1.0 + math.e), rel=1e-6)
+    def test_two_unit_general_guarantee_formula(self):
+        # L=1, U=4, c=(0.5, 2): U_1 = 0.5 + 1.5 e^{(alpha - 1 - ln 3)/2},
+        # f*(L) = 0.5 and f*(U_1) = (U_1 - 0.5) + max(U_1 - 2, 0)
+        m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
+        sch = build_scheme(m)
+        a = sch.alpha_star
+        u1 = 0.5 + 1.5 * math.exp((a - 1.0 - math.log(3.0)) / 2.0)
+        first = a * (1.0 + (u1 - 0.5) / 0.5)
+        second = a * (1.0 + (4.0 - 2.0) / ((u1 - 0.5) + max(u1 - 2.0, 0.0)))
+        assert sch.kind == "general"
+        assert sch.cr_guarantee == pytest.approx(max(first, second), rel=1e-6)
 
     def test_reference_setup_guarantee(self):
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
-        sch = build_pricing_scheme_general(m)
+        sch = build_scheme(m)
         assert sch.kind == "general"
         assert sch.cr_guarantee > sch.alpha_star
         assert math.isfinite(sch.cr_guarantee)
@@ -347,11 +332,6 @@ class TestDispatchAndValidation:
         sch = build_scheme(m)
         assert sch.cr_guarantee == sch.alpha_star
         assert sch.cr_guarantee < sch.alpha_star * math.exp(sch.alpha_star / 2.0)
-
-    def test_high_value_rejected_by_wrong_builder(self):
-        mg = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        with pytest.raises(ValidationError):
-            build_pricing_scheme(mg)
 
     def test_argument_validation(self, single_unit_scheme):
         sch = single_unit_scheme
@@ -405,13 +385,7 @@ def built_schemes(draw):
         ms = [ms[i - i % 2] for i in range(k)]
     if kind == "general":
         ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
-    model = make_cost_model(L=L, U=U, k=k, marginals=ms)
-    builder = {
-        "general": build_pricing_scheme_general,
-        "high_value": build_pricing_scheme,
-        "two_unit": build_pricing_scheme_k2,
-    }[kind]
-    return builder(model)
+    return build_scheme(make_cost_model(L=L, U=U, k=k, marginals=ms))
 
 
 NAMED_SETUPS = {
