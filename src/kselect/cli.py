@@ -10,20 +10,20 @@ Subcommands:
 * curves      guarantee-versus-capacity sweep for a cost family, as CSV
 
 Every subcommand accepts ``--config FILE`` holding a JSON object whose keys
-provide argument defaults; explicit flags override the file. Relative
+name options of that subcommand and provide their defaults; explicit flags
+override the file, and a key that names no option is invalid input. Relative
 ``--out`` paths resolve under $KSELECT_OUTPUT_DIR when it is set. Exit codes:
 0 success, 2 invalid input, 3 solver non-convergence.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .cost_model import CostModel, as_float, make_cost_model, model_from_json
+from .cost_model import CostModel, as_float, as_int, make_cost_model, model_from_json
 from .errors import SolverError, ValidationError
 from .instances import (
     Instance,
@@ -78,6 +78,13 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _path(name: str, value) -> str:
+    """A file path option's value; from --config it must be a string too."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a path, got {value!r}")
+    return value
+
+
 def _emit(text, out: str | None) -> None:
     """Write ``text``, one string or an iterable of string parts written in
     turn, to stdout or to the file ``out``."""
@@ -85,7 +92,13 @@ def _emit(text, out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(parts)
         return
-    path = _resolve_out(out)
+    # a renamed temp file would replace a symlink, not its target
+    path = os.path.realpath(_resolve_out(_path("out", out)))
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a FIFO or a device cannot be renamed over: write into it
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -102,30 +115,13 @@ def _emit(text, out: str | None) -> None:
         raise
 
 
-def _as_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if isinstance(value, (float, str)) and float(value) != out:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return out
-
-
-def _float_list(name: str, value) -> list[float]:
-    """Finite numbers from a comma string (command line) or a list (config)."""
+def _items(name: str, value) -> list:
+    """Items of a comma list (command line) or of a JSON array (config)."""
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = value
-    else:
-        raise ValidationError(f"{name} must be a comma list or JSON array")
-    out = [as_float(name, p) for p in parts]
-    if not all(map(math.isfinite, out)):
-        raise ValidationError(f"{name} must be finite numbers, got {value!r}")
-    return out
+        return [p.strip() for p in value.split(",") if p.strip()]
+    if isinstance(value, list):
+        return value
+    raise ValidationError(f"{name} must be a comma list or JSON array")
 
 
 def _read_json_file(path: str, what: str):
@@ -139,25 +135,30 @@ def _read_json_file(path: str, what: str):
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
+def _json_object(what: str, value, path_ok: bool = False) -> dict:
+    """A JSON object given as inline text or, from --config, as an object.
+    With ``path_ok``, text that is not JSON may name a file holding it."""
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            if not (path_ok and os.path.isfile(text)):
+                nor_file = " nor a file" if path_ok else ""
+                raise ValidationError(f"{what} is not valid JSON{nor_file}: {exc}") from None
+            value = _read_json_file(text, f"{what} file")
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return value
+
+
 def _load_model(args) -> CostModel:
-    """Model from --model (inline JSON or a file path) or a config dict."""
-    spec = getattr(args, "model", None)
-    if spec is None:
+    """Model from --model (inline JSON or a file path) or a config object."""
+    if args.model is None:
         raise ValidationError(
             "no model given: pass --model JSON (or a path) or set 'model' in --config"
         )
-    if isinstance(spec, dict):
-        return model_from_json(spec)
-    text = str(spec).strip()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        if not os.path.isfile(text):
-            raise ValidationError(
-                f"model spec is neither valid JSON ({exc}) nor a file"
-            ) from None
-        obj = _read_json_file(text, "model file")
-    return model_from_json(obj)
+    return model_from_json(_json_object("model spec", args.model, path_ok=True))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +198,7 @@ def _sample_rows(scheme, samples: int):
 
 def cmd_pricing(args) -> int:
     model = _load_model(args)
-    samples = _as_int("samples", args.samples)
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples}")
+    samples = as_int("samples", args.samples, minimum=0)
     if (samples + 1) * model.k > MAX_SAMPLE_CELLS:
         raise ValidationError(
             f"(samples + 1) * k = {(samples + 1) * model.k} curve points "
@@ -217,53 +216,42 @@ def cmd_pricing(args) -> int:
 # instances
 
 
+# The keys an instance spec of each kind reads, in the generator's argument
+# order, with their defaults: an int default makes the key an integer, and a
+# hard spec's terminal stage defaults to the model's U.
+_SPEC_DEFAULTS = {
+    "hard": {"eps": 0.01, "terminal": None},
+    "iid": {"n": 1000, "mu": 15.0, "sdev": 15.0},
+    "sorted": {"n": 1000, "mu": 15.0, "sdev": 15.0},
+    "low2high": {"n1": 500, "mu1": 7.5, "sdev1": 7.5, "n2": 500, "mu2": 22.5, "sdev2": 7.5},
+}
+_GENERATORS = {"iid": gen_iid, "sorted": gen_sorted, "low2high": gen_low2high}
+
+
 def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator) -> Instance:
     kind = spec.get("kind")
-    if kind == "hard":
-        eps = as_float("eps", spec.get("eps", 0.01))
-        terminal = as_float("terminal", spec.get("terminal", model.U))
-        return hard_instance(model, eps, terminal)
-    if kind in ("iid", "sorted"):
-        n = _as_int("n", spec.get("n", 1000))
-        mu = as_float("mu", spec.get("mu", 15.0))
-        sdev = as_float("sdev", spec.get("sdev", 15.0))
-        gen = gen_iid if kind == "iid" else gen_sorted
-        return gen(model, n, mu, sdev, rng)
-    if kind == "low2high":
-        return gen_low2high(
-            model,
-            _as_int("n1", spec.get("n1", 500)),
-            as_float("mu1", spec.get("mu1", 7.5)),
-            as_float("sdev1", spec.get("sdev1", 7.5)),
-            _as_int("n2", spec.get("n2", 500)),
-            as_float("mu2", spec.get("mu2", 22.5)),
-            as_float("sdev2", spec.get("sdev2", 7.5)),
-            rng,
+    defaults = _SPEC_DEFAULTS.get(kind) if isinstance(kind, str) else None
+    if defaults is None:
+        raise ValidationError(
+            f"unknown instance kind {kind!r}: expected hard, iid, sorted or low2high"
         )
-    raise ValidationError(
-        f"unknown instance kind {kind!r}: expected hard, iid, sorted or low2high"
-    )
+    for key in spec:
+        if key != "kind" and key not in defaults:
+            raise ValidationError(f"instance spec key {key!r} is not read by kind {kind!r}")
+    params = []
+    for key, default in defaults.items():
+        value = spec.get(key, model.U if default is None else default)
+        params.append(as_int(key, value) if isinstance(default, int) else as_float(key, value))
+    if kind == "hard":
+        return hard_instance(model, *params)
+    return _GENERATORS[kind](model, *params, rng)
 
 
 def cmd_instances(args) -> int:
     model = _load_model(args)
-    spec = {
-        "kind": args.kind,
-        "eps": args.eps,
-        "terminal": args.terminal if args.terminal is not None else model.U,
-        "n": args.count,
-        "mu": args.mu,
-        "sdev": args.sdev,
-        "n1": args.n1,
-        "mu1": args.mu1,
-        "sdev1": args.sdev1,
-        "n2": args.n2,
-        "mu2": args.mu2,
-        "sdev2": args.sdev2,
-    }
-    rng = np.random.default_rng(_as_int("seed", args.seed))
-    inst = _build_instance(model, spec, rng)
-    _emit(instance_text(inst), args.out)
+    spec = _json_object("instance spec", args.spec)
+    rng = np.random.default_rng(as_int("seed", args.seed, minimum=0))
+    _emit(instance_text(_build_instance(model, spec, rng)), args.out)
     return 0
 
 
@@ -271,11 +259,20 @@ def cmd_instances(args) -> int:
 # simulate
 
 
-def _make_mechanism(scheme, kind: str, sigma) -> Mechanism:
+def _mechanism(scheme, spec) -> Mechanism:
+    """Mechanism of a ``kind[:sigma]`` spec, or of a config object
+    ``{"kind": ..., "sigma": ...}``. Only pinned uses sigma, 0.5 when
+    omitted."""
+    if isinstance(spec, dict):
+        kind, sigma = spec.get("kind"), spec.get("sigma", 0.5)
+    else:
+        kind, _, rest = str(spec).partition(":")
+        sigma = rest or 0.5
+    sigma = as_float("sigma", sigma)
     if kind == "r-dynamic":
         return Mechanism(name="r-dynamic", kind="r-dynamic", scheme=scheme, surrogate=False)
     if kind == "pinned":
-        return make_pinned_deterministic(scheme, as_float("sigma", sigma))
+        return make_pinned_deterministic(scheme, sigma)
     if kind == "static":
         return make_static_random(scheme)
     raise ValidationError(
@@ -300,16 +297,18 @@ def _outcome_json(outcome, prices, seeds) -> dict:
 def cmd_simulate(args) -> int:
     scheme = None
     if args.scheme is not None:
-        scheme = scheme_from_json(_read_json_file(args.scheme, "scheme file"))
+        scheme = scheme_from_json(_read_json_file(_path("scheme", args.scheme), "scheme file"))
         model = scheme.model
-        if getattr(args, "model", None) is not None and _load_model(args) != model:
+        if args.model is not None and _load_model(args) != model:
             raise ValidationError("--model disagrees with the model stored in --scheme")
     else:
         model = _load_model(args)
-    instance = read_instance(args.instance)
+    if args.instance is None:
+        raise ValidationError("no instance given: pass --instance FILE")
+    instance = read_instance(_path("instance", args.instance))
 
     if args.prices is not None:
-        prices = _float_list("prices", args.prices)
+        prices = [as_float("prices", p) for p in _items("prices", args.prices)]
         if len(prices) != model.k:
             raise ValidationError(f"expected {model.k} prices, got {len(prices)}")
         pv = PriceVector(prices=tuple(prices), seeds=())
@@ -321,7 +320,7 @@ def cmd_simulate(args) -> int:
         scheme = build_scheme(model)
 
     if args.pin_seeds is not None:
-        seeds = _float_list("pin-seeds", args.pin_seeds)
+        seeds = [as_float("pin-seeds", p) for p in _items("pin-seeds", args.pin_seeds)]
         if len(seeds) != model.k:
             raise ValidationError(f"expected {model.k} seeds, got {len(seeds)}")
         prices = prices_for_seeds(scheme, np.array([seeds]))[0]
@@ -330,9 +329,10 @@ def cmd_simulate(args) -> int:
         _emit(_json_text(_outcome_json(out, pv.prices, pv.seeds)), args.out)
         return 0
 
-    mech = _make_mechanism(scheme, args.mechanism, args.sigma)
+    mech = _mechanism(scheme, args.mechanism)
     est = expected_welfare(
-        mech, instance, model, _as_int("trials", args.trials), _as_int("seed", args.seed)
+        mech, instance, model, as_int("trials", args.trials),
+        as_int("seed", args.seed, minimum=0),
     )
     opt, opt_units = offline_opt(instance, model)
     payload = {
@@ -353,55 +353,18 @@ def cmd_simulate(args) -> int:
 # experiment
 
 
-def _parse_mechanism_specs(raw) -> list[tuple[str, float]]:
-    """Normalize 'r-dynamic,pinned:0.5,static' or a JSON list of specs."""
-    if isinstance(raw, str):
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-    elif isinstance(raw, (list, tuple)):
-        items = list(raw)
-    else:
-        raise ValidationError("mechanisms must be a comma list or JSON array")
-    if not items:
-        raise ValidationError("no mechanisms requested")
-    out = []
-    for item in items:
-        if isinstance(item, dict):
-            kind = item.get("kind")
-            sigma = as_float("sigma", item.get("sigma", 0.5))
-        else:
-            kind, _, rest = str(item).partition(":")
-            sigma = as_float("sigma", rest) if rest else 0.5
-        if kind not in ("r-dynamic", "pinned", "static"):
-            raise ValidationError(
-                f"unknown mechanism {kind!r}: expected r-dynamic, pinned or static"
-            )
-        out.append((kind, sigma))
-    return out
-
-
 def cmd_experiment(args) -> int:
     model = _load_model(args)
-    inst_spec = args.instances
-    if isinstance(inst_spec, str):
-        try:
-            inst_spec = json.loads(inst_spec)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"instance spec is not valid JSON: {exc}") from None
-    if not isinstance(inst_spec, dict):
-        raise ValidationError("instance spec must be a JSON object")
-    count = _as_int("count", inst_spec.get("count", 300))
-    trials = _as_int("trials", args.trials)
-    master_seed = _as_int("master-seed", args.master_seed)
-    if count < 1:
-        raise ValidationError(f"instance count must be >= 1, got {count}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    inst_spec = dict(_json_object("instance spec", args.instances))
+    count = as_int("count", inst_spec.pop("count", 300), minimum=1)
+    trials = as_int("trials", args.trials, minimum=1)
+    master_seed = as_int("master-seed", args.master_seed, minimum=0)
+    specs = _items("mechanisms", args.mechanisms)
+    if not specs:
+        raise ValidationError("no mechanisms requested")
 
     scheme = build_scheme(model)
-    mechs = [
-        _make_mechanism(scheme, kind, sigma)
-        for kind, sigma in _parse_mechanism_specs(args.mechanisms)
-    ]
+    mechs = [_mechanism(scheme, spec) for spec in specs]
 
     ratios: list[list[float]] = [[] for _ in mechs]
     for idx in range(count):
@@ -429,8 +392,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    k_min = _as_int("k-min", args.k_min)
-    k_max = _as_int("k-max", args.k_max)
+    k_min = as_int("k-min", args.k_min)
+    k_max = as_int("k-max", args.k_max)
     if k_min < 1 or k_max < k_min:
         raise ValidationError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
     lines = ["k,alpha_star,cr_guarantee,regime"]
@@ -469,7 +432,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON file of argument defaults")
+    shared.add_argument("--config", help="JSON file of defaults for this subcommand's options")
     shared.add_argument("--out", help="output path (stdout when omitted)")
 
     model_opts = argparse.ArgumentParser(add_help=False)
@@ -480,7 +443,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="solver, pricing and simulation toolkit for capacitated "
         "posted-price selling with non-decreasing marginal costs",
     )
-    parser.add_argument("--config", help="JSON file of argument defaults")
     subs_action = parser.add_subparsers(dest="command", required=True)
     subs: dict[str, argparse.ArgumentParser] = {}
 
@@ -502,30 +464,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs["instances"] = subs_action.add_parser(
         "instances", parents=[shared, model_opts], help="write an arrival sequence"
     )
-    p.add_argument("--kind", choices=("hard", "iid", "sorted", "low2high"), default="iid")
+    p.add_argument(
+        "--spec",
+        default='{"kind": "iid"}',
+        help="instance spec JSON: kind and its distribution parameters",
+    )
     p.add_argument("--seed", default=0, help="generation seed")
-    p.add_argument("--eps", default=0.01, help="hard: stage increment")
-    p.add_argument("--terminal", default=None, help="hard: last stage (default U)")
-    p.add_argument("--count", default=1000, help="iid/sorted: number of arrivals")
-    p.add_argument("--mu", default=15.0, help="iid/sorted: normal mean")
-    p.add_argument("--sdev", default=15.0, help="iid/sorted: normal deviation")
-    p.add_argument("--n1", default=500, help="low2high: first block size")
-    p.add_argument("--mu1", default=7.5, help="low2high: first block mean")
-    p.add_argument("--sdev1", default=7.5, help="low2high: first block deviation")
-    p.add_argument("--n2", default=500, help="low2high: second block size")
-    p.add_argument("--mu2", default=22.5, help="low2high: second block mean")
-    p.add_argument("--sdev2", default=7.5, help="low2high: second block deviation")
     p.set_defaults(func=cmd_instances)
 
     p = subs["simulate"] = subs_action.add_parser(
         "simulate", parents=[shared, model_opts], help="run one mechanism on one instance"
     )
-    p.add_argument("--instance", required=True, help="instance file to replay")
+    p.add_argument("--instance", help="instance file to replay")
     p.add_argument("--scheme", help="scheme JSON from the pricing subcommand")
     p.add_argument(
-        "--mechanism", choices=("r-dynamic", "pinned", "static"), default="r-dynamic"
+        "--mechanism",
+        default="r-dynamic",
+        help="r-dynamic, static or pinned; pinned takes an optional :sigma suffix",
     )
-    p.add_argument("--sigma", default=0.5, help="pinned: fixed seed in [0, 1]")
     p.add_argument("--trials", default=2000, help="Monte-Carlo trials")
     p.add_argument("--seed", default=0, help="master seed for trial substreams")
     p.add_argument("--pin-seeds", help="comma seeds; one deterministic trace")
@@ -564,24 +520,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs
 
 
+def _config_defaults(args) -> dict:
+    """Defaults from the ``--config`` file: a JSON object whose keys, with
+    dashes or underscores, name options of the chosen subcommand."""
+    cfg = _read_json_file(args.config, "config file")
+    if not isinstance(cfg, dict):
+        raise ValidationError("config file must hold a JSON object")
+    options = vars(args).keys() - {"command", "func", "config"}
+    defaults = {}
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in options:
+            raise ValidationError(f"config key {key!r} is not an option of {args.command}")
+        defaults[dest] = value
+    return defaults
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
     try:
-        if known.config is not None:
-            cfg = _read_json_file(known.config, "config file")
-            if not isinstance(cfg, dict):
-                raise ValidationError("config file must hold a JSON object")
-            sub_name = next((a for a in rest if not a.startswith("-")), None)
-            target = subs.get(sub_name, parser)
-            keys = {str(k).replace("-", "_"): v for k, v in cfg.items()}
-            keys.pop("func", None)
-            keys.pop("command", None)
-            target.set_defaults(**keys)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            subs[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,11 +96,31 @@ class CostModel:
 
 
 def as_float(name: str, value) -> float:
-    """``float(value)``, raising ValidationError instead of TypeError/ValueError."""
+    """``float(value)`` if finite; anything else raises ValidationError."""
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def as_int(name: str, value, minimum: int | None = None) -> int:
+    """An integer given as an int, an integral float or a decimal string,
+    and at least ``minimum`` when one is given; anything else raises
+    ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        out = int(value)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and value != out:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and out < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {out}")
+    return out
 
 
 def make_cost_model(
@@ -122,8 +142,6 @@ def make_cost_model(
         raise ValidationError(f"capacity k = {k} exceeds the ceiling of {MAX_K}")
     L = as_float("L", L)
     U = as_float("U", U)
-    if not (math.isfinite(L) and math.isfinite(U)):
-        raise ValidationError("valuation bounds must be finite")
     if L < 1.0:
         raise ValidationError(f"lowest valuation L must be >= 1, got {L}")
     if U < L:
@@ -132,8 +150,6 @@ def make_cost_model(
         raise ValidationError("give exactly one of marginals or quadratic_coeff")
     if marginals is None:
         a = as_float("quadratic coefficient", quadratic_coeff)
-        if not math.isfinite(a):
-            raise ValidationError("quadratic coefficient must be finite")
         # c_i = f(i) - f(i-1) for f(i) = a*i^2
         ms = tuple(a * (2 * i - 1) for i in range(1, k + 1))
     else:

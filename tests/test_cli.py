@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +22,7 @@ from kselect import (
     model_to_json,
     scheme_from_json,
 )
-from kselect.cli import main
+from kselect.cli import build_parser, main
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -56,6 +58,10 @@ def _model_with(**changes):
 
 
 NOT_UTF8 = "<a file that starts with byte 0xff>"
+# instance flags that the JSON --spec replaced
+REMOVED_INSTANCE_FLAGS = (
+    "kind", "eps", "terminal", "count", "mu", "sdev", "n1", "mu1", "sdev1", "n2", "mu2", "sdev2",
+)
 
 
 @pytest.mark.parametrize(
@@ -66,9 +72,12 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
         ("solve", "--model", _model_with(L="x")),
         ("solve", "--model", _model_with(cost={"type": "quadratic", "coeff": [1]})),
         ("pricing", "--model", K2_MODEL, "--samples", "-3"),
-        ("instances", "--model", FIG_MODEL, "--kind", "hard", "--eps", "9e-6", "--terminal", "10"),
-        ("instances", "--model", FIG_MODEL, "--kind", "hard", "--eps", "5e-324"),
-        ("instances", "--model", FIG_MODEL, "--kind", "iid", "--count", "10000001"),
+        (
+            "instances", "--model", FIG_MODEL,
+            "--spec", '{"kind": "hard", "eps": 9e-6, "terminal": 10}',
+        ),
+        ("instances", "--model", FIG_MODEL, "--spec", '{"kind": "hard", "eps": 5e-324}'),
+        ("instances", "--model", FIG_MODEL, "--spec", '{"kind": "iid", "n": 10000001}'),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--pin-seeds", "0.5,nan"),
         ("solve", "--model", "[1]"),
         ("solve", "--model", NOT_UTF8),
@@ -83,6 +92,10 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
             "solve", "--tol", "1000", "--model",
             '{"L":1,"U":30,"k":10,"cost":{"type":"quadratic","coeff":0.001}}',
         ),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
+         "--mechanism", "pinned", "--sigma", "0.5"),
+        ("instances", "--model", K2_MODEL, "--seed", "-1"),
+        *[("instances", "--model", K2_MODEL, f"--{flag}", "1") for flag in REMOVED_INSTANCE_FLAGS],
     ],
     ids=[
         "marginals-string",
@@ -104,6 +117,9 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
         "no-regime-flag",
         "no-builder-flag",
         "no-tol-flag",
+        "no-sigma-flag",
+        "negative-seed",
+        *[f"no-{flag}-flag" for flag in REMOVED_INSTANCE_FLAGS],
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -180,6 +196,34 @@ def test_out_write_is_atomic(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sol.json"]
 
 
+def test_out_writes_through_a_symlink_to_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, "solve", "--model", E_MODEL, "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a reader must hold the FIFO open, or opening it to write would block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run_cli(capsys, "solve", "--model", E_MODEL, "--out", str(fifo))
+        assert (code, out) == (0, "")
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+    assert received == run_cli(capsys, "solve", "--model", E_MODEL)[1]
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": json.loads(K2_MODEL), "trials": 30}))
@@ -192,6 +236,194 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["trials"] == 40
+
+
+def _long_options(sub) -> set[str]:
+    return {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+
+
+# One valid run per case: for each option, its flag text and the JSON value
+# a config file gives for the same input. {inst}, {scheme} and {tmp} stand
+# for files made by the test.
+CONFIG_CASES = {
+    "solve": {"model": (K2_MODEL, json.loads(K2_MODEL)), "out": ("{tmp}/o.json",) * 2},
+    "pricing": {"model": (FIG_MODEL, FIG_MODEL), "samples": ("4", 4)},
+    "instances": {
+        "model": (K2_MODEL, K2_MODEL),
+        "spec": ('{"kind": "low2high", "n1": 3, "n2": 4}', {"kind": "low2high", "n1": 3, "n2": 4}),
+        "seed": ("3", 3),
+    },
+    "simulate": {
+        "scheme": ("{scheme}",) * 2,
+        "instance": ("{inst}",) * 2,
+        "mechanism": ("static", "static"),
+        "trials": ("7", 7),
+        "seed": ("2", 2),
+    },
+    "simulate-pinned": {
+        "model": (K2_MODEL, json.loads(K2_MODEL)),
+        "instance": ("{inst}",) * 2,
+        "pin-seeds": ("0.25,0.75", [0.25, 0.75]),
+    },
+    "simulate-prices": {
+        "model": (K2_MODEL, K2_MODEL),
+        "instance": ("{inst}",) * 2,
+        "prices": ("1.5,2.5", [1.5, 2.5]),
+    },
+    "experiment": {
+        "model": (K2_MODEL, json.loads(K2_MODEL)),
+        "instances": ('{"kind": "iid", "count": 2, "n": 8}', {"kind": "iid", "count": 2, "n": 8}),
+        "mechanisms": ("pinned:0.25,static", ["pinned:0.25", "static"]),
+        "trials": ("5", 5),
+        "master-seed": ("4", 4),
+    },
+    "curves": {
+        "k-min": ("3", 3),
+        "k-max": ("4", 4),
+        "l": ("1.5", 1.5),
+        "u": ("5", 5),
+        "cost-coeff": ("0.05", 0.05),
+    },
+}
+
+
+def test_config_cases_cover_every_option():
+    _, subs = build_parser()
+    covered: dict[str, set[str]] = {}
+    for case, options in CONFIG_CASES.items():
+        covered.setdefault(case.split("-")[0], set()).update(f"--{o}" for o in options)
+    # every subcommand takes --out from one shared parent parser; it is
+    # checked once, under solve
+    assert "--out" in covered["solve"]
+    covered = {name: options | {"--out"} for name, options in covered.items()}
+    assert covered == {name: _long_options(sub) - {"--config"} for name, sub in subs.items()}
+
+
+@pytest.mark.parametrize(
+    "case,option", [(case, option) for case, opts in CONFIG_CASES.items() for option in opts]
+)
+def test_config_value_gives_the_same_output_as_the_flag(tmp_path, capsys, case, option):
+    files = {"{tmp}": str(tmp_path), "{inst}": write_inst(tmp_path, [1.0, 3.0, 4.5, 2.0])}
+    files["{scheme}"] = str(tmp_path / "scheme.json")
+    assert main(["pricing", "--model", K2_MODEL, "--out", files["{scheme}"]]) == 0
+
+    def fill(value):
+        if isinstance(value, str):
+            for mark, path in files.items():
+                value = value.replace(mark, path)
+        return value
+
+    command = case.split("-")[0]
+    flags = {o: fill(text) for o, (text, _) in CONFIG_CASES[case].items()}
+    default = build_parser()[1][command].get_default(option.replace("-", "_"))
+    assert default is None or str(default) != flags[option]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: fill(CONFIG_CASES[case][option][1])}))
+
+    def run(moved):
+        argv = [command] + (["--config", str(cfg)] if moved else [])
+        for o, text in flags.items():
+            if not (moved and o == option):
+                argv += [f"--{o}", text]
+        code, out, err = run_cli(capsys, *argv)
+        written = ""
+        if "out" in flags:
+            written = open(flags["out"]).read()
+            os.unlink(flags["out"])
+        return code, out, err, written
+
+    by_flag = run(moved=False)
+    assert by_flag[0] == 0
+    assert run(moved=True) == by_flag
+
+
+@pytest.mark.parametrize(
+    "argv,cfg",
+    [
+        (("solve", "--model", K2_MODEL), {"tol": 1000}),
+        (("solve", "--model", K2_MODEL), {"modle": 1}),
+        (("solve", "--model", K2_MODEL), {"samples": 3}),
+        (("instances", "--model", K2_MODEL), {"kind": "hard"}),
+        (("simulate", "--model", K2_MODEL, "--instance", os.devnull), {"sigma": 0.3}),
+        (("simulate", "--model", K2_MODEL, "--instance", os.devnull), {"config": "cfg.json"}),
+    ],
+    ids=["tol", "misspelt-model", "other-subcommand", "kind", "sigma", "config"],
+)
+def test_config_key_that_names_no_option_exits_2(tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert repr(next(iter(cfg))) in err
+
+
+@pytest.mark.parametrize(
+    "argv,cfg",
+    [
+        (("simulate", "--model", K2_MODEL, "--instance", os.devnull), {"trials": float("inf")}),
+        (("experiment", "--model", K2_MODEL), {"master-seed": -1}),
+        (("simulate", "--model", K2_MODEL), {"instance": True}),
+        (("solve", "--model", K2_MODEL), {"out": 5}),
+    ],
+    ids=["infinite-trials", "negative-seed", "instance-not-a-path", "out-not-a-path"],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {next(iter(cfg))} must be ")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("instances", "--spec", '{"kind": "iid", "eps": 0.1}'), "eps"),
+        (("instances", "--spec", '{"kind": "hard", "n": 5}'), "n"),
+        (("instances", "--spec", '{"kind": "sorted", "count": 5}'), "count"),
+        (("experiment", "--instances", '{"kind": "iid", "count": 1, "eps": 0.1}'), "eps"),
+    ],
+)
+def test_spec_key_its_kind_does_not_read_exits_2(capsys, argv, key):
+    code, out, err = run_cli(capsys, *argv, "--model", K2_MODEL)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert repr(key) in err
+
+
+def test_root_level_config_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--model", K2_MODEL)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert run_cli(capsys, "solve", "--config", str(cfg), "--model", K2_MODEL)[0] == 0
+
+
+def test_config_without_a_value_returns_2_and_help_returns_0(capsys):
+    code, out, err = run_cli(capsys, "solve", "--config")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    for argv in (["--help"], ["solve", "--help"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: kselect")
+
+
+def test_readme_names_exactly_the_options_of_each_subcommand():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    preamble, *subsections = section.split("\n### ")
+    flag = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+    named = {}
+    for text in subsections:
+        name, _, body = text.partition("\n")
+        named[name.strip()] = set(flag.findall(body))
+    _, subs = build_parser()
+    defined = {name: _long_options(sub) for name, sub in subs.items()}
+    assert named == defined
+    assert set(flag.findall(preamble)) <= set().union(*defined.values())
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +479,8 @@ def test_pricing_samples_stream_one_unit_at_a_time(tmp_path, capsys):
 
 def test_instances_hard_matches_library_output(capsys):
     code, out, _ = run_cli(
-        capsys, "instances", "--model", K2_MODEL, "--kind", "hard",
-        "--eps", "0.5", "--terminal", "2",
+        capsys, "instances", "--model", K2_MODEL,
+        "--spec", '{"kind": "hard", "eps": 0.5, "terminal": 2}',
     )
     assert code == 0
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
@@ -256,7 +488,7 @@ def test_instances_hard_matches_library_output(capsys):
 
 
 def test_instances_seed_reproducibility(tmp_path, capsys):
-    args = ["instances", "--model", K2_MODEL, "--kind", "iid", "--count", "50", "--seed", "7"]
+    args = ["instances", "--model", K2_MODEL, "--spec", '{"kind": "iid", "n": 50}', "--seed", "7"]
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     code, second, _ = run_cli(capsys, *args)
