@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .cost_model import CostModel, as_float, as_int, make_cost_model, model_from_json
+from .cost_model import MAX_K, CostModel, as_float, as_int, make_cost_model, model_from_json
 from .errors import SolverError, ValidationError
 from .instances import (
     Instance,
@@ -56,6 +56,8 @@ from .pricing import (
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
 MAX_SAMPLE_CELLS = 10**7
+# Most instances one `experiment` run generates and estimates.
+MAX_INSTANCES = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,8 @@ def cmd_experiment(args) -> int:
     model = _load_model(args)
     inst_spec = dict(_json_object("instance spec", args.instances))
     count = as_int("count", inst_spec.pop("count", 300), minimum=1)
+    if count > MAX_INSTANCES:
+        raise ValidationError(f"count = {count} exceeds the ceiling of {MAX_INSTANCES}")
     trials = as_int("trials", args.trials, minimum=1)
     master_seed = as_int("master-seed", args.master_seed, minimum=0)
     specs = _items("mechanisms", args.mechanisms)
@@ -396,14 +400,15 @@ def cmd_curves(args) -> int:
     k_max = as_int("k-max", args.k_max)
     if k_min < 1 or k_max < k_min:
         raise ValidationError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
+    if k_max > MAX_K:
+        raise ValidationError(f"k-max = {k_max} exceeds the ceiling of {MAX_K}")
+    L, U = as_float("L", args.l), as_float("U", args.u)
+    coeff = as_float("cost-coeff", args.cost_coeff)
     lines = ["k,alpha_star,cr_guarantee,regime"]
     emitted = 0
     for k in range(k_min, k_max + 1):
         try:
-            model = make_cost_model(
-                as_float("L", args.l), as_float("U", args.u), k,
-                quadratic_coeff=as_float("cost-coeff", args.cost_coeff),
-            )
+            model = make_cost_model(L, U, k, quadratic_coeff=coeff)
             scheme = build_scheme(model)
         except (ValidationError, SolverError) as exc:
             print(f"k={k}: {exc}", file=sys.stderr)

@@ -324,51 +324,51 @@ def scheme_json_text(scheme: PricingScheme) -> str:
     directly from the scheme.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, which took
-    more than half of ``kselect pricing`` at k=20000. Here the number text
-    comes from one call of the C encoder on a flat list, so every number
-    (NaN and Infinity included) reads exactly as the stdlib writes it; only
-    the layout, with keys in sorted order, is written here.
+    more than half of ``kselect pricing`` at k=20000. Here the layout, with
+    keys in sorted order, is one template with ``%s`` for every number,
+    filled by a single ``%`` over the numbers in document order. ``%s``
+    writes ``repr``, as the stdlib does for a finite float or an int; a
+    non-finite float is first replaced by the stdlib's text for it.
     """
     model = scheme.model
     fields = sorted(_SEGMENT_FIELDS)
-    width = len(fields)
     seg_values = attrgetter(*fields)
     values = [scheme.alpha_star, scheme.cr_guarantee, scheme.k_underbar_star]
-    values += [scheme.xi_star, model.L, model.U, model.k, *model.marginals]
+    values += [model.L, model.U, *model.marginals, model.k]
     for iv in scheme.price_intervals:
         values += iv
     for unit in scheme.segments:
         for seg in unit:
             values += seg_values(seg)
-    nums = json.dumps(values)[1:-1].split(", ")
-    alpha, cr, ku, xi, L, U, k = nums[:7]
-    pos = 7 + model.k
-    marginals = nums[7:pos]
-    interval = _block("[]", ["%s", "%s"], 2)
-    end = pos + 2 * len(scheme.price_intervals)
-    intervals = [interval % pair for pair in zip(nums[pos:end:2], nums[pos + 1 : end : 2])]
-    pos = end
+    values.append(scheme.xi_star)
+    if not math.isfinite(sum(values)):
+        values = [x if math.isfinite(x) else json.dumps(x) for x in values]
+
     segment = _object([(f, "%s") for f in fields], 3)
+    unit_templates: dict[int, str] = {}
     units = []
     for unit in scheme.segments:
-        end = pos + width * len(unit)
-        segs = [segment % tuple(nums[p : p + width]) for p in range(pos, end, width)]
-        units.append(_block("[]", segs, 2))
-        pos = end
-    cost = _object([("marginals", _block("[]", marginals, 3)), ("type", '"explicit"')], 2)
-    return _object(
+        n = len(unit)
+        if n not in unit_templates:
+            unit_templates[n] = _block("[]", [segment] * n, 2)
+        units.append(unit_templates[n])
+    interval = _block("[]", ["%s", "%s"], 2)
+    marginals = _block("[]", ["%s"] * model.k, 3)
+    cost = _object([("marginals", marginals), ("type", '"explicit"')], 2)
+    template = _object(
         [
-            ("alpha_star", alpha),
-            ("cr_guarantee", cr),
-            ("k_underbar_star", ku),
-            ("kind", json.dumps(scheme.kind)),
-            ("model", _object([("L", L), ("U", U), ("cost", cost), ("k", k)], 1)),
-            ("price_intervals", _block("[]", intervals, 1)),
+            ("alpha_star", "%s"),
+            ("cr_guarantee", "%s"),
+            ("k_underbar_star", "%s"),
+            ("kind", json.dumps(scheme.kind).replace("%", "%%")),
+            ("model", _object([("L", "%s"), ("U", "%s"), ("cost", cost), ("k", "%s")], 1)),
+            ("price_intervals", _block("[]", [interval] * len(scheme.price_intervals), 1)),
             ("segments", _block("[]", units, 1)),
-            ("xi_star", xi),
+            ("xi_star", "%s"),
         ],
         0,
     )
+    return template % tuple(values)
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:

@@ -1,5 +1,6 @@
-"""Closed-form interval chain for high-value setups (c_k < L), and the O(k)
-scans for k_underbar and xi, as test oracles.
+"""Closed-form interval chain for high-value setups (c_k < L), the O(k)
+scans for k_underbar and xi, and the float-by-float bisection on alpha, as
+test oracles.
 
 When every marginal lies below L, each interval sits above all marginals, so
 the allocation count g is k throughout and every unit's allocation curve is a
@@ -14,6 +15,9 @@ against this independent recursion.
 The package reads k_underbar and xi off a cached prefix table of L - c_i;
 ``scan_k_underbar`` and ``scan_xi`` recompute them by a plain scan over all
 units on every call, summing left to right as the table does.
+
+The package finds alpha_star by an ITP search; ``bisect_alpha`` halves the
+bracket instead, one float at a time, and counts its chain walks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 
 from kselect.cost_model import conjugate
-from kselect.lower_bound import compute_k_underbar, compute_xi
+from kselect.lower_bound import DEFAULT_TOL, _chain, compute_k_underbar, compute_xi
 
 
 def scan_k_underbar(model, alpha: float) -> int:
@@ -80,3 +84,42 @@ def closed_form_alpha(model) -> float:
         else:
             lo = mid
     return hi
+
+
+def bisect_alpha(model):
+    """(alpha, chain walks) of the float-by-float bisection on alpha.
+
+    The bracket-and-bisect loop the package's solver ran before it switched
+    to ITP, over the same ``_chain`` walk: alpha doubles from [1, 2] until
+    the chain reaches U, then the bracket halves down to adjacent floats,
+    and the end within ``DEFAULT_TOL`` of U is the answer (hi first). Only
+    setups with a solution are meant; the solver's error paths are not
+    reproduced.
+    """
+    U = model.U
+    walks = 0
+
+    def u_of(alpha):
+        nonlocal walks
+        walks += 1
+        chain = _chain(model, alpha)
+        return -math.inf if chain is None else chain[2][-1]
+
+    lo, hi = 1.0, 2.0
+    u_lo = u_of(lo)
+    if abs(u_lo - U) <= DEFAULT_TOL:
+        return lo, walks
+    u_hi = u_of(hi)
+    while u_hi < U:
+        hi *= 2.0
+        u_hi = u_of(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        u_mid = u_of(mid)
+        if u_mid >= U:
+            hi, u_hi = mid, u_mid
+        else:
+            lo, u_lo = mid, u_mid
+    return (hi if abs(u_hi - U) <= DEFAULT_TOL else lo), walks

@@ -96,6 +96,11 @@ REMOVED_INSTANCE_FLAGS = (
          "--mechanism", "pinned", "--sigma", "0.5"),
         ("instances", "--model", K2_MODEL, "--seed", "-1"),
         *[("instances", "--model", K2_MODEL, f"--{flag}", "1") for flag in REMOVED_INSTANCE_FLAGS],
+        ("curves", "--k-min", "2", "--k-max", "4", "--l", "x"),
+        ("curves", "--k-min", "2", "--k-max", "4", "--u", "x"),
+        ("curves", "--k-min", "2", "--k-max", "4", "--cost-coeff", "x"),
+        ("curves", "--k-min", "1000001", "--k-max", "1000002"),
+        ("experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1000001}'),
     ],
     ids=[
         "marginals-string",
@@ -120,6 +125,11 @@ REMOVED_INSTANCE_FLAGS = (
         "no-sigma-flag",
         "negative-seed",
         *[f"no-{flag}-flag" for flag in REMOVED_INSTANCE_FLAGS],
+        "curves-L-string",
+        "curves-U-string",
+        "curves-coeff-string",
+        "curves-k-past-size-ceiling",
+        "count-past-size-ceiling",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -718,12 +728,14 @@ def test_size_ceilings_reject_before_allocating(capsys):
         for argv in (
             ("pricing", "--model", huge_k),
             ("pricing", "--model", FIG_MODEL, "--samples", "1000000"),
+            ("curves", "--k-min", "1", "--k-max", str(10**9)),
+            ("experiment", "--model", FIG_MODEL, "--instances", '{"kind": "iid", "count": 1e9}'),
         ):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert "ceiling" in err
+            assert "exceeds the ceiling" in err
             assert tracemalloc.get_traced_memory()[1] - base < 2**20
     finally:
         tracemalloc.stop()

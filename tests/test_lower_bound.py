@@ -7,6 +7,8 @@ Oracles used here and nowhere else:
   of the recursion in the module under test;
 * the closed-form high-value chain and its bisection (``closed_form.py``),
   which the package no longer carries;
+* the float-by-float bisection on alpha (``closed_form.bisect_alpha``),
+  which the solver's ITP search must match bit for bit;
 * hand-solved setups with frozen k_underbar / xi / interval values;
 * a hand-derived transcendental equation for one general-regime setup,
   checked as a residual at the solver's alpha.
@@ -19,8 +21,15 @@ import time
 
 import numpy as np
 import pytest
-from closed_form import closed_form_alpha, closed_form_chain, scan_k_underbar, scan_xi
+from closed_form import (
+    bisect_alpha,
+    closed_form_alpha,
+    closed_form_chain,
+    scan_k_underbar,
+    scan_xi,
+)
 
+from kselect import lower_bound
 from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.lower_bound import (
@@ -327,6 +336,103 @@ class TestSolver:
         assert abs(sol.intervals[-1][1] - 30.0) <= 1e-8
         assert sol.alpha > 1.0
         assert verify_equality(sol, m, grid_size=400) <= 1e-6
+
+
+def random_edge_model(rng, kind: str):
+    """Setups at the edges of the solver's range, by ``kind``: one unit, two
+    units, a tied ladder, or U just above L."""
+    L = float(rng.uniform(1.0, 3.0))
+    if kind == "k1":
+        c = float(rng.uniform(0.0, 0.99 * L))
+        return make_cost_model(L=L, U=L * float(rng.uniform(1.001, 10.0)), k=1, marginals=[c])
+    if kind == "k2":
+        ms = sorted(float(x) for x in rng.uniform(0.0, 1.5 * L, size=2))
+        ms[0] = min(ms[0], 0.9 * L)
+        return make_cost_model(L=L, U=L * float(rng.uniform(2.0, 6.0)), k=2, marginals=ms)
+    k = int(rng.integers(2, 20))
+    if kind == "tied":
+        ms = [float(rng.uniform(0.0, 0.9 * L))] * (k // 2)
+        ms += [float(rng.uniform(ms[0], 1.5 * L))] * (k - k // 2)
+        return make_cost_model(L=L, U=L * float(rng.uniform(2.0, 6.0)), k=k, marginals=ms)
+    assert kind == "narrow"
+    ms = sorted(float(x) for x in rng.uniform(0.0, 0.9 * L, size=k))
+    U = L * (1.0 + float(10.0 ** rng.uniform(-12.0, -3.0)))
+    return make_cost_model(L=L, U=U, k=k, marginals=ms)
+
+
+def random_setups(seed: int, per_kind: int = 70):
+    rng = np.random.default_rng(seed)
+    for _ in range(per_kind):
+        yield random_high_value_model(rng, k_max=30)
+        yield random_general_model(rng, k_max=30)
+        for kind in ("k1", "k2", "tied", "narrow"):
+            yield random_edge_model(rng, kind)
+
+
+BENCHMARK_MODELS = {
+    10: make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0),
+    500: make_cost_model(L=1.0, U=30.0, k=500, quadratic_coeff=1.0 / 500.0),
+    20000: make_cost_model(L=1.0, U=30.0, k=20000, quadratic_coeff=0.45 / 20000.0),
+}
+
+
+def counted_solve(monkeypatch, model):
+    """The solver's solution and the number of chain walks it took."""
+    walks = 0
+    chain = lower_bound._chain
+
+    def counting(m, alpha):
+        nonlocal walks
+        walks += 1
+        return chain(m, alpha)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lower_bound, "_chain", counting)
+        sol = solve_alpha_star(model)
+    return sol, walks
+
+
+class TestItpSearch:
+    """The ITP search lands on the alpha the float-by-float bisection finds,
+    in far fewer chain walks and never more than one walk beyond it."""
+
+    def test_same_alpha_bits_as_bisection(self, monkeypatch):
+        setups = list(random_setups(2024))
+        assert len(setups) >= 400
+        for m in setups:
+            alpha, bisect_walks = bisect_alpha(m)
+            sol, walks = counted_solve(monkeypatch, m)
+            assert sol.alpha.hex() == alpha.hex(), (m.L, m.U, m.marginals)
+            assert walks <= bisect_walks + 1, (m.L, m.U, m.marginals)
+
+    @pytest.mark.parametrize("k", sorted(BENCHMARK_MODELS))
+    def test_benchmark_models(self, monkeypatch, k):
+        m = BENCHMARK_MODELS[k]
+        sol, walks = counted_solve(monkeypatch, m)
+        assert sol.alpha.hex() == bisect_alpha(m)[0].hex()
+        assert walks <= 25
+
+    def test_worst_case_is_bisection_plus_one(self, monkeypatch):
+        # u_k = U + (alpha - 3.7)^3 is flat at its root, where regula falsi
+        # crawls; the projection still ends the search within the 52 halvings
+        # of [2, 4] plus one step, after the bracket walks at alpha 1, 2, 4
+        m = make_cost_model(L=1.0, U=30.0, k=1, marginals=[0.5])
+        walks = 0
+
+        def cubic_chain(model, alpha):
+            nonlocal walks
+            walks += 1
+            return 1, 0.5, [model.L, model.U + (alpha - 3.7) ** 3]
+
+        monkeypatch.setattr(lower_bound, "_chain", cubic_chain)
+        sol = solve_alpha_star(m)
+        assert abs(sol.alpha - 3.7) <= 1e-3
+        assert walks <= 3 + 52 + 1
+
+    def test_returned_chain_is_the_one_walked_at_alpha(self):
+        for m in random_setups(7, per_kind=3):
+            sol = solve_alpha_star(m)
+            assert build_intervals(m, sol.alpha).intervals == sol.intervals
 
 
 class TestPsi:
