@@ -11,6 +11,8 @@ Layers, bottom up:
 * cli: the ``kselect`` command tying the layers together
 """
 
+from types import ModuleType as _ModuleType
+
 from .cost_model import (
     CostModel,
     allocation_count_g,
@@ -50,9 +52,9 @@ from .mechanisms import (
     make_pinned_deterministic,
     make_static_random,
     offline_opt,
+    ratio_to_opt,
     run_posted_price,
     run_trial,
-    static_prices_for_quantiles,
     trial_rng,
 )
 from .pricing import (
@@ -66,57 +68,13 @@ from .pricing import (
     prices_for_seeds,
     scheme_from_json,
     scheme_to_json,
+    static_prices_for_quantiles,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuyerDecision",
-    "CostModel",
-    "DEFAULT_TOL",
-    "DegenerateModelError",
-    "Instance",
-    "LowerBoundSolution",
-    "Mechanism",
-    "PriceVector",
-    "PricingScheme",
-    "RunOutcome",
-    "Segment",
-    "SolverError",
-    "ValidationError",
-    "WelfareEstimate",
-    "allocation_count_g",
-    "build_intervals",
-    "build_pricing_scheme_k2",
-    "build_scheme",
-    "compute_k_underbar",
-    "compute_xi",
-    "conjugate",
-    "cumulative_cost",
-    "eval_psi",
-    "expected_welfare",
-    "gen_iid",
-    "gen_low2high",
-    "gen_sorted",
-    "hard_instance",
-    "instance_text",
-    "inverse_price",
-    "make_cost_model",
-    "make_pinned_deterministic",
-    "make_static_random",
-    "model_from_json",
-    "model_to_json",
-    "offline_opt",
-    "price_at",
-    "prices_for_seeds",
-    "read_instance",
-    "run_posted_price",
-    "run_trial",
-    "scheme_from_json",
-    "scheme_to_json",
-    "solve_alpha_star",
-    "static_prices_for_quantiles",
-    "trial_rng",
-    "verify_equality",
-    "write_instance",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

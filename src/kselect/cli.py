@@ -43,6 +43,7 @@ from .mechanisms import (
     make_pinned_deterministic,
     make_static_random,
     offline_opt,
+    ratio_to_opt,
     run_posted_price,
 )
 from .pricing import (
@@ -345,7 +346,7 @@ def cmd_simulate(args) -> int:
         "std_error": est.std_error,
         "opt": opt,
         "opt_units": opt_units,
-        "ratio_to_opt": est.ratio_to_opt,
+        "ratio_to_opt": ratio_to_opt(opt, est.mean),
     }
     _emit(_json_text(payload), args.out)
     return 0
@@ -375,9 +376,10 @@ def cmd_experiment(args) -> int:
         try:
             inst = _build_instance(model, inst_spec, instance_rng(master_seed, idx))
             seed = instance_sim_seed(master_seed, idx)
+            opt, _ = offline_opt(inst, model)
             for m, mech in enumerate(mechs):
                 est = expected_welfare(mech, inst, model, trials, seed)
-                ratios[m].append(est.ratio_to_opt)
+                ratios[m].append(ratio_to_opt(opt, est.mean))
         except (ValidationError, SolverError) as exc:
             raise type(exc)(f"instance {idx}: {exc}") from exc
 

@@ -21,9 +21,10 @@ each curve is one logarithm; the solution's ``regime`` label records which
 case the setup is (``model.high_value``) and changes nothing else. The
 search shrinks the bracket to adjacent floats, the same pair that
 float-by-float bisection ends on, and accepts the chain whose end lies
-within the fixed tolerance ``DEFAULT_TOL`` of U. Its steps interpolate on
-u_k, so on the benchmark setups it walks the chain 13 to 22 times where
-bisection walks it 56 or 57, and never more than one walk beyond it.
+within ``DEFAULT_TOL`` of U, or else within ``DEFAULT_TOL * U``. Its steps
+interpolate on u_k, so on the benchmark setups it walks the chain 13 to 22
+times where bisection walks it 56 or 57, and never more than one walk
+beyond it.
 
 Each chain walk reads ``k_underbar`` (a bisect) and ``xi`` (one lookup)
 off the model's cached prefix table ``CostModel.floor_prefix``, then walks
@@ -324,7 +325,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
     n_max = math.ceil(math.log2((hi - lo) / spacing)) + 1
     for j in range(200):
         if not (u_lo <= U <= u_hi):
-            raise SolverError("monotone bisection invariant violated")
+            raise SolverError("monotone search invariant violated")
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -345,12 +346,16 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         else:
             lo, u_lo, chain_lo = x, u_x, chain_x
 
-    if abs(u_hi - U) <= DEFAULT_TOL:
-        return _mk_solution(model, hi, chain_hi)
-    if chain_lo is not None and abs(u_lo - U) <= DEFAULT_TOL:
-        return _mk_solution(model, lo, chain_lo)
+    # lo and hi are adjacent floats, whose chain ends lie a gap apart that
+    # grows with U; an end within DEFAULT_TOL wins first, hi before lo.
+    for tol in (DEFAULT_TOL, DEFAULT_TOL * U):
+        if abs(u_hi - U) <= tol:
+            return _mk_solution(model, hi, chain_hi)
+        if chain_lo is not None and abs(u_lo - U) <= tol:
+            return _mk_solution(model, lo, chain_lo)
     raise SolverError(
-        f"bisection exhausted: |u_k - U| = {abs(u_hi - U):.3e} exceeds tol = {DEFAULT_TOL}"
+        f"search exhausted: |u_k - U| = {abs(u_hi - U):.3e} exceeds "
+        f"tol = {DEFAULT_TOL * max(U, 1.0):.3e}"
     )
 
 

@@ -9,6 +9,8 @@ results are reproducible and order-independent.
 One function, _price_matrix, draws the seeds and prices of any set of
 trials and is the only place the mechanisms differ: expected_welfare takes
 rows 0..trials-1 of it and run_trial replays one row through run_posted_price.
+Its prices are lookups in the pricing layer's flat curve table, through
+prices_for_seeds and static_prices_for_quantiles; the layout stays there.
 
 One function, _welfares, sells: it builds an implicit max-tree over the
 arrivals once per call and, for each unit in turn, moves every live trial
@@ -33,7 +35,12 @@ import numpy as np
 from .cost_model import CostModel
 from .errors import ValidationError
 from .instances import Instance
-from .pricing import PriceVector, PricingScheme, _unit_prices, prices_for_seeds
+from .pricing import (
+    PriceVector,
+    PricingScheme,
+    prices_for_seeds,
+    static_prices_for_quantiles,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,6 @@ class WelfareEstimate:
     mean: float
     std_error: float
     trials: int
-    ratio_to_opt: float
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,14 @@ def offline_opt(instance: Instance, model: CostModel) -> tuple[float, int]:
     return best, best_j
 
 
+def ratio_to_opt(opt: float, mean: float) -> float:
+    """Empirical competitive ratio opt / mean: inf when mean <= 0 < opt, and
+    1 when neither the optimum nor the mechanism earns anything."""
+    if mean > 0.0:
+        return opt / mean
+    return math.inf if opt > 0.0 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # seeding policies
 
@@ -191,29 +205,6 @@ def instance_sim_seed(master_seed: int, index: int) -> int:
 
 # ---------------------------------------------------------------------------
 # price draws
-
-
-def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndarray:
-    """Exact quantiles of the aggregate price law F(v) = mean_i P(phi_i(s) <= v).
-
-    The curves tile the price chain end to end: unit i's curve ends where
-    unit i + 1's starts, and the constant floors make the atom at L. So the
-    generalized inverse of F at q is unit J + 1's curve at seed qk - J,
-    with J = min(floor(qk), k - 1). For uniform q this is a uniform unit at
-    a uniform seed, so the draw follows F even for curves that do not tile.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
-        raise ValidationError("quantiles outside [0, 1]")
-    k = scheme.model.k
-    x = q * k
-    unit = np.minimum(np.floor(x), k - 1)
-    seeds = x - unit
-    out = np.empty_like(x)
-    for j in np.unique(unit):
-        hit = unit == j
-        out[hit] = _unit_prices(scheme, int(j) + 1, seeds[hit])
-    return out
 
 
 def _price_matrix(mech: Mechanism, trial_indices, master_seed: int):
@@ -333,23 +324,19 @@ def run_trial(
 def expected_welfare(
     target, instance: Instance, model: CostModel, trials: int, master_seed: int
 ) -> WelfareEstimate:
-    """Monte-Carlo estimate of expected welfare and its ratio to the optimum.
+    """Monte-Carlo estimate of expected welfare.
 
     std_error is the sample standard error of per-trial welfare (0 for the
     pinned variant, which runs once); see WelfareEstimate for when it
-    understates the error.
+    understates the error. The ratio to the optimum is ratio_to_opt of
+    offline_opt and the mean, computed once per instance by the caller.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
     mech = _as_mechanism(target)
     _check_valuations(instance, model)
-    opt, _ = offline_opt(instance, model)
     rows = [0] if mech.kind == "pinned" else range(trials)
     w, _ = _welfares(_price_matrix(mech, rows, master_seed)[1], instance, model)
     mean = float(w.mean())
     std_error = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
-    if mean > 0.0:
-        ratio = opt / mean
-    else:
-        ratio = math.inf if opt > 0.0 else 1.0
-    return WelfareEstimate(mean=mean, std_error=std_error, trials=trials, ratio_to_opt=ratio)
+    return WelfareEstimate(mean=mean, std_error=std_error, trials=trials)

@@ -19,8 +19,18 @@ Two constructions:
 * build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
   form whose guarantee is alpha_star itself (no extra factor).
 
+Every lookup reads one cached flat table of all units' segments
+(``PricingScheme._table``), unit-major and seed-ordered, keyed by
+``unit + 1j * s_lo`` and ``unit + 1j * v_lo``. NumPy orders complex numbers
+by real part, then imaginary part, so one ``np.searchsorted`` finds the
+segment of any (unit, seed) or (unit, price) pair exactly, where a float
+key such as ``2 * unit + s`` rounds near segment boundaries. ``_prices``
+(seed -> price) serves price_at, prices_for_seeds and
+static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
+
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
-round-trip every float bit-exactly. scheme_json_text writes the text of
+round-trip every float bit-exactly; scheme_from_json rejects curves the
+table cannot read. scheme_json_text writes the text of
 ``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)`` straight
 from the segments, without the stdlib's pure-Python indenting encoder; it
 is what ``kselect pricing`` prints.
@@ -57,6 +67,9 @@ class Segment:
     rate: float
 
 
+_SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
+
+
 @dataclass(frozen=True)
 class PricingScheme:
     model: CostModel
@@ -69,17 +82,13 @@ class PricingScheme:
     kind: str  # "high_value" | "two_unit" | "general"
 
     @cached_property
-    def _unit_tables(self):
-        """Per-unit segment fields as arrays, for vectorized evaluation."""
-        tables = []
-        for segs in self.segments:
-            tables.append(
-                tuple(
-                    np.array([getattr(seg, f) for seg in segs])
-                    for f in ("s_lo", "s_hi", "cost", "v_lo", "v_hi", "rate")
-                )
-            )
-        return tuple(tables)
+    def _table(self):
+        """(s_key, v_key, first row of each unit, _SEGMENT_FIELDS columns)."""
+        rows = [attrgetter(*_SEGMENT_FIELDS)(seg) for unit in self.segments for seg in unit]
+        cols = np.array(rows, dtype=float).reshape(-1, len(_SEGMENT_FIELDS)).T.copy()
+        sizes = [len(unit) for unit in self.segments]
+        unit = np.repeat(np.arange(len(sizes)), sizes)
+        return unit + 1j * cols[0], unit + 1j * cols[2], np.cumsum([0] + sizes[:-1]), cols
 
 
 @dataclass(frozen=True)
@@ -93,18 +102,31 @@ def _check_unit(model: CostModel, i: int) -> None:
         raise ValidationError(f"unit index {i} out of range 1..{model.k}")
 
 
-def _unit_prices(scheme: PricingScheme, i: int, s: np.ndarray) -> np.ndarray:
-    """Unit i's curve at an array of seeds in [0, 1], unchecked.
+def _prices(table, units, s: np.ndarray) -> np.ndarray:
+    """Curve of unit ``units`` (from 0) at seed ``s`` in [0, 1], cell by cell
+    over the two broadcast together; unchecked. Segment endpoints return the
+    stored values exactly and the interior is clamped into [v_lo, v_hi], so
+    junction floats are never overshot."""
+    s_key, _, _, cols = table
+    idx = np.searchsorted(s_key, units + 1j * s, side="right") - 1
+    s_lo, s_hi, v_lo, v_hi, cost, rate = cols[:, idx]
+    p = np.clip(cost + (v_lo - cost) * np.exp(rate * (s - s_lo)), v_lo, v_hi)
+    p = np.where(s <= s_lo, v_lo, p)
+    return np.where(s >= s_hi, v_hi, p)
 
-    Segment endpoints return the stored values exactly and the interior is
-    clamped into [v_lo, v_hi], so junction floats are never overshot.
-    """
-    s_lo, s_hi, cost, v_lo, v_hi, rate = scheme._unit_tables[i - 1]
-    idx = np.searchsorted(s_lo, s, side="right") - 1
-    p = cost[idx] + (v_lo[idx] - cost[idx]) * np.exp(rate[idx] * (s - s_lo[idx]))
-    p = np.clip(p, v_lo[idx], v_hi[idx])
-    p = np.where(s <= s_lo[idx], v_lo[idx], p)
-    return np.where(s >= s_hi[idx], v_hi[idx], p)
+
+def _seeds(table, units, v: np.ndarray) -> np.ndarray:
+    """sup{s in [0, 1] : phi(s) <= v} of unit ``units`` (from 0) at price
+    ``v``, cell by cell; 0 below the unit's lowest price. Unchecked. The
+    unit's last segment with v_lo <= v holds it: its right end on a constant
+    piece or at the top of a ramp."""
+    _, v_key, first, cols = table
+    idx = np.searchsorted(v_key, units + 1j * v, side="right") - 1
+    s_lo, s_hi, v_lo, v_hi, cost, rate = cols[:, idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(s_lo + np.log((v - cost) / (v_lo - cost)) / rate, s_lo, s_hi)
+    s = np.where((rate == 0.0) | (v >= v_hi), np.minimum(s_hi, 1.0), s)
+    return np.where(idx < first[units], 0.0, s)
 
 
 def price_at(scheme: PricingScheme, i: int, s: float) -> float:
@@ -112,7 +134,7 @@ def price_at(scheme: PricingScheme, i: int, s: float) -> float:
     _check_unit(scheme.model, i)
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"seed {s} outside [0, 1]")
-    return float(_unit_prices(scheme, i, np.array([s], dtype=float))[0])
+    return float(_prices(scheme._table, i - 1, np.array([s], dtype=float))[0])
 
 
 def inverse_price(scheme: PricingScheme, i: int, v: float) -> float:
@@ -125,13 +147,10 @@ def inverse_price(scheme: PricingScheme, i: int, v: float) -> float:
     model = scheme.model
     if not model.L - 1e-9 <= v <= model.U + 1e-9:
         raise ValidationError(f"valuation {v} outside [{model.L}, {model.U}]")
-    for seg in reversed(scheme.segments[i - 1]):
-        if v >= seg.v_lo:
-            if seg.rate == 0.0 or v >= seg.v_hi:
-                return min(seg.s_hi, 1.0)
-            s = seg.s_lo + math.log((v - seg.cost) / (seg.v_lo - seg.cost)) / seg.rate
-            return min(max(s, seg.s_lo), seg.s_hi)
-    return 0.0
+    return float(_seeds(scheme._table, i - 1, np.array([v], dtype=float))[0])
+
+
+_BLOCK_CELLS = 1 << 15  # cells per prices_for_seeds block; bounds its temporaries
 
 
 def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
@@ -141,14 +160,34 @@ def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
     satisfies the price chain P_1 <= ... <= P_k with no tolerance.
     """
     seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim != 2 or seeds.shape[1] != scheme.model.k:
-        raise ValidationError(f"seed array must have shape (n, {scheme.model.k})")
+    k = scheme.model.k
+    if seeds.ndim != 2 or seeds.shape[1] != k:
+        raise ValidationError(f"seed array must have shape (n, {k})")
     if seeds.size and not (seeds.min() >= 0.0 and seeds.max() <= 1.0):
         raise ValidationError("seeds outside [0, 1]")
-    out = np.empty_like(seeds)
-    for col in range(scheme.model.k):
-        out[:, col] = _unit_prices(scheme, col + 1, seeds[:, col])
+    out = np.empty(seeds.shape)
+    step = max(1, _BLOCK_CELLS // k)
+    for r in range(0, len(seeds), step):
+        out[r : r + step] = _prices(scheme._table, np.arange(k), seeds[r : r + step])
     return out
+
+
+def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndarray:
+    """Exact quantiles of the aggregate price law F(v) = mean_i P(phi_i(s) <= v).
+
+    The curves tile the price chain end to end: unit i's curve ends where
+    unit i + 1's starts, and the constant floors make the atom at L. So the
+    generalized inverse of F at q is unit J + 1's curve at seed qk - J,
+    with J = min(floor(qk), k - 1). For uniform q this is a uniform unit at
+    a uniform seed, so the draw follows F even for curves that do not tile.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
+        raise ValidationError("quantiles outside [0, 1]")
+    k = scheme.model.k
+    x = q * k
+    unit = np.minimum(np.floor(x), k - 1)
+    return _prices(scheme._table, unit, x - unit)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +324,6 @@ def build_scheme(model: CostModel) -> PricingScheme:
     return _scheme(model, sol, cr)
 
 
-_SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
-
-
 def scheme_to_json(scheme: PricingScheme) -> dict:
     """Serialize a scheme; floats survive the JSON round trip bit-exactly."""
     return {
@@ -396,4 +432,12 @@ def scheme_from_json(obj: dict) -> PricingScheme:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
     if len(scheme.segments) != model.k or len(scheme.price_intervals) != model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
+    for i, unit in enumerate(segments, start=1):
+        # what the table lookups rely on; non-finite prices and rates are read
+        pairs = list(zip(unit, unit[1:]))
+        ends = unit and unit[0].s_lo == 0.0 and unit[-1].s_hi == 1.0
+        if not (ends and all(a.s_lo <= a.s_hi == b.s_lo for a, b in pairs)):
+            raise ValidationError(f"scheme unit {i}: segments must run end to end over [0, 1]")
+        if any(b.v_lo < a.v_lo for a, b in pairs):
+            raise ValidationError(f"scheme unit {i}: segment v_lo decreases")
     return scheme

@@ -20,7 +20,10 @@ from kselect import (
     make_cost_model,
     make_pinned_deterministic,
     model_to_json,
+    offline_opt,
+    ratio_to_opt,
     scheme_from_json,
+    scheme_to_json,
 )
 from kselect.cli import build_parser, main
 
@@ -58,6 +61,36 @@ def _model_with(**changes):
 
 
 NOT_UTF8 = "<a file that starts with byte 0xff>"
+
+
+def _edit_segment(unit: int, seg: int, **fields):
+    def change(units):
+        units[unit - 1][seg].update(fields)
+
+    return change
+
+
+# Curve tables the lookups cannot read. The base is the `pricing` output for
+# L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on unit 2 a
+# floor on [0, xi] followed by a ramp from L.
+BAD_SCHEMES = {
+    "<scheme: unit 2 has no segment>": lambda units: units[1].clear(),
+    "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
+    "<scheme: unit 3 ends at seed 0.75>": _edit_segment(3, 0, s_hi=0.75),
+    "<scheme: unit 2 has a gap>": _edit_segment(2, 1, s_lo=0.5),
+    "<scheme: unit 2 goes back in seed>": _edit_segment(2, 0, s_hi=1.5),
+    "<scheme: unit 2's v_lo decreases>": _edit_segment(2, 1, v_lo=0.5),
+}
+
+
+def _bad_scheme_file(tmp_path, name) -> str:
+    model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
+    obj = scheme_to_json(build_scheme(model))
+    BAD_SCHEMES[name](obj["segments"])
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
 # instance flags that the JSON --spec replaced
 REMOVED_INSTANCE_FLAGS = (
     "kind", "eps", "terminal", "count", "mu", "sdev", "n1", "mu1", "sdev1", "n2", "mu2", "sdev2",
@@ -101,6 +134,7 @@ REMOVED_INSTANCE_FLAGS = (
         ("curves", "--k-min", "2", "--k-max", "4", "--cost-coeff", "x"),
         ("curves", "--k-min", "1000001", "--k-max", "1000002"),
         ("experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1000001}'),
+        *[("simulate", "--scheme", name, "--instance", os.devnull) for name in BAD_SCHEMES],
     ],
     ids=[
         "marginals-string",
@@ -130,11 +164,18 @@ REMOVED_INSTANCE_FLAGS = (
         "curves-coeff-string",
         "curves-k-past-size-ceiling",
         "count-past-size-ceiling",
+        "scheme-unit-without-segment",
+        "scheme-unit-not-from-seed-0",
+        "scheme-unit-not-to-seed-1",
+        "scheme-unit-with-gap",
+        "scheme-unit-going-back",
+        "scheme-v_lo-decreasing",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     bad = tmp_path / "not-utf8"
     bad.write_bytes(b'\xff{"L": 1}\n')
+    argv = [_bad_scheme_file(tmp_path, a) if a in BAD_SCHEMES else a for a in argv]
     code, out, err = run_cli(capsys, *[str(bad) if a == NOT_UTF8 else a for a in argv])
     assert code == 2
     assert out == ""
@@ -166,6 +207,17 @@ def test_solve_unsolvable_chain_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "no solution" in err
+
+
+def test_solve_end_test_scales_with_u(capsys):
+    # the search ends on adjacent floats whose chain ends lie 3e-9 from U
+    big = (
+        '{"L": 1, "U": 1000000, "k": 3, '
+        '"cost": {"type": "explicit", "marginals": [0.99, 0.99, 0.99]}}'
+    )
+    code, out, err = run_cli(capsys, "solve", "--model", big)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["intervals"][-1]["u"] == pytest.approx(1e6, abs=1e-3)
 
 
 def test_solve_missing_model_exits_2(capsys):
@@ -615,7 +667,8 @@ def test_experiment_single_pinned_instance_single_point(tmp_path, capsys):
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
     mech = make_pinned_deterministic(build_scheme(model), 0.5)
     inst = hard_instance(model, 1.0, 5.0)
-    want = expected_welfare(mech, inst, model, 1, 0).ratio_to_opt
+    est = expected_welfare(mech, inst, model, 1, 0)
+    want = ratio_to_opt(offline_opt(inst, model)[0], est.mean)
     assert float(ratio) == pytest.approx(want, rel=1e-11)
 
 

@@ -33,6 +33,7 @@ from kselect import lower_bound
 from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.lower_bound import (
+    DEFAULT_TOL,
     _integral_over_pole,
     _solve_u,
     build_intervals,
@@ -433,6 +434,18 @@ class TestItpSearch:
         for m in random_setups(7, per_kind=3):
             sol = solve_alpha_star(m)
             assert build_intervals(m, sol.alpha).intervals == sol.intervals
+
+    def test_end_test_scales_with_u(self):
+        # at U = 10^6 the adjacent floats that end the search leave u_k about
+        # 3e-9 from U: beyond DEFAULT_TOL, within DEFAULT_TOL * U
+        m = make_cost_model(L=1.0, U=1e6, k=3, marginals=[0.99, 0.99, 0.99])
+        sol = solve_alpha_star(m)
+        end = sol.intervals[-1][1]
+        assert DEFAULT_TOL < abs(end - m.U) <= DEFAULT_TOL * m.U
+        # the neighbouring float puts the chain end on the other side of U
+        side = math.inf if end < m.U else -math.inf
+        other = build_intervals(m, math.nextafter(sol.alpha, side)).intervals[-1][1]
+        assert (end - m.U) * (other - m.U) < 0.0
 
 
 class TestPsi:

@@ -29,6 +29,7 @@ from kselect.mechanisms import (
     make_pinned_deterministic,
     make_static_random,
     offline_opt,
+    ratio_to_opt,
     run_posted_price,
     run_trial,
     static_prices_for_quantiles,
@@ -288,7 +289,9 @@ class TestExpectedWelfare:
         est = expected_welfare(sch, Instance((math.e,)), m, trials=300, master_seed=3)
         assert est.mean == pytest.approx(math.e, rel=1e-12)
         assert est.std_error == 0.0
-        assert est.ratio_to_opt == pytest.approx(1.0, abs=1e-12)
+        assert ratio_to_opt(offline_opt(Instance((math.e,)), m)[0], est.mean) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_flat_scheme_has_zero_variance(self):
         m = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
@@ -306,7 +309,7 @@ class TestExpectedWelfare:
             est = expected_welfare(sch, inst, m, trials=1500, master_seed=seed)
             opt, _ = offline_opt(inst, m)
             slack = 3.0 * opt * est.std_error / est.mean**2
-            assert est.ratio_to_opt <= sch.cr_guarantee + slack
+            assert ratio_to_opt(opt, est.mean) <= sch.cr_guarantee + slack
 
     def test_hard_instance_ratio_near_two_unit_bound(self):
         m = make_cost_model(L=1.0, U=5.0, k=2, marginals=[0.25, 0.5])
@@ -314,14 +317,16 @@ class TestExpectedWelfare:
         assert sch.kind == "two_unit"
         inst = hard_instance(m, epsilon=0.01, terminal_stage=5.0)
         est = expected_welfare(sch, inst, m, trials=20_000, master_seed=77)
-        assert abs(est.ratio_to_opt - sch.alpha_star) <= 0.08
+        assert abs(ratio_to_opt(offline_opt(inst, m)[0], est.mean) - sch.alpha_star) <= 0.08
 
     def test_empty_instance_ratio_convention(self):
         m = make_cost_model(L=1.0, U=2.0, k=1, marginals=[0.0])
         sch = build_scheme(m)
         est = expected_welfare(sch, Instance(()), m, trials=5, master_seed=1)
         assert est.mean == 0.0
-        assert est.ratio_to_opt == 1.0
+        assert ratio_to_opt(offline_opt(Instance(()), m)[0], est.mean) == 1.0
+        assert ratio_to_opt(1.0, 0.0) == math.inf
+        assert ratio_to_opt(2.0, 0.5) == 4.0
 
 
 class TestSurrogates:

@@ -1,5 +1,6 @@
 """Price-curve tests: frozen closed forms, duality with the allocation
-curves, chain exactness, and cross-construction consistency."""
+curves, chain exactness, cross-construction consistency, and the curve
+table's lookups against a literal scan of the segments."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from kselect.pricing import (
     scheme_from_json,
     scheme_json_text,
     scheme_to_json,
+    static_prices_for_quantiles,
 )
 
 
@@ -427,3 +429,65 @@ class TestSchemeJsonText:
         text = scheme_json_text(scheme) + "\n"
         assert text == stdlib_text(scheme)
         assert '"alpha_star": Infinity,' in text and '"rate": NaN,' in text
+
+
+# ---------------------------------------------------------------------------
+# the curve table
+
+
+def literal_price(unit, s: float) -> float:
+    """A unit's curve at seed s by a scan of its segments: the last one that
+    starts at or below s, read with the table's rule (v_hi at or past s_hi,
+    v_lo at or below s_lo, the clamped exponential in between)."""
+    seg = [seg for seg in unit if seg.s_lo <= s][-1]
+    if s >= seg.s_hi:
+        return seg.v_hi
+    if s <= seg.s_lo:
+        return seg.v_lo
+    p = seg.cost + (seg.v_lo - seg.cost) * np.exp(seg.rate * (s - seg.s_lo))
+    return float(min(max(p, seg.v_lo), seg.v_hi))
+
+
+def boundary_seeds(scheme) -> list[float]:
+    """Every segment boundary of every unit and the floats either side of
+    it, within [0, 1]."""
+    edges = {x for unit in scheme.segments for seg in unit for x in (seg.s_lo, seg.s_hi)}
+    near = {y for x in edges for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
+    return sorted(y for y in near if 0.0 <= y <= 1.0)
+
+
+class TestCurveTable:
+    @settings(max_examples=100, deadline=None)
+    @given(built_schemes(), st.integers(0, 2**32 - 1))
+    def test_forward_lookup_is_the_literal_scan(self, scheme, seed):
+        rng = np.random.default_rng(seed)
+        k = scheme.model.k
+        grid = boundary_seeds(scheme) + rng.random(40).tolist()
+        table = prices_for_seeds(scheme, np.repeat(np.array(grid)[:, None], k, axis=1))
+        for i, unit in enumerate(scheme.segments, start=1):
+            want = [literal_price(unit, s) for s in grid]
+            assert table[:, i - 1].tolist() == want, i
+            assert [price_at(scheme, i, s) for s in grid] == want, i
+        # the price chain, with no tolerance, at shared and at random seeds
+        assert np.all(np.diff(table, axis=1) >= 0.0)
+        assert np.all(np.diff(prices_for_seeds(scheme, rng.random((200, k))), axis=1) >= 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(built_schemes(), st.integers(0, 2**32 - 1))
+    def test_static_quantile_is_unit_j_plus_1_at_seed_qk_minus_j(self, scheme, seed):
+        k = scheme.model.k
+        q = np.concatenate([np.arange(k + 1) / k, np.random.default_rng(seed).random(60)])
+        for x, p in zip(q.tolist(), static_prices_for_quantiles(scheme, q).tolist()):
+            j = min(math.floor(x * k), k - 1)
+            assert p == price_at(scheme, j + 1, x * k - j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(built_schemes(), st.integers(0, 2**32 - 1))
+    def test_inverse_lookup_is_a_right_inverse(self, scheme, seed):
+        rng = np.random.default_rng(seed)
+        for i, (lo, hi) in enumerate(scheme.price_intervals, start=1):
+            for v in [lo, hi, *rng.uniform(lo, hi, 20).tolist()]:
+                assert price_at(scheme, i, inverse_price(scheme, i, v)) == pytest.approx(
+                    v, rel=1e-12, abs=0.0
+                )
+        assert inverse_price(scheme, scheme.k_underbar_star, scheme.model.L) == scheme.xi_star
