@@ -211,7 +211,7 @@ def cmd_pricing(args) -> int:
     if samples > 0:
         _emit(_sample_rows(scheme, samples), args.out)
     else:
-        _emit(scheme_json_text(scheme) + "\n", args.out)
+        _emit((scheme_json_text(scheme), "\n"), args.out)
     return 0
 
 

@@ -19,28 +19,35 @@ Two constructions:
 * build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
   form whose guarantee is alpha_star itself (no extra factor).
 
-Every lookup reads one cached flat table of all units' segments
-(``PricingScheme._table``), unit-major and seed-ordered, keyed by
-``unit + 1j * s_lo`` and ``unit + 1j * v_lo``. NumPy orders complex numbers
-by real part, then imaginary part, so one ``np.searchsorted`` finds the
-segment of any (unit, seed) or (unit, price) pair exactly, where a float
-key such as ``2 * unit + s`` rounds near segment boundaries. ``_prices``
+A scheme stores its curves as six float columns, not as one object per
+segment (see PricingScheme). The builders and scheme_from_json write the
+columns directly; ``PricingScheme.segments`` is a view of them as Segment
+objects, built on first read, that the ``pricing`` command never builds.
+
+Every lookup reads one cached flat table over the columns
+(``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
+``unit + 1j * v_lo``. NumPy orders complex numbers by real part, then
+imaginary part, so one ``np.searchsorted`` finds the segment of any
+(unit, seed) or (unit, price) pair exactly, where a float key such as
+``2 * unit + s`` rounds near segment boundaries. ``_prices``
 (seed -> price) serves price_at, prices_for_seeds and
 static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
 
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
 round-trip every float bit-exactly; scheme_from_json rejects curves the
-table cannot read. scheme_json_text writes the text of
-``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)`` straight
-from the segments, without the stdlib's pure-Python indenting encoder; it
-is what ``kselect pricing`` prints.
+table cannot read and prices that leave [L, U] or break the price chain.
+scheme_json_text writes the text of ``json.dumps(scheme_to_json(scheme),
+indent=2, sort_keys=True)`` straight from the columns, formatting each
+distinct float once and without the stdlib's pure-Python indenting encoder;
+it is what ``kselect pricing`` prints.
 """
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -51,7 +58,7 @@ from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_
 
 @dataclass(frozen=True)
 class Segment:
-    """One parametric piece of a price curve.
+    """One parametric piece of a price curve, as ``PricingScheme.segments`` shows it.
 
     Constant piece: rate == 0 and the price is v_lo everywhere on
     [s_lo, s_hi]. Exponential piece: price = cost + (v_lo - cost) *
@@ -72,23 +79,58 @@ _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
 
 @dataclass(frozen=True)
 class PricingScheme:
+    """Price curves of every unit and the bound they meet.
+
+    The curves are stored as columns: ``columns`` holds the six
+    ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
+    segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
+    of segments of unit i. ``segments`` is a view of them as Segment
+    objects, built on first read.
+    """
+
     model: CostModel
     alpha_star: float
     k_underbar_star: int
     xi_star: float
-    segments: tuple[tuple[Segment, ...], ...]  # one tuple per unit, seed-ordered
+    columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
+    sizes: tuple[int, ...]  # segments per unit
     price_intervals: tuple[tuple[float, float], ...]  # (L_i, U_i) for i = 1..k
     cr_guarantee: float
     kind: str  # "high_value" | "two_unit" | "general"
 
     @cached_property
+    def segments(self) -> tuple[tuple[Segment, ...], ...]:
+        """One tuple of Segment objects per unit, seed-ordered."""
+        return tuple(map(tuple, _by_unit(self, lambda row: Segment(*row))))
+
+    @cached_property
     def _table(self):
         """(s_key, v_key, first row of each unit, _SEGMENT_FIELDS columns)."""
-        rows = [attrgetter(*_SEGMENT_FIELDS)(seg) for unit in self.segments for seg in unit]
-        cols = np.array(rows, dtype=float).reshape(-1, len(_SEGMENT_FIELDS)).T.copy()
-        sizes = [len(unit) for unit in self.segments]
+        cols = _column_view(self)
+        sizes = np.array(self.sizes)
         unit = np.repeat(np.arange(len(sizes)), sizes)
-        return unit + 1j * cols[0], unit + 1j * cols[2], np.cumsum([0] + sizes[:-1]), cols
+        return unit + 1j * cols[0], unit + 1j * cols[2], np.cumsum(sizes) - sizes, cols
+
+
+def _pack(columns) -> array:
+    """The columns (one list of floats per _SEGMENT_FIELDS field) back to back."""
+    packed = array("d")
+    for col in columns:
+        packed.fromlist(col)
+    return packed
+
+
+def _column_view(scheme: PricingScheme) -> np.ndarray:
+    """The scheme's columns as a (6, segments) array sharing their memory."""
+    return np.frombuffer(scheme.columns).reshape(len(_SEGMENT_FIELDS), -1)
+
+
+def _by_unit(scheme: PricingScheme, make) -> list[list]:
+    """``make(row)`` for each segment's _SEGMENT_FIELDS tuple, one list per
+    unit, seed-ordered."""
+    made = list(map(make, zip(*_column_view(scheme).tolist())))
+    stops = list(accumulate(scheme.sizes))
+    return [made[a:b] for a, b in zip([0, *stops], stops)]
 
 
 @dataclass(frozen=True)
@@ -194,14 +236,10 @@ def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndar
 # builders
 
 
-def _flat_unit(L: float) -> tuple[Segment, ...]:
-    return (Segment(0.0, 1.0, L, L, 0.0, 0.0),)
-
-
 def _price_intervals(model: CostModel, sol: LowerBoundSolution):
     """(L_i, U_i) per unit; the chain end u_k is clamped to U, since the
     solver stops within its tolerance of U on either side."""
-    ivs = tuple((model.L, model.L) for _ in range(sol.k_underbar - 1)) + sol.intervals
+    ivs = ((model.L, model.L),) * (sol.k_underbar - 1) + sol.intervals
     lo, hi = ivs[-1]
     return ivs[:-1] + ((lo, min(hi, model.U)),)
 
@@ -215,13 +253,23 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
     construction; the last endpoint is snapped to exactly 1. The last unit's
     top price is clamped to U, as in _price_intervals. The intervals are
     contiguous, so the g-piece index carries from one unit to the next.
+
+    Past the threshold unit, the units whose interval lies above the top
+    marginal (g = k on it) have one segment each: seeds [0, 1], prices
+    u_{i-1} to u_i, cost c_i, rate alpha / k (0 on a zero-width interval).
+    They are written as column slices, and their spans are checked at once.
     """
     alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
     L = model.L
-    segments: list[tuple[Segment, ...]] = [_flat_unit(L) for _ in range(ku - 1)]
+    # the units below ku are flat at L
+    cols = [[x] * (ku - 1) for x in (0.0, 1.0, L, L, 0.0, 0.0)]
+    sizes = [1] * (ku - 1)
     top = len(model.g_steps[0])
     j = piece_index(model, L)
-    for i, (ell, u) in enumerate(sol.intervals, start=ku):
+    i = ku
+    for ell, u in sol.intervals:
+        if i > ku and j == top:
+            break
         c = model.marginals[i - 1]
         raw: list[list[float]] = []
         s = 0.0
@@ -241,15 +289,38 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
         raw[-1][1] = 1.0
         if i == model.k:
             raw[-1][3] = min(raw[-1][3], model.U)
-        segments.append(tuple([Segment(*vals) for vals in raw]))
+        for col, vals in zip(cols, zip(*raw)):
+            col += vals
+        sizes.append(len(raw))
         if j < top:
             j = piece_index(model, u, j)
+        i += 1
+    tail = sol.intervals[i - ku :]  # units i..k
+    if tail:
+        lo = [a for a, _ in tail]
+        hi = [b for _, b in tail]
+        c = model.marginals[i - 1 :]
+        lo_a, hi_a, c_a = np.array(lo), np.array(hi), np.array(c)
+        ramp = hi_a > lo_a
+        g = model.g_steps[1][top]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            span = (g / alpha) * np.log((hi_a - c_a) / (lo_a - c_a))
+        off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
+        if off.size:
+            raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
+        hi[-1] = min(hi[-1], model.U)
+        n = len(tail)
+        tail_cols = ([0.0] * n, [1.0] * n, lo, hi, c, np.where(ramp, alpha / g, 0.0).tolist())
+        for col, vals in zip(cols, tail_cols):
+            col += vals
+        sizes += [1] * n
     return PricingScheme(
         model=model,
         alpha_star=alpha,
         k_underbar_star=ku,
         xi_star=xi,
-        segments=tuple(segments),
+        columns=_pack(cols),
+        sizes=tuple(sizes),
         price_intervals=_price_intervals(model, sol),
         cr_guarantee=cr,
         kind=sol.regime,
@@ -275,20 +346,19 @@ def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
     if a >= threshold:
         xi = threshold / a
         u1 = (L - c1) * math.exp((1.0 - xi) * a / 2.0) + c1
-        unit1 = [Segment(0.0, xi, L, L, c1, 0.0)]
+        unit1 = [(0.0, xi, L, L, c1, 0.0)]
         if xi < 1.0:
-            unit1.append(Segment(xi, 1.0, L, u1, c1, a / 2.0))
-        unit2 = (Segment(0.0, 1.0, u1, U, c2, a / 2.0),)
-        segments = (tuple(unit1), unit2)
+            unit1.append((xi, 1.0, L, u1, c1, a / 2.0))
+        unit2 = [(0.0, 1.0, u1, U, c2, a / 2.0)]
         intervals = ((L, u1), (u1, U))
         ku, xi_star = 1, xi
     else:
         xi = ((2.0 * L - c1 - c2) / a - (L - c1)) / (L - c2)
         xi = min(xi, 1.0)
-        unit2 = [Segment(0.0, xi, L, L, c2, 0.0)]
+        unit1 = [(0.0, 1.0, L, L, 0.0, 0.0)]
+        unit2 = [(0.0, xi, L, L, c2, 0.0)]
         if xi < 1.0:
-            unit2.append(Segment(xi, 1.0, L, U, c2, a / 2.0))
-        segments = (_flat_unit(L), tuple(unit2))
+            unit2.append((xi, 1.0, L, U, c2, a / 2.0))
         intervals = ((L, L), (L, U))
         ku, xi_star = 2, xi
     return PricingScheme(
@@ -296,7 +366,8 @@ def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
         alpha_star=a,
         k_underbar_star=ku,
         xi_star=xi_star,
-        segments=segments,
+        columns=_pack(map(list, zip(*unit1, *unit2))),
+        sizes=(len(unit1), len(unit2)),
         price_intervals=intervals,
         cr_guarantee=a,
         kind="two_unit",
@@ -334,10 +405,7 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
         "cr_guarantee": scheme.cr_guarantee,
         "kind": scheme.kind,
         "price_intervals": [[lo, hi] for lo, hi in scheme.price_intervals],
-        "segments": [
-            [{f: getattr(seg, f) for f in _SEGMENT_FIELDS} for seg in unit]
-            for unit in scheme.segments
-        ],
+        "segments": _by_unit(scheme, lambda row: dict(zip(_SEGMENT_FIELDS, row))),
     }
 
 
@@ -355,56 +423,105 @@ def _object(pairs: list[tuple[str, str]], depth: int) -> str:
     return _block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
 
 
+def _number_texts(numbers: list, floats: np.ndarray) -> tuple[str, ...]:
+    """The text ``json.dumps`` writes for each of ``numbers`` and then for
+    each of ``floats``, formatting each distinct float once.
+
+    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
+    equal, so a memo keyed by value would write one as the other. An int is
+    written as an int, so ``numbers`` holding anything but floats are
+    written one by one.
+    """
+    prefix = ()
+    if set(map(type, numbers)) == {float}:
+        floats = np.concatenate([np.array(numbers), floats])
+    else:
+        prefix = tuple(map(json.dumps, numbers))
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    del floats  # freed before the texts are made
+    values = bits.view(float)
+    distinct = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    for j in np.flatnonzero(~np.isfinite(values)).tolist():
+        distinct[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
+    return prefix + tuple(distinct[inverse])
+
+
 def scheme_json_text(scheme: PricingScheme) -> str:
     """``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``, written
     directly from the scheme.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, which took
     more than half of ``kselect pricing`` at k=20000. Here the layout, with
-    keys in sorted order, is one template with ``%s`` for every number,
-    filled by a single ``%`` over the numbers in document order. ``%s``
-    writes ``repr``, as the stdlib does for a finite float or an int; a
-    non-finite float is first replaced by the stdlib's text for it.
+    keys in sorted order, is one template with the few scalars written in
+    and ``%s`` for every marginal, interval end and segment value, filled by
+    a single ``%`` over their texts (see _number_texts) in document order.
+    The texts are made before the template, and the segments block is
+    joined into the template once: both keep the call's peak memory down.
     """
     model = scheme.model
     fields = sorted(_SEGMENT_FIELDS)
-    seg_values = attrgetter(*fields)
-    values = [scheme.alpha_star, scheme.cr_guarantee, scheme.k_underbar_star]
-    values += [model.L, model.U, *model.marginals, model.k]
-    for iv in scheme.price_intervals:
-        values += iv
-    for unit in scheme.segments:
-        for seg in unit:
-            values += seg_values(seg)
-    values.append(scheme.xi_star)
-    if not math.isfinite(sum(values)):
-        values = [x if math.isfinite(x) else json.dumps(x) for x in values]
-
+    texts = _number_texts(
+        [*model.marginals, *chain.from_iterable(scheme.price_intervals)],
+        _column_view(scheme)[[_SEGMENT_FIELDS.index(f) for f in fields]].T.ravel(),
+    )
     segment = _object([(f, "%s") for f in fields], 3)
-    unit_templates: dict[int, str] = {}
-    units = []
-    for unit in scheme.segments:
-        n = len(unit)
-        if n not in unit_templates:
-            unit_templates[n] = _block("[]", [segment] * n, 2)
-        units.append(unit_templates[n])
+    unit_templates = {n: _block("[]", [segment] * n, 2) for n in set(scheme.sizes)}
     interval = _block("[]", ["%s", "%s"], 2)
     marginals = _block("[]", ["%s"] * model.k, 3)
     cost = _object([("marginals", marginals), ("type", '"explicit"')], 2)
-    template = _object(
+    num = json.dumps
+    spec = [("L", num(model.L)), ("U", num(model.U)), ("cost", cost), ("k", num(model.k))]
+    head, tail = _object(
         [
-            ("alpha_star", "%s"),
-            ("cr_guarantee", "%s"),
-            ("k_underbar_star", "%s"),
+            ("alpha_star", num(scheme.alpha_star)),
+            ("cr_guarantee", num(scheme.cr_guarantee)),
+            ("k_underbar_star", num(scheme.k_underbar_star)),
             ("kind", json.dumps(scheme.kind).replace("%", "%%")),
-            ("model", _object([("L", "%s"), ("U", "%s"), ("cost", cost), ("k", "%s")], 1)),
+            ("model", _object(spec, 1)),
             ("price_intervals", _block("[]", [interval] * len(scheme.price_intervals), 1)),
-            ("segments", _block("[]", units, 1)),
-            ("xi_star", "%s"),
+            ("segments", "\0"),
+            ("xi_star", num(scheme.xi_star)),
         ],
         0,
-    )
-    return template % tuple(values)
+    ).split("\0")
+    template = "".join((head, _block("[]", [unit_templates[n] for n in scheme.sizes], 1), tail))
+    return template % texts
+
+
+def _check_curves(scheme: PricingScheme) -> None:
+    """Reject curves that the table lookups cannot read or whose prices
+    leave [L, U] or break the price chain P_1 <= ... <= P_k.
+
+    Each unit needs a segment, and its segments must run end to end from
+    seed 0 to seed 1. Each v_lo must lie at or above the v_lo before it in
+    its unit, or for a unit's first segment, the previous unit's top price.
+    Each test is one comparison over the columns; non-finite rates are read.
+    """
+    sizes = np.array(scheme.sizes)
+    if sizes.min() < 1:
+        raise ValidationError(f"scheme unit {sizes.argmin() + 1} has no segment")
+    s_lo, s_hi, v_lo, v_hi = _column_view(scheme)[:4]
+    end = np.zeros(len(s_lo), dtype=bool)
+    end[np.cumsum(sizes) - 1] = True
+    start = np.roll(end, 1)  # the last row ends unit k, so row 0 starts unit 1
+    L, U = scheme.model.L, scheme.model.U
+    floor = np.where(start, np.roll(v_hi, 1), np.roll(v_lo, 1))
+    floor[0] = L
+    for bad, why in (
+        (
+            ~(s_lo <= s_hi)
+            | (start & (s_lo != 0.0))
+            | np.where(end, s_hi != 1.0, s_hi != np.roll(s_lo, -1)),
+            "segments must run end to end over [0, 1]",
+        ),
+        (
+            ~((L <= v_lo) & (v_lo <= U) & (L <= v_hi) & (v_hi <= U)),
+            f"prices must lie in [L, U] = [{L}, {U}]",
+        ),
+        (v_lo < floor, "v_lo falls below the price before it"),
+    ):
+        if bad.any():
+            raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:
@@ -413,9 +530,10 @@ def scheme_from_json(obj: dict) -> PricingScheme:
         raise ValidationError("scheme spec must be a JSON object")
     try:
         model = model_from_json(obj["model"])
-        segments = tuple(
-            tuple(Segment(**{f: float(seg[f]) for f in _SEGMENT_FIELDS}) for seg in unit)
-            for unit in obj["segments"]
+        units = obj["segments"]
+        sizes = tuple(len(unit) for unit in units)
+        columns = _pack(
+            [float(seg[f]) for unit in units for seg in unit] for f in _SEGMENT_FIELDS
         )
         intervals = tuple((float(lo), float(hi)) for lo, hi in obj["price_intervals"])
         scheme = PricingScheme(
@@ -423,21 +541,15 @@ def scheme_from_json(obj: dict) -> PricingScheme:
             alpha_star=float(obj["alpha_star"]),
             k_underbar_star=int(obj["k_underbar_star"]),
             xi_star=float(obj["xi_star"]),
-            segments=segments,
+            columns=columns,
+            sizes=sizes,
             price_intervals=intervals,
             cr_guarantee=float(obj["cr_guarantee"]),
             kind=str(obj["kind"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
-    if len(scheme.segments) != model.k or len(scheme.price_intervals) != model.k:
+    if len(sizes) != model.k or len(intervals) != model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
-    for i, unit in enumerate(segments, start=1):
-        # what the table lookups rely on; non-finite prices and rates are read
-        pairs = list(zip(unit, unit[1:]))
-        ends = unit and unit[0].s_lo == 0.0 and unit[-1].s_hi == 1.0
-        if not (ends and all(a.s_lo <= a.s_hi == b.s_lo for a, b in pairs)):
-            raise ValidationError(f"scheme unit {i}: segments must run end to end over [0, 1]")
-        if any(b.v_lo < a.v_lo for a, b in pairs):
-            raise ValidationError(f"scheme unit {i}: segment v_lo decreases")
+    _check_curves(scheme)
     return scheme

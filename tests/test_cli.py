@@ -1,5 +1,6 @@
 """End-to-end checks of the kselect command line."""
 
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from kselect import (
     scheme_to_json,
 )
 from kselect.cli import build_parser, main
+from kselect.pricing import scheme_json_text
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -70,9 +72,10 @@ def _edit_segment(unit: int, seg: int, **fields):
     return change
 
 
-# Curve tables the lookups cannot read. The base is the `pricing` output for
-# L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on unit 2 a
-# floor on [0, xi] followed by a ramp from L.
+# Curve tables the lookups cannot read or whose prices break the chain. The
+# base is the `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment
+# on units 1 and 3, and on unit 2 a floor on [0, xi] followed by a ramp from
+# L to 1.91.
 BAD_SCHEMES = {
     "<scheme: unit 2 has no segment>": lambda units: units[1].clear(),
     "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
@@ -80,6 +83,9 @@ BAD_SCHEMES = {
     "<scheme: unit 2 has a gap>": _edit_segment(2, 1, s_lo=0.5),
     "<scheme: unit 2 goes back in seed>": _edit_segment(2, 0, s_hi=1.5),
     "<scheme: unit 2's v_lo decreases>": _edit_segment(2, 1, v_lo=0.5),
+    "<scheme: unit 3 starts at price 0.5>": _edit_segment(3, 0, v_lo=0.5),
+    "<scheme: unit 3 starts below unit 2's top>": _edit_segment(3, 0, v_lo=1.5),
+    "<scheme: unit 3 ends above U>": _edit_segment(3, 0, v_hi=4.5),
 }
 
 
@@ -170,6 +176,9 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-unit-with-gap",
         "scheme-unit-going-back",
         "scheme-v_lo-decreasing",
+        "scheme-price-below-L",
+        "scheme-chain-broken",
+        "scheme-price-above-U",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -499,6 +508,86 @@ def test_pricing_json_round_trips_to_identical_scheme(tmp_path, capsys):
     loaded = scheme_from_json(json.loads(out_path.read_text()))
     model = make_cost_model(1.0, 10.0, 10, quadratic_coeff=1.0 / 59.0)
     assert loaded == build_scheme(model)
+
+
+PRICE_HIGHVALUE = json.dumps(
+    {"L": 1, "U": 30, "k": 20000, "cost": {"type": "quadratic", "coeff": 0.45 / 20000}}
+)
+# SHA-256 of `pricing` stdout, recorded before the curves were stored as
+# columns; the writer and the builders must keep every byte.
+PRICING_SHA256 = {
+    "price-general": (
+        json.dumps({"L": 1, "U": 30, "k": 500, "cost": {"type": "quadratic", "coeff": 1 / 500}}),
+        "ebd3c17f8d584a42cb49fc9a692dce7b18111ca2358cdac017eac3a5387bef3a",
+    ),
+    "price-highvalue": (
+        PRICE_HIGHVALUE, "d81a489c873da5b866c2e11c9df9656a65f1bd2774565c45ebf6ba2a37a1c36f",
+    ),
+    "fig": (FIG_MODEL, "cdf9607378fc04ed80b7de50259abb957aca5d113e461e0aa82d3bf58d3eeeff"),
+    "two-unit": (K2_MODEL, "00f21499e8f7226349365399a1509aa969303f6e75f62d3709a7644c63e4ce7e"),
+    "negative-zero": (
+        '{"L": 1, "U": 4, "k": 3, "cost": {"type": "explicit", "marginals": [-0.0, 0.2, 0.3]}}',
+        "7c2fc683ea64e29d45ac35f8a638c4908b7b549868fadaf4985c1cc8d22f5317",
+    ),
+    # U = L = c_2: unit 2 is above the top marginal with a zero-width interval
+    "flat-range": (
+        '{"L": 2, "U": 2, "k": 2, "cost": {"type": "explicit", "marginals": [0.5, 2.0]}}',
+        "da3af399e277b473a418dd62fc70145f46e7c91d4147cb0e73e2fc752d6f75f0",
+    ),
+}
+# SHA-256 of `simulate --scheme` stdout on the `fig` scheme file, recorded
+# with PRICING_SHA256
+SIMULATE_SHA256 = {
+    (): "8890bddf51a9fd6d19b83d07bdde7e5174f5310da3e7d3cdcfb73964918b6eed",
+    ("--mechanism", "static"): "734bd6aaafc8eb54fdcb6627d78b03bd6b93eb14b9af19217706aa7bd8c4d432",
+    ("--pin-seeds", ",".join(["0.5"] * 10)): (
+        "b7273b3bc62bb8f20fcc8b75f24ede3c783197bb73d5c9840db155064a522a21"
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRICING_SHA256))
+def test_pricing_json_bytes_are_pinned(capsys, name):
+    model, digest = PRICING_SHA256[name]
+    code, out, _ = run_cli(capsys, "pricing", "--model", model)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+def test_simulate_reads_a_pinned_scheme_file_to_pinned_bytes(tmp_path, capsys):
+    # the file has the pinned bytes, so it is the file the recorded writer wrote
+    scheme = tmp_path / "scheme.json"
+    code, _, _ = run_cli(capsys, "pricing", "--model", FIG_MODEL, "--out", str(scheme))
+    assert code == 0
+    assert sha256(scheme.read_text()) == PRICING_SHA256["fig"][1]
+    inst = write_inst(tmp_path, [1.5, 3.0, 9.5, 2.25, 7.0, 4.0, 1.0, 8.5, 6.0, 5.5, 2.0, 10.0])
+    for extra, digest in SIMULATE_SHA256.items():
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", str(scheme), "--instance", inst,
+            "--trials", "50", "--seed", "3", *extra,
+        )
+        assert code == 0
+        assert sha256(out) == digest, extra
+
+
+def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
+    scheme = build_scheme(make_cost_model(1.0, 30.0, 20000, quadratic_coeff=0.45 / 20000))
+    scheme_json_text(scheme)
+    assert "segments" not in scheme.__dict__
+    out = tmp_path / "scheme.json"
+    tracemalloc.start()
+    try:
+        code = main(["pricing", "--model", PRICE_HIGHVALUE, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the traced peak was 25.4 MB when every segment was a Segment object
+    assert peak <= 25.4e6
 
 
 def test_pricing_csv_samples_give_monotone_curves(capsys):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kselect.cost_model import make_cost_model
@@ -370,24 +370,50 @@ def stdlib_text(scheme) -> str:
     return json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True) + "\n"
 
 
+def tail_units(scheme) -> int:
+    """Units past the threshold unit whose interval starts at or above the
+    top marginal: the ones the builder writes as column slices."""
+    top, ku = scheme.model.marginals[-1], scheme.k_underbar_star
+    return sum(i > ku and lo >= top for i, (lo, _) in enumerate(scheme.price_intervals, 1))
+
+
+# tail length aimed at -> (kinds, U / L range); "one" also lifts the top
+# marginal close to U, which leaves only unit k above it
+TAILS = {
+    "any": (("general", "high_value", "two_unit"), (1.2, 6.0)),
+    "none": (("high_value",), (1.0001, 1.01)),
+    "one": (("general",), (1.2, 6.0)),
+    "many": (("general", "high_value"), (2.0, 6.0)),
+}
+
+
 @st.composite
 def built_schemes(draw):
-    """A scheme of a random general, high-value or two-unit setup; k = 1 and
-    pairwise tied marginals are among the draws."""
-    kind = draw(st.sampled_from(("general", "high_value", "two_unit")))
+    """A scheme of a random general, high-value or two-unit setup; k = 1,
+    pairwise tied marginals and tails (see tail_units) of 0, 1 and many
+    units are among the draws."""
+    tail = draw(st.sampled_from(sorted(TAILS)))
+    kinds, (lo, hi) = TAILS[tail]
+    kind = draw(st.sampled_from(kinds))
     L = draw(st.floats(1.0, 3.0))
-    U = L * draw(st.floats(1.2, 6.0))
+    U = L * draw(st.floats(lo, hi))
     if kind == "two_unit":
         k = 2
     else:
-        k = draw(st.integers(2 if kind == "general" else 1, 12))
+        k = draw(st.integers(4 if tail == "many" else 2 if kind == "general" else 1, 12))
     cap = min(1.8 * L, 0.9 * U) if kind == "general" else 0.9 * L
     ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
     if draw(st.booleans()):
         ms = [ms[i - i % 2] for i in range(k)]
     if kind == "general":
         ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
-    return build_scheme(make_cost_model(L=L, U=U, k=k, marginals=ms))
+    if tail == "one":
+        ms[-1] = max(ms[-1], U * draw(st.floats(0.8, 0.97)))
+    scheme = build_scheme(make_cost_model(L=L, U=U, k=k, marginals=ms))
+    if tail != "any":
+        n = tail_units(scheme)
+        assume({"none": n == 0, "one": n == 1, "many": n > 1}[tail])
+    return scheme
 
 
 NAMED_SETUPS = {
@@ -403,6 +429,8 @@ NAMED_SETUPS = {
         lambda s: s.kind == "general" and s.k_underbar_star > 1,
     ),
     "flat-range": (2.0, 2.0, [0.5, 1.0, 1.5], lambda s: s.alpha_star == 1.0),
+    # unit 1 is flat, so its cost is 0.0 and only the marginal is -0.0
+    "negative-zero-marginal": (1.0, 4.0, [-0.0, 0.2, 0.3], lambda s: s.k_underbar_star > 1),
 }
 
 
@@ -429,6 +457,39 @@ class TestSchemeJsonText:
         text = scheme_json_text(scheme) + "\n"
         assert text == stdlib_text(scheme)
         assert '"alpha_star": Infinity,' in text and '"rate": NaN,' in text
+
+
+def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
+    L, U, ms, _ = NAMED_SETUPS["negative-zero-marginal"]
+    scheme = build_scheme(make_cost_model(L=L, U=U, k=len(ms), marginals=ms))
+    text = scheme_json_text(scheme)
+    assert text + "\n" == stdlib_text(scheme)
+    assert text.count("-0.0") == 1
+    assert '"marginals": [\n        -0.0,' in text
+    units = json.loads(text)["segments"]
+    # every unit's first s_lo, and the flat unit's cost and rate
+    zeros = [unit[0]["s_lo"] for unit in units] + [units[0][0]["cost"], units[0][0]["rate"]]
+    assert zeros == [0.0] * len(zeros)
+    assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_schemes())
+def test_every_built_scheme_loads_back_equal(scheme):
+    assert scheme_from_json(json.loads(scheme_json_text(scheme))) == scheme
+
+
+def test_built_schemes_draw_tails_of_none_one_and_many_units():
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(built_schemes())
+    def record(scheme):
+        if scheme.kind != "two_unit":
+            seen.add(min(tail_units(scheme), 2))
+
+    record()
+    assert seen == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
