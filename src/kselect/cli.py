@@ -40,19 +40,11 @@ from .mechanisms import (
     expected_welfare,
     instance_rng,
     instance_sim_seed,
-    make_pinned_deterministic,
-    make_static_random,
     offline_opt,
     ratio_to_opt,
     run_posted_price,
 )
-from .pricing import (
-    PriceVector,
-    build_scheme,
-    prices_for_seeds,
-    scheme_from_json,
-    scheme_json_text,
-)
+from .pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_json_text
 
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
@@ -271,22 +263,13 @@ def _mechanism(scheme, spec) -> Mechanism:
     else:
         kind, _, rest = str(spec).partition(":")
         sigma = rest or 0.5
-    sigma = as_float("sigma", sigma)
-    if kind == "r-dynamic":
-        return Mechanism(name="r-dynamic", kind="r-dynamic", scheme=scheme, surrogate=False)
-    if kind == "pinned":
-        return make_pinned_deterministic(scheme, sigma)
-    if kind == "static":
-        return make_static_random(scheme)
-    raise ValidationError(
-        f"unknown mechanism {kind!r}: expected r-dynamic, pinned or static"
-    )
+    return Mechanism(scheme, kind, as_float("sigma", sigma))
 
 
 def _outcome_json(outcome, prices, seeds) -> dict:
     return {
-        "prices": list(prices),
-        "seeds": list(seeds),
+        "prices": prices,
+        "seeds": seeds,
         "decisions": [
             {"posted_price": d.posted_price, "accepted": d.accepted}
             for d in outcome.decisions
@@ -314,9 +297,8 @@ def cmd_simulate(args) -> int:
         prices = [as_float("prices", p) for p in _items("prices", args.prices)]
         if len(prices) != model.k:
             raise ValidationError(f"expected {model.k} prices, got {len(prices)}")
-        pv = PriceVector(prices=tuple(prices), seeds=())
-        out = run_posted_price(pv, instance, model)
-        _emit(_json_text(_outcome_json(out, pv.prices, pv.seeds)), args.out)
+        out = run_posted_price(prices, instance, model)
+        _emit(_json_text(_outcome_json(out, prices, [])), args.out)
         return 0
 
     if scheme is None:
@@ -326,10 +308,9 @@ def cmd_simulate(args) -> int:
         seeds = [as_float("pin-seeds", p) for p in _items("pin-seeds", args.pin_seeds)]
         if len(seeds) != model.k:
             raise ValidationError(f"expected {model.k} seeds, got {len(seeds)}")
-        prices = prices_for_seeds(scheme, np.array([seeds]))[0]
-        pv = PriceVector(prices=tuple(prices.tolist()), seeds=tuple(seeds))
-        out = run_posted_price(pv, instance, model)
-        _emit(_json_text(_outcome_json(out, pv.prices, pv.seeds)), args.out)
+        prices = prices_for_seeds(scheme, np.array([seeds]))[0].tolist()
+        out = run_posted_price(prices, instance, model)
+        _emit(_json_text(_outcome_json(out, prices, seeds)), args.out)
         return 0
 
     mech = _mechanism(scheme, args.mechanism)

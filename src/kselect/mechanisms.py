@@ -6,9 +6,11 @@ at exact equality). Expected welfare is estimated over independent trials;
 trial t draws from a dedicated substream spawned from (master_seed, t), so
 results are reproducible and order-independent.
 
-One function, _price_matrix, draws the seeds and prices of any set of
-trials and is the only place the mechanisms differ: expected_welfare takes
-rows 0..trials-1 of it and run_trial replays one row through run_posted_price.
+A Mechanism is a pricing scheme plus the kind of seeding it uses; its
+name and surrogate flag follow from the kind. One function, _price_matrix,
+draws the prices of any set of trials and is the only place the kinds
+differ: expected_welfare takes rows 0..trials-1 of it and run_trial
+replays one row through run_posted_price.
 Its prices are lookups in the pricing layer's flat curve table, through
 prices_for_seeds and static_prices_for_quantiles; the layout stays there.
 
@@ -28,6 +30,7 @@ constructions are not reproduced here.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +38,7 @@ import numpy as np
 from .cost_model import CostModel
 from .errors import ValidationError
 from .instances import Instance
-from .pricing import (
-    PriceVector,
-    PricingScheme,
-    prices_for_seeds,
-    static_prices_for_quantiles,
-)
+from .pricing import PricingScheme, prices_for_seeds, static_prices_for_quantiles
 
 
 @dataclass(frozen=True)
@@ -69,19 +67,55 @@ class WelfareEstimate:
     trials: int
 
 
+_KINDS = ("r-dynamic", "pinned", "static")
+
+
 @dataclass(frozen=True)
 class Mechanism:
-    """Handle tying a pricing scheme to a seeding policy."""
+    """A pricing scheme and the way its seeds are drawn.
 
-    name: str
-    kind: str  # "r-dynamic" | "pinned" | "static"
+    kind "r-dynamic" draws every unit's seed uniformly in each trial;
+    "pinned" fixes every seed to sigma in [0, 1], a deterministic surrogate;
+    "static" posts one draw from the aggregate price distribution to every
+    buyer, a single-price surrogate. Only pinned reads sigma.
+    """
+
     scheme: PricingScheme
-    surrogate: bool
-    sigma: float | None = None
+    kind: str = "r-dynamic"
+    sigma: float = 0.5
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValidationError(
+                f"unknown mechanism {self.kind!r}: expected r-dynamic, pinned or static"
+            )
+        if self.kind == "pinned" and not 0.0 <= self.sigma <= 1.0:
+            raise ValidationError(f"sigma {self.sigma} outside [0, 1]")
+
+    @property
+    def name(self) -> str:
+        """The label every output reports."""
+        if self.kind == "pinned":
+            return f"d-dynamic-surrogate(sigma={self.sigma:g})"
+        return "r-static-surrogate" if self.kind == "static" else "r-dynamic"
+
+    @property
+    def surrogate(self) -> bool:
+        """True for the two kinds that stand in for external baselines."""
+        return self.kind != "r-dynamic"
+
+
+def _checked(target, model: CostModel) -> Mechanism:
+    """target, which must be a Mechanism whose scheme was built for model."""
+    if not isinstance(target, Mechanism):
+        raise ValidationError(f"expected a Mechanism, got {type(target)!r}")
+    if target.scheme.model != model:
+        raise ValidationError("the mechanism's scheme was built for another model")
+    return target
 
 
 def run_posted_price(
-    price_vector: PriceVector, instance: Instance, model: CostModel
+    prices: Sequence[float], instance: Instance, model: CostModel
 ) -> RunOutcome:
     """Execute one pass of the sequential mechanism over the arrivals, traced.
 
@@ -89,7 +123,6 @@ def run_posted_price(
     rebuilt from the sale positions: unit j + 1 is posted to every arrival
     after unit j's sale up to and including its own.
     """
-    prices = price_vector.prices
     if len(prices) != model.k:
         raise ValidationError(
             f"price vector has {len(prices)} entries, model capacity is {model.k}"
@@ -152,38 +185,7 @@ def ratio_to_opt(opt: float, mean: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# seeding policies
-
-
-def make_pinned_deterministic(scheme: PricingScheme, sigma: float) -> Mechanism:
-    """Deterministic variant: every unit's seed pinned to sigma."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ValidationError(f"sigma {sigma} outside [0, 1]")
-    return Mechanism(
-        name=f"d-dynamic-surrogate(sigma={sigma:g})",
-        kind="pinned",
-        scheme=scheme,
-        surrogate=True,
-        sigma=sigma,
-    )
-
-
-def make_static_random(scheme: PricingScheme) -> Mechanism:
-    """Single-price variant: one draw from the aggregate price distribution."""
-    return Mechanism(
-        name="r-static-surrogate",
-        kind="static",
-        scheme=scheme,
-        surrogate=True,
-    )
-
-
-def _as_mechanism(target) -> Mechanism:
-    if isinstance(target, Mechanism):
-        return target
-    if isinstance(target, PricingScheme):
-        return Mechanism(name="r-dynamic", kind="r-dynamic", scheme=target, surrogate=False)
-    raise ValidationError(f"expected a PricingScheme or Mechanism, got {type(target)!r}")
+# seed substreams
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -207,20 +209,16 @@ def instance_sim_seed(master_seed: int, index: int) -> int:
 # price draws
 
 
-def _price_matrix(mech: Mechanism, trial_indices, master_seed: int):
-    """Seeds and posted prices, (n, k) each; row r depends only on trial_indices[r]."""
+def _price_matrix(mech: Mechanism, trial_indices, master_seed: int) -> np.ndarray:
+    """Posted prices, (n, k); row r depends only on trial_indices[r]."""
     k = mech.scheme.model.k
     if mech.kind == "pinned":
-        seeds = np.full((len(trial_indices), k), float(mech.sigma))
-        return seeds, prices_for_seeds(mech.scheme, seeds)
-    if mech.kind == "r-dynamic":
-        seeds = np.stack([trial_rng(master_seed, t).random(k) for t in trial_indices])
-        return seeds, prices_for_seeds(mech.scheme, seeds)
+        return prices_for_seeds(mech.scheme, np.full((len(trial_indices), k), float(mech.sigma)))
     if mech.kind == "static":
         qs = np.array([trial_rng(master_seed, t).random() for t in trial_indices])
-        p = static_prices_for_quantiles(mech.scheme, qs)
-        return np.repeat(qs[:, None], k, axis=1), np.repeat(p[:, None], k, axis=1)
-    raise ValidationError(f"unknown mechanism kind {mech.kind!r}")
+        return np.repeat(static_prices_for_quantiles(mech.scheme, qs)[:, None], k, axis=1)
+    seeds = np.stack([trial_rng(master_seed, t).random(k) for t in trial_indices])
+    return prices_for_seeds(mech.scheme, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +314,8 @@ def run_trial(
     target, instance: Instance, model: CostModel, master_seed: int, trial_index: int
 ) -> RunOutcome:
     """Row trial_index of the Monte-Carlo engine, traced; bit-identical on rerun."""
-    seeds, prices = _price_matrix(_as_mechanism(target), [trial_index], master_seed)
-    pv = PriceVector(prices=tuple(prices[0].tolist()), seeds=tuple(seeds[0].tolist()))
-    return run_posted_price(pv, instance, model)
+    prices = _price_matrix(_checked(target, model), [trial_index], master_seed)[0]
+    return run_posted_price(prices.tolist(), instance, model)
 
 
 def expected_welfare(
@@ -333,10 +330,10 @@ def expected_welfare(
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
-    mech = _as_mechanism(target)
+    mech = _checked(target, model)
     _check_valuations(instance, model)
     rows = [0] if mech.kind == "pinned" else range(trials)
-    w, _ = _welfares(_price_matrix(mech, rows, master_seed)[1], instance, model)
+    w, _ = _welfares(_price_matrix(mech, rows, master_seed), instance, model)
     mean = float(w.mean())
     std_error = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
     return WelfareEstimate(mean=mean, std_error=std_error, trials=trials)

@@ -21,8 +21,7 @@ Two constructions:
 
 A scheme stores its curves as six float columns, not as one object per
 segment (see PricingScheme). The builders and scheme_from_json write the
-columns directly; ``PricingScheme.segments`` is a view of them as Segment
-objects, built on first read, that the ``pricing`` command never builds.
+columns directly, and scheme_to_json lists them segment by segment.
 
 Every lookup reads one cached flat table over the columns
 (``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
@@ -56,24 +55,10 @@ from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One parametric piece of a price curve, as ``PricingScheme.segments`` shows it.
-
-    Constant piece: rate == 0 and the price is v_lo everywhere on
-    [s_lo, s_hi]. Exponential piece: price = cost + (v_lo - cost) *
-    e^{rate * (s - s_lo)}, reaching v_hi at s_hi. Evaluations clamp into
-    [v_lo, v_hi] so shared endpoints are hit exactly.
-    """
-
-    s_lo: float
-    s_hi: float
-    v_lo: float
-    v_hi: float
-    cost: float
-    rate: float
-
-
+# One segment of a price curve. Constant piece: rate == 0 and the price is
+# v_lo everywhere on [s_lo, s_hi]. Exponential piece: price = cost + (v_lo -
+# cost) * e^{rate * (s - s_lo)}, reaching v_hi at s_hi. Evaluations clamp
+# into [v_lo, v_hi] so shared endpoints are hit exactly.
 _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
 
 
@@ -84,8 +69,7 @@ class PricingScheme:
     The curves are stored as columns: ``columns`` holds the six
     ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
-    of segments of unit i. ``segments`` is a view of them as Segment
-    objects, built on first read.
+    of segments of unit i.
     """
 
     model: CostModel
@@ -97,11 +81,6 @@ class PricingScheme:
     price_intervals: tuple[tuple[float, float], ...]  # (L_i, U_i) for i = 1..k
     cr_guarantee: float
     kind: str  # "high_value" | "two_unit" | "general"
-
-    @cached_property
-    def segments(self) -> tuple[tuple[Segment, ...], ...]:
-        """One tuple of Segment objects per unit, seed-ordered."""
-        return tuple(map(tuple, _by_unit(self, lambda row: Segment(*row))))
 
     @cached_property
     def _table(self):
@@ -123,20 +102,6 @@ def _pack(columns) -> array:
 def _column_view(scheme: PricingScheme) -> np.ndarray:
     """The scheme's columns as a (6, segments) array sharing their memory."""
     return np.frombuffer(scheme.columns).reshape(len(_SEGMENT_FIELDS), -1)
-
-
-def _by_unit(scheme: PricingScheme, make) -> list[list]:
-    """``make(row)`` for each segment's _SEGMENT_FIELDS tuple, one list per
-    unit, seed-ordered."""
-    made = list(map(make, zip(*_column_view(scheme).tolist())))
-    stops = list(accumulate(scheme.sizes))
-    return [made[a:b] for a, b in zip([0, *stops], stops)]
-
-
-@dataclass(frozen=True)
-class PriceVector:
-    prices: tuple[float, ...]
-    seeds: tuple[float, ...]
 
 
 def _check_unit(model: CostModel, i: int) -> None:
@@ -396,7 +361,11 @@ def build_scheme(model: CostModel) -> PricingScheme:
 
 
 def scheme_to_json(scheme: PricingScheme) -> dict:
-    """Serialize a scheme; floats survive the JSON round trip bit-exactly."""
+    """Serialize a scheme; floats survive the JSON round trip bit-exactly.
+    ``segments`` lists each unit's segments, seed-ordered, as objects keyed
+    by _SEGMENT_FIELDS."""
+    rows = [dict(zip(_SEGMENT_FIELDS, row)) for row in zip(*_column_view(scheme).tolist())]
+    stops = list(accumulate(scheme.sizes))
     return {
         "model": model_to_json(scheme.model),
         "alpha_star": scheme.alpha_star,
@@ -405,7 +374,7 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
         "cr_guarantee": scheme.cr_guarantee,
         "kind": scheme.kind,
         "price_intervals": [[lo, hi] for lo, hi in scheme.price_intervals],
-        "segments": _by_unit(scheme, lambda row: dict(zip(_SEGMENT_FIELDS, row))),
+        "segments": [rows[a:b] for a, b in zip([0, *stops], stops)],
     }
 
 

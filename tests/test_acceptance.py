@@ -19,27 +19,11 @@ import pytest
 from closed_form import closed_form_alpha
 from exact_welfare import dynamic_welfare, static_welfare
 
-from kselect import (
-    Mechanism,
-    build_intervals,
-    build_scheme,
-    eval_psi,
-    expected_welfare,
-    gen_iid,
-    gen_low2high,
-    gen_sorted,
-    hard_instance,
-    inverse_price,
-    make_cost_model,
-    make_pinned_deterministic,
-    make_static_random,
-    offline_opt,
-    prices_for_seeds,
-    ratio_to_opt,
-    solve_alpha_star,
-    verify_equality,
-)
-from kselect.instances import Instance
+from kselect.cost_model import make_cost_model
+from kselect.instances import Instance, gen_iid, gen_low2high, gen_sorted, hard_instance
+from kselect.lower_bound import build_intervals, eval_psi, solve_alpha_star, verify_equality
+from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
+from kselect.pricing import build_scheme, inverse_price, prices_for_seeds
 
 BENCH = make_cost_model(1.0, 30.0, 10, quadratic_coeff=1.0 / 16.0)
 
@@ -70,10 +54,6 @@ def random_general_model(rng, max_k=12):
     ms = np.sort(rng.uniform(0.0, cap, size=k))
     ms[0] = min(ms[0], 0.9 * L)
     return make_cost_model(L, U, k, marginals=ms.tolist())
-
-
-def dynamic(scheme):
-    return Mechanism(name="r-dynamic", kind="r-dynamic", scheme=scheme, surrogate=False)
 
 
 def instance_seed(master, idx):
@@ -205,7 +185,7 @@ def test_criterion_07_empirical_ratio_within_guarantee():
     the allowance is three propagated standard errors of the ratio.
     """
     scheme = build_scheme(BENCH)
-    mech = dynamic(scheme)
+    mech = Mechanism(scheme)
     cr = scheme.cr_guarantee
     for idx in range(100):
         rng = gen_rng(70_707, idx)
@@ -231,7 +211,7 @@ def test_criterion_08_two_unit_hard_instance_is_tight():
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
     scheme = build_scheme(model)
     inst = hard_instance(model, 0.01, 5.0)
-    est = expected_welfare(dynamic(scheme), inst, model, 100_000, 80_808)
+    est = expected_welfare(Mechanism(scheme), inst, model, 100_000, 80_808)
     ratio = ratio_to_opt(offline_opt(inst, model)[0], est.mean)
     alpha = scheme.alpha_star
     assert alpha - 0.05 <= ratio <= alpha + 0.01, (
@@ -311,7 +291,7 @@ def test_criterion_11_ratio_cdf_shapes():
     """
     sol = solve_alpha_star(BENCH)
     scheme = build_scheme(BENCH)
-    mechs = [dynamic(scheme), make_pinned_deterministic(scheme, 0.5), make_static_random(scheme)]
+    mechs = [Mechanism(scheme), Mechanism(scheme, "pinned", 0.5), Mechanism(scheme, "static")]
     trials, count = 400, 60
 
     iid_est, iid_exact, iid_opt = [], [], []

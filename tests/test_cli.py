@@ -1,9 +1,11 @@
 """End-to-end checks of the kselect command line."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import stat
 import subprocess
@@ -13,21 +15,11 @@ import tracemalloc
 import pytest
 
 import kselect
-from kselect import (
-    build_scheme,
-    expected_welfare,
-    hard_instance,
-    instance_text,
-    make_cost_model,
-    make_pinned_deterministic,
-    model_to_json,
-    offline_opt,
-    ratio_to_opt,
-    scheme_from_json,
-    scheme_to_json,
-)
 from kselect.cli import build_parser, main
-from kselect.pricing import scheme_json_text
+from kselect.cost_model import make_cost_model, model_to_json
+from kselect.instances import hard_instance, instance_text
+from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
+from kselect.pricing import build_scheme, scheme_from_json, scheme_to_json
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -497,6 +489,28 @@ def test_readme_names_exactly_the_options_of_each_subcommand():
     assert set(flag.findall(preamble)) <= set().union(*defined.values())
 
 
+def test_readme_library_section_names_exactly_the_package_root():
+    # A kselect function or class named bare in the section's inline code or
+    # in its Python example is a root entry point; any other is written
+    # with its module, as `pricing.price_at`.
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    texts = re.findall(r"```python\n(.*?)```", section, re.S)
+    texts += re.findall(r"(?<!`)`([^`\n]+)`(?!`)", section)
+    api = set()
+    for info in pkgutil.iter_modules(kselect.__path__):
+        if info.name.startswith("_"):
+            continue  # __main__ runs the command line on import
+        mod = importlib.import_module(f"kselect.{info.name}")
+        api |= {
+            name for name, value in vars(mod).items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == mod.__name__
+        }
+    word = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+    named = {w for text in texts for w in word.findall(text) if w in api}
+    assert named == set(kselect.__all__)
+
+
 # ---------------------------------------------------------------------------
 # pricing
 
@@ -575,9 +589,6 @@ def test_simulate_reads_a_pinned_scheme_file_to_pinned_bytes(tmp_path, capsys):
 
 
 def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
-    scheme = build_scheme(make_cost_model(1.0, 30.0, 20000, quadratic_coeff=0.45 / 20000))
-    scheme_json_text(scheme)
-    assert "segments" not in scheme.__dict__
     out = tmp_path / "scheme.json"
     tracemalloc.start()
     try:
@@ -754,7 +765,7 @@ def test_experiment_single_pinned_instance_single_point(tmp_path, capsys):
     assert flag == "true"
     assert frac == "1"
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
-    mech = make_pinned_deterministic(build_scheme(model), 0.5)
+    mech = Mechanism(build_scheme(model), "pinned", 0.5)
     inst = hard_instance(model, 1.0, 5.0)
     est = expected_welfare(mech, inst, model, 1, 0)
     want = ratio_to_opt(offline_opt(inst, model)[0], est.mean)
@@ -777,6 +788,12 @@ def test_experiment_cdf_is_valid_and_rerun_is_byte_identical(tmp_path, capsys):
     for name, flag, ratio, frac in rows:
         seen.setdefault(name, []).append((float(ratio), float(frac), flag))
     assert set(seen) == {"r-dynamic", "d-dynamic-surrogate(sigma=0.25)", "r-static-surrogate"}
+    # each kind's derived labels are the ones the CSV shows
+    scheme = build_scheme(make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5]))
+    mechs = [Mechanism(scheme), Mechanism(scheme, "pinned", 0.25), Mechanism(scheme, "static")]
+    assert {name: pts[0][2] for name, pts in seen.items()} == {
+        m.name: "true" if m.surrogate else "false" for m in mechs
+    }
     for name, pts in seen.items():
         ratios = [r for r, _, _ in pts]
         fracs = [f for _, f, _ in pts]

@@ -26,8 +26,6 @@ from kselect.mechanisms import (
     expected_welfare,
     instance_rng,
     instance_sim_seed,
-    make_pinned_deterministic,
-    make_static_random,
     offline_opt,
     ratio_to_opt,
     run_posted_price,
@@ -37,7 +35,6 @@ from kselect.mechanisms import (
 )
 from kselect.lower_bound import solve_alpha_star
 from kselect.pricing import (
-    PriceVector,
     build_scheme,
     inverse_price,
     price_at,
@@ -62,8 +59,7 @@ class TestRunPostedPrice:
     def test_hand_traced_run(self):
         # reject, then sell unit 1, then sell unit 2: welfare 3.2 - 0.3 = 2.9
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
-        pv = PriceVector(prices=(1.05, 1.5), seeds=(0.0, 0.0))
-        out = run_posted_price(pv, Instance((1.0, 1.2, 2.0)), m)
+        out = run_posted_price((1.05, 1.5), Instance((1.0, 1.2, 2.0)), m)
         assert [d.accepted for d in out.decisions] == [False, True, True]
         assert [d.posted_price for d in out.decisions] == [1.05, 1.05, 1.5]
         assert out.units_sold == 2
@@ -72,13 +68,13 @@ class TestRunPostedPrice:
 
     def test_acceptance_at_exact_equality(self):
         m = make_cost_model(L=1.0, U=2.0, k=1, marginals=[0.0])
-        out = run_posted_price(PriceVector((1.5,), (0.0,)), Instance((1.5,)), m)
+        out = run_posted_price((1.5,), Instance((1.5,)), m)
         assert out.decisions[0].accepted
         assert out.units_sold == 1
 
     def test_sold_out_posts_nothing(self):
         m = make_cost_model(L=1.0, U=2.0, k=1, marginals=[0.0])
-        out = run_posted_price(PriceVector((1.0,), (0.0,)), Instance((1.0, 1.8)), m)
+        out = run_posted_price((1.0,), Instance((1.0, 1.8)), m)
         assert out.decisions[0].accepted
         assert out.decisions[1].posted_price is None
         assert not out.decisions[1].accepted
@@ -86,27 +82,27 @@ class TestRunPostedPrice:
 
     def test_empty_instance(self):
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
-        out = run_posted_price(PriceVector((1.0, 1.5), (0.0, 0.0)), Instance(()), m)
+        out = run_posted_price((1.0, 1.5), Instance(()), m)
         assert out.units_sold == 0
         assert out.welfare == 0.0
 
     def test_validation(self):
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
         with pytest.raises(ValidationError, match="arrival 2"):
-            run_posted_price(PriceVector((1.0, 1.5), (0.0, 0.0)), Instance((1.5, 0.9)), m)
+            run_posted_price((1.0, 1.5), Instance((1.5, 0.9)), m)
         with pytest.raises(ValidationError):
-            run_posted_price(PriceVector((1.0,), (0.0,)), Instance((1.5,)), m)
+            run_posted_price((1.0,), Instance((1.5,)), m)
         for bad in ((1.0, math.nan), (math.inf, 1.5), (1.0, -math.inf)):
             with pytest.raises(ValidationError, match="finite"):
-                run_posted_price(PriceVector(bad, ()), Instance((1.5,)), m)
+                run_posted_price(bad, Instance((1.5,)), m)
 
     def test_accepted_prices_nondecreasing(self):
         rng = np.random.default_rng(211)
         m = make_cost_model(L=1.0, U=5.0, k=4, marginals=[0.1, 0.2, 0.3, 0.4])
-        sch = build_scheme(m)
+        dyn = Mechanism(build_scheme(m))
         inst = gen_iid(m, 60, 3.0, 2.0, rng)
         for t in range(20):
-            out = run_trial(sch, inst, m, 999, t)
+            out = run_trial(dyn, inst, m, 999, t)
             taken = [d.posted_price for d in out.decisions if d.accepted]
             assert all(a <= b for a, b in zip(taken, taken[1:]))
             assert out.units_sold == sum(d.accepted for d in out.decisions)
@@ -150,14 +146,10 @@ def kernel_cases(draw):
     model = make_cost_model(L=L, U=U, k=k, marginals=ms)
     scheme = build_scheme(model)
     mech_kind = draw(st.sampled_from(("r-dynamic", "static", "pinned")))
-    if mech_kind == "r-dynamic":
-        mech = Mechanism("r-dynamic", "r-dynamic", scheme, False)
-    elif mech_kind == "static":
-        mech = make_static_random(scheme)
-    else:
-        mech = make_pinned_deterministic(scheme, draw(st.floats(0.0, 1.0)))
+    sigma = draw(st.floats(0.0, 1.0)) if mech_kind == "pinned" else 0.5
+    mech = Mechanism(scheme, mech_kind, sigma)
     seed = draw(st.integers(0, 2**32 - 1))
-    P = _price_matrix(mech, range(draw(st.integers(1, 12))), seed)[1]
+    P = _price_matrix(mech, range(draw(st.integers(1, 12))), seed)
     m = draw(st.integers(0, 9))
     n = draw(st.sampled_from((0, 1, 2**m, 2**m + 1)))
     rng = np.random.default_rng(seed)
@@ -178,7 +170,7 @@ class TestSellKernel:
             sales, trace, welfare, revenue = sequential_run(row, inst.valuations, model)
             assert pos[r].tolist() == sales + [n] * (model.k - len(sales))
             assert w[r].hex() == welfare.hex()
-            out = run_posted_price(PriceVector(tuple(row), ()), inst, model)
+            out = run_posted_price(row, inst, model)
             assert out.welfare.hex() == welfare.hex()
             assert out.revenue.hex() == revenue.hex()
             assert out.units_sold == len(sales)
@@ -234,32 +226,33 @@ class TestOfflineOpt:
 class TestSubstreams:
     def test_run_trial_bit_identical(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_scheme(m)
+        dyn = Mechanism(build_scheme(m))
         inst = gen_iid(m, 40, 2.5, 1.0, np.random.default_rng(5))
-        a = run_trial(sch, inst, m, 42, 17)
-        b = run_trial(sch, inst, m, 42, 17)
+        a = run_trial(dyn, inst, m, 42, 17)
+        b = run_trial(dyn, inst, m, 42, 17)
         assert a == b
-        c = run_trial(sch, inst, m, 42, 18)
+        c = run_trial(dyn, inst, m, 42, 18)
         assert c != a
 
     def test_estimate_reproducible_and_matches_per_trial_runs(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        sch = build_scheme(m)
+        dyn = Mechanism(build_scheme(m))
         inst = gen_iid(m, 30, 2.5, 1.0, np.random.default_rng(7))
-        est1 = expected_welfare(sch, inst, m, trials=200, master_seed=42)
-        est2 = expected_welfare(sch, inst, m, trials=200, master_seed=42)
+        est1 = expected_welfare(dyn, inst, m, trials=200, master_seed=42)
+        est2 = expected_welfare(dyn, inst, m, trials=200, master_seed=42)
         assert est1 == est2
-        manual = np.mean([run_trial(sch, inst, m, 42, t).welfare for t in range(200)])
+        manual = np.mean([run_trial(dyn, inst, m, 42, t).welfare for t in range(200)])
         assert est1.mean == float(manual)
 
     def test_run_trial_is_an_engine_row(self):
         # k arrivals at U buy every unit, so the posted prices are the whole row
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         sch = build_scheme(m)
-        stat = make_static_random(sch)
+        dyn = Mechanism(sch)
+        stat = Mechanism(sch, "static")
         inst = Instance((m.U,) * m.k)
         for t in range(20):
-            posted = [d.posted_price for d in run_trial(sch, inst, m, 8, t).decisions]
+            posted = [d.posted_price for d in run_trial(dyn, inst, m, 8, t).decisions]
             row = prices_for_seeds(sch, trial_rng(8, t).random(m.k)[None])[0]
             assert posted == row.tolist()
             posted = [d.posted_price for d in run_trial(stat, inst, m, 8, t).decisions]
@@ -275,9 +268,9 @@ class TestSubstreams:
 
     def test_trials_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
-        sch = build_scheme(m)
+        dyn = Mechanism(build_scheme(m))
         with pytest.raises(ValidationError):
-            expected_welfare(sch, Instance((2.0,)), m, trials=0, master_seed=1)
+            expected_welfare(dyn, Instance((2.0,)), m, trials=0, master_seed=1)
 
 
 class TestExpectedWelfare:
@@ -285,8 +278,8 @@ class TestExpectedWelfare:
         # top price is U = e and utility at equality is accepted, so the one
         # buyer at v = e buys in every trial: zero variance, ratio exactly 1
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
-        sch = build_scheme(m)
-        est = expected_welfare(sch, Instance((math.e,)), m, trials=300, master_seed=3)
+        dyn = Mechanism(build_scheme(m))
+        est = expected_welfare(dyn, Instance((math.e,)), m, trials=300, master_seed=3)
         assert est.mean == pytest.approx(math.e, rel=1e-12)
         assert est.std_error == 0.0
         assert ratio_to_opt(offline_opt(Instance((math.e,)), m)[0], est.mean) == pytest.approx(
@@ -295,18 +288,19 @@ class TestExpectedWelfare:
 
     def test_flat_scheme_has_zero_variance(self):
         m = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
-        sch = build_scheme(m)
+        dyn = Mechanism(build_scheme(m))
         inst = Instance((2.0, 2.0, 2.0))
-        est = expected_welfare(sch, inst, m, trials=50, master_seed=9)
+        est = expected_welfare(dyn, inst, m, trials=50, master_seed=9)
         assert est.std_error == 0.0
-        assert est.mean == pytest.approx(run_trial(sch, inst, m, 9, 0).welfare, abs=1e-12)
+        assert est.mean == pytest.approx(run_trial(dyn, inst, m, 9, 0).welfare, abs=1e-12)
 
     def test_ratio_bounded_by_guarantee(self):
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         sch = build_scheme(m)
+        dyn = Mechanism(sch)
         for seed in (31, 37, 41):
             inst = gen_iid(m, 120, 15.0, 15.0, np.random.default_rng(seed))
-            est = expected_welfare(sch, inst, m, trials=1500, master_seed=seed)
+            est = expected_welfare(dyn, inst, m, trials=1500, master_seed=seed)
             opt, _ = offline_opt(inst, m)
             slack = 3.0 * opt * est.std_error / est.mean**2
             assert ratio_to_opt(opt, est.mean) <= sch.cr_guarantee + slack
@@ -314,15 +308,41 @@ class TestExpectedWelfare:
     def test_hard_instance_ratio_near_two_unit_bound(self):
         m = make_cost_model(L=1.0, U=5.0, k=2, marginals=[0.25, 0.5])
         sch = build_scheme(m)
+        dyn = Mechanism(sch)
         assert sch.kind == "two_unit"
         inst = hard_instance(m, epsilon=0.01, terminal_stage=5.0)
-        est = expected_welfare(sch, inst, m, trials=20_000, master_seed=77)
+        est = expected_welfare(dyn, inst, m, trials=20_000, master_seed=77)
         assert abs(ratio_to_opt(offline_opt(inst, m)[0], est.mean) - sch.alpha_star) <= 0.08
+
+    def test_target_must_be_a_mechanism_of_the_model(self):
+        # a model other than the scheme's once gave a wrong mean with no
+        # error (other costs) or an IndexError (other k)
+        m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
+        sch = build_scheme(m)
+        inst = Instance((3.9,) * 4)
+        same = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
+        est = expected_welfare(Mechanism(sch), inst, same, trials=50, master_seed=1)
+        assert est.mean == pytest.approx(11.028, abs=1e-9)
+        others = (
+            make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.5, 0.6, 0.7]),
+            make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.1, 0.2]),
+        )
+        for kind in ("r-dynamic", "pinned", "static"):
+            for other in others:
+                with pytest.raises(ValidationError, match="built for another model"):
+                    expected_welfare(Mechanism(sch, kind), inst, other, 50, 1)
+                with pytest.raises(ValidationError, match="built for another model"):
+                    run_trial(Mechanism(sch, kind), inst, other, 1, 0)
+        for target in (sch, "r-dynamic"):
+            with pytest.raises(ValidationError, match="expected a Mechanism"):
+                expected_welfare(target, inst, m, 50, 1)
+            with pytest.raises(ValidationError, match="expected a Mechanism"):
+                run_trial(target, inst, m, 1, 0)
 
     def test_empty_instance_ratio_convention(self):
         m = make_cost_model(L=1.0, U=2.0, k=1, marginals=[0.0])
-        sch = build_scheme(m)
-        est = expected_welfare(sch, Instance(()), m, trials=5, master_seed=1)
+        dyn = Mechanism(build_scheme(m))
+        est = expected_welfare(dyn, Instance(()), m, trials=5, master_seed=1)
         assert est.mean == 0.0
         assert ratio_to_opt(offline_opt(Instance(()), m)[0], est.mean) == 1.0
         assert ratio_to_opt(1.0, 0.0) == math.inf
@@ -333,8 +353,8 @@ class TestSurrogates:
     def test_pinned_extremes_and_determinism(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
         sch = build_scheme(m)
-        lo = make_pinned_deterministic(sch, 0.0)
-        hi = make_pinned_deterministic(sch, 1.0)
+        lo = Mechanism(sch, "pinned", 0.0)
+        hi = Mechanism(sch, "pinned", 1.0)
         inst = gen_iid(m, 25, 2.5, 1.0, np.random.default_rng(43))
         out_lo = run_trial(lo, inst, m, 0, 0)
         posted = [d.posted_price for d in out_lo.decisions if d.posted_price is not None]
@@ -350,8 +370,14 @@ class TestSurrogates:
     def test_pinned_sigma_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
         sch = build_scheme(m)
-        with pytest.raises(ValidationError):
-            make_pinned_deterministic(sch, 1.2)
+        with pytest.raises(ValidationError, match="sigma 1.2 outside"):
+            Mechanism(sch, "pinned", 1.2)
+        # only pinned reads sigma
+        assert Mechanism(sch, "static", 1.2).name == "r-static-surrogate"
+        # an unknown kind fails when the mechanism is built, not at its first estimate
+        for kind in ("bogus", "", None):
+            with pytest.raises(ValidationError, match="expected r-dynamic, pinned or static"):
+                Mechanism(sch, kind)
 
     def test_static_quantile_extremes(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
@@ -395,16 +421,17 @@ class TestSurrogates:
     def test_static_single_unit_matches_dynamic_distribution(self):
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
         sch = build_scheme(m)
-        stat = make_static_random(sch)
+        dyn = Mechanism(sch)
+        stat = Mechanism(sch, "static")
         inst = Instance((1.3, 2.0, 2.5))
-        a = expected_welfare(sch, inst, m, trials=4000, master_seed=55)
+        a = expected_welfare(dyn, inst, m, trials=4000, master_seed=55)
         b = expected_welfare(stat, inst, m, trials=4000, master_seed=56)
         assert abs(a.mean - b.mean) <= 3.0 * (a.std_error + b.std_error)
         assert stat.surrogate and "surrogate" in stat.name
 
     def test_static_posts_one_price(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        stat = make_static_random(build_scheme(m))
+        stat = Mechanism(build_scheme(m), "static")
         out = run_trial(stat, Instance((3.9, 3.9, 3.9, 3.9)), m, 5, 2)
         posted = {d.posted_price for d in out.decisions if d.posted_price is not None}
         assert len(posted) == 1
@@ -423,7 +450,7 @@ class TestEnsembleMonotonicity:
         sold = []
         for seeds in seed_vectors:
             prices = tuple(price_at(sch, i, float(seeds[i - 1])) for i in (1, 2))
-            out = run_posted_price(PriceVector(prices, tuple(seeds)), inst, m)
+            out = run_posted_price(prices, inst, m)
             sold.append(np.cumsum([d.accepted for d in out.decisions]))
         sold = np.array(sold)
         top = sold.max(axis=0)
@@ -458,7 +485,7 @@ class TestExactWelfareOracle:
         for s1, w1 in zip(*cells[0]):
             for s2, w2 in zip(*cells[1]):
                 prices = (price_at(sch, 1, s1), price_at(sch, 2, s2))
-                out = run_posted_price(PriceVector(prices, (s1, s2)), inst, m)
+                out = run_posted_price(prices, inst, m)
                 brute += w1 * w2 * out.welfare
         exact = dynamic_welfare(solve_alpha_star(m), m, inst.valuations)
         assert exact == pytest.approx(brute, abs=1e-9)
@@ -471,7 +498,7 @@ class TestExactWelfareOracle:
         cuts = [np.mean([inverse_price(sch, i, v) for i in units]) for v in inst.valuations]
         qs, widths = _seed_cells(cuts, n=1000)
         brute = sum(
-            w * run_posted_price(PriceVector((float(p),) * m.k, (q,) * m.k), inst, m).welfare
+            w * run_posted_price((float(p),) * m.k, inst, m).welfare
             for q, w, p in zip(qs, widths, static_prices_for_quantiles(sch, qs))
         )
         exact = static_welfare(solve_alpha_star(m), m, inst.valuations)

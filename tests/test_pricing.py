@@ -111,7 +111,7 @@ class TestSchemeShape:
             top = prices_for_seeds(sch, np.ones((1, m.k)))[0, -1]
             assert top <= m.U
             assert sch.price_intervals[-1][1] == top
-            assert max(seg.v_hi for seg in sch.segments[-1]) <= m.U
+            assert max(seg["v_hi"] for seg in scheme_to_json(sch)["segments"][-1]) <= m.U
             assert abs(top - m.U) <= 1e-8
             above += solve_alpha_star(m).intervals[-1][1] > m.U
         assert above > 0  # the clamp is exercised
@@ -204,12 +204,12 @@ class TestDuality:
         for gen in (random_high_value_model, random_general_model):
             m = gen(rng)
             sch = build_scheme(m)
-            for i in range(1, m.k + 1):
-                for seg in sch.segments[i - 1]:
-                    if seg.rate == 0.0:
+            for i, unit in enumerate(scheme_to_json(sch)["segments"], start=1):
+                for seg in unit:
+                    if seg["rate"] == 0.0:
                         continue
                     for t in np.linspace(0.01, 0.99, 25):
-                        s = float(seg.s_lo + t * (seg.s_hi - seg.s_lo))
+                        s = float(seg["s_lo"] + t * (seg["s_hi"] - seg["s_lo"]))
                         v = price_at(sch, i, s)
                         assert inverse_price(sch, i, v) == pytest.approx(s, abs=1e-9)
 
@@ -289,16 +289,15 @@ class TestGeneralConstruction:
     def test_piece_junctions_are_continuous(self):
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         sch = build_scheme(m)
-        for i in range(1, 11):
-            segs = sch.segments[i - 1]
+        for i, segs in enumerate(scheme_to_json(sch)["segments"], start=1):
             for left, right in zip(segs, segs[1:]):
-                assert left.v_hi == right.v_lo
-                if left.rate:
-                    from_left = left.cost + (left.v_lo - left.cost) * math.exp(
-                        left.rate * (left.s_hi - left.s_lo)
+                assert left["v_hi"] == right["v_lo"]
+                if left["rate"]:
+                    from_left = left["cost"] + (left["v_lo"] - left["cost"]) * math.exp(
+                        left["rate"] * (left["s_hi"] - left["s_lo"])
                     )
-                    assert from_left == pytest.approx(right.v_lo, rel=1e-10)
-                assert price_at(sch, i, left.s_hi) == right.v_lo
+                    assert from_left == pytest.approx(right["v_lo"], rel=1e-10)
+                assert price_at(sch, i, left["s_hi"]) == right["v_lo"]
 
     def test_two_unit_general_guarantee_formula(self):
         # L=1, U=4, c=(0.5, 2): U_1 = 0.5 + 1.5 e^{(alpha - 1 - ln 3)/2},
@@ -497,22 +496,24 @@ def test_built_schemes_draw_tails_of_none_one_and_many_units():
 
 
 def literal_price(unit, s: float) -> float:
-    """A unit's curve at seed s by a scan of its segments: the last one that
+    """A unit's curve at seed s by a scan of its segments, as scheme_to_json
+    lists them: the last one that
     starts at or below s, read with the table's rule (v_hi at or past s_hi,
     v_lo at or below s_lo, the clamped exponential in between)."""
-    seg = [seg for seg in unit if seg.s_lo <= s][-1]
-    if s >= seg.s_hi:
-        return seg.v_hi
-    if s <= seg.s_lo:
-        return seg.v_lo
-    p = seg.cost + (seg.v_lo - seg.cost) * np.exp(seg.rate * (s - seg.s_lo))
-    return float(min(max(p, seg.v_lo), seg.v_hi))
+    seg = [seg for seg in unit if seg["s_lo"] <= s][-1]
+    if s >= seg["s_hi"]:
+        return seg["v_hi"]
+    if s <= seg["s_lo"]:
+        return seg["v_lo"]
+    p = seg["cost"] + (seg["v_lo"] - seg["cost"]) * np.exp(seg["rate"] * (s - seg["s_lo"]))
+    return float(min(max(p, seg["v_lo"]), seg["v_hi"]))
 
 
 def boundary_seeds(scheme) -> list[float]:
     """Every segment boundary of every unit and the floats either side of
     it, within [0, 1]."""
-    edges = {x for unit in scheme.segments for seg in unit for x in (seg.s_lo, seg.s_hi)}
+    units = scheme_to_json(scheme)["segments"]
+    edges = {x for unit in units for seg in unit for x in (seg["s_lo"], seg["s_hi"])}
     near = {y for x in edges for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
     return sorted(y for y in near if 0.0 <= y <= 1.0)
 
@@ -525,7 +526,7 @@ class TestCurveTable:
         k = scheme.model.k
         grid = boundary_seeds(scheme) + rng.random(40).tolist()
         table = prices_for_seeds(scheme, np.repeat(np.array(grid)[:, None], k, axis=1))
-        for i, unit in enumerate(scheme.segments, start=1):
+        for i, unit in enumerate(scheme_to_json(scheme)["segments"], start=1):
             want = [literal_price(unit, s) for s in grid]
             assert table[:, i - 1].tolist() == want, i
             assert [price_at(scheme, i, s) for s in grid] == want, i
