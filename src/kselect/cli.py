@@ -256,13 +256,17 @@ def cmd_instances(args) -> int:
 
 def _mechanism(scheme, spec) -> Mechanism:
     """Mechanism of a ``kind[:sigma]`` spec, or of a config object
-    ``{"kind": ..., "sigma": ...}``. Only pinned uses sigma, 0.5 when
-    omitted."""
+    ``{"kind": ..., "sigma": ...}``. Only pinned takes sigma, 0.5 when
+    omitted; a sigma on any other kind is invalid input."""
     if isinstance(spec, dict):
-        kind, sigma = spec.get("kind"), spec.get("sigma", 0.5)
+        kind, has_sigma = spec.get("kind"), "sigma" in spec
+        sigma = spec.get("sigma", 0.5)
     else:
-        kind, _, rest = str(spec).partition(":")
-        sigma = rest or 0.5
+        kind, sep, rest = str(spec).partition(":")
+        has_sigma, sigma = bool(sep), rest or 0.5
+    if has_sigma and kind != "pinned":
+        Mechanism(scheme, kind)  # an unknown kind is the error to report
+        raise ValidationError(f"mechanism {spec!r}: only pinned takes a sigma")
     return Mechanism(scheme, kind, as_float("sigma", sigma))
 
 

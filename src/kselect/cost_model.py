@@ -77,10 +77,12 @@ class CostModel:
         Piece j is ``[b[j-1], b[j])`` (unbounded below for j = 0, above for
         j = len(b)); ``bisect_right(b, v)`` is the piece holding v, and g
         equals ``counts[j]`` throughout it. The counts are a packed array
-        so that large ladders do not hold one int object per piece.
+        so that large ladders do not hold one int object per piece. They
+        are stored as floats, exact for any k up to 2^53, so the chain walk
+        multiplies float by float.
         """
         bps: list[float] = []
-        counts = array("q", [0])
+        counts = array("d", [0])
         for n, c in enumerate(self.marginals, start=1):
             if bps and c == bps[-1]:
                 counts[-1] = n

@@ -26,12 +26,23 @@ interpolate on u_k, so on the benchmark setups it walks the chain 13 to 22
 times where bisection walks it 56 or 57, and never more than one walk
 beyond it.
 
-Each chain walk reads ``k_underbar`` (a bisect) and ``xi`` (one lookup)
-off the model's cached prefix table ``CostModel.floor_prefix``, then walks
-one step per unit: exact g-piece integration while the chain is below the
-top marginal, and a multiply-add by e^{alpha/k} once it is above. The walk
-keeps only the chain ends; the returned solution alone builds the
-``(ell_i, u_i)`` pairs.
+Each chain walk is one kernel, ``_chain``. It reads ``k_underbar`` (a
+bisect) and ``xi`` (one lookup) off the model's cached prefix table
+``CostModel.floor_prefix``, then walks one step per unit, keeping only the
+current end: exact g-piece integration, inlined, while the chain is at or
+below the top marginal, and a multiply-add by e^{alpha/k} once it is
+above, where no unit can open below its cost and the loop tests nothing.
+The search walks return ``(k_underbar, xi, u_k)`` alone; one more walk at
+the answer, ``build_intervals``, records the ends from which the
+``(ell_i, u_i)`` pairs are built. Every walk does the same float
+operations in the same order, so the recorded chain ends on the u_k the
+search saw.
+
+The walk's cost, not the number of walks, is what is left to cut. Near
+the root the computed u_k is a staircase at the scale of one ulp of alpha:
+at k = 20000, over the 300 floats above alpha_star, 86% of one-ulp steps
+leave u_k unchanged and one step moves it by up to 2.3e-13, where the
+slope predicts 2.9e-14. So the last halvings cannot be interpolated.
 """
 
 import bisect
@@ -167,83 +178,88 @@ def _integral_over_pole(model: CostModel, c: float, a: float, b: float) -> float
     return total
 
 
-def _solve_u(
-    model: CostModel, c: float, a: float, target: float, j: int | None = None
-) -> float:
-    """Smallest u >= a with integral_a^u g(eta)/(eta - c) d eta = target.
-
-    Walks constant-g pieces from the one holding a (``j``, when known)
-    accumulating their exact log contributions and inverts inside the piece
-    where the target is met. Overflows to +inf rather than raising (callers
-    treat that as "beyond any cap").
-    """
-    bps, counts = model.g_steps
-    if j is None:
-        j = piece_index(model, a)
-    acc = 0.0
-    lo = a
-    while True:
-        hi = bps[j] if j < len(bps) else math.inf
-        g = counts[j]
-        if g:
-            piece = g * math.log((hi - c) / (lo - c)) if math.isfinite(hi) else math.inf
-            if acc + piece >= target:
-                return c + (lo - c) * _exp((target - acc) / g)
-            acc += piece
-        elif not math.isfinite(hi):
-            raise AssertionError("allocation count vanishes above all marginals")
-        lo = hi
-        j += 1
-
-
 # ---------------------------------------------------------------------------
 # the interval chain
 
 
-def _chain(model: CostModel, alpha: float):
-    """Chain ends via exact g-integrals; None when alpha is infeasibly low.
+def _chain(model: CostModel, alpha: float, ends: list | None = None):
+    """One walk up the interval chain at alpha: ``(k_underbar, xi, u_k)``, or
+    None when alpha is infeasibly low.
 
-    Returns ``(k_underbar, xi, ends)`` with ``ends = [L, u_{k_underbar}, ...,
-    u_k]``: unit i's interval runs from the end before it to its own.
     Infeasible means some interval would open at or below its own marginal
-    cost (an integrand pole), which happens for small alpha when costs
-    reach above L. Feasibility is monotone in alpha, so the search on alpha
-    treats None as "chain falls short of U".
+    cost (an integrand pole), which happens for small alpha when costs reach
+    above L. Feasibility is monotone in alpha, so the search on alpha treats
+    None as "chain falls short of U". When ``ends`` is a list, the walk
+    appends ``u_{k_underbar}, ..., u_k`` to it: unit i's interval runs from
+    the end before it (L for the first) to its own. The search asks for u_k
+    alone; ``build_intervals`` records the ends.
 
-    The intervals are contiguous, so the walk carries the index of the
-    g-piece holding the current endpoint from one unit to the next. Once
-    the chain is above every marginal, g = k for every later unit, and each
-    one scales by the same e^{alpha/k} in a plain float loop.
+    Unit i's end is the u where the integral of g(eta) / (eta - c_i) from
+    the end before it reaches its target: alpha (1 - xi) for unit
+    k_underbar, alpha for the rest. g is constant on each piece between
+    distinct marginals (``CostModel.g_steps``), so the walk adds one exact
+    log per piece and inverts inside the piece where the target is met. The
+    intervals are contiguous, so the index of the piece holding the current
+    end carries from one unit to the next.
+
+    Once the chain is above the top marginal, g = k for every later unit,
+    and each one scales by the same e^{alpha/k} in a plain multiply-add
+    loop with no feasibility test. None is needed: u_i - c_i is exact when
+    c_i >= u_{i-1} / 2, and otherwise the factor (over 1 + 1e-6, as
+    alpha >= 1 and k <= MAX_K) outweighs its rounding, so the computed u_i
+    is never below u_{i-1}, and the chain stays above every later cost. A
+    chain that lands on the top marginal exactly stays in the checked
+    loop, whose top piece is the same multiply-add, until it is above.
     """
     k_underbar = compute_k_underbar(model, alpha)
     xi = compute_xi(model, alpha, k_underbar)
-    ms = model.marginals
-    top = len(model.g_steps[0])
-    j = piece_index(model, model.L)
-    u = _solve_u(model, ms[k_underbar - 1], model.L, alpha * (1.0 - xi), j)
-    ends = [model.L, u]
-    i = k_underbar  # units walked so far
-    while i < model.k:
-        j = piece_index(model, u, j)
-        if j == top:
+    bps, counts = model.g_steps
+    ms, k = model.marginals, model.k
+    top, c_top = len(bps), bps[-1]
+    log = math.log
+    u = model.L
+    j = bisect.bisect_right(bps, u)  # piece holding u; g > 0 there, as u > c_1
+    c = ms[k_underbar - 1]
+    target = alpha * (1.0 - xi)
+    i = k_underbar  # units walked, counting the one in hand
+    while True:
+        lo, acc, p = u, 0.0, j
+        while p < top:
+            hi = bps[p]
+            piece = counts[p] * log((hi - c) / (lo - c))
+            if acc + piece >= target:
+                break
+            acc += piece
+            lo = hi
+            p += 1
+        u = c + (lo - c) * _exp((target - acc) / counts[p])
+        if ends is not None:
+            ends.append(u)
+        if i == k:
+            return k_underbar, xi, u
+        if u > c_top:
             break
+        if u >= lo:  # pieces j..p-1 all end at or below lo
+            j = p
+        while j < top and bps[j] <= u:
+            j += 1
         c = ms[i]
         if u <= c:
             return None
-        u = _solve_u(model, c, u, alpha, j)
-        ends.append(u)
+        target = alpha
         i += 1
-    step = _exp(alpha / model.k)
-    for c in ms[i:]:
-        if u <= c:
-            return None
-        u = c + (u - c) * step
-        ends.append(u)
-    return k_underbar, xi, ends
+    step = _exp(alpha / k)
+    if ends is None:
+        for c in ms[i:]:
+            u = c + (u - c) * step
+    else:
+        for c in ms[i:]:
+            u = c + (u - c) * step
+            ends.append(u)
+    return k_underbar, xi, u
 
 
-def _mk_solution(model: CostModel, alpha, chain, notes=()) -> LowerBoundSolution:
-    k_underbar, xi, ends = chain
+def _mk_solution(model: CostModel, alpha, k_underbar, xi, ends, notes=()) -> LowerBoundSolution:
     if xi == 1.0:
         notes = notes + ("k_underbar threshold met exactly (xi == 1)",)
     return LowerBoundSolution(
@@ -259,13 +275,14 @@ def _mk_solution(model: CostModel, alpha, chain, notes=()) -> LowerBoundSolution
 def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
     """Interval chain at a given alpha via exact piecewise-log integration."""
     alpha = _check_alpha(alpha)
-    chain = _chain(model, alpha)
+    ends = [model.L]
+    chain = _chain(model, alpha, ends)
     if chain is None:
         raise ValidationError(
             f"alpha = {alpha} is below the feasible range for this setup "
             "(an interval would open below its unit's marginal cost)"
         )
-    return _mk_solution(model, alpha, chain)
+    return _mk_solution(model, alpha, chain[0], chain[1], ends)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +300,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         xi = compute_xi(model, 1.0, k_underbar)
         flat = [model.L] * (model.k - k_underbar + 2)
         return _mk_solution(
-            model, 1.0, (k_underbar, xi, flat), notes=("U == L: alpha fixed at 1",)
+            model, 1.0, k_underbar, xi, flat, notes=("U == L: alpha fixed at 1",)
         )
 
     if model.marginals[-1] >= U:
@@ -295,23 +312,25 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
             "so the interval chain cannot terminate at U"
         )
 
+    # The search walks ask for u_k alone; build_intervals walks the chain
+    # once more at the answer to record its ends.
     def u_of(alpha):
         chain = _chain(model, alpha)
-        return (-math.inf, None) if chain is None else (chain[2][-1], chain)
+        return -math.inf if chain is None else chain[2]
 
     lo, hi = 1.0, 2.0
-    u_lo, chain_lo = u_of(lo)
-    if abs(u_lo - U) <= DEFAULT_TOL and chain_lo is not None:
-        return _mk_solution(model, lo, chain_lo)
+    u_lo = u_of(lo)
+    if abs(u_lo - U) <= DEFAULT_TOL:
+        return build_intervals(model, lo)
     if u_lo > U:
         raise SolverError(f"no bracket: chain already exceeds U at alpha = {lo}")
-    u_hi, chain_hi = u_of(hi)
+    u_hi = u_of(hi)
     while u_hi < U:
-        lo, u_lo, chain_lo = hi, u_hi, chain_hi
+        lo, u_lo = hi, u_hi
         hi *= 2.0
         if hi > MAX_BRACKET:
             raise SolverError(f"bracket growth exhausted at alpha = {hi}")
-        u_hi, chain_hi = u_of(hi)
+        u_hi = u_of(hi)
 
     # ITP (interpolate, truncate, project): step to the regula falsi point,
     # nudged towards the midpoint by kappa1 * width^2 (kappa2 = 2) and kept
@@ -340,19 +359,20 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
             x = x_t if abs(x_t - mid) <= r else mid - sigma * r
             if not lo < x < hi:
                 x = mid
-        u_x, chain_x = u_of(x)
+        u_x = u_of(x)
         if u_x >= U:
-            hi, u_hi, chain_hi = x, u_x, chain_x
+            hi, u_hi = x, u_x
         else:
-            lo, u_lo, chain_lo = x, u_x, chain_x
+            lo, u_lo = x, u_x
 
     # lo and hi are adjacent floats, whose chain ends lie a gap apart that
-    # grows with U; an end within DEFAULT_TOL wins first, hi before lo.
+    # grows with U; an end within DEFAULT_TOL wins first, hi before lo. An
+    # infeasible lo (u_lo = -inf) never wins.
     for tol in (DEFAULT_TOL, DEFAULT_TOL * U):
         if abs(u_hi - U) <= tol:
-            return _mk_solution(model, hi, chain_hi)
-        if chain_lo is not None and abs(u_lo - U) <= tol:
-            return _mk_solution(model, lo, chain_lo)
+            return build_intervals(model, hi)
+        if abs(u_lo - U) <= tol:
+            return build_intervals(model, lo)
     raise SolverError(
         f"search exhausted: |u_k - U| = {abs(u_hi - U):.3e} exceeds "
         f"tol = {DEFAULT_TOL * max(U, 1.0):.3e}"

@@ -50,7 +50,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .cost_model import CostModel, conjugate, model_from_json, model_to_json
+from .cost_model import CostModel, model_from_json, model_to_json
 from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
 
@@ -351,12 +351,14 @@ def build_scheme(model: CostModel) -> PricingScheme:
     if model.high_value:
         cr = sol.alpha * math.exp(sol.alpha / model.k)
     else:
-        uppers = [model.L] + [iv[1] for iv in _price_intervals(model, sol)]
-        cr = max(
-            sol.alpha
-            * (1.0 + (uppers[i] - model.marginals[i - 1]) / conjugate(model, uppers[i - 1]))
-            for i in range(1, model.k + 1)
-        )
+        # one pass over the units; the conjugate at U_{i-1} is
+        # U_{i-1} g - f(g) with g = #marginals <= U_{i-1}, as in conjugate()
+        uppers = np.array([model.L, *(hi for _, hi in _price_intervals(model, sol))])
+        ms = np.array(model.marginals)
+        below = uppers[:-1]
+        g = np.searchsorted(ms, below, side="right")
+        conj = below * g - np.array(model.cumulative)[g]
+        cr = float(np.max(sol.alpha * (1.0 + (uppers[1:] - ms) / conj)))
     return _scheme(model, sol, cr)
 
 

@@ -103,7 +103,7 @@ def bisect_alpha(model):
         nonlocal walks
         walks += 1
         chain = _chain(model, alpha)
-        return -math.inf if chain is None else chain[2][-1]
+        return -math.inf if chain is None else chain[2]
 
     lo, hi = 1.0, 2.0
     u_lo = u_of(lo)

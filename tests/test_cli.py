@@ -133,6 +133,12 @@ REMOVED_INSTANCE_FLAGS = (
         ("curves", "--k-min", "1000001", "--k-max", "1000002"),
         ("experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1000001}'),
         *[("simulate", "--scheme", name, "--instance", os.devnull) for name in BAD_SCHEMES],
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "r-dynamic:7"),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "static:0.3"),
+        (
+            "experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1}',
+            "--mechanisms", "pinned:0.3,static:0.3",
+        ),
     ],
     ids=[
         "marginals-string",
@@ -171,6 +177,9 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-price-below-L",
         "scheme-chain-broken",
         "scheme-price-above-U",
+        "sigma-on-r-dynamic",
+        "sigma-on-static",
+        "sigma-on-static-in-list",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -183,6 +192,27 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "No such file" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,cfg",
+    [
+        (("simulate", "--instance", os.devnull), {"mechanism": {"kind": "static", "sigma": 0.3}}),
+        (
+            ("experiment", "--instances", '{"kind": "iid", "count": 1}'),
+            {"mechanisms": [{"kind": "pinned", "sigma": 0.3}, {"kind": "r-dynamic", "sigma": 0.5}]},
+        ),
+    ],
+    ids=["simulate-static", "experiment-r-dynamic"],
+)
+def test_config_sigma_on_a_kind_but_pinned_exits_2(tmp_path, capsys, argv, cfg):
+    # only pinned reads sigma; a sigma given to another kind is not ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, argv[0], "--config", str(path), "--model", K2_MODEL, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mechanism ") and err.count("\n") == 1
+    assert "only pinned takes a sigma" in err
 
 
 @pytest.mark.parametrize("flag", ["prices", "pin-seeds"])

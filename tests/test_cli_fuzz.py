@@ -95,7 +95,9 @@ COUNTED_SPECS = st.tuples(SPECS, st.sampled_from([1, 2, 0])).map(
 BAD_COUNTED_SPECS = JUNK | _one_key_spoiled(COUNTED_SPECS, extra_keys=("eps", "n", "bogus"))
 
 MECHANISM = st.sampled_from(["r-dynamic", "static", "pinned", "pinned:0.3", "pinned:1"])
-BAD_MECHANISM = JUNK | st.sampled_from(["pinned:2", "pinned:x", "static:nan", "bogus", ""])
+BAD_MECHANISM = JUNK | st.sampled_from(
+    ["pinned:2", "pinned:x", "static:nan", "bogus", "", "r-dynamic:7", "static:0.3", "static:"]
+)
 MECHANISMS = st.lists(MECHANISM, min_size=1, max_size=3)
 NUMBERS = st.lists(st.floats(0, 6), min_size=1, max_size=2)
 

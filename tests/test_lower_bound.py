@@ -35,7 +35,6 @@ from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.lower_bound import (
     DEFAULT_TOL,
     _integral_over_pole,
-    _solve_u,
     build_intervals,
     compute_k_underbar,
     compute_xi,
@@ -168,21 +167,27 @@ class TestExactIntegration:
         want = math.log(3.0) + 2.0 * math.log(3.5 / 1.5)
         assert _integral_over_pole(m, 0.5, 1.0, 4.0) == pytest.approx(want, rel=1e-14)
 
-    def test_solve_u_round_trip(self):
+    def test_first_unit_round_trip(self):
+        # the walk's first unit integrates g(eta) / (eta - c) from L up to
+        # alpha (1 - xi); integrating back over its interval gives the target
         rng = np.random.default_rng(21)
         for _ in range(200):
             m = random_general_model(rng)
-            c = float(m.marginals[int(rng.integers(0, m.k))])
-            a = c + float(rng.uniform(0.05, 2.0))
-            target = float(rng.uniform(0.0, 6.0))
-            u = _solve_u(m, c, a, target)
-            assert u >= a
-            back = _integral_over_pole(m, c, a, u)
-            assert back == pytest.approx(target, rel=1e-10, abs=1e-10)
+            alpha = solve_alpha_star(m).alpha * float(rng.uniform(1.0, 2.5))
+            sol = build_intervals(m, alpha)
+            c = m.marginals[sol.k_underbar - 1]
+            ell, u = sol.intervals[0]
+            assert ell == m.L and u >= ell
+            back = _integral_over_pole(m, c, ell, u)
+            assert back == pytest.approx(alpha * (1.0 - sol.xi), rel=1e-10, abs=1e-10)
 
-    def test_solve_u_zero_target_is_identity(self):
-        m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        assert _solve_u(m, 0.5, 1.25, 0.0) == pytest.approx(1.25, rel=1e-15)
+    def test_first_unit_zero_target_is_identity(self):
+        # xi = 1 at alpha = 2 (conjugate(L) / 2 = 0.75 = L - c_1): the first
+        # unit's target alpha (1 - xi) is 0, so its interval is [L, L]
+        m = make_cost_model(L=1.25, U=4.0, k=2, marginals=[0.5, 0.5])
+        sol = build_intervals(m, 2.0)
+        assert (sol.k_underbar, sol.xi) == (1, 1.0)
+        assert sol.intervals[0][1] == pytest.approx(1.25, rel=1e-15)
 
 
 class TestChainsAtFixedAlpha:
@@ -378,19 +383,24 @@ BENCHMARK_MODELS = {
 
 
 def counted_solve(monkeypatch, model):
-    """The solver's solution and the number of chain walks it took."""
-    walks = 0
-    chain = lower_bound._chain
+    """The solver's solution and its walks of the chain kernel ``_chain``:
+    the search walks, which ask for u_k alone, and the walks that record
+    the chain's ends."""
+    searched = recorded = 0
+    walk = lower_bound._chain
 
-    def counting(m, alpha):
-        nonlocal walks
-        walks += 1
-        return chain(m, alpha)
+    def counting(m, alpha, ends=None):
+        nonlocal searched, recorded
+        if ends is None:
+            searched += 1
+        else:
+            recorded += 1
+        return walk(m, alpha, ends)
 
     with monkeypatch.context() as patch:
         patch.setattr(lower_bound, "_chain", counting)
         sol = solve_alpha_star(model)
-    return sol, walks
+    return sol, searched, recorded
 
 
 class TestItpSearch:
@@ -402,16 +412,17 @@ class TestItpSearch:
         assert len(setups) >= 400
         for m in setups:
             alpha, bisect_walks = bisect_alpha(m)
-            sol, walks = counted_solve(monkeypatch, m)
+            sol, walks, recorded = counted_solve(monkeypatch, m)
             assert sol.alpha.hex() == alpha.hex(), (m.L, m.U, m.marginals)
             assert walks <= bisect_walks + 1, (m.L, m.U, m.marginals)
+            assert recorded == 1
 
     @pytest.mark.parametrize("k", sorted(BENCHMARK_MODELS))
     def test_benchmark_models(self, monkeypatch, k):
         m = BENCHMARK_MODELS[k]
-        sol, walks = counted_solve(monkeypatch, m)
+        sol, walks, recorded = counted_solve(monkeypatch, m)
         assert sol.alpha.hex() == bisect_alpha(m)[0].hex()
-        assert walks <= 25
+        assert (walks, recorded) == ({10: 13, 500: 21, 20000: 22}[k], 1)
 
     def test_worst_case_is_bisection_plus_one(self, monkeypatch):
         # u_k = U + (alpha - 3.7)^3 is flat at its root, where regula falsi
@@ -420,14 +431,19 @@ class TestItpSearch:
         m = make_cost_model(L=1.0, U=30.0, k=1, marginals=[0.5])
         walks = 0
 
-        def cubic_chain(model, alpha):
+        def cubic_chain(model, alpha, ends=None):
             nonlocal walks
-            walks += 1
-            return 1, 0.5, [model.L, model.U + (alpha - 3.7) ** 3]
+            u = model.U + (alpha - 3.7) ** 3
+            if ends is None:
+                walks += 1
+            else:
+                ends.append(u)
+            return 1, 0.5, u
 
         monkeypatch.setattr(lower_bound, "_chain", cubic_chain)
         sol = solve_alpha_star(m)
         assert abs(sol.alpha - 3.7) <= 1e-3
+        assert walks > 3
         assert walks <= 3 + 52 + 1
 
     def test_returned_chain_is_the_one_walked_at_alpha(self):
@@ -446,6 +462,69 @@ class TestItpSearch:
         side = math.inf if end < m.U else -math.inf
         other = build_intervals(m, math.nextafter(sol.alpha, side)).intervals[-1][1]
         assert (end - m.U) * (other - m.U) < 0.0
+
+
+def end_only_agrees(m, alpha) -> bool:
+    """Whether the search's walk (u_k alone) agrees with build_intervals at
+    alpha: the same k_underbar, xi and chain end, bit for bit, or None
+    exactly where build_intervals raises. True when the chain is feasible."""
+    chain = lower_bound._chain(m, alpha)
+    try:
+        sol = build_intervals(m, alpha)
+    except ValidationError:
+        assert chain is None, (m.L, m.U, m.marginals, alpha)
+        return False
+    assert chain is not None, (m.L, m.U, m.marginals, alpha)
+    ku, xi, end = chain
+    assert (ku, xi.hex(), end.hex()) == (
+        sol.k_underbar, sol.xi.hex(), sol.intervals[-1][1].hex()
+    ), (m.L, m.U, m.marginals, alpha)
+    return True
+
+
+class TestWalkKernel:
+    """The search walks keep only u_k; build_intervals walks the same kernel
+    and records every end."""
+
+    def test_end_only_walk_is_the_recorded_end(self):
+        rng = np.random.default_rng(31)
+        feasible = infeasible = 0
+        for m in random_setups(2024):
+            star = solve_alpha_star(m).alpha
+            alphas = [1.0, star, math.nextafter(star, 0.0), math.nextafter(star, math.inf)]
+            alphas += rng.uniform(1.0, star, size=3).tolist()
+            alphas += (star * rng.uniform(1.0, 3.0, size=3)).tolist()
+            for alpha in alphas:
+                if end_only_agrees(m, max(alpha, 1.0)):
+                    feasible += 1
+                else:
+                    infeasible += 1
+        assert feasible > 2000 and infeasible > 200
+
+    # Chains built to reach the top marginal c_k exactly, or one ulp above
+    # it, from below (unit 1's interval crosses every other piece). At or
+    # above c_k the walk's last piece is the multiply-add of the plain loop;
+    # only above it may the loop drop the test u <= c_i.
+    @pytest.mark.parametrize(
+        "marginals, ulps_above, feasible",
+        [
+            # on c_2: unit 2 opens at its own cost
+            ([0.25, float.fromhex("0x1.72acb8a9fa642p+2")], 0, False),
+            # one ulp above c_2: the plain loop from unit 2 on
+            ([0.25, float.fromhex("0x1.72acb8a9fa640p+2")], 1, True),
+            # on c_3, with c_2 below it: unit 2 lifts the chain off c_3
+            ([0.25, 1.5, float.fromhex("0x1.70e43b2edb5e7p+1")], 0, True),
+            # one ulp above c_3, with c_2 below it
+            ([0.25, 1.5, float.fromhex("0x1.70e43b2edb5e4p+1")], 1, True),
+        ],
+    )
+    def test_chain_entering_the_top_piece(self, marginals, ulps_above, feasible):
+        m = make_cost_model(L=1.0, U=30.0, k=len(marginals), marginals=marginals)
+        ends = [m.L]
+        lower_bound._chain(m, 3.0, ends)
+        c_top = m.marginals[-1]
+        assert ends[1] == (math.nextafter(c_top, math.inf) if ulps_above else c_top)
+        assert end_only_agrees(m, 3.0) is feasible
 
 
 class TestPsi:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kselect.cost_model import make_cost_model
+from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import ValidationError
 from kselect.lower_bound import eval_psi, solve_alpha_star
 from kselect.pricing import (
@@ -317,6 +317,31 @@ class TestGeneralConstruction:
         assert sch.kind == "general"
         assert sch.cr_guarantee > sch.alpha_star
         assert math.isfinite(sch.cr_guarantee)
+
+    def test_general_guarantee_is_the_unit_loop(self):
+        # build_scheme computes max_i alpha (1 + (U_i - c_i) / f*(U_{i-1}))
+        # in one array pass; this loop over conjugate() is the reference,
+        # bit for bit, on ladders with ties and with a marginal at L
+        rng = np.random.default_rng(41)
+        for n in range(120):
+            m = random_general_model(rng, k_max=12)
+            if n % 3 == 1:  # tied ladder
+                inner = rng.choice(m.marginals, size=m.k - 2).tolist()
+                ms = sorted([m.marginals[0], *inner, m.marginals[-1]])
+                m = make_cost_model(L=m.L, U=m.U, k=m.k, marginals=ms)
+            elif n % 3 == 2:  # one marginal exactly at L
+                ms = sorted([*m.marginals[:-1], m.L])
+                m = make_cost_model(L=m.L, U=m.U, k=m.k, marginals=ms)
+            if m.high_value:
+                continue
+            sch = build_scheme(m)
+            a = sch.alpha_star
+            uppers = [m.L] + [hi for _, hi in sch.price_intervals]
+            want = max(
+                a * (1.0 + (uppers[i] - m.marginals[i - 1]) / conjugate(m, uppers[i - 1]))
+                for i in range(1, m.k + 1)
+            )
+            assert sch.cr_guarantee.hex() == want.hex()
 
 
 class TestDispatchAndValidation:
