@@ -263,7 +263,7 @@ def _mechanism(scheme, spec) -> Mechanism:
         sigma = spec.get("sigma", 0.5)
     else:
         kind, sep, rest = str(spec).partition(":")
-        has_sigma, sigma = bool(sep), rest or 0.5
+        has_sigma, sigma = bool(sep), rest if sep else 0.5
     if has_sigma and kind != "pinned":
         Mechanism(scheme, kind)  # an unknown kind is the error to report
         raise ValidationError(f"mechanism {spec!r}: only pinned takes a sigma")
@@ -475,7 +475,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="r-dynamic, static or pinned; pinned takes an optional :sigma suffix",
     )
     p.add_argument("--trials", default=2000, help="Monte-Carlo trials")
-    p.add_argument("--seed", default=0, help="master seed for trial substreams")
+    p.add_argument("--seed", default=0, help="master seed keying the trial stream")
     p.add_argument("--pin-seeds", help="comma seeds; one deterministic trace")
     p.add_argument("--prices", help="comma prices; bypass the scheme entirely")
     p.set_defaults(func=cmd_simulate)

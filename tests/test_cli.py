@@ -139,6 +139,11 @@ REMOVED_INSTANCE_FLAGS = (
             "experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1}',
             "--mechanisms", "pinned:0.3,static:0.3",
         ),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "pinned:"),
+        (
+            "experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1}',
+            "--mechanisms", "pinned:,static",
+        ),
     ],
     ids=[
         "marginals-string",
@@ -180,6 +185,8 @@ REMOVED_INSTANCE_FLAGS = (
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
+        "empty-sigma",
+        "empty-sigma-in-list",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -579,11 +586,12 @@ PRICING_SHA256 = {
         "da3af399e277b473a418dd62fc70145f46e7c91d4147cb0e73e2fc752d6f75f0",
     ),
 }
-# SHA-256 of `simulate --scheme` stdout on the `fig` scheme file, recorded
-# with PRICING_SHA256
+# SHA-256 of `simulate --scheme` stdout on the `fig` scheme file. The
+# --pin-seeds digest was recorded with PRICING_SHA256; the r-dynamic and
+# static digests when trials moved to the keyed Philox streams.
 SIMULATE_SHA256 = {
-    (): "8890bddf51a9fd6d19b83d07bdde7e5174f5310da3e7d3cdcfb73964918b6eed",
-    ("--mechanism", "static"): "734bd6aaafc8eb54fdcb6627d78b03bd6b93eb14b9af19217706aa7bd8c4d432",
+    (): "4c21203ba28b6739e3543194552fdb82b9d70ebbe773a12876bef52b36b2781d",
+    ("--mechanism", "static"): "7e1cdbe6323d27d27de0b79d0e2410324e3d417e4df9042071562d9f3e0dc544",
     ("--pin-seeds", ",".join(["0.5"] * 10)): (
         "b7273b3bc62bb8f20fcc8b75f24ede3c783197bb73d5c9840db155064a522a21"
     ),

@@ -1,8 +1,8 @@
 """Mechanism tests: hand-traced runs, the sell kernel against a literal
 per-arrival reading of the sell rule, an exhaustive-subset oracle for the
-offline optimum, substream determinism, surrogate behavior, the guarantee
-as an empirical upper bound on OPT / E[welfare], and the exact-welfare
-oracle against brute-force integration over seeds."""
+offline optimum, trial-stream layout and determinism, surrogate behavior,
+the guarantee as an empirical upper bound on OPT / E[welfare], and the
+exact-welfare oracle against brute-force integration over seeds."""
 
 from __future__ import annotations
 
@@ -253,10 +253,10 @@ class TestSubstreams:
         inst = Instance((m.U,) * m.k)
         for t in range(20):
             posted = [d.posted_price for d in run_trial(dyn, inst, m, 8, t).decisions]
-            row = prices_for_seeds(sch, trial_rng(8, t).random(m.k)[None])[0]
+            row = prices_for_seeds(sch, trial_rng(8, t, m.k).random(m.k)[None])[0]
             assert posted == row.tolist()
             posted = [d.posted_price for d in run_trial(stat, inst, m, 8, t).decisions]
-            p = static_prices_for_quantiles(sch, np.array([trial_rng(8, t).random()]))[0]
+            p = static_prices_for_quantiles(sch, np.array([trial_rng(8, t, m.k).random()]))[0]
             assert posted == [p] * m.k
 
     def test_instance_seeds_keep_their_spawn_keys(self):
@@ -271,6 +271,50 @@ class TestSubstreams:
         dyn = Mechanism(build_scheme(m))
         with pytest.raises(ValidationError):
             expected_welfare(dyn, Instance((2.0,)), m, trials=0, master_seed=1)
+
+
+def philox_rows(master_seed, k, trials):
+    """Rows 0..trials-1 of the keyed stream, from one contiguous random_raw
+    draw: each row is ceil(k / 4) four-word blocks, and its first k words w
+    map to the uniforms (w >> 11) * 2**-53."""
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    width = 4 * -(-k // 4)
+    raw = np.random.Philox(key=key).random_raw(trials * width).reshape(trials, width)
+    return (raw[:, :k] >> np.uint64(11)) * 2.0**-53
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 10, 17])
+    def test_rows_are_runs_of_one_contiguous_stream(self, k):
+        for seed in (0, 8, 2**63):
+            want = philox_rows(seed, k, 12)
+            got = np.stack([trial_rng(seed, t, k).random(k) for t in range(12)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_do_not_depend_on_draw_order(self):
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+        dyn = Mechanism(build_scheme(m))
+        order = np.random.default_rng(3).permutation(40)
+        forward = np.stack([trial_rng(5, t, m.k).random(m.k) for t in range(40)])
+        shuffled = np.stack([trial_rng(5, t, m.k).random(m.k) for t in order])
+        assert shuffled.tobytes() == forward[order].tobytes()
+        engine = _price_matrix(dyn, range(40), 5)
+        assert _price_matrix(dyn, order, 5).tobytes() == engine[order].tobytes()
+
+    def test_master_seeds_give_different_rows(self):
+        seeds = list(range(40)) + [2**40, 2**64 - 1]
+        first = {s: trial_rng(s, 0, 4).random(4).tobytes() for s in seeds}
+        assert len(set(first.values())) == len(seeds)
+        # each seed's key survives being evicted from the key cache
+        assert all(trial_rng(s, 0, 4).random(4).tobytes() == first[s] for s in seeds)
+
+    def test_static_quantile_is_the_first_word_of_the_row(self):
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+        sch = build_scheme(m)
+        q = philox_rows(21, m.k, 30)[:, 0]
+        want = static_prices_for_quantiles(sch, q)
+        got = _price_matrix(Mechanism(sch, "static"), range(30), 21)
+        assert got.tobytes() == np.repeat(want[:, None], m.k, axis=1).tobytes()
 
 
 class TestExpectedWelfare:
@@ -322,7 +366,7 @@ class TestExpectedWelfare:
         inst = Instance((3.9,) * 4)
         same = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
         est = expected_welfare(Mechanism(sch), inst, same, trials=50, master_seed=1)
-        assert est.mean == pytest.approx(11.028, abs=1e-9)
+        assert est == expected_welfare(Mechanism(sch), inst, sch.model, 50, 1)
         others = (
             make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.5, 0.6, 0.7]),
             make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.1, 0.2]),
