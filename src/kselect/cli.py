@@ -20,9 +20,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
+from . import jsontext
 from .cost_model import MAX_K, CostModel, as_float, as_int, make_cost_model, model_from_json
 from .errors import SolverError, ValidationError
 from .instances import (
@@ -44,7 +47,7 @@ from .mechanisms import (
     ratio_to_opt,
     run_posted_price,
 )
-from .pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_json_text
+from .pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_json_chunks
 
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
@@ -160,21 +163,38 @@ def _load_model(args) -> CostModel:
 # solve / pricing
 
 
+def _solution_json_chunks(sol) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
+    solve payload: alpha_star, k_underbar, xi, regime, notes and one
+    ``{"i", "ell", "u"}`` object per interval, streamed like the pricing
+    JSON (see jsontext)."""
+    ku, n = sol.k_underbar, len(sol.intervals)
+    texts, at = jsontext.number_texts(list(chain.from_iterable(sol.intervals)), np.empty(0))
+
+    def fields(a: int, b: int) -> list:
+        ends = texts[at[2 * a : 2 * b]]
+        return list(chain.from_iterable(zip(ends[::2], range(ku + a, ku + b), ends[1::2])))
+
+    num = json.dumps
+    template = jsontext.obj(
+        [
+            ("alpha_star", num(sol.alpha)),
+            ("intervals", jsontext.SECTION),
+            ("k_underbar", num(ku)),
+            ("notes", jsontext.block("[]", list(map(num, sol.notes)), 1)),
+            ("regime", num(sol.regime)),
+            ("xi", num(sol.xi)),
+        ],
+        0,
+    )
+    interval = jsontext.obj([("ell", "%s"), ("i", "%s"), ("u", "%s")], 2)
+    return jsontext.document(template, [jsontext.array_chunks([interval] * n, 1, fields)])
+
+
 def cmd_solve(args) -> int:
     model = _load_model(args)
     sol = solve_alpha_star(model)
-    payload = {
-        "alpha_star": sol.alpha,
-        "k_underbar": sol.k_underbar,
-        "xi": sol.xi,
-        "regime": sol.regime,
-        "intervals": [
-            {"i": sol.k_underbar + j, "ell": lo, "u": hi}
-            for j, (lo, hi) in enumerate(sol.intervals)
-        ],
-        "notes": list(sol.notes),
-    }
-    _emit(_json_text(payload), args.out)
+    _emit(chain(_solution_json_chunks(sol), ("\n",)), args.out)
     return 0
 
 
@@ -203,7 +223,7 @@ def cmd_pricing(args) -> int:
     if samples > 0:
         _emit(_sample_rows(scheme, samples), args.out)
     else:
-        _emit((scheme_json_text(scheme), "\n"), args.out)
+        _emit(chain(scheme_json_chunks(scheme), ("\n",)), args.out)
     return 0
 
 

@@ -21,10 +21,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 # Largest capacity accepted; checked before any marginal is built.
 MAX_K = 10**6
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0, then the running sums of ``terms``, added left to right (as
+    ``np.cumsum`` adds); after the leading 0.0 a first term -0.0 sums to 0.0."""
+    return np.cumsum(np.append(0.0, terms))
 
 
 @dataclass(frozen=True)
@@ -38,13 +46,8 @@ class CostModel:
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
-        """Cumulative costs f(0)..f(k), with f(0) = 0."""
-        acc = 0.0
-        out = [0.0]
-        for c in self.marginals:
-            acc += c
-            out.append(acc)
-        return tuple(out)
+        """Cumulative costs f(0)..f(k), with f(0) = 0, added left to right."""
+        return tuple(_running_sum(np.array(self.marginals)).tolist())
 
     @cached_property
     def floor_prefix(self) -> tuple[float, ...]:
@@ -52,13 +55,7 @@ class CostModel:
 
         The price-floor profit of the first j units at valuation L.
         """
-        acc = 0.0
-        out = []
-        L = self.L
-        for c in self.marginals:
-            acc += L - c
-            out.append(acc)
-        return tuple(out)
+        return tuple(_running_sum(self.L - np.array(self.marginals))[1:].tolist())
 
     @cached_property
     def floor_peak(self) -> int:
@@ -79,17 +76,14 @@ class CostModel:
         equals ``counts[j]`` throughout it. The counts are a packed array
         so that large ladders do not hold one int object per piece. They
         are stored as floats, exact for any k up to 2^53, so the chain walk
-        multiplies float by float.
+        multiplies float by float. A run of equal marginals (-0.0 equals
+        0.0) is one breakpoint, its first value.
         """
-        bps: list[float] = []
-        counts = array("d", [0])
-        for n, c in enumerate(self.marginals, start=1):
-            if bps and c == bps[-1]:
-                counts[-1] = n
-            else:
-                bps.append(c)
-                counts.append(n)
-        return tuple(bps), counts
+        ms = np.array(self.marginals)
+        first = np.ones(len(ms), dtype=bool)
+        first[1:] = ms[1:] != ms[:-1]
+        ends = np.append(np.flatnonzero(first[1:]), len(ms) - 1) + 1.0
+        return tuple(ms[first].tolist()), array("d", np.append(0.0, ends).tobytes())
 
     @property
     def high_value(self) -> bool:
@@ -153,7 +147,8 @@ def make_cost_model(
     if marginals is None:
         a = as_float("quadratic coefficient", quadratic_coeff)
         # c_i = f(i) - f(i-1) for f(i) = a*i^2
-        ms = tuple(a * (2 * i - 1) for i in range(1, k + 1))
+        with np.errstate(over="ignore"):
+            ms = tuple((a * np.arange(1.0, 2.0 * k, 2.0)).tolist())
     else:
         if isinstance(marginals, (str, bytes, dict)):
             raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}")
@@ -163,13 +158,16 @@ def make_cost_model(
             raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}") from None
         if len(ms) != k:
             raise ValidationError(f"expected {k} marginals, got {len(ms)}")
-    for i, c in enumerate(ms):
-        if not math.isfinite(c) or c < 0.0:
-            raise ValidationError(f"marginal c_{i + 1} = {c} must be finite and >= 0")
-        if i > 0 and c < ms[i - 1]:
-            raise ValidationError(
-                f"marginals must be non-decreasing: c_{i + 1} = {c} < c_{i} = {ms[i - 1]}"
-            )
+    arr = np.array(ms)
+    if (~np.isfinite(arr) | (arr < 0.0)).any() or (arr[1:] < arr[:-1]).any():
+        # the error of the first bad marginal
+        for i, c in enumerate(ms):
+            if not math.isfinite(c) or c < 0.0:
+                raise ValidationError(f"marginal c_{i + 1} = {c} must be finite and >= 0")
+            if i > 0 and c < ms[i - 1]:
+                raise ValidationError(
+                    f"marginals must be non-decreasing: c_{i + 1} = {c} < c_{i} = {ms[i - 1]}"
+                )
     return CostModel(L=L, U=U, k=k, marginals=ms)
 
 

@@ -1,0 +1,99 @@
+"""The text of ``json.dumps(obj, indent=2, sort_keys=True)``, streamed in chunks.
+
+With an indent, ``json.dumps`` runs its pure-Python encoder, which is most
+of the time of ``kselect pricing`` and ``kselect solve`` at large k. The
+writers here lay out the same text from templates instead. A document is
+one template, written by ``obj`` and ``block`` with its keys in sorted
+order and its scalars in place, holding ``SECTION`` where each large array
+goes. ``document`` writes the template and streams every array through
+``array_chunks``, CHUNK_UNITS items at a time: each chunk is a ``%s``
+template filled by one ``%`` over the texts of its numbers. ``number_texts``
+formats each distinct float of a whole document once.
+"""
+
+import json
+from collections.abc import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+
+# Items (units) per streamed chunk: bounds the text held at once.
+CHUNK_UNITS = 4096
+
+# Marks the place of a streamed array in a document template.
+SECTION = "\0"
+
+
+def block(brackets: str, items: list[str], depth: int) -> str:
+    """Rendered items in a JSON array ("[]") or object ("{}"), laid out as
+    ``json.dumps(indent=2)`` does for a container opened at depth ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def obj(pairs: list[tuple[str, str]], depth: int) -> str:
+    """JSON object of (key, rendered value) pairs, in the order given."""
+    return block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
+
+
+def number_texts(numbers: list, floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, at): ``texts[at[j]]`` is the text ``json.dumps`` writes for
+    the j-th of ``numbers`` followed by ``floats``, and ``texts`` holds
+    each distinct float's text once.
+
+    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
+    equal, so a dedupe by value would write one as the other. A stable
+    argsort groups equal bits; it runs faster than ``np.unique``'s
+    quicksort here, since a document's columns are mostly ascending runs.
+    An int is written as an int, so ``numbers`` holding anything but
+    floats are written one by one.
+    """
+    extra = []
+    if set(map(type, numbers)) == {float}:
+        floats = np.concatenate([np.array(numbers), floats])
+    else:
+        extra = list(map(json.dumps, numbers))
+    bits = floats.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    del bits, floats  # freed before the texts are made
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    at = np.empty(len(ranked), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    values = ranked[new].view(float)
+    del order, ranked, new
+    texts = np.array([*map(float.__repr__, values.tolist()), *extra], dtype=object)
+    for j in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
+    if extra:
+        at = np.concatenate([len(values) + np.arange(len(extra)), at])
+    return texts, at
+
+
+def array_chunks(
+    templates: Sequence[str], depth: int, values: Callable[[int, int], Sequence]
+) -> Iterator[str]:
+    """A non-empty JSON array opened at depth ``depth``, CHUNK_UNITS items at
+    a time: item i is ``templates[i]`` with its ``%s`` fields filled, and
+    ``values(a, b)`` lists the fields of items a..b-1 in order."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    n = len(templates)
+    for a in range(0, n, CHUNK_UNITS):
+        b = min(a + CHUNK_UNITS, n)
+        lead = "[" + pad if a == 0 else sep
+        yield lead + sep.join(templates[a:b]) % tuple(values(a, b))
+    yield "\n" + "  " * depth + "]"
+
+
+def document(template: str, sections: Iterable[Iterator[str]]) -> Iterator[str]:
+    """``template`` with each SECTION replaced, in order, by the text of one
+    of ``sections``."""
+    head, *rest = template.split(SECTION)
+    yield head
+    for section, text in zip(sections, rest, strict=True):
+        yield from section
+        yield text

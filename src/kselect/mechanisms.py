@@ -221,6 +221,13 @@ def trial_rng(master_seed: int, trial_index: int, k: int) -> np.random.Generator
     reshaped to rows of 4 * ceil(k / 4) words, gives every row bit for bit.
     """
     counter = trial_index * -(-k // 4)
+    if 0 <= counter < 1 << 64:
+        # the same counter as four uint64 words, which Philox takes without
+        # its slower int conversion; a plain list [c, 0, 0, 0] can pass
+        # through float near 2**64 and start another stream
+        words = np.zeros(4, np.uint64)
+        words[0] = counter
+        counter = words
     return np.random.Generator(np.random.Philox(_philox_key(master_seed), counter=counter))
 
 

@@ -35,21 +35,25 @@ static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
 round-trip every float bit-exactly; scheme_from_json rejects curves the
 table cannot read and prices that leave [L, U] or break the price chain.
-scheme_json_text writes the text of ``json.dumps(scheme_to_json(scheme),
-indent=2, sort_keys=True)`` straight from the columns, formatting each
-distinct float once and without the stdlib's pure-Python indenting encoder;
-it is what ``kselect pricing`` prints.
+scheme_json_chunks streams the text of ``json.dumps(scheme_to_json(scheme),
+indent=2, sort_keys=True)`` straight from the columns, without the stdlib's
+pure-Python indenting encoder: the marginals, price intervals and segments
+go out a fixed number of units at a time, and each distinct float of the
+document is formatted once (see jsontext). ``kselect pricing`` writes the
+chunks as they come; scheme_json_text is their join.
 """
 
 import json
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
 
+from . import jsontext
 from .cost_model import CostModel, model_from_json, model_to_json
 from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
@@ -380,83 +384,64 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
     }
 
 
-def _block(brackets: str, items: list[str], depth: int) -> str:
-    """Rendered items in a JSON array ("[]") or object ("{}"), laid out as
-    ``json.dumps(indent=2)`` does for a container opened at depth ``depth``."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
+    """The text of ``json.dumps(scheme_to_json(scheme), indent=2,
+    sort_keys=True)``, written from the columns in chunks (see jsontext).
 
-
-def _object(pairs: list[tuple[str, str]], depth: int) -> str:
-    """JSON object of (key, rendered value) pairs, in the order given."""
-    return _block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
-
-
-def _number_texts(numbers: list, floats: np.ndarray) -> tuple[str, ...]:
-    """The text ``json.dumps`` writes for each of ``numbers`` and then for
-    each of ``floats``, formatting each distinct float once.
-
-    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
-    equal, so a memo keyed by value would write one as the other. An int is
-    written as an int, so ``numbers`` holding anything but floats are
-    written one by one.
-    """
-    prefix = ()
-    if set(map(type, numbers)) == {float}:
-        floats = np.concatenate([np.array(numbers), floats])
-    else:
-        prefix = tuple(map(json.dumps, numbers))
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    del floats  # freed before the texts are made
-    values = bits.view(float)
-    distinct = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
-    for j in np.flatnonzero(~np.isfinite(values)).tolist():
-        distinct[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
-    return prefix + tuple(distinct[inverse])
-
-
-def scheme_json_text(scheme: PricingScheme) -> str:
-    """``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``, written
-    directly from the scheme.
-
-    With an indent, ``json.dumps`` runs its pure-Python encoder, which took
-    more than half of ``kselect pricing`` at k=20000. Here the layout, with
-    keys in sorted order, is one template with the few scalars written in
-    and ``%s`` for every marginal, interval end and segment value, filled by
-    a single ``%`` over their texts (see _number_texts) in document order.
-    The texts are made before the template, and the segments block is
-    joined into the template once: both keep the call's peak memory down.
+    One template holds the layout, with keys in sorted order and the few
+    scalars written in. The marginals, price intervals and segments are
+    streamed into it jsontext.CHUNK_UNITS units at a time, from the texts
+    of their numbers, made once for the whole document.
     """
     model = scheme.model
+    k = model.k
     fields = sorted(_SEGMENT_FIELDS)
-    texts = _number_texts(
+    texts, at = jsontext.number_texts(
         [*model.marginals, *chain.from_iterable(scheme.price_intervals)],
         _column_view(scheme)[[_SEGMENT_FIELDS.index(f) for f in fields]].T.ravel(),
     )
-    segment = _object([(f, "%s") for f in fields], 3)
-    unit_templates = {n: _block("[]", [segment] * n, 2) for n in set(scheme.sizes)}
-    interval = _block("[]", ["%s", "%s"], 2)
-    marginals = _block("[]", ["%s"] * model.k, 3)
-    cost = _object([("marginals", marginals), ("type", '"explicit"')], 2)
+    # the numbers of unit i's segments start at row_stops[i]
+    row_stops = np.concatenate([[3 * k], 3 * k + len(fields) * np.cumsum(scheme.sizes)])
+    segment = jsontext.obj([(f, "%s") for f in fields], 3)
+    unit_templates = {n: jsontext.block("[]", [segment] * n, 2) for n in set(scheme.sizes)}
     num = json.dumps
-    spec = [("L", num(model.L)), ("U", num(model.U)), ("cost", cost), ("k", num(model.k))]
-    head, tail = _object(
+    cost = jsontext.obj([("marginals", jsontext.SECTION), ("type", '"explicit"')], 2)
+    spec = [("L", num(model.L)), ("U", num(model.U)), ("cost", cost), ("k", num(k))]
+    template = jsontext.obj(
         [
             ("alpha_star", num(scheme.alpha_star)),
             ("cr_guarantee", num(scheme.cr_guarantee)),
             ("k_underbar_star", num(scheme.k_underbar_star)),
-            ("kind", json.dumps(scheme.kind).replace("%", "%%")),
-            ("model", _object(spec, 1)),
-            ("price_intervals", _block("[]", [interval] * len(scheme.price_intervals), 1)),
-            ("segments", "\0"),
+            ("kind", num(scheme.kind)),
+            ("model", jsontext.obj(spec, 1)),
+            ("price_intervals", jsontext.SECTION),
+            ("segments", jsontext.SECTION),
             ("xi_star", num(scheme.xi_star)),
         ],
         0,
-    ).split("\0")
-    template = "".join((head, _block("[]", [unit_templates[n] for n in scheme.sizes], 1), tail))
-    return template % texts
+    )
+    return jsontext.document(
+        template,
+        [
+            jsontext.array_chunks(["%s"] * k, 3, lambda a, b: texts[at[a:b]]),
+            jsontext.array_chunks(
+                [jsontext.block("[]", ["%s", "%s"], 2)] * k,
+                1,
+                lambda a, b: texts[at[k + 2 * a : k + 2 * b]],
+            ),
+            jsontext.array_chunks(
+                [unit_templates[n] for n in scheme.sizes],
+                1,
+                lambda a, b: texts[at[row_stops[a] : row_stops[b]]],
+            ),
+        ],
+    )
+
+
+def scheme_json_text(scheme: PricingScheme) -> str:
+    """``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``,
+    written directly from the scheme: the join of scheme_json_chunks."""
+    return "".join(scheme_json_chunks(scheme))
 
 
 def _check_curves(scheme: PricingScheme) -> None:

@@ -1,7 +1,9 @@
 """End-to-end checks of the kselect command line."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -11,13 +13,18 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kselect
+from kselect import jsontext
 from kselect.cli import build_parser, main
 from kselect.cost_model import make_cost_model, model_to_json
 from kselect.instances import hard_instance, instance_text
+from kselect.lower_bound import solve_alpha_star
 from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
 from kselect.pricing import build_scheme, scheme_from_json, scheme_to_json
 
@@ -262,6 +269,63 @@ def test_solve_missing_model_exits_2(capsys):
     code, _, err = run_cli(capsys, "solve")
     assert code == 2
     assert "model" in err
+
+
+def solve_stdlib_text(model) -> str:
+    """The solve payload through the stdlib's indenting encoder."""
+    sol = solve_alpha_star(model)
+    payload = {
+        "alpha_star": sol.alpha,
+        "k_underbar": sol.k_underbar,
+        "xi": sol.xi,
+        "regime": sol.regime,
+        "intervals": [
+            {"i": sol.k_underbar + j, "ell": lo, "u": hi}
+            for j, (lo, hi) in enumerate(sol.intervals)
+        ],
+        "notes": list(sol.notes),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def solve_stdout(model) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", "--model", json.dumps(model_to_json(model))])
+    return code, out.getvalue()
+
+
+@st.composite
+def solve_setups(draw):
+    """A random setup, general or high-value, with ties; U == L in some."""
+    L = draw(st.floats(1.0, 3.0))
+    U = L if draw(st.booleans()) else L * draw(st.floats(1.01, 6.0))
+    k = draw(st.integers(1, 12))
+    ms = sorted(draw(st.lists(st.floats(0.0, 0.9 * U), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        ms = [ms[i - i % 2] for i in range(k)]
+    return make_cost_model(L, U, k, marginals=ms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_setups(), st.integers(1, 3))
+def test_solve_writes_the_stdlib_indent_text(model, units):
+    with mock.patch.object(jsontext, "CHUNK_UNITS", units):
+        code, out = solve_stdout(model)
+    if code == 0:
+        assert out == solve_stdlib_text(model)
+
+
+def test_solve_writes_both_notes_as_the_stdlib_does():
+    # U == L fixes alpha at 1, where the threshold unit sells out exactly
+    model = make_cost_model(2.0, 2.0, 3, marginals=[0.0, 0.5, 0.5])
+    code, out = solve_stdout(model)
+    assert code == 0
+    assert out == solve_stdlib_text(model)
+    assert json.loads(out)["notes"] == [
+        "U == L: alpha fixed at 1",
+        "k_underbar threshold met exactly (xi == 1)",
+    ]
 
 
 def test_output_dir_env_var_resolves_relative_paths(tmp_path, monkeypatch, capsys):
@@ -610,6 +674,31 @@ def test_pricing_json_bytes_are_pinned(capsys, name):
     assert sha256(out) == digest
 
 
+# SHA-256 of `solve` stdout on the benchmark setups, recorded while it was
+# written by json.dumps(indent=2); the streamed writer must keep every byte.
+SOLVE_SHA256 = {
+    "exp": (
+        json.dumps({"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}),
+        "224c6f714b0aae75df8c6742ef068ad528393f3171b4d5d17d2b805b58cb2586",
+    ),
+    "price-general": (
+        PRICING_SHA256["price-general"][0],
+        "3ec9d9e4c9ee9341b0cd2c2f651eb981ddb2ca8b0810f254e89c8fbaef842aa9",
+    ),
+    "price-highvalue": (
+        PRICE_HIGHVALUE, "e5640882af9cbf0a3c393d4fc7cdbe3747e2228d00c98c5edf252315b2ff2920",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_SHA256))
+def test_solve_json_bytes_are_pinned(capsys, name):
+    model, digest = SOLVE_SHA256[name]
+    code, out, _ = run_cli(capsys, "solve", "--model", model)
+    assert code == 0
+    assert sha256(out) == digest
+
+
 def test_simulate_reads_a_pinned_scheme_file_to_pinned_bytes(tmp_path, capsys):
     # the file has the pinned bytes, so it is the file the recorded writer wrote
     scheme = tmp_path / "scheme.json"
@@ -635,8 +724,9 @@ def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # the traced peak was 25.4 MB when every segment was a Segment object
-    assert peak <= 25.4e6
+    # the traced peak was 25.4 MB when every segment was a Segment object and
+    # 20.2 MB when the whole text was written at once; streamed, 13.5 MB
+    assert peak <= 16e6
 
 
 def test_pricing_csv_samples_give_monotone_curves(capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kselect.cost_model import (
     MAX_K,
@@ -82,6 +84,87 @@ class TestConstruction:
         m = make_cost_model(1.0, 10.0, 30, quadratic_coeff=1.0 / 59.0)
         assert m.marginals[-1] == pytest.approx(1.0)
         assert not m.high_value
+
+
+def loop_tables(model):
+    """cumulative, floor_prefix and g_steps by the left-to-right loops that
+    the NumPy passes must equal bit for bit."""
+    acc, cumulative = 0.0, [0.0]
+    for c in model.marginals:
+        acc += c
+        cumulative.append(acc)
+    acc, floor_prefix = 0.0, []
+    for c in model.marginals:
+        acc += model.L - c
+        floor_prefix.append(acc)
+    bps, counts = [], [0.0]
+    for n, c in enumerate(model.marginals, start=1):
+        if bps and c == bps[-1]:
+            counts[-1] = float(n)
+        else:
+            bps.append(c)
+            counts.append(float(n))
+    return cumulative, floor_prefix, bps, counts
+
+
+def float_bits(xs) -> list[int]:
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def ladders(draw):
+    """(L, marginals): k = 1..40, with runs of ties and -0.0 among them."""
+    L = draw(st.floats(1.0, 5.0))
+    k = draw(st.integers(1, 40))
+    ms = sorted(draw(st.lists(st.floats(0.0, 2.0 * L), min_size=k, max_size=k)))
+    tie = draw(st.integers(1, 4))
+    ms = [ms[i - i % tie] for i in range(k)]
+    zeros = draw(st.integers(0, k))
+    ms[:zeros] = [draw(st.sampled_from((0.0, -0.0))) for _ in range(zeros)]
+    return L, ms
+
+
+class TestCostTables:
+    @settings(max_examples=300, deadline=None)
+    @given(ladders())
+    def test_numpy_tables_equal_the_loops_bit_for_bit(self, ladder):
+        L, ms = ladder
+        m = make_cost_model(L, L + 1.0, len(ms), marginals=ms)
+        cumulative, floor_prefix, bps, counts = loop_tables(m)
+        assert isinstance(m.cumulative, tuple) and isinstance(m.floor_prefix, tuple)
+        assert float_bits(m.cumulative) == float_bits(cumulative)
+        assert float_bits(m.floor_prefix) == float_bits(floor_prefix)
+        got_bps, got_counts = m.g_steps
+        assert isinstance(got_bps, tuple) and got_counts.typecode == "d"
+        assert float_bits(got_bps) == float_bits(bps)
+        assert got_counts.tolist() == counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 10.0))
+    def test_quadratic_marginals_equal_the_loop_bit_for_bit(self, k, a):
+        m = make_cost_model(1.0, 2.0, k, quadratic_coeff=a)
+        assert float_bits(m.marginals) == float_bits([a * (2 * i - 1) for i in range(1, k + 1)])
+        assert all(type(c) is float for c in m.marginals)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(marginals=[0.5, 0.3]), "marginals must be non-decreasing: c_2 = 0.3 < c_1 = 0.5"),
+            (dict(marginals=[-0.1, 0.2]), "marginal c_1 = -0.1 must be finite and >= 0"),
+            (dict(marginals=[0.2, -0.1]), "marginal c_2 = -0.1 must be finite and >= 0"),
+            (
+                dict(marginals=[0.1, 0.5, 0.3, -1.0]),
+                "marginals must be non-decreasing: c_3 = 0.3 < c_2 = 0.5",
+            ),
+            (dict(quadratic_coeff=-1.0), "marginal c_1 = -1.0 must be finite and >= 0"),
+            (dict(quadratic_coeff=1e308), "marginal c_2 = inf must be finite and >= 0"),
+        ],
+    )
+    def test_the_first_bad_marginal_is_the_error(self, kwargs, message):
+        k = len(kwargs.get("marginals", [0.0] * 4))
+        with pytest.raises(ValidationError) as err:
+            make_cost_model(1.0, 2.0, k, **kwargs)
+        assert str(err.value) == message
 
 
 class TestCumulativeCost:

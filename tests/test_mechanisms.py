@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ class TestTrialStreams:
             want = philox_rows(seed, k, 12)
             got = np.stack([trial_rng(seed, t, k).random(k) for t in range(12)])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counter", [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**200])
+    def test_counters_at_and_past_64_bits_read_the_keyed_stream(self, counter):
+        # k = 4 takes one counter block per row, so trial t starts at block t
+        key = np.random.SeedSequence(6).generate_state(2, np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trial_rng(6, counter, 4).random(8)
+        assert got.tobytes() == want.tobytes()
 
     def test_rows_do_not_depend_on_draw_order(self):
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kselect import jsontext
 from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import ValidationError
 from kselect.lower_bound import eval_psi, solve_alpha_star
@@ -23,6 +25,7 @@ from kselect.pricing import (
     price_at,
     prices_for_seeds,
     scheme_from_json,
+    scheme_json_chunks,
     scheme_json_text,
     scheme_to_json,
     static_prices_for_quantiles,
@@ -470,6 +473,15 @@ class TestSchemeJsonText:
         scheme = build_scheme(make_cost_model(L=L, U=U, k=len(ms), marginals=ms))
         assert has_property(scheme)
         assert scheme_json_text(scheme) + "\n" == stdlib_text(scheme)
+
+    @settings(max_examples=150, deadline=None)
+    @given(built_schemes(), st.integers(1, 3))
+    def test_chunks_of_a_few_units_join_to_the_stdlib_text(self, scheme, units):
+        with mock.patch.object(jsontext, "CHUNK_UNITS", units):
+            chunks = list(scheme_json_chunks(scheme))
+        assert "".join(chunks) + "\n" == stdlib_text(scheme)
+        # the head, then per array its chunks, its close and the text after it
+        assert len(chunks) == 1 + 3 * (-(-scheme.model.k // units) + 2)
 
     def test_non_finite_numbers_read_as_the_stdlib_writes_them(self):
         m = make_cost_model(L=1.0, U=10.0, k=4, marginals=[0.5, 1.5, 2.5, 3.5])
