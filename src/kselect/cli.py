@@ -167,13 +167,14 @@ def _solution_json_chunks(sol) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
     solve payload: alpha_star, k_underbar, xi, regime, notes and one
     ``{"i", "ell", "u"}`` object per interval, streamed like the pricing
-    JSON (see jsontext)."""
-    ku, n = sol.k_underbar, len(sol.intervals)
-    texts, at = jsontext.number_texts(list(chain.from_iterable(sol.intervals)), np.empty(0))
+    JSON (see jsontext). Interval j runs from chain end j to end j + 1, so
+    each end is formatted once."""
+    ku, n = sol.k_underbar, len(sol.ends) - 1
+    texts, at = jsontext.number_texts(np.frombuffer(sol.ends))
 
     def fields(a: int, b: int) -> list:
-        ends = texts[at[2 * a : 2 * b]]
-        return list(chain.from_iterable(zip(ends[::2], range(ku + a, ku + b), ends[1::2])))
+        ends = texts[at[a : b + 1]]
+        return list(chain.from_iterable(zip(ends[:-1], range(ku + a, ku + b), ends[1:])))
 
     num = json.dumps
     template = jsontext.obj(

@@ -12,6 +12,11 @@ Two derived quantities drive the solvers:
   The maximum admits ``i = 0`` so the conjugate is never negative.
 * ``allocation_count_g(model, v)`` -- the number of marginals at or below
   ``v``, which is both the maximizer of the conjugate and its slope.
+
+The per-unit tables a model derives -- cumulative costs, the price-floor
+prefix and the step table of g -- are float columns (``array("d")``),
+built once each by a NumPy pass: scalar readers index them for Python
+floats, and vector readers view them with ``np.frombuffer``.
 """
 
 import bisect
@@ -29,6 +34,18 @@ from .errors import ValidationError
 MAX_K = 10**6
 
 
+def packed(values: np.ndarray) -> array:
+    """A float column: ``values`` copied once into a packed ``array("d")``.
+
+    Indexing it gives Python floats, not NumPy scalars (whose ``repr``
+    differs), ``np.frombuffer`` views it without a copy, and as a dataclass
+    field it compares by value, where an ndarray field makes ``==`` raise.
+    """
+    out = array("d")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.float64)).cast("B"))
+    return out
+
+
 def _running_sum(terms: np.ndarray) -> np.ndarray:
     """0.0, then the running sums of ``terms``, added left to right (as
     ``np.cumsum`` adds); after the leading 0.0 a first term -0.0 sums to 0.0."""
@@ -37,7 +54,11 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Immutable setup {L, U, k, marginals}. Build via :func:`make_cost_model`."""
+    """Immutable setup {L, U, k, marginals}. Build via :func:`make_cost_model`.
+
+    ``marginals`` stays a tuple, the model's identity for ``==`` and
+    ``hash``; the tables derived from it are float columns.
+    """
 
     L: float
     U: float
@@ -45,17 +66,24 @@ class CostModel:
     marginals: tuple[float, ...]
 
     @cached_property
-    def cumulative(self) -> tuple[float, ...]:
-        """Cumulative costs f(0)..f(k), with f(0) = 0, added left to right."""
-        return tuple(_running_sum(np.array(self.marginals)).tolist())
+    def marginal_column(self) -> np.ndarray:
+        """The marginals as a read-only float64 array, converted once."""
+        out = np.array(self.marginals)
+        out.flags.writeable = False
+        return out
 
     @cached_property
-    def floor_prefix(self) -> tuple[float, ...]:
+    def cumulative(self) -> array:
+        """Cumulative costs f(0)..f(k), with f(0) = 0, added left to right."""
+        return packed(_running_sum(self.marginal_column))
+
+    @cached_property
+    def floor_prefix(self) -> array:
         """Running sums ``sum_{i<=j} (L - c_i)`` for j = 1..k, added left to right.
 
         The price-floor profit of the first j units at valuation L.
         """
-        return tuple(_running_sum(self.L - np.array(self.marginals))[1:].tolist())
+        return packed(_running_sum(self.L - self.marginal_column)[1:])
 
     @cached_property
     def floor_peak(self) -> int:
@@ -64,26 +92,24 @@ class CostModel:
         The terms ``L - c_i`` never increase, so the prefix does not decrease
         over these units and is searchable with ``bisect``.
         """
-        prefix = self.floor_prefix
-        return prefix.index(max(prefix)) + 1
+        return int(np.argmax(np.frombuffer(self.floor_prefix))) + 1
 
     @cached_property
-    def g_steps(self) -> tuple[tuple[float, ...], array]:
+    def g_steps(self) -> tuple[array, array]:
         """Step table of g: the distinct marginals ``b`` and g on each piece.
 
         Piece j is ``[b[j-1], b[j])`` (unbounded below for j = 0, above for
         j = len(b)); ``bisect_right(b, v)`` is the piece holding v, and g
-        equals ``counts[j]`` throughout it. The counts are a packed array
-        so that large ladders do not hold one int object per piece. They
-        are stored as floats, exact for any k up to 2^53, so the chain walk
-        multiplies float by float. A run of equal marginals (-0.0 equals
-        0.0) is one breakpoint, its first value.
+        equals ``counts[j]`` throughout it. The counts are stored as floats,
+        exact for any k up to 2^53, so the chain walk multiplies float by
+        float. A run of equal marginals (-0.0 equals 0.0) is one
+        breakpoint, its first value.
         """
-        ms = np.array(self.marginals)
+        ms = self.marginal_column
         first = np.ones(len(ms), dtype=bool)
         first[1:] = ms[1:] != ms[:-1]
         ends = np.append(np.flatnonzero(first[1:]), len(ms) - 1) + 1.0
-        return tuple(ms[first].tolist()), array("d", np.append(0.0, ends).tobytes())
+        return packed(ms[first]), packed(np.append(0.0, ends))
 
     @property
     def high_value(self) -> bool:

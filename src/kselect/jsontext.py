@@ -37,39 +37,34 @@ def obj(pairs: list[tuple[str, str]], depth: int) -> str:
     return block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
 
 
-def number_texts(numbers: list, floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(texts, at): ``texts[at[j]]`` is the text ``json.dumps`` writes for
-    the j-th of ``numbers`` followed by ``floats``, and ``texts`` holds
-    each distinct float's text once.
+    ``floats[j]``, and ``texts`` holds each distinct float's text once.
 
-    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
-    equal, so a dedupe by value would write one as the other. A stable
-    argsort groups equal bits; it runs faster than ``np.unique``'s
-    quicksort here, since a document's columns are mostly ascending runs.
-    An int is written as an int, so ``numbers`` holding anything but
-    floats are written one by one.
+    ``floats`` is one float64 array holding every number of a document's
+    streamed arrays, in the order they are written. Floats are told apart
+    by their bits: -0.0 and 0.0 compare and hash equal, so a dedupe by
+    value would write one as the other. A stable argsort groups equal
+    bits; it runs faster than ``np.unique``'s quicksort here, since a
+    document's columns are mostly ascending runs.
     """
-    extra = []
-    if set(map(type, numbers)) == {float}:
-        floats = np.concatenate([np.array(numbers), floats])
-    else:
-        extra = list(map(json.dumps, numbers))
     bits = floats.view(np.int64)
     order = np.argsort(bits, kind="stable")
     ranked = bits[order]
-    del bits, floats  # freed before the texts are made
     new = np.empty(len(ranked), dtype=bool)
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    at = np.empty(len(ranked), dtype=np.intp)
-    at[order] = np.cumsum(new) - 1
     values = ranked[new].view(float)
-    del order, ranked, new
-    texts = np.array([*map(float.__repr__, values.tolist()), *extra], dtype=object)
+    del ranked  # each temporary is freed as soon as it is used
+    rank = np.cumsum(new)
+    del new
+    rank -= 1
+    at = np.empty_like(rank)
+    at[order] = rank
+    del order, rank
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
     for j in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
-    if extra:
-        at = np.concatenate([len(values) + np.arange(len(extra)), at])
     return texts, at
 
 

@@ -33,10 +33,11 @@ current end: exact g-piece integration, inlined, while the chain is at or
 below the top marginal, and a multiply-add by e^{alpha/k} once it is
 above, where no unit can open below its cost and the loop tests nothing.
 The search walks return ``(k_underbar, xi, u_k)`` alone; one more walk at
-the answer, ``build_intervals``, records the ends from which the
-``(ell_i, u_i)`` pairs are built. Every walk does the same float
-operations in the same order, so the recorded chain ends on the u_k the
-search saw.
+the answer, ``build_intervals``, records the chain ends. The solution holds
+them as one float column, ``LowerBoundSolution.ends``, from which the
+``(ell_i, u_i)`` pairs are read as a view, never built one tuple per unit.
+Every walk does the same float operations in the same order, so the
+recorded chain ends on the u_k the search saw.
 
 The walk's cost, not the number of walks, is what is left to cut. Near
 the root the computed u_k is a staircase at the scale of one ulp of alpha:
@@ -47,7 +48,12 @@ slope predicts 2.9e-14. So the last halvings cannot be interpolated.
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import pairwise
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_model import CostModel, conjugate
 from .errors import DegenerateModelError, SolverError, ValidationError
@@ -60,23 +66,33 @@ MAX_BRACKET = 2.0**40
 class LowerBoundSolution:
     """Bound value plus the interval chain that certifies it.
 
-    ``intervals[j]`` holds ``(ell_i, u_i)`` for unit ``i = k_underbar + j``;
-    units below ``k_underbar`` have no interval (their allocation curve is
-    constant 1). ``xi`` is the fractional sell-out level of unit
-    ``k_underbar`` at valuation L.
+    ``ends`` is the chain as one float column: ``u_{k_underbar - 1} = L``,
+    then ``u_{k_underbar}, ..., u_k``. Unit ``i``'s interval runs from the
+    end before it to its own, so ``intervals[j]`` is ``(ell_i, u_i)`` for
+    unit ``i = k_underbar + j``; units below ``k_underbar`` have no
+    interval (their allocation curve is constant 1). ``xi`` is the
+    fractional sell-out level of unit ``k_underbar`` at valuation L.
     """
 
     alpha: float
     k_underbar: int
     xi: float
-    intervals: tuple[tuple[float, float], ...]
+    ends: array  # array("d"): u_{k_underbar - 1} = L, ..., u_k
     regime: str  # "high_value" | "general"
     notes: tuple[str, ...] = ()
 
+    @property
+    def intervals(self) -> np.ndarray:
+        """The ``(ell_i, u_i)`` rows, i = k_underbar..k: a read-only (n, 2)
+        view of ``ends``, in which row j's u is row j + 1's ell."""
+        return sliding_window_view(np.frombuffer(self.ends), 2)
+
     def interval(self, i: int) -> tuple[float, float]:
-        if not self.k_underbar <= i <= self.k_underbar + len(self.intervals) - 1:
+        """``(ell_i, u_i)`` of unit i, as Python floats."""
+        j = i - self.k_underbar
+        if not 0 <= j < len(self.ends) - 1:
             raise ValidationError(f"unit {i} has no interval (chain starts at {self.k_underbar})")
-        return self.intervals[i - self.k_underbar]
+        return self.ends[j], self.ends[j + 1]
 
 
 def _exp(x: float) -> float:
@@ -190,7 +206,8 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     cost (an integrand pole), which happens for small alpha when costs reach
     above L. Feasibility is monotone in alpha, so the search on alpha treats
     None as "chain falls short of U". When ``ends`` is a list, the walk
-    appends ``u_{k_underbar}, ..., u_k`` to it: unit i's interval runs from
+    appends ``u_{k_underbar}, ..., u_k`` to it (a list appends faster than
+    an ``array``, which is made from it once): unit i's interval runs from
     the end before it (L for the first) to its own. The search asks for u_k
     alone; ``build_intervals`` records the ends.
 
@@ -259,14 +276,16 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     return k_underbar, xi, u
 
 
-def _mk_solution(model: CostModel, alpha, k_underbar, xi, ends, notes=()) -> LowerBoundSolution:
+def _mk_solution(
+    model: CostModel, alpha, k_underbar, xi, ends: array, notes=()
+) -> LowerBoundSolution:
     if xi == 1.0:
         notes = notes + ("k_underbar threshold met exactly (xi == 1)",)
     return LowerBoundSolution(
         alpha=alpha,
         k_underbar=k_underbar,
         xi=xi,
-        intervals=tuple(zip(ends, ends[1:])),
+        ends=ends,
         regime="high_value" if model.high_value else "general",
         notes=notes,
     )
@@ -282,7 +301,7 @@ def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
             f"alpha = {alpha} is below the feasible range for this setup "
             "(an interval would open below its unit's marginal cost)"
         )
-    return _mk_solution(model, alpha, chain[0], chain[1], ends)
+    return _mk_solution(model, alpha, chain[0], chain[1], array("d", ends))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +317,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         # end strictly inside [L, U], so fix alpha at 1 with flat intervals.
         k_underbar = compute_k_underbar(model, 1.0)
         xi = compute_xi(model, 1.0, k_underbar)
-        flat = [model.L] * (model.k - k_underbar + 2)
+        flat = array("d", [model.L]) * (model.k - k_underbar + 2)
         return _mk_solution(
             model, 1.0, k_underbar, xi, flat, notes=("U == L: alpha fixed at 1",)
         )
@@ -444,7 +463,7 @@ def verify_equality(
     for t in range(grid_size):
         v = L + (U - L) * t / (grid_size - 1)
         acc = base
-        for ell, u in solution.intervals:
+        for ell, u in pairwise(solution.ends):
             top = min(v, u)
             if top > ell:
                 acc += (conjugate(model, top) - conjugate(model, ell)) / alpha

@@ -20,8 +20,12 @@ Two constructions:
   form whose guarantee is alpha_star itself (no extra factor).
 
 A scheme stores its curves as six float columns, not as one object per
-segment (see PricingScheme). The builders and scheme_from_json write the
-columns directly, and scheme_to_json lists them segment by segment.
+segment, and its price intervals as one more (see PricingScheme). The
+builders and scheme_from_json write the columns directly: build_scheme
+writes the flat units below the threshold and the one-segment units above
+the top marginal as slices of the solver's chain ends and the marginals,
+and walks only the units between piece by piece. scheme_to_json lists
+the columns segment by segment.
 
 Every lookup reads one cached flat table over the columns
 (``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
@@ -34,7 +38,8 @@ static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
 
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
 round-trip every float bit-exactly; scheme_from_json rejects curves the
-table cannot read and prices that leave [L, U] or break the price chain.
+table cannot read, prices that leave [L, U] or break the price chain, and
+price intervals that do not run end to end from L within [L, U].
 scheme_json_chunks streams the text of ``json.dumps(scheme_to_json(scheme),
 indent=2, sort_keys=True)`` straight from the columns, without the stdlib's
 pure-Python indenting encoder: the marginals, price intervals and segments
@@ -49,12 +54,12 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
 from . import jsontext
-from .cost_model import CostModel, model_from_json, model_to_json
+from .cost_model import CostModel, model_from_json, model_to_json, packed
 from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
 
@@ -73,7 +78,9 @@ class PricingScheme:
     The curves are stored as columns: ``columns`` holds the six
     ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
-    of segments of unit i.
+    of segments of unit i. ``price_bounds`` holds the price intervals
+    (L_i, U_i) unit by unit; ``price_intervals`` views them as k rows. The
+    columns are ``array("d")`` fields, so schemes compare by value.
     """
 
     model: CostModel
@@ -82,9 +89,17 @@ class PricingScheme:
     xi_star: float
     columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
     sizes: tuple[int, ...]  # segments per unit
-    price_intervals: tuple[tuple[float, float], ...]  # (L_i, U_i) for i = 1..k
+    price_bounds: array  # array("d"): L_1, U_1, ..., L_k, U_k
     cr_guarantee: float
     kind: str  # "high_value" | "two_unit" | "general"
+
+    @property
+    def price_intervals(self) -> np.ndarray:
+        """The price intervals as a read-only (k, 2) view of ``price_bounds``:
+        row i - 1 is ``(L_i, U_i)``."""
+        out = np.frombuffer(self.price_bounds).reshape(-1, 2)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def _table(self):
@@ -93,14 +108,6 @@ class PricingScheme:
         sizes = np.array(self.sizes)
         unit = np.repeat(np.arange(len(sizes)), sizes)
         return unit + 1j * cols[0], unit + 1j * cols[2], np.cumsum(sizes) - sizes, cols
-
-
-def _pack(columns) -> array:
-    """The columns (one list of floats per _SEGMENT_FIELDS field) back to back."""
-    packed = array("d")
-    for col in columns:
-        packed.fromlist(col)
-    return packed
 
 
 def _column_view(scheme: PricingScheme) -> np.ndarray:
@@ -205,12 +212,15 @@ def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndar
 # builders
 
 
-def _price_intervals(model: CostModel, sol: LowerBoundSolution):
-    """(L_i, U_i) per unit; the chain end u_k is clamped to U, since the
-    solver stops within its tolerance of U on either side."""
-    ivs = ((model.L, model.L),) * (sol.k_underbar - 1) + sol.intervals
-    lo, hi = ivs[-1]
-    return ivs[:-1] + ((lo, min(hi, model.U)),)
+def _price_intervals(model: CostModel, sol: LowerBoundSolution) -> np.ndarray:
+    """(L_i, U_i) per unit, as a (k, 2) array: L for the units below the
+    threshold unit, then the chain. The chain end u_k is clamped to U, since
+    the solver stops within its tolerance of U on either side."""
+    out = np.empty((model.k, 2))
+    out[: sol.k_underbar - 1] = model.L
+    out[sol.k_underbar - 1 :] = sol.intervals
+    out[-1, 1] = min(out[-1, 1], model.U)
+    return out
 
 
 def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingScheme:
@@ -223,20 +233,22 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
     top price is clamped to U, as in _price_intervals. The intervals are
     contiguous, so the g-piece index carries from one unit to the next.
 
-    Past the threshold unit, the units whose interval lies above the top
-    marginal (g = k on it) have one segment each: seeds [0, 1], prices
-    u_{i-1} to u_i, cost c_i, rate alpha / k (0 on a zero-width interval).
-    They are written as column slices, and their spans are checked at once.
+    The units below the threshold unit are flat at L. Past the threshold
+    unit, the units whose interval lies above the top marginal (g = k on
+    it) have one segment each: seeds [0, 1], prices u_{i-1} to u_i, cost
+    c_i, rate alpha / k (0 on a zero-width interval). Both runs are written
+    as column slices, the second from slices of the chain ends and the
+    marginals, and its spans are checked at once; only the units between
+    them are walked piece by piece.
     """
     alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
     L = model.L
-    # the units below ku are flat at L
-    cols = [[x] * (ku - 1) for x in (0.0, 1.0, L, L, 0.0, 0.0)]
-    sizes = [1] * (ku - 1)
     top = len(model.g_steps[0])
     j = piece_index(model, L)
+    rows: list[list[float]] = []  # segments of the units walked piece by piece
+    sizes = [1] * (ku - 1)
     i = ku
-    for ell, u in sol.intervals:
+    for ell, u in pairwise(sol.ends):
         if i > ku and j == top:
             break
         c = model.marginals[i - 1]
@@ -256,41 +268,37 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
         if abs(s - 1.0) > 1e-9:
             raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
         raw[-1][1] = 1.0
-        if i == model.k:
-            raw[-1][3] = min(raw[-1][3], model.U)
-        for col, vals in zip(cols, zip(*raw)):
-            col += vals
+        rows += raw
         sizes.append(len(raw))
         if j < top:
             j = piece_index(model, u, j)
         i += 1
-    tail = sol.intervals[i - ku :]  # units i..k
-    if tail:
-        lo = [a for a, _ in tail]
-        hi = [b for _, b in tail]
-        c = model.marginals[i - 1 :]
-        lo_a, hi_a, c_a = np.array(lo), np.array(hi), np.array(c)
-        ramp = hi_a > lo_a
-        g = model.g_steps[1][top]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            span = (g / alpha) * np.log((hi_a - c_a) / (lo_a - c_a))
-        off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
-        if off.size:
-            raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
-        hi[-1] = min(hi[-1], model.U)
-        n = len(tail)
-        tail_cols = ([0.0] * n, [1.0] * n, lo, hi, c, np.where(ramp, alpha / g, 0.0).tolist())
-        for col, vals in zip(cols, tail_cols):
-            col += vals
-        sizes += [1] * n
+    ends = np.frombuffer(sol.ends)[i - ku :]  # u_{i-1}, ..., u_k
+    lo, hi, c = ends[:-1], ends[1:], model.marginal_column[i - 1 :]  # units i..k
+    ramp = hi > lo
+    g = model.g_steps[1][top]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = (g / alpha) * np.log((hi - c) / (lo - c))
+    off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
+    if off.size:
+        raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
+    head = ku - 1 + len(rows)  # segments before the tail
+    cols = np.empty((len(_SEGMENT_FIELDS), head + len(lo)))
+    cols[:, : ku - 1] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
+    cols[:, ku - 1 : head] = np.array(rows).T
+    tail = cols[:, head:]
+    tail[0], tail[1], tail[2], tail[3], tail[4] = 0.0, 1.0, lo, hi, c
+    tail[5] = np.where(ramp, alpha / g, 0.0)
+    cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
+    sizes += [1] * len(lo)
     return PricingScheme(
         model=model,
         alpha_star=alpha,
         k_underbar_star=ku,
         xi_star=xi,
-        columns=_pack(cols),
+        columns=packed(cols),
         sizes=tuple(sizes),
-        price_intervals=_price_intervals(model, sol),
+        price_bounds=packed(_price_intervals(model, sol)),
         cr_guarantee=cr,
         kind=sol.regime,
     )
@@ -319,7 +327,7 @@ def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
         if xi < 1.0:
             unit1.append((xi, 1.0, L, u1, c1, a / 2.0))
         unit2 = [(0.0, 1.0, u1, U, c2, a / 2.0)]
-        intervals = ((L, u1), (u1, U))
+        bounds = (L, u1, u1, U)
         ku, xi_star = 1, xi
     else:
         xi = ((2.0 * L - c1 - c2) / a - (L - c1)) / (L - c2)
@@ -328,16 +336,16 @@ def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
         unit2 = [(0.0, xi, L, L, c2, 0.0)]
         if xi < 1.0:
             unit2.append((xi, 1.0, L, U, c2, a / 2.0))
-        intervals = ((L, L), (L, U))
+        bounds = (L, L, L, U)
         ku, xi_star = 2, xi
     return PricingScheme(
         model=model,
         alpha_star=a,
         k_underbar_star=ku,
         xi_star=xi_star,
-        columns=_pack(map(list, zip(*unit1, *unit2))),
+        columns=array("d", chain.from_iterable(zip(*unit1, *unit2))),
         sizes=(len(unit1), len(unit2)),
-        price_intervals=intervals,
+        price_bounds=array("d", bounds),
         cr_guarantee=a,
         kind="two_unit",
     )
@@ -357,12 +365,12 @@ def build_scheme(model: CostModel) -> PricingScheme:
     else:
         # one pass over the units; the conjugate at U_{i-1} is
         # U_{i-1} g - f(g) with g = #marginals <= U_{i-1}, as in conjugate()
-        uppers = np.array([model.L, *(hi for _, hi in _price_intervals(model, sol))])
-        ms = np.array(model.marginals)
-        below = uppers[:-1]
+        uppers = _price_intervals(model, sol)[:, 1]
+        ms = model.marginal_column
+        below = np.append(model.L, uppers[:-1])
         g = np.searchsorted(ms, below, side="right")
-        conj = below * g - np.array(model.cumulative)[g]
-        cr = float(np.max(sol.alpha * (1.0 + (uppers[1:] - ms) / conj)))
+        conj = below * g - np.frombuffer(model.cumulative)[g]
+        cr = float(np.max(sol.alpha * (1.0 + (uppers - ms) / conj)))
     return _scheme(model, sol, cr)
 
 
@@ -379,7 +387,7 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
         "xi_star": scheme.xi_star,
         "cr_guarantee": scheme.cr_guarantee,
         "kind": scheme.kind,
-        "price_intervals": [[lo, hi] for lo, hi in scheme.price_intervals],
+        "price_intervals": scheme.price_intervals.tolist(),
         "segments": [rows[a:b] for a, b in zip([0, *stops], stops)],
     }
 
@@ -391,15 +399,20 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     One template holds the layout, with keys in sorted order and the few
     scalars written in. The marginals, price intervals and segments are
     streamed into it jsontext.CHUNK_UNITS units at a time, from the texts
-    of their numbers, made once for the whole document.
+    of their numbers, made once for the whole document. The numbers are
+    copied from the columns into one array in the order they are written.
     """
     model = scheme.model
     k = model.k
     fields = sorted(_SEGMENT_FIELDS)
-    texts, at = jsontext.number_texts(
-        [*model.marginals, *chain.from_iterable(scheme.price_intervals)],
-        _column_view(scheme)[[_SEGMENT_FIELDS.index(f) for f in fields]].T.ravel(),
-    )
+    cols = _column_view(scheme)
+    numbers = np.empty(3 * k + cols.size)
+    numbers[:k] = model.marginal_column
+    numbers[k : 3 * k] = np.frombuffer(scheme.price_bounds)
+    rows = numbers[3 * k :].reshape(-1, len(fields))
+    for f, name in enumerate(fields):
+        rows[:, f] = cols[_SEGMENT_FIELDS.index(name)]
+    texts, at = jsontext.number_texts(numbers)
     # the numbers of unit i's segments start at row_stops[i]
     row_stops = np.concatenate([[3 * k], 3 * k + len(fields) * np.cumsum(scheme.sizes)])
     segment = jsontext.obj([(f, "%s") for f in fields], 3)
@@ -445,13 +458,17 @@ def scheme_json_text(scheme: PricingScheme) -> str:
 
 
 def _check_curves(scheme: PricingScheme) -> None:
-    """Reject curves that the table lookups cannot read or whose prices
-    leave [L, U] or break the price chain P_1 <= ... <= P_k.
+    """Reject curves that the table lookups cannot read, whose prices
+    leave [L, U] or break the price chain P_1 <= ... <= P_k, or whose price
+    intervals do not chain from L.
 
     Each unit needs a segment, and its segments must run end to end from
     seed 0 to seed 1. Each v_lo must lie at or above the v_lo before it in
     its unit, or for a unit's first segment, the previous unit's top price.
-    Each test is one comparison over the columns; non-finite rates are read.
+    The price intervals must run end to end from L (L_1 = L and
+    L_{i+1} = U_i), with L_i <= U_i <= U; so each lies in [L, U], and a NaN
+    fails. Each test is one comparison over the columns; non-finite rates
+    are read.
     """
     sizes = np.array(scheme.sizes)
     if sizes.min() < 1:
@@ -478,6 +495,13 @@ def _check_curves(scheme: PricingScheme) -> None:
     ):
         if bad.any():
             raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
+    lo, hi = scheme.price_intervals.T
+    bad = ~((lo == np.append(L, hi[:-1])) & (lo <= hi) & (hi <= U))
+    if bad.any():
+        raise ValidationError(
+            f"scheme unit {bad.argmax() + 1}: price intervals must run end to end "
+            f"from L = {L}, each within [L, U]"
+        )
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:
@@ -488,10 +512,10 @@ def scheme_from_json(obj: dict) -> PricingScheme:
         model = model_from_json(obj["model"])
         units = obj["segments"]
         sizes = tuple(len(unit) for unit in units)
-        columns = _pack(
-            [float(seg[f]) for unit in units for seg in unit] for f in _SEGMENT_FIELDS
+        columns = array(
+            "d", (float(seg[f]) for f in _SEGMENT_FIELDS for unit in units for seg in unit)
         )
-        intervals = tuple((float(lo), float(hi)) for lo, hi in obj["price_intervals"])
+        bounds = array("d", (float(x) for lo, hi in obj["price_intervals"] for x in (lo, hi)))
         scheme = PricingScheme(
             model=model,
             alpha_star=float(obj["alpha_star"]),
@@ -499,13 +523,13 @@ def scheme_from_json(obj: dict) -> PricingScheme:
             xi_star=float(obj["xi_star"]),
             columns=columns,
             sizes=sizes,
-            price_intervals=intervals,
+            price_bounds=bounds,
             cr_guarantee=float(obj["cr_guarantee"]),
             kind=str(obj["kind"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
-    if len(sizes) != model.k or len(intervals) != model.k:
+    if len(sizes) != model.k or len(bounds) != 2 * model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
     _check_curves(scheme)
     return scheme

@@ -65,18 +65,26 @@ NOT_UTF8 = "<a file that starts with byte 0xff>"
 
 
 def _edit_segment(unit: int, seg: int, **fields):
-    def change(units):
-        units[unit - 1][seg].update(fields)
+    def change(obj):
+        obj["segments"][unit - 1][seg].update(fields)
 
     return change
 
 
-# Curve tables the lookups cannot read or whose prices break the chain. The
-# base is the `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment
-# on units 1 and 3, and on unit 2 a floor on [0, xi] followed by a ramp from
-# L to 1.91.
+def _edit_top_price(unit: int, top: float):
+    def change(obj):
+        obj["price_intervals"][unit - 1][1] = top
+
+    return change
+
+
+# Curve tables the lookups cannot read, whose prices break the chain, or
+# whose price intervals do not chain from L within [L, U]. The base is the
+# `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1
+# and 3, and on unit 2 a floor on [0, xi] followed by a ramp from L to
+# 1.91; the price intervals are [1, 1], [1, 1.91] and [1.91, 4].
 BAD_SCHEMES = {
-    "<scheme: unit 2 has no segment>": lambda units: units[1].clear(),
+    "<scheme: unit 2 has no segment>": lambda obj: obj["segments"][1].clear(),
     "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
     "<scheme: unit 3 ends at seed 0.75>": _edit_segment(3, 0, s_hi=0.75),
     "<scheme: unit 2 has a gap>": _edit_segment(2, 1, s_lo=0.5),
@@ -85,13 +93,17 @@ BAD_SCHEMES = {
     "<scheme: unit 3 starts at price 0.5>": _edit_segment(3, 0, v_lo=0.5),
     "<scheme: unit 3 starts below unit 2's top>": _edit_segment(3, 0, v_lo=1.5),
     "<scheme: unit 3 ends above U>": _edit_segment(3, 0, v_hi=4.5),
+    "<scheme: unit 3's price interval ends at NaN>": _edit_top_price(3, math.nan),
+    "<scheme: unit 3's price interval is reversed>": _edit_top_price(3, 1.5),
+    "<scheme: unit 3's price interval ends above U>": _edit_top_price(3, 4.5),
+    "<scheme: unit 2's price interval ends short of unit 3's>": _edit_top_price(2, 1.5),
 }
 
 
 def _bad_scheme_file(tmp_path, name) -> str:
     model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
     obj = scheme_to_json(build_scheme(model))
-    BAD_SCHEMES[name](obj["segments"])
+    BAD_SCHEMES[name](obj)
     path = tmp_path / "scheme.json"
     path.write_text(json.dumps(obj))
     return str(path)
@@ -189,6 +201,10 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-price-below-L",
         "scheme-chain-broken",
         "scheme-price-above-U",
+        "scheme-interval-nan",
+        "scheme-interval-reversed",
+        "scheme-interval-above-U",
+        "scheme-interval-gap",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -724,9 +740,24 @@ def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # the traced peak was 25.4 MB when every segment was a Segment object and
-    # 20.2 MB when the whole text was written at once; streamed, 13.5 MB
-    assert peak <= 16e6
+    # the traced peak was 25.4 MB when every segment was a Segment object,
+    # 20.2 MB when the whole text was written at once and 13.3 MB streamed;
+    # with the chain and the price intervals as float columns, 11.9 MB
+    assert peak <= 12.5e6
+
+
+def test_solve_holds_its_memory(tmp_path):
+    out = tmp_path / "solve.json"
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--model", PRICE_HIGHVALUE, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the traced peak was 7.1 MB when the chain was one tuple per interval,
+    # each end formatted twice; as one column of ends, 4.4 MB
+    assert peak <= 5e6
 
 
 def test_pricing_csv_samples_give_monotone_curves(capsys):

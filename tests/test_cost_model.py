@@ -131,11 +131,11 @@ class TestCostTables:
         L, ms = ladder
         m = make_cost_model(L, L + 1.0, len(ms), marginals=ms)
         cumulative, floor_prefix, bps, counts = loop_tables(m)
-        assert isinstance(m.cumulative, tuple) and isinstance(m.floor_prefix, tuple)
+        got_bps, got_counts = m.g_steps
+        for table in (m.cumulative, m.floor_prefix, got_bps, got_counts):
+            assert table.typecode == "d"  # float columns, read as Python floats
         assert float_bits(m.cumulative) == float_bits(cumulative)
         assert float_bits(m.floor_prefix) == float_bits(floor_prefix)
-        got_bps, got_counts = m.g_steps
-        assert isinstance(got_bps, tuple) and got_counts.typecode == "d"
         assert float_bits(got_bps) == float_bits(bps)
         assert got_counts.tolist() == counts
 

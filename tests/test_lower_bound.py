@@ -235,7 +235,7 @@ class TestChainsAtFixedAlpha:
         sol = build_intervals(m, 2.0)
         assert sol.k_underbar == 1
         assert sol.xi == 1.0
-        assert sol.intervals[0] == (1.0, 1.0)
+        assert sol.interval(1) == (1.0, 1.0)
         assert sol.intervals[1][1] == pytest.approx(math.e, rel=1e-15)
 
     def test_general_route_rejects_infeasible_alpha(self):
@@ -311,7 +311,7 @@ class TestSolver:
         sol = solve_alpha_star(m)
         assert sol.alpha == 1.0
         assert any("U == L" in n for n in sol.notes)
-        assert all(iv == (2.0, 2.0) for iv in sol.intervals)
+        assert sol.intervals.tolist() == [[2.0, 2.0]] * (m.k - sol.k_underbar + 1)
 
     def test_top_unit_priced_out_raises(self):
         # c_k >= U: the last unit can never sell, so no chain ends at U
@@ -449,7 +449,7 @@ class TestItpSearch:
     def test_returned_chain_is_the_one_walked_at_alpha(self):
         for m in random_setups(7, per_kind=3):
             sol = solve_alpha_star(m)
-            assert build_intervals(m, sol.alpha).intervals == sol.intervals
+            assert build_intervals(m, sol.alpha).ends == sol.ends
 
     def test_end_test_scales_with_u(self):
         # at U = 10^6 the adjacent floats that end the search leave u_k about
