@@ -67,7 +67,8 @@ class CostModel:
 
     @cached_property
     def marginal_column(self) -> np.ndarray:
-        """The marginals as a read-only float64 array, converted once."""
+        """The marginals as a read-only float64 array; ``make_cost_model``
+        sets it to the array it checked."""
         out = np.array(self.marginals)
         out.flags.writeable = False
         return out
@@ -174,7 +175,8 @@ def make_cost_model(
         a = as_float("quadratic coefficient", quadratic_coeff)
         # c_i = f(i) - f(i-1) for f(i) = a*i^2
         with np.errstate(over="ignore"):
-            ms = tuple((a * np.arange(1.0, 2.0 * k, 2.0)).tolist())
+            arr = a * np.arange(1.0, 2.0 * k, 2.0)
+        ms = tuple(arr.tolist())
     else:
         if isinstance(marginals, (str, bytes, dict)):
             raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}")
@@ -184,7 +186,7 @@ def make_cost_model(
             raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}") from None
         if len(ms) != k:
             raise ValidationError(f"expected {k} marginals, got {len(ms)}")
-    arr = np.array(ms)
+        arr = np.array(ms)
     if (~np.isfinite(arr) | (arr < 0.0)).any() or (arr[1:] < arr[:-1]).any():
         # the error of the first bad marginal
         for i, c in enumerate(ms):
@@ -194,7 +196,12 @@ def make_cost_model(
                 raise ValidationError(
                     f"marginals must be non-decreasing: c_{i + 1} = {c} < c_{i} = {ms[i - 1]}"
                 )
-    return CostModel(L=L, U=U, k=k, marginals=ms)
+    model = CostModel(L=L, U=U, k=k, marginals=ms)
+    # the checked array is the model's marginal column, so no read of it
+    # converts the tuple again
+    arr.flags.writeable = False
+    vars(model)["marginal_column"] = arr
+    return model
 
 
 def cumulative_cost(model: CostModel, j: int) -> float:

@@ -22,15 +22,16 @@ case the setup is (``model.high_value``) and changes nothing else. The
 search shrinks the bracket to adjacent floats, the same pair that
 float-by-float bisection ends on, and accepts the chain whose end lies
 within ``DEFAULT_TOL`` of U, or else within ``DEFAULT_TOL * U``. Its steps
-interpolate on u_k, so on the benchmark setups it walks the chain 13 to 22
-times where bisection walks it 56 or 57, and never more than one walk
-beyond it.
+interpolate on log(u_k - c_k), which is close to linear in alpha where
+u_k grows like e^alpha, so on the benchmark setups it walks the chain 12
+to 16 times where bisection walks it 56 or 57, and never more than one
+walk beyond it.
 
 Each chain walk is one kernel, ``_chain``. It reads ``k_underbar`` (a
 bisect) and ``xi`` (one lookup) off the model's cached prefix table
 ``CostModel.floor_prefix``, then walks one step per unit, keeping only the
 current end: exact g-piece integration, inlined, while the chain is at or
-below the top marginal, and a multiply-add by e^{alpha/k} once it is
+below the top marginal, and ``u += (u - c) * expm1(alpha/k)`` once it is
 above, where no unit can open below its cost and the loop tests nothing.
 The search walks return ``(k_underbar, xi, u_k)`` alone; one more walk at
 the answer, ``build_intervals``, records the chain ends. The solution holds
@@ -39,11 +40,13 @@ them as one float column, ``LowerBoundSolution.ends``, from which the
 Every walk does the same float operations in the same order, so the
 recorded chain ends on the u_k the search saw.
 
-The walk's cost, not the number of walks, is what is left to cut. Near
-the root the computed u_k is a staircase at the scale of one ulp of alpha:
-at k = 20000, over the 300 floats above alpha_star, 86% of one-ulp steps
-leave u_k unchanged and one step moves it by up to 2.3e-13, where the
-slope predicts 2.9e-14. So the last halvings cannot be interpolated.
+The tail step adds the rise ``expm1(alpha/k)``, whose rounding is
+relative to e^{alpha/k} - 1, about alpha/k, where a multiply by a rounded
+e^{alpha/k} puts a relative error of up to 1.1e-16 on every step. Over k
+units that error compounds and made the computed u_k a staircase in
+alpha: at k = 20000 the multiply left alpha 666 ulps off the root of the
+same chain walked in 40 digits, and the rise leaves it 17 ulps off; on
+the quadratic ladders up to k = 2000 it is within one ulp.
 """
 
 import bisect
@@ -95,9 +98,10 @@ class LowerBoundSolution:
         return self.ends[j], self.ends[j + 1]
 
 
-def _exp(x: float) -> float:
+def _exp(x: float, f=math.exp) -> float:
+    """``f(x)`` (``math.exp`` or ``math.expm1``), or inf where it overflows."""
     try:
-        return math.exp(x)
+        return f(x)
     except OverflowError:
         return math.inf
 
@@ -220,13 +224,14 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     end carries from one unit to the next.
 
     Once the chain is above the top marginal, g = k for every later unit,
-    and each one scales by the same e^{alpha/k} in a plain multiply-add
-    loop with no feasibility test. None is needed: u_i - c_i is exact when
-    c_i >= u_{i-1} / 2, and otherwise the factor (over 1 + 1e-6, as
-    alpha >= 1 and k <= MAX_K) outweighs its rounding, so the computed u_i
+    and each one grows by the same factor e^{alpha/k}, written as the step
+    ``u += (u - c_i) * rise`` with ``rise = expm1(alpha / k)``, in a plain
+    loop with no feasibility test. None is needed: u - c_i and rise are
+    non-negative, so each step adds a non-negative term, the computed u_i
     is never below u_{i-1}, and the chain stays above every later cost. A
-    chain that lands on the top marginal exactly stays in the checked
-    loop, whose top piece is the same multiply-add, until it is above.
+    rise that overflows is inf, so the chain ends at inf. A chain that
+    lands on the top marginal exactly stays in the checked loop, whose top
+    piece is the same integration, until it is above.
     """
     k_underbar = compute_k_underbar(model, alpha)
     xi = compute_xi(model, alpha, k_underbar)
@@ -265,13 +270,13 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
             return None
         target = alpha
         i += 1
-    step = _exp(alpha / k)
+    rise = _exp(alpha / k, math.expm1)
     if ends is None:
         for c in ms[i:]:
-            u = c + (u - c) * step
+            u += (u - c) * rise
     else:
         for c in ms[i:]:
-            u = c + (u - c) * step
+            u += (u - c) * rise
             ends.append(u)
     return k_underbar, xi, u
 
@@ -356,8 +361,19 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
     # within r of the midpoint. r shrinks so that the search never needs
     # more than n0 = 1 step beyond bisection's n_half, and it ends on the
     # same adjacent floats. The bracket [lo, 2 lo] holds 2^52 floats spaced
-    # ulp(lo) apart, so n_half = 52. An infeasible end (u = -inf) or equal
-    # end values take the midpoint.
+    # ulp(lo) apart, so n_half = 52. The interpolation runs on
+    # z = log((u_k - c_k) / (U - c_k)), whose root is u_k = U: u_k - c_k
+    # grows about like e^alpha, so z is close to linear in alpha where u_k
+    # itself is steep. An infeasible end (z = -inf), an infinite one, or
+    # ends whose z values are equal (two distinct u_k can round to the same
+    # log) take the midpoint.
+    c_k = model.marginals[-1]
+
+    def z_of(u):
+        ratio = (u - c_k) / (U - c_k)  # -inf when infeasible; 0 if it underflows
+        return math.log(ratio) if ratio > 0.0 else -math.inf
+
+    z_lo, z_hi = z_of(u_lo), z_of(u_hi)
     kappa1 = 0.2 / (hi - lo)
     spacing = math.ulp(lo)
     n_max = math.ceil(math.log2((hi - lo) / spacing)) + 1
@@ -368,9 +384,9 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         if not lo < mid < hi:
             break
         x = mid
-        if math.isfinite(u_lo) and math.isfinite(u_hi) and u_lo != u_hi:
+        if math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo != z_hi:
             width = hi - lo
-            x_f = (lo * (u_hi - U) - hi * (u_lo - U)) / (u_hi - u_lo)
+            x_f = (lo * z_hi - hi * z_lo) / (z_hi - z_lo)
             delta = kappa1 * width * width
             sigma = 1.0 if mid > x_f else -1.0
             x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
@@ -380,9 +396,9 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
                 x = mid
         u_x = u_of(x)
         if u_x >= U:
-            hi, u_hi = x, u_x
+            hi, u_hi, z_hi = x, u_x, z_of(u_x)
         else:
-            lo, u_lo = x, u_x
+            lo, u_lo, z_lo = x, u_x, z_of(u_x)
 
     # lo and hi are adjacent floats, whose chain ends lie a gap apart that
     # grows with U; an end within DEFAULT_TOL wins first, hi before lo. An

@@ -644,17 +644,19 @@ def test_pricing_json_round_trips_to_identical_scheme(tmp_path, capsys):
 PRICE_HIGHVALUE = json.dumps(
     {"L": 1, "U": 30, "k": 20000, "cost": {"type": "quadratic", "coeff": 0.45 / 20000}}
 )
-# SHA-256 of `pricing` stdout, recorded before the curves were stored as
-# columns; the writer and the builders must keep every byte.
+# SHA-256 of `pricing` stdout. The fig, price-general and price-highvalue
+# digests were recorded again when the chain's tail step became
+# u + (u - c) * expm1(alpha / k); the writer and the builders must keep
+# every byte.
 PRICING_SHA256 = {
     "price-general": (
         json.dumps({"L": 1, "U": 30, "k": 500, "cost": {"type": "quadratic", "coeff": 1 / 500}}),
-        "ebd3c17f8d584a42cb49fc9a692dce7b18111ca2358cdac017eac3a5387bef3a",
+        "00e8d816910cfd12f522211b806a3684413bf3c1f0c963517792811b754e30df",
     ),
     "price-highvalue": (
-        PRICE_HIGHVALUE, "d81a489c873da5b866c2e11c9df9656a65f1bd2774565c45ebf6ba2a37a1c36f",
+        PRICE_HIGHVALUE, "7c32d50e57ca0f3c3959e1d602a17949117b79223bccbe3842f8d0f507b38b55",
     ),
-    "fig": (FIG_MODEL, "cdf9607378fc04ed80b7de50259abb957aca5d113e461e0aa82d3bf58d3eeeff"),
+    "fig": (FIG_MODEL, "48af08c97902e4725b3062d2bc049590c9b9dddcbcd648b3920a0cea5e70f729"),
     "two-unit": (K2_MODEL, "00f21499e8f7226349365399a1509aa969303f6e75f62d3709a7644c63e4ce7e"),
     "negative-zero": (
         '{"L": 1, "U": 4, "k": 3, "cost": {"type": "explicit", "marginals": [-0.0, 0.2, 0.3]}}',
@@ -667,13 +669,14 @@ PRICING_SHA256 = {
     ),
 }
 # SHA-256 of `simulate --scheme` stdout on the `fig` scheme file. The
-# --pin-seeds digest was recorded with PRICING_SHA256; the r-dynamic and
-# static digests when trials moved to the keyed Philox streams.
+# --pin-seeds digest was recorded with the fig digest of PRICING_SHA256;
+# the r-dynamic and static digests when trials moved to the keyed Philox
+# streams.
 SIMULATE_SHA256 = {
     (): "4c21203ba28b6739e3543194552fdb82b9d70ebbe773a12876bef52b36b2781d",
     ("--mechanism", "static"): "7e1cdbe6323d27d27de0b79d0e2410324e3d417e4df9042071562d9f3e0dc544",
     ("--pin-seeds", ",".join(["0.5"] * 10)): (
-        "b7273b3bc62bb8f20fcc8b75f24ede3c783197bb73d5c9840db155064a522a21"
+        "b8c6424fa9b2e54b28f161f61daf4252f6f10f0fa114bd91e9319671cf93ffbd"
     ),
 }
 
@@ -690,19 +693,20 @@ def test_pricing_json_bytes_are_pinned(capsys, name):
     assert sha256(out) == digest
 
 
-# SHA-256 of `solve` stdout on the benchmark setups, recorded while it was
-# written by json.dumps(indent=2); the streamed writer must keep every byte.
+# SHA-256 of `solve` stdout on the benchmark setups, recorded when the
+# chain's tail step became u + (u - c) * expm1(alpha / k) (at k = 10 alpha
+# kept its bits and the chain ends moved); the writer must keep every byte.
 SOLVE_SHA256 = {
     "exp": (
         json.dumps({"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}),
-        "224c6f714b0aae75df8c6742ef068ad528393f3171b4d5d17d2b805b58cb2586",
+        "c9847850297f8a9cebc84c938d55efd4b4892a6d5da535992a1e87b636c3c759",
     ),
     "price-general": (
         PRICING_SHA256["price-general"][0],
-        "3ec9d9e4c9ee9341b0cd2c2f651eb981ddb2ca8b0810f254e89c8fbaef842aa9",
+        "c113b7dbce5d203697bcdac7a1c46045628df8660ac3af0ded3588f131499e2f",
     ),
     "price-highvalue": (
-        PRICE_HIGHVALUE, "e5640882af9cbf0a3c393d4fc7cdbe3747e2228d00c98c5edf252315b2ff2920",
+        PRICE_HIGHVALUE, "e7c97473fc863321ec16dcfa36e84c47e4c47648f6506d6604bdaef74fc7668e",
     ),
 }
 

@@ -146,6 +146,20 @@ class TestCostTables:
         assert float_bits(m.marginals) == float_bits([a * (2 * i - 1) for i in range(1, k + 1)])
         assert all(type(c) is float for c in m.marginals)
 
+    @settings(max_examples=100, deadline=None)
+    @given(ladders(), st.sampled_from((-0.0, 0.0, 0.3, 1.0 / 59.0)))
+    def test_marginal_column_is_the_tuple_read_only(self, ladder, a):
+        L, ms = ladder
+        for m in (
+            make_cost_model(L, L + 1.0, len(ms), marginals=ms),
+            make_cost_model(L, L + 1.0, len(ms), quadratic_coeff=a),
+        ):
+            assert isinstance(m.marginals, tuple)
+            column = m.marginal_column
+            assert column.dtype == np.float64
+            assert float_bits(column) == float_bits(np.array(m.marginals))
+            assert not column.flags.writeable
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

@@ -9,6 +9,8 @@ Oracles used here and nowhere else:
   which the package no longer carries;
 * the float-by-float bisection on alpha (``closed_form.bisect_alpha``),
   which the solver's ITP search must match bit for bit;
+* the root of the same chain walked in 40-digit arithmetic
+  (``mp_chain.MpChain``), which bounds the solver's alpha error in ulps;
 * hand-solved setups with frozen k_underbar / xi / interval values;
 * a hand-derived transcendental equation for one general-regime setup,
   checked as a residual at the solver's alpha.
@@ -422,7 +424,22 @@ class TestItpSearch:
         m = BENCHMARK_MODELS[k]
         sol, walks, recorded = counted_solve(monkeypatch, m)
         assert sol.alpha.hex() == bisect_alpha(m)[0].hex()
-        assert (walks, recorded) == ({10: 13, 500: 21, 20000: 22}[k], 1)
+        assert (walks, recorded) == ({10: 13, 500: 12, 20000: 16}[k], 1)
+
+    @pytest.mark.parametrize(
+        "model, pinned",
+        [
+            # u_k is steep in alpha where c_k is close to L; regula falsi on
+            # u_k itself took 58 walks here and 36 on the k = 10^5 model
+            (make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.99999]), 15),
+            (make_cost_model(L=1.0, U=30.0, k=10**5, quadratic_coeff=0.45e-5), 17),
+        ],
+        ids=["k1-steep", "k100000"],
+    )
+    def test_steep_setups(self, monkeypatch, model, pinned):
+        sol, walks, recorded = counted_solve(monkeypatch, model)
+        assert sol.alpha.hex() == bisect_alpha(model)[0].hex()
+        assert (walks, recorded) == (pinned, 1)
 
     def test_worst_case_is_bisection_plus_one(self, monkeypatch):
         # u_k = U + (alpha - 3.7)^3 is flat at its root, where regula falsi
@@ -464,6 +481,52 @@ class TestItpSearch:
         assert (end - m.U) * (other - m.U) < 0.0
 
 
+def random_large_setups(seed: int, count: int):
+    """High-value and general setups, alternating, with k up to 2000: each
+    draws k uniformly below a cap that is log-uniform in [2, 2000]."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        k_max = int(2000.0 ** rng.uniform(0.1, 1.0))
+        draw = random_high_value_model if n % 2 else random_general_model
+        yield draw(rng, k_max=k_max)
+
+
+class TestAccuracy:
+    """The solver's alpha against the root of the same chain walked in 40
+    digits (``mp_chain.MpChain``), in ulps of alpha."""
+
+    @pytest.mark.parametrize(
+        "k, coeff, ulps",
+        [
+            (10, 1.0 / 16.0, 1.0),
+            (500, 1.0 / 500.0, 1.0),
+            (2000, 1.0 / 2000.0, 1.0),
+            (200, 0.45 / 200.0, 1.0),
+            (2000, 0.45 / 2000.0, 1.0),
+            (20000, 0.45 / 20000.0, 20.0),
+        ],
+    )
+    def test_quadratic_ladders(self, k, coeff, ulps):
+        pytest.importorskip("mpmath")
+        from mp_chain import MpChain
+
+        m = make_cost_model(L=1.0, U=30.0, k=k, quadratic_coeff=coeff)
+        assert abs(MpChain(m).ulps_off(solve_alpha_star(m).alpha)) <= ulps
+
+    def test_random_setups(self):
+        pytest.importorskip("mpmath")
+        from mp_chain import MpChain
+
+        worst = max(
+            abs(MpChain(m).ulps_off(solve_alpha_star(m).alpha))
+            for m in random_large_setups(2026, 40)
+        )
+        # the worst measured over 840 such setups (seeds 0 to 20) is 30.4
+        # ulps, a general setup with c_k close to U whose error comes from
+        # the walk below the top marginal
+        assert worst <= 32.0
+
+
 def end_only_agrees(m, alpha) -> bool:
     """Whether the search's walk (u_k alone) agrees with build_intervals at
     alpha: the same k_underbar, xi and chain end, bit for bit, or None
@@ -501,10 +564,16 @@ class TestWalkKernel:
                     infeasible += 1
         assert feasible > 2000 and infeasible > 200
 
+    def test_overflowing_tail_step_is_infinite(self):
+        # alpha / k = 1000: e^{alpha/k} - 1 overflows, and the chain ends at inf
+        m = make_cost_model(L=1.0, U=30.0, k=2, marginals=[0.1, 0.2])
+        assert build_intervals(m, 2000.0).ends.tolist() == [1.0, math.inf, math.inf]
+        assert lower_bound._chain(m, 2000.0)[2] == math.inf
+
     # Chains built to reach the top marginal c_k exactly, or one ulp above
     # it, from below (unit 1's interval crosses every other piece). At or
-    # above c_k the walk's last piece is the multiply-add of the plain loop;
-    # only above it may the loop drop the test u <= c_i.
+    # above c_k g = k, as in the plain loop; only above it may the loop
+    # drop the test u <= c_i.
     @pytest.mark.parametrize(
         "marginals, ulps_above, feasible",
         [
