@@ -124,6 +124,8 @@ def as_float(name: str, value) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(f"{name} must be finite, got {value!r}") from None
     if not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return out

@@ -3,7 +3,8 @@
 The staged worst-case family posts k identical buyers at each valuation
 stage L, L+eps, ... ; stochastic generators draw truncated normals by
 rejection. Every generated valuation lies in [L, U] by construction, never
-by clamping, and no generator builds more than MAX_ARRIVALS arrivals.
+by clamping, and no generator builds, nor ``read_instance`` reads, more
+than MAX_ARRIVALS arrivals.
 """
 
 import math
@@ -19,7 +20,8 @@ from .errors import ValidationError
 # request (acceptance rate effectively zero)
 _MAX_REJECTION_ROUNDS = 10_000
 
-# most arrivals one generated instance may hold, checked before it is built
+# most arrivals one instance may hold: checked before a generated one is
+# built, and line by line while a file is read
 MAX_ARRIVALS = 10_000_000
 
 
@@ -168,6 +170,10 @@ def read_instance(path: str | os.PathLike) -> Instance:
                     vals.append(float(text))
                 except ValueError:
                     raise ValidationError(f"{path}: line {lineno}: not a number: {text!r}")
+                if len(vals) > MAX_ARRIVALS:
+                    raise ValidationError(
+                        f"{path}: more than {MAX_ARRIVALS} arrivals (the ceiling)"
+                    )
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     return Instance(tuple(vals), label=label)

@@ -47,6 +47,10 @@ units that error compounds and made the computed u_k a staircase in
 alpha: at k = 20000 the multiply left alpha 666 ulps off the root of the
 same chain walked in 40 digits, and the rise leaves it 17 ulps off; on
 the quadratic ladders up to k = 2000 it is within one ulp.
+
+``chain_residual`` certifies a chain unit by unit: it integrates each
+unit's curve over its interval along ``g_pieces``, a path apart from the
+walk's inlined one, and compares the rise with the unit's share of alpha.
 """
 
 import bisect
@@ -156,31 +160,12 @@ def compute_xi(model: CostModel, alpha: float, k_underbar: int) -> float:
 # exact piecewise integration of the step function g
 
 
-def piece_index(model: CostModel, v: float, start: int | None = None) -> int:
-    """Index of the g-piece holding v (see ``CostModel.g_steps``).
-
-    A caller sweeping v upward passes the index it reached last as ``start``;
-    the scan then moves forward from there instead of searching afresh.
-    """
-    bps = model.g_steps[0]
-    if start is None:
-        return bisect.bisect_right(bps, v)
-    j = start
-    while j < len(bps) and bps[j] <= v:
-        j += 1
-    return j
-
-
-def g_pieces(model: CostModel, a: float, b: float, j: int | None = None):
-    """Yield (lo, hi, g) sub-intervals of [a, b] on which g is constant.
-
-    ``j`` is the piece holding a, when the caller already knows it.
-    """
+def g_pieces(model: CostModel, a: float, b: float):
+    """Yield (lo, hi, g) sub-intervals of [a, b] on which g is constant."""
     if b < a:
         raise ValidationError(f"empty integration range [{a}, {b}]")
     bps, counts = model.g_steps
-    if j is None:
-        j = piece_index(model, a)
+    j = bisect.bisect_right(bps, a)  # the piece holding a
     lo = a
     while lo < b:
         hi = min(b, bps[j]) if j < len(bps) else b
@@ -317,9 +302,11 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
     """Tight bound for any valid cost ladder, labelled by ``model.high_value``."""
     U = model.U
 
-    if U == model.L:
+    if U == model.L and model.marginals[-1] <= U:
         # Degenerate valuation range: a single admissible value. No chain can
         # end strictly inside [L, U], so fix alpha at 1 with flat intervals.
+        # A top unit that costs more than U can never sell, so that setup
+        # takes the c_k >= U error below, as it does for any U.
         k_underbar = compute_k_underbar(model, 1.0)
         xi = compute_xi(model, 1.0, k_underbar)
         flat = array("d", [model.L]) * (model.k - k_underbar + 2)
@@ -421,7 +408,7 @@ solve_alpha_star_general = solve_alpha_star
 
 
 # ---------------------------------------------------------------------------
-# allocation curves and the feasibility identity
+# allocation curves and the chain certificate
 
 
 def eval_psi(solution: LowerBoundSolution, model: CostModel, i: int, v: float) -> float:
@@ -451,37 +438,31 @@ def eval_psi(solution: LowerBoundSolution, model: CostModel, i: int, v: float) -
     return min(1.0, max(0.0, raw))
 
 
-def verify_equality(
-    solution: LowerBoundSolution, model: CostModel, grid_size: int = 1000
-) -> float:
-    """Max residual of the welfare-accounting identity over a valuation grid.
+def chain_residual(solution: LowerBoundSolution, model: CostModel) -> float:
+    """Largest miss of the per-unit chain equations, as a share of alpha.
 
-    For a chain built at any admissible alpha, the expected welfare the
-    allocation curves promise up to valuation v must equal the offline value
-    scaled by 1/alpha:
-
-        sum_i psi_i(L) * (L - c_i) + sum_i int_L^v (eta - c_i) d psi_i(eta)
-            = (1/alpha) * conjugate(v)
-
-    Each inner integral is evaluated in closed form: d psi_i concentrates on
-    unit i's interval, where (eta - c_i) d psi_i reduces to g(eta)/alpha d eta,
-    whose integral is the rise of the conjugate.
+    Unit i's curve rises over its interval by the integral of
+    g(eta) / (eta - c_i) from ell_i to u_i, divided by alpha; the chain
+    makes that rise 1 - xi for unit k_underbar and 1 for every later unit.
+    The integral is taken by ``_integral_over_pole``, not by the walk that
+    built the chain, so a chain whose ends are wrong fails the check, while
+    the solver's chain passes at any feasible alpha. Returns the largest
+    |rise - share| over the units, inf when an interval opens at or below
+    its unit's cost, and 0 when U == L, where alpha is fixed at 1 and no
+    chain equation applies. An end that rounds an ulp below the one before
+    it (a share of 0) counts as a negative rise. The end test |u_k - U| is
+    the solver's, not this check's.
     """
-    if grid_size < 2:
-        raise ValidationError("grid_size must be at least 2")
-    L, U = model.L, model.U
-    alpha = solution.alpha
-    ms = model.marginals
-    k_underbar, xi = solution.k_underbar, solution.xi
-    head = model.floor_prefix[k_underbar - 2] if k_underbar > 1 else 0.0
-    base = head + xi * (L - ms[k_underbar - 1])
-    max_residual = 0.0
-    for t in range(grid_size):
-        v = L + (U - L) * t / (grid_size - 1)
-        acc = base
-        for ell, u in pairwise(solution.ends):
-            top = min(v, u)
-            if top > ell:
-                acc += (conjugate(model, top) - conjugate(model, ell)) / alpha
-        max_residual = max(max_residual, abs(acc - conjugate(model, v) / alpha))
-    return max_residual
+    if model.U == model.L:
+        return 0.0
+    alpha, ku = solution.alpha, solution.k_underbar
+    share = 1.0 - solution.xi
+    worst = 0.0
+    for c, (ell, u) in zip(model.marginals[ku - 1 :], pairwise(solution.ends)):
+        lo, hi = sorted((ell, u))
+        if lo <= c:
+            return math.inf
+        rise = _integral_over_pole(model, c, lo, hi) / alpha
+        worst = max(worst, abs((rise if u >= ell else -rise) - share))
+        share = 1.0
+    return worst

@@ -73,6 +73,12 @@ class WelfareEstimate:
 
 _KINDS = ("r-dynamic", "pinned", "static")
 
+# Largest trials * k one estimate may ask for, checked before any draw. An
+# estimate holds its seeds, prices and sale positions for every cell at
+# once, 20-50 bytes a cell (more at small k), so this caps it near 0.5 GB;
+# the largest the tests and benchmark workloads ask for is 2 * 10**5 cells.
+MAX_TRIAL_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -367,6 +373,10 @@ def expected_welfare(
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
+    if trials * model.k > MAX_TRIAL_CELLS:
+        raise ValidationError(
+            f"trials * k exceeds the ceiling of {MAX_TRIAL_CELLS} (k = {model.k})"
+        )
     mech = _checked(target, model)
     _check_valuations(instance, model)
     rows = [0] if mech.kind == "pinned" else range(trials)

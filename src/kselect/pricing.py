@@ -61,7 +61,7 @@ import numpy as np
 from . import jsontext
 from .cost_model import CostModel, model_from_json, model_to_json, packed
 from .errors import ValidationError
-from .lower_bound import LowerBoundSolution, g_pieces, piece_index, solve_alpha_star
+from .lower_bound import LowerBoundSolution, g_pieces, solve_alpha_star
 
 
 # One segment of a price curve. Constant piece: rate == 0 and the price is
@@ -230,27 +230,25 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
     (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
     c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
     construction; the last endpoint is snapped to exactly 1. The last unit's
-    top price is clamped to U, as in _price_intervals. The intervals are
-    contiguous, so the g-piece index carries from one unit to the next.
+    top price is clamped to U, as in _price_intervals.
 
-    The units below the threshold unit are flat at L. Past the threshold
-    unit, the units whose interval lies above the top marginal (g = k on
-    it) have one segment each: seeds [0, 1], prices u_{i-1} to u_i, cost
-    c_i, rate alpha / k (0 on a zero-width interval). Both runs are written
-    as column slices, the second from slices of the chain ends and the
-    marginals, and its spans are checked at once; only the units between
-    them are walked piece by piece.
+    The units below the threshold unit are flat at L. The threshold unit,
+    and every later unit whose interval starts below the top marginal c_k,
+    are walked piece by piece (``g_pieces``); one ``searchsorted`` of the
+    chain ends against c_k counts them. Every unit after them lies above
+    c_k, where g = k, and has one segment: seeds [0, 1], prices u_{i-1} to
+    u_i, cost c_i, rate alpha / k (0 on a zero-width interval). The run
+    below and the run above are written as column slices, the second from
+    slices of the chain ends and the marginals, and its spans are checked
+    at once.
     """
     alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
-    L = model.L
-    top = len(model.g_steps[0])
-    j = piece_index(model, L)
+    L, k = model.L, model.k
+    ends = np.frombuffer(sol.ends)  # u_{ku - 1} = L, ..., u_k
+    walked = min(max(1, int(np.searchsorted(ends, model.marginals[-1]))), len(ends) - 1)
     rows: list[list[float]] = []  # segments of the units walked piece by piece
     sizes = [1] * (ku - 1)
-    i = ku
-    for ell, u in pairwise(sol.ends):
-        if i > ku and j == top:
-            break
+    for i, (ell, u) in enumerate(pairwise(sol.ends[: walked + 1]), ku):
         c = model.marginals[i - 1]
         raw: list[list[float]] = []
         s = 0.0
@@ -258,7 +256,7 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
             raw.append([0.0, xi, L, L, c, 0.0])
             s = xi
         if u > ell:
-            for a, b, g in g_pieces(model, ell, u, j):
+            for a, b, g in g_pieces(model, ell, u):
                 span = (g / alpha) * math.log((b - c) / (a - c))
                 raw.append([s, s + span, a, b, c, alpha / g])
                 s = s + span
@@ -270,15 +268,11 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
         raw[-1][1] = 1.0
         rows += raw
         sizes.append(len(raw))
-        if j < top:
-            j = piece_index(model, u, j)
-        i += 1
-    ends = np.frombuffer(sol.ends)[i - ku :]  # u_{i-1}, ..., u_k
-    lo, hi, c = ends[:-1], ends[1:], model.marginal_column[i - 1 :]  # units i..k
+    i = ku + walked  # the first unit above the top marginal
+    lo, hi, c = ends[walked:-1], ends[walked + 1 :], model.marginal_column[i - 1 :]
     ramp = hi > lo
-    g = model.g_steps[1][top]
     with np.errstate(divide="ignore", invalid="ignore"):
-        span = (g / alpha) * np.log((hi - c) / (lo - c))
+        span = (k / alpha) * np.log((hi - c) / (lo - c))
     off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
     if off.size:
         raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
@@ -288,7 +282,7 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
     cols[:, ku - 1 : head] = np.array(rows).T
     tail = cols[:, head:]
     tail[0], tail[1], tail[2], tail[3], tail[4] = 0.0, 1.0, lo, hi, c
-    tail[5] = np.where(ramp, alpha / g, 0.0)
+    tail[5] = np.where(ramp, alpha / k, 0.0)
     cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
     sizes += [1] * len(lo)
     return PricingScheme(

@@ -21,7 +21,7 @@ from exact_welfare import dynamic_welfare, static_welfare
 
 from kselect.cost_model import make_cost_model
 from kselect.instances import Instance, gen_iid, gen_low2high, gen_sorted, hard_instance
-from kselect.lower_bound import build_intervals, eval_psi, solve_alpha_star, verify_equality
+from kselect.lower_bound import build_intervals, chain_residual, eval_psi, solve_alpha_star
 from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
 from kselect.pricing import build_scheme, inverse_price, prices_for_seeds
 
@@ -92,10 +92,12 @@ def test_criterion_02_both_solver_routes_agree():
 
 
 def test_criterion_03_welfare_identity_residual():
-    """Allocation-curve accounting matches the scaled offline value on a grid.
+    """Each unit's allocation curve rises by its share over its interval.
 
-    Residual stays under 1e-6 over 1000 grid points, both at the tight alpha
-    and at a strictly larger alpha, for 10 random setups of both kinds.
+    The chain certificate (``chain_residual``: the rise of unit i's curve,
+    integrated apart from the chain walk, against 1 - xi for the threshold
+    unit and 1 for the rest) stays under 1e-9 both at the tight alpha and at
+    a strictly larger alpha, for 10 random setups of both kinds.
     """
     rng = np.random.default_rng(30_303)
     models = [random_high_value_model(rng) for _ in range(6)]
@@ -103,8 +105,8 @@ def test_criterion_03_welfare_identity_residual():
     for model in models:
         sol = solve_alpha_star(model)
         loose = build_intervals(model, sol.alpha + 0.5)
-        assert verify_equality(sol, model, grid_size=1000) <= 1e-6
-        assert verify_equality(loose, model, grid_size=1000) <= 1e-6
+        assert chain_residual(sol, model) <= 1e-9
+        assert chain_residual(loose, model) <= 1e-9
 
 
 def test_criterion_04_interval_chain_ends_at_top_value():

@@ -163,6 +163,9 @@ REMOVED_INSTANCE_FLAGS = (
             "experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1}',
             "--mechanisms", "pinned:,static",
         ),
+        ("solve", "--model", _model_with(U=10**400)),
+        ("solve", "--model", _model_with(cost={"marginals": [0.25, 10**400]})),
+        ("instances", "--model", K2_MODEL, "--spec", json.dumps({"kind": "iid", "mu": 10**400})),
     ],
     ids=[
         "marginals-string",
@@ -210,6 +213,9 @@ REMOVED_INSTANCE_FLAGS = (
         "sigma-on-static-in-list",
         "empty-sigma",
         "empty-sigma-in-list",
+        "U-past-float-range",
+        "marginal-past-float-range",
+        "mu-past-float-range",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -268,6 +274,19 @@ def test_solve_unsolvable_chain_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "no solution" in err
+
+
+@pytest.mark.parametrize("U", ["2", "2.0000001"])
+def test_flat_range_with_a_top_unit_above_u_exits_3(capsys, tmp_path, U):
+    # c_2 = 3 > U: the top unit can never sell, whether or not U == L, so
+    # no alpha is reported and simulate prices no unit below its cost
+    model = '{"L": 2, "U": %s, "k": 2, "cost": {"type": "explicit", "marginals": [0.5, 3.0]}}' % U
+    inst = tmp_path / "inst.txt"
+    inst.write_text("2\n2\n2\n")
+    for argv in (("solve",), ("simulate", "--instance", str(inst))):
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, out) == (3, "")
+        assert "no solution: c_k = 3.0 >= U" in err
 
 
 def test_solve_end_test_scales_with_u(capsys):
@@ -1052,6 +1071,7 @@ def test_size_ceilings_reject_before_allocating(capsys):
             ("pricing", "--model", FIG_MODEL, "--samples", "1000000"),
             ("curves", "--k-min", "1", "--k-max", str(10**9)),
             ("experiment", "--model", FIG_MODEL, "--instances", '{"kind": "iid", "count": 1e9}'),
+            ("simulate", "--model", FIG_MODEL, "--instance", os.devnull, "--trials", "1000001"),
         ):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -1061,6 +1081,15 @@ def test_size_ceilings_reject_before_allocating(capsys):
             assert tracemalloc.get_traced_memory()[1] - base < 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_instance_file_past_the_arrival_ceiling_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(kselect.instances, "MAX_ARRIVALS", 4)
+    inst = tmp_path / "inst.txt"
+    inst.write_text("2\n" * 5)
+    code, out, err = run_cli(capsys, "simulate", "--model", K2_MODEL, "--instance", str(inst))
+    assert (code, out) == (2, "")
+    assert "more than 4 arrivals" in err
 
 
 def test_model_json_helpers_agree_with_cli_input():

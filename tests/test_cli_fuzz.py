@@ -7,8 +7,8 @@ a config file, in which at most one option holds a malformed value and at
 most one more thing is wrong with the command line itself, so most examples
 get past parsing to the code behind it. Every size stays small (k <= 12,
 trials <= 50, instance count <= 2, arrivals <= 64, samples <= 16): the
-trials x k table of a Monte-Carlo estimate has no ceiling, so a large value
-would only measure memory. Every run works in the test's temporary
+trials x k table of a Monte-Carlo estimate may reach 10^7 cells, so a large
+value would only measure time and memory. Every run works in the test's temporary
 directory, so that is where any ``--out`` lands.
 """
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from kselect.cli import main
 
 # Malformed values for any key. None of them is a large size: counts and
-# trials have no ceiling, so a huge value would run for a long time.
+# trials just under their ceilings would run for a long time.
 JUNK = st.sampled_from([None, True, "x", [1], {}, "-1", 2.5, float("nan"), float("inf")])
 NOT_INT = st.sampled_from([float("inf"), float("nan"), 2.5, "2.5", True, None, [1]])
 # Integers with the edges drawn often (sampled_from favours its first

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kselect import instances
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import (
@@ -201,3 +202,12 @@ class TestFileIO:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert read_instance(path).valuations == ()
+
+    def test_arrival_ceiling_checked_while_reading(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(instances, "MAX_ARRIVALS", 3)
+        path = tmp_path / "long.txt"
+        path.write_text("# label: x\n1.5\n\n2.0\n2.5\n")
+        assert read_instance(path).valuations == (1.5, 2.0, 2.5)
+        path.write_text("1.5\n2.0\n2.5\n3.0\nabc\n")
+        with pytest.raises(ValidationError, match="more than 3 arrivals"):
+            read_instance(path)

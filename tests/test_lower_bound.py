@@ -13,13 +13,17 @@ Oracles used here and nowhere else:
   (``mp_chain.MpChain``), which bounds the solver's alpha error in ulps;
 * hand-solved setups with frozen k_underbar / xi / interval values;
 * a hand-derived transcendental equation for one general-regime setup,
-  checked as a residual at the solver's alpha.
+  checked as a residual at the solver's alpha;
+* the exact expected welfare of the curves (``exact_welfare.py``) on the
+  staged adversary family ``hard_instance``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -30,19 +34,21 @@ from closed_form import (
     scan_k_underbar,
     scan_xi,
 )
+from exact_welfare import dynamic_welfare
 
 from kselect import lower_bound
 from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
+from kselect.instances import hard_instance
 from kselect.lower_bound import (
     DEFAULT_TOL,
     _integral_over_pole,
     build_intervals,
+    chain_residual,
     compute_k_underbar,
     compute_xi,
     eval_psi,
     solve_alpha_star,
-    verify_equality,
 )
 
 
@@ -157,7 +163,7 @@ class TestKUnderbarAndXi:
 
 class TestExactIntegration:
     def test_conjugate_rise_frozen(self):
-        # the integral of g over [a, b], as verify_equality reads it
+        # the integral of g over [a, b] is the rise of the conjugate
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
         assert conjugate(m, 4.0) - conjugate(m, 1.0) == pytest.approx(5.0, abs=1e-15)
         assert conjugate(m, 1.5) - conjugate(m, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -316,10 +322,12 @@ class TestSolver:
         assert sol.intervals.tolist() == [[2.0, 2.0]] * (m.k - sol.k_underbar + 1)
 
     def test_top_unit_priced_out_raises(self):
-        # c_k >= U: the last unit can never sell, so no chain ends at U
-        m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.5])
-        with pytest.raises(SolverError, match="cannot terminate at U"):
-            solve_alpha_star(m)
+        # c_k >= U: the last unit can never sell, so no chain ends at U; with
+        # U == L too (c_k = U == L is the flat range, alpha fixed at 1)
+        for L, U, c_k in ((1.0, 2.0, 2.5), (2.0, 2.0, 3.0)):
+            m = make_cost_model(L=L, U=U, k=2, marginals=[0.5, c_k])
+            with pytest.raises(SolverError, match="cannot terminate at U"):
+                solve_alpha_star(m)
         m_eq = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.0])
         with pytest.raises(SolverError):
             solve_alpha_star(m_eq)
@@ -343,7 +351,7 @@ class TestSolver:
         assert sol.regime == "general"
         assert abs(sol.intervals[-1][1] - 30.0) <= 1e-8
         assert sol.alpha > 1.0
-        assert verify_equality(sol, m, grid_size=400) <= 1e-6
+        assert chain_residual(sol, m) <= 1e-9
 
 
 def random_edge_model(rng, kind: str):
@@ -646,24 +654,77 @@ class TestPsi:
             sol.interval(3)
 
 
-class TestWelfareIdentity:
+class TestChainCertificate:
     def test_residual_small_at_bound_and_above(self):
         rng = np.random.default_rng(29)
         models = [random_high_value_model(rng, k_max=6) for _ in range(3)]
+        models += [random_general_model(rng, k_max=6) for _ in range(3)]
         models += [make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])]
         for m in models:
             sol = solve_alpha_star(m)
             above = build_intervals(m, sol.alpha + 0.5)
-            assert verify_equality(sol, m, grid_size=500) <= 1e-6
-            assert verify_equality(above, m, grid_size=500) <= 1e-6
+            assert chain_residual(sol, m) <= 1e-9
+            assert chain_residual(above, m) <= 1e-9
+
+    def test_solver_chains_certify(self):
+        setups = [*random_setups(2024), *BENCHMARK_MODELS.values()]
+        worst = max(chain_residual(solve_alpha_star(m), m) for m in setups)
+        assert worst <= 1e-9
 
     def test_degenerate_interval_residual(self):
+        # U == L: alpha is fixed at 1 and no chain equation applies
         m = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
         sol = solve_alpha_star(m)
-        assert verify_equality(sol, m, grid_size=10) <= 1e-12
+        assert chain_residual(sol, m) == 0.0
 
-    def test_grid_validation(self):
-        m = make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.0])
+    def test_end_rounding_below_the_one_before(self):
+        # xi = 1 at alpha = 2: unit 1's share is 0, and its end
+        # 0.4 + (1.7 - 0.4) rounds one ulp below L = 1.7
+        m = make_cost_model(L=1.7, U=4.0, k=2, marginals=[0.4, 0.4])
+        sol = build_intervals(m, 2.0)
+        assert sol.xi == 1.0 and sol.ends[1] < sol.ends[0]
+        assert chain_residual(sol, m) <= 1e-9
+
+    def test_scrambled_chain_fails(self):
+        # the benchmark chain with its interior ends replaced by sorted
+        # random points still runs end to end from L to U, and a check whose
+        # sums telescope passes it; the per-unit equations do not
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         sol = solve_alpha_star(m)
-        with pytest.raises(ValidationError):
-            verify_equality(sol, m, grid_size=1)
+        assert chain_residual(sol, m) <= 1e-9
+        ends = np.array(sol.ends)
+        inner = np.sort(np.random.default_rng(4).uniform(ends[0], ends[-1], len(ends) - 2))
+        scrambled = dataclasses.replace(sol, ends=array("d", [ends[0], *inner, ends[-1]]))
+        assert chain_residual(scrambled, m) > 0.1
+
+    def test_interval_at_or_below_its_cost_is_infinite(self):
+        # every interval but the last is [L, L]; unit 9 costs 17/16 > L
+        m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+        sol = solve_alpha_star(m)
+        flat = array("d", [m.L] * (len(sol.ends) - 1) + [m.U])
+        assert chain_residual(dataclasses.replace(sol, ends=flat), m) == math.inf
+
+    @pytest.mark.parametrize(
+        "L,U,costs,eps",
+        [
+            (1.0, 30.0, {"quadratic_coeff": 1.0 / 16.0, "k": 10}, 0.5),
+            (1.0, 10.0, {"quadratic_coeff": 1.0 / 59.0, "k": 3}, 0.25),
+            (1.0, 10.0, {"quadratic_coeff": 1.0 / 59.0, "k": 5}, 0.25),
+            (1.0, 4.0, {"marginals": [0.1, 0.2, 0.3], "k": 3}, 0.05),
+        ],
+        ids=["benchmark", "curves-k3", "curves-k5", "high-value-k3"],
+    )
+    def test_curves_meet_alpha_on_the_adversary_family(self, L, U, costs, eps):
+        # k buyers at each stage L, L + eps, ..., v: the exact expected
+        # welfare of the curves is at least conjugate(v) / alpha* for every
+        # terminal v on the grid, and the family attains alpha*
+        m = make_cost_model(L=L, U=U, **costs)
+        sol = solve_alpha_star(m)
+        stages = [L + j * eps for j in range(round((U - L) / eps) + 1)]
+        ratios = [
+            conjugate(m, v) / dynamic_welfare(sol, m, hard_instance(m, eps, v).valuations)
+            for v in stages
+        ]
+        assert max(ratios) <= sol.alpha * (1.0 + 1e-12)
+        assert max(ratios) == pytest.approx(sol.alpha, rel=1e-9)
+

@@ -21,6 +21,7 @@ from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import Instance, gen_iid, hard_instance
 from kselect.mechanisms import (
+    MAX_TRIAL_CELLS,
     Mechanism,
     _price_matrix,
     _welfares,
@@ -272,6 +273,18 @@ class TestSubstreams:
         dyn = Mechanism(build_scheme(m))
         with pytest.raises(ValidationError):
             expected_welfare(dyn, Instance((2.0,)), m, trials=0, master_seed=1)
+
+    def test_trials_times_k_ceiling(self):
+        # checked before any draw: pinned draws one row, so the ceiling
+        # itself runs at once, and one trial past it is refused
+        m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.0, 0.5])
+        scheme = build_scheme(m)
+        top = MAX_TRIAL_CELLS // 2
+        est = expected_welfare(Mechanism(scheme, "pinned", 0.5), Instance((2.0,)), m, top, 1)
+        assert est.trials == top
+        for kind, trials in (("pinned", top + 1), ("r-dynamic", top + 1), ("static", 10**400)):
+            with pytest.raises(ValidationError, match="exceeds the ceiling"):
+                expected_welfare(Mechanism(scheme, kind), Instance((2.0,)), m, trials, 1)
 
 
 def philox_rows(master_seed, k, trials):
