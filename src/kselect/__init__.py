@@ -18,7 +18,7 @@ from .errors import SolverError, ValidationError
 from .instances import read_instance
 from .lower_bound import build_intervals, solve_alpha_star
 from .mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
-from .pricing import build_pricing_scheme_k2, build_scheme
+from .pricing import build_scheme
 
 __version__ = "0.1.0"
 

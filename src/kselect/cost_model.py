@@ -178,17 +178,30 @@ def make_cost_model(
         # c_i = f(i) - f(i-1) for f(i) = a*i^2
         with np.errstate(over="ignore"):
             arr = a * np.arange(1.0, 2.0 * k, 2.0)
-        ms = tuple(arr.tolist())
     else:
         if isinstance(marginals, (str, bytes, dict)):
             raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}")
+        # one NumPy pass; what it does not read as a 1-D column of finite
+        # numbers (strings, None, nested lists, NaN, ...) takes the
+        # per-element loop, which converts it as float() does or words the
+        # error of the first bad marginal
         try:
-            ms = tuple(as_float(f"marginal c_{i}", c) for i, c in enumerate(marginals, 1))
-        except TypeError:
-            raise ValidationError(f"marginals must be a list of numbers, got {marginals!r}") from None
-        if len(ms) != k:
-            raise ValidationError(f"expected {k} marginals, got {len(ms)}")
-        arr = np.array(ms)
+            arr = np.array(marginals)
+        except (TypeError, ValueError, OverflowError):
+            arr = np.array(None)
+        if not (arr.ndim == 1 and arr.dtype.kind in "fiub" and np.isfinite(arr).all()):
+            try:
+                arr = np.array(
+                    [as_float(f"marginal c_{i}", c) for i, c in enumerate(marginals, 1)]
+                )
+            except TypeError:
+                raise ValidationError(
+                    f"marginals must be a list of numbers, got {marginals!r}"
+                ) from None
+        arr = arr.astype(np.float64, copy=False)
+        if len(arr) != k:
+            raise ValidationError(f"expected {k} marginals, got {len(arr)}")
+    ms = tuple(arr.tolist())
     if (~np.isfinite(arr) | (arr < 0.0)).any() or (arr[1:] < arr[:-1]).any():
         # the error of the first bad marginal
         for i, c in enumerate(ms):

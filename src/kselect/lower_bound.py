@@ -204,7 +204,8 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     the end before it reaches its target: alpha (1 - xi) for unit
     k_underbar, alpha for the rest. g is constant on each piece between
     distinct marginals (``CostModel.g_steps``), so the walk adds one exact
-    log per piece and inverts inside the piece where the target is met. The
+    log per piece and inverts inside the piece where the target is met; an
+    end that rounds below the start of that piece is set back to it. The
     intervals are contiguous, so the index of the piece holding the current
     end carries from one unit to the next.
 
@@ -240,14 +241,17 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
             lo = hi
             p += 1
         u = c + (lo - c) * _exp((target - acc) / counts[p])
+        if u < lo:
+            # rounded below the start of its piece (a share of 0 gives
+            # c + (lo - c)); set back, so the ends never decrease
+            u = lo
         if ends is not None:
             ends.append(u)
         if i == k:
             return k_underbar, xi, u
         if u > c_top:
             break
-        if u >= lo:  # pieces j..p-1 all end at or below lo
-            j = p
+        j = p  # pieces j..p-1 all end at or below lo <= u
         while j < top and bps[j] <= u:
             j += 1
         c = ms[i]
@@ -449,9 +453,9 @@ def chain_residual(solution: LowerBoundSolution, model: CostModel) -> float:
     the solver's chain passes at any feasible alpha. Returns the largest
     |rise - share| over the units, inf when an interval opens at or below
     its unit's cost, and 0 when U == L, where alpha is fixed at 1 and no
-    chain equation applies. An end that rounds an ulp below the one before
-    it (a share of 0) counts as a negative rise. The end test |u_k - U| is
-    the solver's, not this check's.
+    chain equation applies. An end below the one before it, which the
+    solver's walk never writes, counts as a negative rise. The end test
+    |u_k - U| is the solver's, not this check's.
     """
     if model.U == model.L:
         return 0.0

@@ -6,22 +6,18 @@ inverses of the bound solver's allocation curves: drawing each seed uniformly
 and posting phi_i for the next unsold unit i makes the mechanism's expected
 welfare competitive with the offline optimum.
 
-Two constructions:
-
-* build_scheme: the curves for any valid setup. Each constant-g piece of a
-  unit's interval becomes one exponential segment, plus a constant floor on
-  the threshold unit; in high-value setups (c_k < L) each unit has one
-  segment. The scheme's ``kind`` is the solver's regime label. High-value
-  schemes report the guarantee alpha_star * e^{alpha_star / k}; the others
-  report max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
-  For two-unit high-value setups build_scheme returns the special form
-  below instead.
-* build_pricing_scheme_k2: two-unit high-value setups. A two-branch special
-  form whose guarantee is alpha_star itself (no extra factor).
+One construction, build_scheme, gives the curves for any valid setup. Each
+constant-g piece of a unit's interval becomes one exponential segment, plus
+a constant floor on the threshold unit; in high-value setups (c_k < L) each
+unit has one segment. The scheme's ``kind`` is the solver's regime label,
+or "two_unit" for two-unit high-value setups (k = 2, c_2 < L), whose
+guarantee is alpha_star itself. Other high-value schemes report the
+guarantee alpha_star * e^{alpha_star / k}; the rest report
+max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
 
 A scheme stores its curves as six float columns, not as one object per
-segment, and its price intervals as one more (see PricingScheme). The
-builders and scheme_from_json write the columns directly: build_scheme
+segment, and its price intervals as one more (see PricingScheme).
+build_scheme and scheme_from_json write the columns directly: build_scheme
 writes the flat units below the threshold and the one-segment units above
 the top marginal as slices of the solver's chain ends and the marginals,
 and walks only the units between piece by piece. scheme_to_json lists
@@ -54,7 +50,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -223,7 +219,7 @@ def _price_intervals(model: CostModel, sol: LowerBoundSolution) -> np.ndarray:
     return out
 
 
-def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingScheme:
+def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float, kind: str) -> PricingScheme:
     """Curves inverting the solution's piecewise-log allocation curves.
 
     Each constant-g piece [a, b] of unit i's interval consumes a seed span of
@@ -294,67 +290,23 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float) -> PricingSche
         sizes=tuple(sizes),
         price_bounds=packed(_price_intervals(model, sol)),
         cr_guarantee=cr,
-        kind=sol.regime,
-    )
-
-
-def build_pricing_scheme_k2(model: CostModel) -> PricingScheme:
-    """Two-unit construction whose guarantee is alpha_star itself.
-
-    Branches on which curve carries the randomization: when alpha_star is
-    at least (2L - c1 - c2) / (L - c1) the first unit's curve ramps and the
-    second starts where it ends; otherwise the first curve is pinned at L
-    and the second carries a constant floor up to seed xi_star.
-    """
-    if model.k != 2:
-        raise ValidationError(f"two-unit construction requires k = 2, got k = {model.k}")
-    if not model.high_value:
-        raise ValidationError("two-unit construction requires c_2 < L")
-    a = solve_alpha_star(model).alpha
-    L, U = model.L, model.U
-    c1, c2 = model.marginals
-    threshold = (2.0 * L - c1 - c2) / (L - c1)
-    if a >= threshold:
-        xi = threshold / a
-        u1 = (L - c1) * math.exp((1.0 - xi) * a / 2.0) + c1
-        unit1 = [(0.0, xi, L, L, c1, 0.0)]
-        if xi < 1.0:
-            unit1.append((xi, 1.0, L, u1, c1, a / 2.0))
-        unit2 = [(0.0, 1.0, u1, U, c2, a / 2.0)]
-        bounds = (L, u1, u1, U)
-        ku, xi_star = 1, xi
-    else:
-        xi = ((2.0 * L - c1 - c2) / a - (L - c1)) / (L - c2)
-        xi = min(xi, 1.0)
-        unit1 = [(0.0, 1.0, L, L, 0.0, 0.0)]
-        unit2 = [(0.0, xi, L, L, c2, 0.0)]
-        if xi < 1.0:
-            unit2.append((xi, 1.0, L, U, c2, a / 2.0))
-        bounds = (L, L, L, U)
-        ku, xi_star = 2, xi
-    return PricingScheme(
-        model=model,
-        alpha_star=a,
-        k_underbar_star=ku,
-        xi_star=xi_star,
-        columns=array("d", chain.from_iterable(zip(*unit1, *unit2))),
-        sizes=(len(unit1), len(unit2)),
-        price_bounds=array("d", bounds),
-        cr_guarantee=a,
-        kind="two_unit",
+        kind=kind,
     )
 
 
 def build_scheme(model: CostModel) -> PricingScheme:
-    """Price curves for any valid setup; the two-unit form when k = 2 and c_2 < L.
+    """Price curves for any valid setup, with the guarantee they meet.
 
-    The guarantee is alpha e^{alpha/k} for high-value setups (c_k < L) and
-    max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L otherwise.
+    The guarantee is alpha for two-unit high-value setups (k = 2 and
+    c_2 < L, kind "two_unit"), alpha e^{alpha/k} for the other high-value
+    setups (c_k < L) and max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with
+    U_0 = L otherwise.
     """
-    if model.high_value and model.k == 2:
-        return build_pricing_scheme_k2(model)
     sol = solve_alpha_star(model)
-    if model.high_value:
+    kind = sol.regime
+    if model.high_value and model.k == 2:
+        kind, cr = "two_unit", sol.alpha
+    elif model.high_value:
         cr = sol.alpha * math.exp(sol.alpha / model.k)
     else:
         # one pass over the units; the conjugate at U_{i-1} is
@@ -365,7 +317,7 @@ def build_scheme(model: CostModel) -> PricingScheme:
         g = np.searchsorted(ms, below, side="right")
         conj = below * g - np.frombuffer(model.cumulative)[g]
         cr = float(np.max(sol.alpha * (1.0 + (uppers - ms) / conj)))
-    return _scheme(model, sol, cr)
+    return _scheme(model, sol, cr, kind)
 
 
 def scheme_to_json(scheme: PricingScheme) -> dict:

@@ -754,6 +754,23 @@ def test_simulate_reads_a_pinned_scheme_file_to_pinned_bytes(tmp_path, capsys):
         assert sha256(out) == digest, extra
 
 
+def test_simulate_reads_the_scheme_file_pricing_wrote_on_a_tie(tmp_path, capsys):
+    # xi = 1 at alpha = 2: the chain end that rounds below L is set back to
+    # L, so every price of the file lies in [L, U]
+    model = json.dumps(
+        {"L": 1.7, "U": 3.933766376996758, "k": 2,
+         "cost": {"type": "explicit", "marginals": [0.4, 0.4]}}
+    )
+    scheme = tmp_path / "scheme.json"
+    code, _, _ = run_cli(capsys, "pricing", "--model", model, "--out", str(scheme))
+    assert code == 0
+    inst = write_inst(tmp_path, [1.8, 3.5, 2.0])
+    code, _, err = run_cli(
+        capsys, "simulate", "--scheme", str(scheme), "--instance", inst, "--trials", "20"
+    )
+    assert code == 0, err
+
+
 def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
     out = tmp_path / "scheme.json"
     tracemalloc.start()

@@ -180,6 +180,42 @@ class TestCostTables:
             make_cost_model(1.0, 2.0, k, **kwargs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "marginals, want",
+        [
+            # accepted: the marginals as float() reads them, bit for bit
+            ([-0.0, 0.1, 0.7], (-0.0, 0.1, 0.7)),
+            (["0.1", " 2.5e-1 ", "1_0"], (0.1, 0.25, 10.0)),
+            ([0, 3, 2**60 + 1], (0.0, 3.0, float(2**60 + 1))),
+            ([False, True], (0.0, 1.0)),
+            ([np.float32(0.1), 0.5], (float(np.float32(0.1)), 0.5)),
+            ([0.25, "0.5", 1], (0.25, 0.5, 1.0)),
+            # rejected: the error of the first bad marginal
+            ([None, 1.0], "marginal c_1 must be a number, got None"),
+            ([0.5, "x"], "marginal c_2 must be a number, got 'x'"),
+            ([0.5, "nan"], "marginal c_2 must be finite, got 'nan'"),
+            ([0.5, math.inf], "marginal c_2 must be finite, got inf"),
+            ([0.5, 10**400], f"marginal c_2 must be finite, got {10**400!r}"),
+            ([[1.0], 2.0], "marginal c_1 must be a number, got [1.0]"),
+            ([[1.0], [2.0]], "marginal c_1 must be a number, got [1.0]"),
+            ([0.5, {"c": 1.0}], "marginal c_2 must be a number, got {'c': 1.0}"),
+            ({"c": 1.0}, "marginals must be a list of numbers, got {'c': 1.0}"),
+            ([1.0 + 0.0j], "marginal c_1 must be a number, got (1+0j)"),
+            (0.5, "marginals must be a list of numbers, got 0.5"),
+        ],
+    )
+    def test_explicit_marginals_read_as_float_reads_each(self, marginals, want):
+        k = len(marginals) if isinstance(marginals, list) else 1
+        if isinstance(want, str):
+            with pytest.raises(ValidationError) as err:
+                make_cost_model(1.0, 20.0, k, marginals=marginals)
+            assert str(err.value) == want
+        else:
+            m = make_cost_model(1.0, 20.0, k, marginals=marginals)
+            assert all(type(c) is float for c in m.marginals)
+            assert float_bits(m.marginals) == float_bits(want)
+            assert float_bits(m.marginal_column) == float_bits(want)
+
 
 class TestCumulativeCost:
     def test_quadratic_sixteenth(self):

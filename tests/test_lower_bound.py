@@ -679,11 +679,19 @@ class TestChainCertificate:
 
     def test_end_rounding_below_the_one_before(self):
         # xi = 1 at alpha = 2: unit 1's share is 0, and its end
-        # 0.4 + (1.7 - 0.4) rounds one ulp below L = 1.7
+        # 0.4 + (1.7 - 0.4) rounds one ulp below L = 1.7; the walk sets it
+        # back to L, so the ends never decrease
         m = make_cost_model(L=1.7, U=4.0, k=2, marginals=[0.4, 0.4])
         sol = build_intervals(m, 2.0)
-        assert sol.xi == 1.0 and sol.ends[1] < sol.ends[0]
+        assert 0.4 + (1.7 - 0.4) < 1.7
+        assert sol.xi == 1.0 and list(sol.ends[:2]) == [1.7, 1.7]
+        assert np.all(np.diff(sol.ends) >= 0.0)
         assert chain_residual(sol, m) <= 1e-9
+        # a descending end, built by hand, counts as a negative rise
+        below = math.nextafter(1.7, 0.0)
+        descending = dataclasses.replace(sol, ends=array("d", [1.7, below, sol.ends[2]]))
+        assert descending.ends[1] < descending.ends[0]
+        assert chain_residual(descending, m) <= 1e-9
 
     def test_scrambled_chain_fails(self):
         # the benchmark chain with its interior ends replaced by sorted

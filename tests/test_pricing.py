@@ -1,5 +1,5 @@
 """Price-curve tests: frozen closed forms, duality with the allocation
-curves, chain exactness, cross-construction consistency, and the curve
+curves, chain exactness, agreement with the solver's chain, and the curve
 table's lookups against a literal scan of the segments."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from kselect import jsontext
@@ -19,8 +19,6 @@ from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import ValidationError
 from kselect.lower_bound import eval_psi, solve_alpha_star
 from kselect.pricing import (
-    _scheme,
-    build_pricing_scheme_k2,
     build_scheme,
     inverse_price,
     price_at,
@@ -223,7 +221,8 @@ class TestTwoUnitConstruction:
         # zero costs, U = e^2: alpha* = 3 >= threshold 2, xi* = 2/3,
         # U_1 = e^{1/2}, guarantee alpha* itself
         m = make_cost_model(L=1.0, U=math.exp(2.0), k=2, marginals=[0.0, 0.0])
-        sch = build_pricing_scheme_k2(m)
+        sch = build_scheme(m)
+        assert sch.kind == "two_unit"
         assert sch.alpha_star == pytest.approx(3.0, abs=1e-8)
         assert sch.k_underbar_star == 1
         assert sch.xi_star == pytest.approx(2.0 / 3.0, abs=1e-8)
@@ -235,9 +234,10 @@ class TestTwoUnitConstruction:
         # costs hug L and U sits close to L, keeping alpha* under the branch
         # threshold (2L - c1 - c2)/(L - c1) = 1.5
         m = make_cost_model(L=1.0, U=1.03, k=2, marginals=[0.9, 0.95])
-        sch = build_pricing_scheme_k2(m)
+        sch = build_scheme(m)
         sol = solve_alpha_star(m)
         threshold = (2.0 - 0.9 - 0.95) / (1.0 - 0.9)
+        assert sch.kind == "two_unit"
         assert sch.alpha_star < threshold
         assert sch.k_underbar_star == 2 == sol.k_underbar
         assert 0.0 < sch.xi_star < 1.0
@@ -252,41 +252,18 @@ class TestTwoUnitConstruction:
             m = random_high_value_model(rng)
             if m.k != 2:
                 continue
-            sch = build_pricing_scheme_k2(m)
+            sch = build_scheme(m)
             assert sch.k_underbar_star == solve_alpha_star(m).k_underbar
-
-    @pytest.mark.parametrize(
-        "marginals,U",
-        [([0.0, 0.0], math.exp(2.0)), ([0.9, 0.95], 1.03), ([0.1, 0.4], 3.0)],
-    )
-    def test_consistent_with_generic_high_value_curves(self, marginals, U):
-        # build_scheme returns the two-unit form here, so build the shared
-        # curves straight from the solution
-        m = make_cost_model(L=1.0, U=U, k=2, marginals=marginals)
-        a = build_pricing_scheme_k2(m)
-        b = _scheme(m, solve_alpha_star(m), math.nan)
-        for i in (1, 2):
-            for s in np.linspace(0.0, 1.0, 101):
-                assert price_at(a, i, float(s)) == pytest.approx(
-                    price_at(b, i, float(s)), abs=1e-8
-                )
 
     def test_near_tie_brackets_agree(self):
         # zero costs with U = e put alpha* within bisection error of the
         # branch threshold; both branches then coincide with the pinned curve
         m = make_cost_model(L=1.0, U=math.e, k=2, marginals=[0.0, 0.0])
-        sch = build_pricing_scheme_k2(m)
+        sch = build_scheme(m)
+        assert sch.kind == "two_unit"
         for s in np.linspace(0.0, 1.0, 50):
             assert price_at(sch, 1, float(s)) == pytest.approx(1.0, abs=1e-6)
         assert price_at(sch, 2, 1.0) == pytest.approx(math.e, abs=1e-8)
-
-    def test_rejects_wrong_shape(self):
-        m1 = make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.0])
-        with pytest.raises(ValidationError):
-            build_pricing_scheme_k2(m1)
-        m_gen = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
-        with pytest.raises(ValidationError):
-            build_pricing_scheme_k2(m_gen)
 
 
 class TestGeneralConstruction:
@@ -555,6 +532,35 @@ def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
 @given(built_schemes())
 def test_every_built_scheme_loads_back_equal(scheme):
     assert scheme_from_json(json.loads(scheme_json_text(scheme))) == scheme
+
+
+def two_unit_scheme(L, U, marginals):
+    return build_scheme(make_cost_model(L=L, U=U, k=2, marginals=marginals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_schemes())
+# two-unit setups on which separate k = 2 formulas once disagreed with the
+# solver: xi 0.8095650886590087 against ...084, and a tie (xi = 1) whose
+# first chain end rounded one ulp below L
+@example(two_unit_scheme(1.0, 2.0, [0.2, 0.6]))
+@example(two_unit_scheme(1.7, 3.933766376996758, [0.4, 0.4]))
+def test_every_built_scheme_reports_the_solvers_chain(scheme):
+    model = scheme.model
+    sol = solve_alpha_star(model)
+    assert scheme.alpha_star.hex() == sol.alpha.hex()
+    assert scheme.k_underbar_star == sol.k_underbar
+    assert scheme.xi_star.hex() == sol.xi.hex()
+    two_unit = model.k == 2 and model.high_value
+    assert scheme.kind == ("two_unit" if two_unit else sol.regime)
+    if two_unit:
+        assert scheme.cr_guarantee == sol.alpha
+    # (L, L) below the threshold unit, then the chain, its end clamped to U
+    ku = sol.k_underbar
+    intervals = scheme.price_intervals.tolist()
+    chain = sol.intervals.tolist()
+    chain[-1][1] = min(chain[-1][1], model.U)
+    assert intervals == [[model.L, model.L]] * (ku - 1) + chain
 
 
 def test_built_schemes_draw_tails_of_none_one_and_many_units():
