@@ -163,9 +163,9 @@ def _load_model(args) -> CostModel:
 # solve / pricing
 
 
-def _solution_json_chunks(sol) -> Iterator[str]:
+def _solution_json_chunks(model: CostModel, sol) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
-    solve payload: alpha_star, k_underbar, xi, regime, notes and one
+    solve payload: alpha_star, k_underbar, xi, the model's regime, notes and one
     ``{"i", "ell", "u"}`` object per interval, streamed like the pricing
     JSON (see jsontext). Interval j runs from chain end j to end j + 1, so
     each end is formatted once."""
@@ -183,7 +183,7 @@ def _solution_json_chunks(sol) -> Iterator[str]:
             ("intervals", jsontext.SECTION),
             ("k_underbar", num(ku)),
             ("notes", jsontext.block("[]", list(map(num, sol.notes)), 1)),
-            ("regime", num(sol.regime)),
+            ("regime", num(model.regime)),
             ("xi", num(sol.xi)),
         ],
         0,
@@ -195,7 +195,7 @@ def _solution_json_chunks(sol) -> Iterator[str]:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     sol = solve_alpha_star(model)
-    _emit(chain(_solution_json_chunks(sol), ("\n",)), args.out)
+    _emit(chain(_solution_json_chunks(model, sol), ("\n",)), args.out)
     return 0
 
 
@@ -412,6 +412,9 @@ def cmd_curves(args) -> int:
         raise ValidationError(f"k-max = {k_max} exceeds the ceiling of {MAX_K}")
     L, U = as_float("L", args.l), as_float("U", args.u)
     coeff = as_float("cost-coeff", args.cost_coeff)
+    # L, U and the coefficient are checked once, at k = 1, where no marginal
+    # overflows; the rows skip only what depends on k
+    make_cost_model(L, U, 1, quadratic_coeff=coeff)
     lines = ["k,alpha_star,cr_guarantee,regime"]
     emitted = 0
     for k in range(k_min, k_max + 1):
@@ -421,8 +424,9 @@ def cmd_curves(args) -> int:
         except (ValidationError, SolverError) as exc:
             print(f"k={k}: {exc}", file=sys.stderr)
             continue
-        regime = "high_value" if model.high_value else "general"
-        lines.append(f"{k},{_fmt(scheme.alpha_star)},{_fmt(scheme.cr_guarantee)},{regime}")
+        lines.append(
+            f"{k},{_fmt(scheme.alpha_star)},{_fmt(scheme.cr_guarantee)},{model.regime}"
+        )
         emitted += 1
     if emitted == 0:
         raise SolverError(f"no solvable capacity in {k_min}..{k_max}")

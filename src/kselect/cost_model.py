@@ -117,6 +117,12 @@ class CostModel:
         """True when every marginal cost lies strictly below L."""
         return self.marginals[-1] < self.L
 
+    @property
+    def regime(self) -> str:
+        """The setup's label: "high_value" when every marginal cost lies
+        strictly below L, "general" otherwise."""
+        return "high_value" if self.high_value else "general"
+
 
 def as_float(name: str, value) -> float:
     """``float(value)`` if finite; anything else raises ValidationError."""
@@ -217,13 +223,6 @@ def make_cost_model(
     arr.flags.writeable = False
     vars(model)["marginal_column"] = arr
     return model
-
-
-def cumulative_cost(model: CostModel, j: int) -> float:
-    """Total cost f(j) of producing the first j units; f(0) = 0."""
-    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= model.k:
-        raise ValidationError(f"unit count must lie in 0..{model.k}, got {j!r}")
-    return model.cumulative[j]
 
 
 def allocation_count_g(model: CostModel, v: float) -> int:

@@ -147,12 +147,6 @@ def instance_text(instance: Instance) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_instance(instance: Instance, path: str | os.PathLike) -> None:
-    """Newline-delimited valuations at 17 significant digits (lossless)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_text(instance))
-
-
 def read_instance(path: str | os.PathLike) -> Instance:
     label = ""
     vals: list[float] = []

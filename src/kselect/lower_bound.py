@@ -17,9 +17,9 @@ ladder: the curves integrate the allocation-count step function ``g``,
 exactly and piece by piece (``g`` is constant between distinct marginals),
 never by quadrature. High-value setups (``c_k < L``) are the special case
 where every interval lies above all marginals, so ``g = k`` throughout and
-each curve is one logarithm; the solution's ``regime`` label records which
-case the setup is (``model.high_value``) and changes nothing else. The
-search shrinks the bracket to adjacent floats, the same pair that
+each curve is one logarithm. The solution does not record which case
+the setup is: that is the model's own ``CostModel.regime``. The search
+shrinks the bracket to adjacent floats, the same pair that
 float-by-float bisection ends on, and accepts the chain whose end lies
 within ``DEFAULT_TOL`` of U, or else within ``DEFAULT_TOL * U``. Its steps
 interpolate on log(u_k - c_k), which is close to linear in alpha where
@@ -85,7 +85,6 @@ class LowerBoundSolution:
     k_underbar: int
     xi: float
     ends: array  # array("d"): u_{k_underbar - 1} = L, ..., u_k
-    regime: str  # "high_value" | "general"
     notes: tuple[str, ...] = ()
 
     @property
@@ -270,19 +269,10 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     return k_underbar, xi, u
 
 
-def _mk_solution(
-    model: CostModel, alpha, k_underbar, xi, ends: array, notes=()
-) -> LowerBoundSolution:
+def _mk_solution(alpha, k_underbar, xi, ends: array, notes=()) -> LowerBoundSolution:
     if xi == 1.0:
         notes = notes + ("k_underbar threshold met exactly (xi == 1)",)
-    return LowerBoundSolution(
-        alpha=alpha,
-        k_underbar=k_underbar,
-        xi=xi,
-        ends=ends,
-        regime="high_value" if model.high_value else "general",
-        notes=notes,
-    )
+    return LowerBoundSolution(alpha=alpha, k_underbar=k_underbar, xi=xi, ends=ends, notes=notes)
 
 
 def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
@@ -295,7 +285,7 @@ def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
             f"alpha = {alpha} is below the feasible range for this setup "
             "(an interval would open below its unit's marginal cost)"
         )
-    return _mk_solution(model, alpha, chain[0], chain[1], array("d", ends))
+    return _mk_solution(alpha, chain[0], chain[1], array("d", ends))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +293,7 @@ def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
 
 
 def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
-    """Tight bound for any valid cost ladder, labelled by ``model.high_value``."""
+    """Tight bound for any valid cost ladder."""
     U = model.U
 
     if U == model.L and model.marginals[-1] <= U:
@@ -314,9 +304,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         k_underbar = compute_k_underbar(model, 1.0)
         xi = compute_xi(model, 1.0, k_underbar)
         flat = array("d", [model.L]) * (model.k - k_underbar + 2)
-        return _mk_solution(
-            model, 1.0, k_underbar, xi, flat, notes=("U == L: alpha fixed at 1",)
-        )
+        return _mk_solution(1.0, k_underbar, xi, flat, notes=("U == L: alpha fixed at 1",))
 
     if model.marginals[-1] >= U:
         # The top unit can never sell (its marginal cost reaches the highest

@@ -9,19 +9,16 @@ welfare competitive with the offline optimum.
 One construction, build_scheme, gives the curves for any valid setup. Each
 constant-g piece of a unit's interval becomes one exponential segment, plus
 a constant floor on the threshold unit; in high-value setups (c_k < L) each
-unit has one segment. The scheme's ``kind`` is the solver's regime label,
-or "two_unit" for two-unit high-value setups (k = 2, c_2 < L), whose
-guarantee is alpha_star itself. Other high-value schemes report the
-guarantee alpha_star * e^{alpha_star / k}; the rest report
-max_i alpha_star * (1 + (U_i - c_i) / f*(U_{i-1})) with U_0 = L.
+unit has one segment.
 
-A scheme stores its curves as six float columns, not as one object per
-segment, and its price intervals as one more (see PricingScheme).
-build_scheme and scheme_from_json write the columns directly: build_scheme
-writes the flat units below the threshold and the one-segment units above
-the top marginal as slices of the solver's chain ends and the marginals,
-and walks only the units between piece by piece. scheme_to_json lists
-the columns segment by segment.
+A scheme is its curves, stored as six float columns, not as one object
+per segment. Its price intervals, ``kind`` and guarantee ``cr_guarantee``
+are computed from the curves and the model, each in one place (see
+PricingScheme). build_scheme and scheme_from_json write the columns
+directly: build_scheme writes the flat units below the threshold and the
+one-segment units above the top marginal as slices of the solver's chain
+ends and the marginals, and walks only the units between piece by piece.
+scheme_to_json lists the columns segment by segment.
 
 Every lookup reads one cached flat table over the columns
 (``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
@@ -34,14 +31,16 @@ static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
 
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
 round-trip every float bit-exactly; scheme_from_json rejects curves the
-table cannot read, prices that leave [L, U] or break the price chain, and
-price intervals that do not run end to end from L within [L, U].
-scheme_json_chunks streams the text of ``json.dumps(scheme_to_json(scheme),
-indent=2, sort_keys=True)`` straight from the columns, without the stdlib's
-pure-Python indenting encoder: the marginals, price intervals and segments
-go out a fixed number of units at a time, and each distinct float of the
-document is formatted once (see jsontext). ``kselect pricing`` writes the
-chunks as they come; scheme_json_text is their join.
+table cannot read, prices that leave [L, U] or break the price chain
+(a unit must start at the price where the one before it ends, L for unit
+1), and a file whose price intervals, kind or guarantee are not the ones
+its curves and model give. scheme_json_chunks streams the text of
+``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``
+straight from the columns, without the stdlib's pure-Python indenting
+encoder: the marginals, price intervals and segments go out a fixed
+number of units at a time, and each distinct float of the document is
+formatted once (see jsontext). ``kselect pricing`` writes the chunks as
+they come.
 """
 
 import json
@@ -50,14 +49,14 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 import numpy as np
 
 from . import jsontext
 from .cost_model import CostModel, model_from_json, model_to_json, packed
 from .errors import ValidationError
-from .lower_bound import LowerBoundSolution, g_pieces, solve_alpha_star
+from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star
 
 
 # One segment of a price curve. Constant piece: rate == 0 and the price is
@@ -74,9 +73,11 @@ class PricingScheme:
     The curves are stored as columns: ``columns`` holds the six
     ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
-    of segments of unit i. ``price_bounds`` holds the price intervals
-    (L_i, U_i) unit by unit; ``price_intervals`` views them as k rows. The
-    columns are ``array("d")`` fields, so schemes compare by value.
+    of segments of unit i. The columns are an ``array("d")`` field, so
+    schemes compare by value. Everything else a scheme reports follows from
+    the curves and the model and is computed, not stored:
+    ``price_intervals`` (each unit's first v_lo and last v_hi), ``kind``
+    and ``cr_guarantee``.
     """
 
     model: CostModel
@@ -85,25 +86,58 @@ class PricingScheme:
     xi_star: float
     columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
     sizes: tuple[int, ...]  # segments per unit
-    price_bounds: array  # array("d"): L_1, U_1, ..., L_k, U_k
-    cr_guarantee: float
-    kind: str  # "high_value" | "two_unit" | "general"
 
-    @property
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Row offsets of the units, from ``sizes`` converted once: unit i's
+        segments are rows ``_offsets[i - 1]`` up to ``_offsets[i]``."""
+        sizes = np.fromiter(self.sizes, dtype=np.intp, count=len(self.sizes))
+        return np.concatenate(([0], np.cumsum(sizes)))
+
+    @cached_property
     def price_intervals(self) -> np.ndarray:
-        """The price intervals as a read-only (k, 2) view of ``price_bounds``:
-        row i - 1 is ``(L_i, U_i)``."""
-        out = np.frombuffer(self.price_bounds).reshape(-1, 2)
+        """The price intervals as a read-only (k, 2) array: row i - 1 is
+        ``(L_i, U_i)``, unit i's first v_lo and last v_hi."""
+        _, _, v_lo, v_hi = _column_view(self)[:4]
+        out = np.column_stack((v_lo[self._offsets[:-1]], v_hi[self._offsets[1:] - 1]))
         out.flags.writeable = False
         return out
+
+    @property
+    def kind(self) -> str:
+        """"two_unit" for a high-value model with k = 2, else the model's regime."""
+        model = self.model
+        return "two_unit" if model.high_value and model.k == 2 else model.regime
+
+    @cached_property
+    def cr_guarantee(self) -> float:
+        """The competitive ratio the curves guarantee: alpha_star for
+        "two_unit", alpha_star e^{alpha_star / k} for "high_value", and for
+        "general" max_i alpha_star (1 + (U_i - c_i) / f*(L_i)), where
+        L_i = U_{i-1} (U_0 = L) is unit i's lowest price."""
+        alpha, model = self.alpha_star, self.model
+        if self.kind == "two_unit":
+            return alpha
+        if model.high_value:
+            return alpha * _exp(alpha / model.k)
+        # one pass over the units; the conjugate at L_i is L_i g - f(g)
+        # with g = #marginals <= L_i, as in conjugate(). A loaded scheme's
+        # alpha_star may be inf and its model need not sell at L, so an inf
+        # or NaN guarantee is kept, without a warning.
+        lo, hi = self.price_intervals.T
+        ms = model.marginal_column
+        g = np.searchsorted(ms, lo, side="right")
+        conj = lo * g - np.frombuffer(model.cumulative)[g]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.max(alpha * (1.0 + (hi - ms) / conj)))
 
     @cached_property
     def _table(self):
         """(s_key, v_key, first row of each unit, _SEGMENT_FIELDS columns)."""
         cols = _column_view(self)
-        sizes = np.array(self.sizes)
-        unit = np.repeat(np.arange(len(sizes)), sizes)
-        return unit + 1j * cols[0], unit + 1j * cols[2], np.cumsum(sizes) - sizes, cols
+        offsets = self._offsets
+        unit = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        return unit + 1j * cols[0], unit + 1j * cols[2], offsets[:-1], cols
 
 
 def _column_view(scheme: PricingScheme) -> np.ndarray:
@@ -208,25 +242,15 @@ def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndar
 # builders
 
 
-def _price_intervals(model: CostModel, sol: LowerBoundSolution) -> np.ndarray:
-    """(L_i, U_i) per unit, as a (k, 2) array: L for the units below the
-    threshold unit, then the chain. The chain end u_k is clamped to U, since
-    the solver stops within its tolerance of U on either side."""
-    out = np.empty((model.k, 2))
-    out[: sol.k_underbar - 1] = model.L
-    out[sol.k_underbar - 1 :] = sol.intervals
-    out[-1, 1] = min(out[-1, 1], model.U)
-    return out
-
-
-def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float, kind: str) -> PricingScheme:
+def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
     """Curves inverting the solution's piecewise-log allocation curves.
 
     Each constant-g piece [a, b] of unit i's interval consumes a seed span of
     (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
     c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
     construction; the last endpoint is snapped to exactly 1. The last unit's
-    top price is clamped to U, as in _price_intervals.
+    top price is clamped to U, since the solver stops within its tolerance
+    of U on either side.
 
     The units below the threshold unit are flat at L. The threshold unit,
     and every later unit whose interval starts below the top marginal c_k,
@@ -288,36 +312,13 @@ def _scheme(model: CostModel, sol: LowerBoundSolution, cr: float, kind: str) -> 
         xi_star=xi,
         columns=packed(cols),
         sizes=tuple(sizes),
-        price_bounds=packed(_price_intervals(model, sol)),
-        cr_guarantee=cr,
-        kind=kind,
     )
 
 
 def build_scheme(model: CostModel) -> PricingScheme:
-    """Price curves for any valid setup, with the guarantee they meet.
-
-    The guarantee is alpha for two-unit high-value setups (k = 2 and
-    c_2 < L, kind "two_unit"), alpha e^{alpha/k} for the other high-value
-    setups (c_k < L) and max_i alpha (1 + (U_i - c_i) / f*(U_{i-1})) with
-    U_0 = L otherwise.
-    """
-    sol = solve_alpha_star(model)
-    kind = sol.regime
-    if model.high_value and model.k == 2:
-        kind, cr = "two_unit", sol.alpha
-    elif model.high_value:
-        cr = sol.alpha * math.exp(sol.alpha / model.k)
-    else:
-        # one pass over the units; the conjugate at U_{i-1} is
-        # U_{i-1} g - f(g) with g = #marginals <= U_{i-1}, as in conjugate()
-        uppers = _price_intervals(model, sol)[:, 1]
-        ms = model.marginal_column
-        below = np.append(model.L, uppers[:-1])
-        g = np.searchsorted(ms, below, side="right")
-        conj = below * g - np.frombuffer(model.cumulative)[g]
-        cr = float(np.max(sol.alpha * (1.0 + (uppers - ms) / conj)))
-    return _scheme(model, sol, cr, kind)
+    """Price curves for any valid setup; their guarantee is
+    ``PricingScheme.cr_guarantee``."""
+    return _scheme(model, solve_alpha_star(model))
 
 
 def scheme_to_json(scheme: PricingScheme) -> dict:
@@ -325,7 +326,6 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
     ``segments`` lists each unit's segments, seed-ordered, as objects keyed
     by _SEGMENT_FIELDS."""
     rows = [dict(zip(_SEGMENT_FIELDS, row)) for row in zip(*_column_view(scheme).tolist())]
-    stops = list(accumulate(scheme.sizes))
     return {
         "model": model_to_json(scheme.model),
         "alpha_star": scheme.alpha_star,
@@ -334,7 +334,7 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
         "cr_guarantee": scheme.cr_guarantee,
         "kind": scheme.kind,
         "price_intervals": scheme.price_intervals.tolist(),
-        "segments": [rows[a:b] for a, b in zip([0, *stops], stops)],
+        "segments": [rows[a:b] for a, b in pairwise(scheme._offsets.tolist())],
     }
 
 
@@ -354,13 +354,13 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     cols = _column_view(scheme)
     numbers = np.empty(3 * k + cols.size)
     numbers[:k] = model.marginal_column
-    numbers[k : 3 * k] = np.frombuffer(scheme.price_bounds)
+    numbers[k : 3 * k].reshape(-1, 2)[:] = scheme.price_intervals
     rows = numbers[3 * k :].reshape(-1, len(fields))
     for f, name in enumerate(fields):
         rows[:, f] = cols[_SEGMENT_FIELDS.index(name)]
     texts, at = jsontext.number_texts(numbers)
     # the numbers of unit i's segments start at row_stops[i]
-    row_stops = np.concatenate([[3 * k], 3 * k + len(fields) * np.cumsum(scheme.sizes)])
+    row_stops = 3 * k + len(fields) * scheme._offsets
     segment = jsontext.obj([(f, "%s") for f in fields], 3)
     unit_templates = {n: jsontext.block("[]", [segment] * n, 2) for n in set(scheme.sizes)}
     num = json.dumps
@@ -397,31 +397,24 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     )
 
 
-def scheme_json_text(scheme: PricingScheme) -> str:
-    """``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``,
-    written directly from the scheme: the join of scheme_json_chunks."""
-    return "".join(scheme_json_chunks(scheme))
-
-
 def _check_curves(scheme: PricingScheme) -> None:
-    """Reject curves that the table lookups cannot read, whose prices
-    leave [L, U] or break the price chain P_1 <= ... <= P_k, or whose price
-    intervals do not chain from L.
+    """Reject curves that the table lookups cannot read, or whose prices
+    leave [L, U] or break the price chain P_1 <= ... <= P_k.
 
     Each unit needs a segment, and its segments must run end to end from
-    seed 0 to seed 1. Each v_lo must lie at or above the v_lo before it in
-    its unit, or for a unit's first segment, the previous unit's top price.
-    The price intervals must run end to end from L (L_1 = L and
-    L_{i+1} = U_i), with L_i <= U_i <= U; so each lies in [L, U], and a NaN
-    fails. Each test is one comparison over the columns; non-finite rates
-    are read.
+    seed 0 to seed 1. Every price lies in [L, U], so a NaN fails, and each
+    segment has v_lo <= v_hi. A unit's first v_lo is the previous unit's
+    last v_hi (L for unit 1), so the price intervals run end to end from
+    L; every later v_lo lies at or above the v_lo before it. Each test is
+    one comparison over the columns; non-finite rates are read.
     """
-    sizes = np.array(scheme.sizes)
+    offsets = scheme._offsets
+    sizes = np.diff(offsets)
     if sizes.min() < 1:
         raise ValidationError(f"scheme unit {sizes.argmin() + 1} has no segment")
     s_lo, s_hi, v_lo, v_hi = _column_view(scheme)[:4]
     end = np.zeros(len(s_lo), dtype=bool)
-    end[np.cumsum(sizes) - 1] = True
+    end[offsets[1:] - 1] = True
     start = np.roll(end, 1)  # the last row ends unit k, so row 0 starts unit 1
     L, U = scheme.model.L, scheme.model.U
     floor = np.where(start, np.roll(v_hi, 1), np.roll(v_lo, 1))
@@ -437,21 +430,21 @@ def _check_curves(scheme: PricingScheme) -> None:
             ~((L <= v_lo) & (v_lo <= U) & (L <= v_hi) & (v_hi <= U)),
             f"prices must lie in [L, U] = [{L}, {U}]",
         ),
-        (v_lo < floor, "v_lo falls below the price before it"),
+        (v_lo > v_hi, "a segment's v_lo exceeds its v_hi"),
+        (
+            start & (v_lo != floor),
+            f"the first v_lo must be the previous unit's last v_hi (L = {L} for unit 1)",
+        ),
+        (v_lo < floor, "v_lo falls below the v_lo before it"),
     ):
         if bad.any():
             raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
-    lo, hi = scheme.price_intervals.T
-    bad = ~((lo == np.append(L, hi[:-1])) & (lo <= hi) & (hi <= U))
-    if bad.any():
-        raise ValidationError(
-            f"scheme unit {bad.argmax() + 1}: price intervals must run end to end "
-            f"from L = {L}, each within [L, U]"
-        )
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:
-    """Rebuild a scheme emitted by :func:`scheme_to_json`."""
+    """Rebuild a scheme emitted by :func:`scheme_to_json`. Its
+    ``price_intervals``, ``kind`` and ``cr_guarantee`` must be the ones its
+    curves and model give."""
     if not isinstance(obj, dict):
         raise ValidationError("scheme spec must be a JSON object")
     try:
@@ -462,6 +455,7 @@ def scheme_from_json(obj: dict) -> PricingScheme:
             "d", (float(seg[f]) for f in _SEGMENT_FIELDS for unit in units for seg in unit)
         )
         bounds = array("d", (float(x) for lo, hi in obj["price_intervals"] for x in (lo, hi)))
+        kind, cr = obj["kind"], float(obj["cr_guarantee"])
         scheme = PricingScheme(
             model=model,
             alpha_star=float(obj["alpha_star"]),
@@ -469,13 +463,24 @@ def scheme_from_json(obj: dict) -> PricingScheme:
             xi_star=float(obj["xi_star"]),
             columns=columns,
             sizes=sizes,
-            price_bounds=bounds,
-            cr_guarantee=float(obj["cr_guarantee"]),
-            kind=str(obj["kind"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
     if len(sizes) != model.k or len(bounds) != 2 * model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
     _check_curves(scheme)
+    stated = np.frombuffer(bounds).reshape(-1, 2)
+    off = np.flatnonzero((stated != scheme.price_intervals).any(axis=1))
+    if off.size:
+        i = off[0]
+        raise ValidationError(
+            f"scheme unit {i + 1}: price interval {stated[i].tolist()} is not the "
+            f"{scheme.price_intervals[i].tolist()} its curves span"
+        )
+    if kind != scheme.kind:
+        raise ValidationError(f"scheme kind {kind!r} is not its model's {scheme.kind!r}")
+    if cr != scheme.cr_guarantee:
+        raise ValidationError(
+            f"scheme cr_guarantee {cr!r} is not the {scheme.cr_guarantee!r} its curves give"
+        )
     return scheme

@@ -78,11 +78,22 @@ def _edit_top_price(unit: int, top: float):
     return change
 
 
+def _move_junction(unit: int, price: float):
+    """Move the top of unit's price interval and the bottom of the next
+    unit's to ``price``, so that the intervals still chain."""
+
+    def change(obj):
+        obj["price_intervals"][unit - 1][1] = obj["price_intervals"][unit][0] = price
+
+    return change
+
+
 # Curve tables the lookups cannot read, whose prices break the chain, or
-# whose price intervals do not chain from L within [L, U]. The base is the
-# `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1
-# and 3, and on unit 2 a floor on [0, xi] followed by a ramp from L to
-# 1.91; the price intervals are [1, 1], [1, 1.91] and [1.91, 4].
+# whose price intervals, kind or guarantee are not the ones the curves and
+# model give. The base is the `pricing` output for L=1, U=4,
+# c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on unit 2 a floor on
+# [0, xi] followed by a ramp from L to 1.91; the price intervals are
+# [1, 1], [1, 1.91] and [1.91, 4].
 BAD_SCHEMES = {
     "<scheme: unit 2 has no segment>": lambda obj: obj["segments"][1].clear(),
     "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
@@ -97,6 +108,12 @@ BAD_SCHEMES = {
     "<scheme: unit 3's price interval is reversed>": _edit_top_price(3, 1.5),
     "<scheme: unit 3's price interval ends above U>": _edit_top_price(3, 4.5),
     "<scheme: unit 2's price interval ends short of unit 3's>": _edit_top_price(2, 1.5),
+    "<scheme: kind two_unit>": lambda obj: obj.update(kind="two_unit"),
+    "<scheme: cr_guarantee 1.0>": lambda obj: obj.update(cr_guarantee=1.0),
+    "<scheme: unit 2's and unit 3's price intervals meet at 1.5>": _move_junction(2, 1.5),
+    "<scheme: unit 3 starts at price 2.5, above unit 2's top>": _edit_segment(3, 0, v_lo=2.5),
+    # the guarantee alpha e^{alpha / k} overflows a float: inf, not the file's
+    "<scheme: alpha_star 1e6>": lambda obj: obj.update(alpha_star=1e6),
 }
 
 
@@ -208,6 +225,11 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-interval-reversed",
         "scheme-interval-above-U",
         "scheme-interval-gap",
+        "scheme-kind-not-the-models",
+        "scheme-guarantee-not-the-curves",
+        "scheme-intervals-chain-off-the-curves",
+        "scheme-curves-with-a-gap",
+        "scheme-guarantee-overflows",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -313,7 +335,7 @@ def solve_stdlib_text(model) -> str:
         "alpha_star": sol.alpha,
         "k_underbar": sol.k_underbar,
         "xi": sol.xi,
-        "regime": sol.regime,
+        "regime": model.regime,
         "intervals": [
             {"i": sol.k_underbar + j, "ell": lo, "u": hi}
             for j, (lo, hi) in enumerate(sol.intervals)
@@ -1044,6 +1066,18 @@ def test_curves_regime_column_flips_where_costs_cross_l(capsys):
     assert code == 0
     regimes = {line.split(",")[0]: line.split(",")[3] for line in out.strip().split("\n")[1:]}
     assert regimes == {"29": "high_value", "30": "general", "31": "general"}
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--l", "0.5"), ("--u", "0.5"), ("--cost-coeff", "-1")]
+)
+def test_curves_rejects_an_invalid_setup_before_any_capacity(capsys, flag, value):
+    # L below 1, U below L and a negative coefficient are wrong at every k:
+    # invalid input, not a sweep of unsolvable rows
+    code, out, err = run_cli(capsys, "curves", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "k=" not in err
 
 
 def test_curves_rejects_bad_range(capsys):

@@ -10,7 +10,6 @@ from kselect.cost_model import (
     MAX_K,
     allocation_count_g,
     conjugate,
-    cumulative_cost,
     make_cost_model,
     model_from_json,
     model_to_json,
@@ -20,7 +19,7 @@ from kselect.errors import ValidationError
 
 def conjugate_by_enumeration(model, v):
     """Oracle: brute-force max of v*i - f(i) over i = 0..k."""
-    return max(v * i - cumulative_cost(model, i) for i in range(model.k + 1))
+    return max(v * i - model.cumulative[i] for i in range(model.k + 1))
 
 
 def random_model(rng, k_max=12, allow_general=True):
@@ -41,7 +40,7 @@ class TestConstruction:
 
     def test_zero_cost_single_unit(self):
         m = make_cost_model(1.0, 2.0, 1, marginals=[0.0])
-        assert cumulative_cost(m, 1) == 0.0
+        assert m.cumulative[1] == 0.0
 
     def test_decreasing_marginals_rejected(self):
         with pytest.raises(ValidationError):
@@ -220,22 +219,15 @@ class TestCostTables:
 class TestCumulativeCost:
     def test_quadratic_sixteenth(self):
         m = make_cost_model(1.0, 30.0, 10, quadratic_coeff=1.0 / 16.0)
-        assert cumulative_cost(m, 4) == pytest.approx(1.0, abs=1e-12)
+        assert m.cumulative[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_sum(self):
         m = make_cost_model(1.0, 2.0, 3, marginals=[1, 2, 4])
-        assert cumulative_cost(m, 0) == 0.0
+        assert m.cumulative[0] == 0.0
 
     def test_explicit_sum(self):
         m = make_cost_model(1.0, 2.0, 3, marginals=[1, 2, 4])
-        assert cumulative_cost(m, 3) == 7.0
-
-    def test_out_of_range(self):
-        m = make_cost_model(1.0, 2.0, 3, marginals=[1, 2, 4])
-        with pytest.raises(ValidationError):
-            cumulative_cost(m, 4)
-        with pytest.raises(ValidationError):
-            cumulative_cost(m, -1)
+        assert m.cumulative[3] == 7.0
 
 
 class TestConjugate:
@@ -294,7 +286,7 @@ class TestAllocationCount:
                 g = allocation_count_g(m, float(v))
                 if g >= 1:
                     assert conjugate(m, float(v)) == pytest.approx(
-                        float(v) * g - cumulative_cost(m, g), abs=1e-12
+                        float(v) * g - m.cumulative[g], abs=1e-12
                     )
 
     def test_negative_valuation_rejected(self):

@@ -16,8 +16,8 @@ from kselect.instances import (
     gen_low2high,
     gen_sorted,
     hard_instance,
+    instance_text,
     read_instance,
-    write_instance,
 )
 
 
@@ -180,14 +180,14 @@ class TestFileIO:
         rng = np.random.default_rng(29)
         inst = gen_iid(wide_model, 64, 15.0, 15.0, rng)
         path = tmp_path / "inst.txt"
-        write_instance(inst, path)
+        path.write_text(instance_text(inst))
         back = read_instance(path)
         assert back.valuations == inst.valuations
         assert back.label == inst.label
 
     def test_no_label(self, tmp_path):
         path = tmp_path / "plain.txt"
-        write_instance(Instance((1.5, 2.0)), path)
+        path.write_text(instance_text(Instance((1.5, 2.0))))
         back = read_instance(path)
         assert back.valuations == (1.5, 2.0)
         assert back.label == ""

@@ -348,7 +348,7 @@ class TestSolver:
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         assert not m.high_value
         sol = solve_alpha_star(m)
-        assert sol.regime == "general"
+        assert m.regime == "general"
         assert abs(sol.intervals[-1][1] - 30.0) <= 1e-8
         assert sol.alpha > 1.0
         assert chain_residual(sol, m) <= 1e-9

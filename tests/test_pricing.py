@@ -25,7 +25,6 @@ from kselect.pricing import (
     prices_for_seeds,
     scheme_from_json,
     scheme_json_chunks,
-    scheme_json_text,
     scheme_to_json,
     static_prices_for_quantiles,
 )
@@ -377,7 +376,6 @@ def test_chain_price_intervals_and_cost_tables_are_float_columns():
     n = k - sol.k_underbar + 1  # units with an interval
     sizes = {
         "ends": (sol.ends, n + 1),
-        "price_bounds": (scheme.price_bounds, 2 * k),
         # a floor and a ramp on the threshold unit, one segment on the others
         "columns": (scheme.columns, 6 * (k + 1)),
         "cumulative": (m.cumulative, k + 1),
@@ -388,18 +386,21 @@ def test_chain_price_intervals_and_cost_tables_are_float_columns():
     for name, (column, size) in sizes.items():
         assert isinstance(column, array) and column.typecode == "d", name
         assert len(column) == size, name
-    for view, column, shape in (
-        (sol.intervals, sol.ends, (n, 2)),
-        (scheme.price_intervals, scheme.price_bounds, (k, 2)),
-    ):
+    for view, shape in ((sol.intervals, (n, 2)), (scheme.price_intervals, (k, 2))):
         assert view.dtype == np.float64 and view.shape == shape
-        assert np.shares_memory(view, np.frombuffer(column))
         assert not view.flags.writeable
+    assert np.shares_memory(sol.intervals, np.frombuffer(sol.ends))
     assert all(type(x) is float for x in sol.interval(k))
 
 
 # ---------------------------------------------------------------------------
 # the direct JSON writer
+
+
+def scheme_json_text(scheme) -> str:
+    """The pricing JSON as ``kselect pricing`` writes it, without the
+    final newline: the join of scheme_json_chunks."""
+    return "".join(scheme_json_chunks(scheme))
 
 
 def stdlib_text(scheme) -> str:
@@ -496,6 +497,7 @@ class TestSchemeJsonText:
         m = make_cost_model(L=1.0, U=10.0, k=4, marginals=[0.5, 1.5, 2.5, 3.5])
         obj = scheme_to_json(build_scheme(m))
         obj["alpha_star"] = math.inf
+        obj["cr_guarantee"] = math.inf  # what the curves give at alpha_star = inf
         obj["xi_star"] = -math.inf
         obj["segments"][1][0]["rate"] = math.nan
         obj["segments"][2][0]["rate"] = math.inf
@@ -552,7 +554,7 @@ def test_every_built_scheme_reports_the_solvers_chain(scheme):
     assert scheme.k_underbar_star == sol.k_underbar
     assert scheme.xi_star.hex() == sol.xi.hex()
     two_unit = model.k == 2 and model.high_value
-    assert scheme.kind == ("two_unit" if two_unit else sol.regime)
+    assert scheme.kind == ("two_unit" if two_unit else model.regime)
     if two_unit:
         assert scheme.cr_guarantee == sol.alpha
     # (L, L) below the threshold unit, then the chain, its end clamped to U
