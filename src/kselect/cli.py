@@ -37,7 +37,7 @@ from .instances import (
     instance_text,
     read_instance,
 )
-from .lower_bound import solve_alpha_star
+from .lower_bound import solve_alpha_star, threshold
 from .mechanisms import (
     Mechanism,
     expected_welfare,
@@ -413,8 +413,9 @@ def cmd_curves(args) -> int:
     L, U = as_float("L", args.l), as_float("U", args.u)
     coeff = as_float("cost-coeff", args.cost_coeff)
     # L, U and the coefficient are checked once, at k = 1, where no marginal
-    # overflows; the rows skip only what depends on k
-    make_cost_model(L, U, 1, quadratic_coeff=coeff)
+    # overflows, and so is c_1 = coeff < L, which holds at every k or at
+    # none; the rows skip only what depends on k
+    threshold(make_cost_model(L, U, 1, quadratic_coeff=coeff), 1.0)
     lines = ["k,alpha_star,cr_guarantee,regime"]
     emitted = 0
     for k in range(k_min, k_max + 1):

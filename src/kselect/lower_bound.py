@@ -27,12 +27,13 @@ u_k grows like e^alpha, so on the benchmark setups it walks the chain 12
 to 16 times where bisection walks it 56 or 57, and never more than one
 walk beyond it.
 
-Each chain walk is one kernel, ``_chain``. It reads ``k_underbar`` (a
-bisect) and ``xi`` (one lookup) off the model's cached prefix table
-``CostModel.floor_prefix``, then walks one step per unit, keeping only the
-current end: exact g-piece integration, inlined, while the chain is at or
-below the top marginal, and ``u += (u - c) * expm1(alpha/k)`` once it is
-above, where no unit can open below its cost and the loop tests nothing.
+Each chain walk is one kernel, ``_chain``. It takes ``k_underbar`` and
+``xi`` from ``threshold``, the one place they are computed (a bisect and
+one lookup in the model's cached prefix table ``CostModel.floor_prefix``),
+then walks one step per unit, keeping only the current end: exact g-piece
+integration, inlined, while the chain is at or below the top marginal, and
+``u += (u - c) * expm1(alpha/k)`` once it is above, where no unit can open
+below its cost and the loop tests nothing.
 The search walks return ``(k_underbar, xi, u_k)`` alone; one more walk at
 the answer, ``build_intervals``, records the chain ends. The solution holds
 them as one float column, ``LowerBoundSolution.ends``, from which the
@@ -116,13 +117,16 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def compute_k_underbar(model: CostModel, alpha: float) -> int:
-    """Smallest unit count whose price-floor profit covers the bound's share.
+def threshold(model: CostModel, alpha: float) -> tuple[int, float]:
+    """The threshold unit ``k_underbar`` at alpha and its floor share ``xi``.
 
-    Returns the least j with ``sum_{i<=j} (L - c_i) >= conjugate(L) / alpha``.
-    A policy that is alpha-competitive must, facing k buyers at valuation L,
-    already extract a 1/alpha fraction of the offline value conjugate(L);
-    j is the number of whole units that takes.
+    ``k_underbar`` is the least j with ``sum_{i<=j} (L - c_i) >=
+    conjugate(L) / alpha``: a policy that is alpha-competitive must, facing
+    k buyers at valuation L, already extract a 1/alpha fraction of the
+    offline value conjugate(L), and j is the number of whole units that
+    takes. ``xi`` in (0, 1] is the fractional sell-out level of unit
+    ``k_underbar`` at L. Every unit up to ``floor_peak`` sells at a profit
+    at L, so its ``L - c`` is positive.
     """
     alpha = _check_alpha(alpha)
     prefix, peak = model.floor_prefix, model.floor_peak
@@ -131,28 +135,13 @@ def compute_k_underbar(model: CostModel, alpha: float) -> int:
         raise DegenerateModelError(
             "no unit sells at a profit at the lowest valuation (c_1 >= L)"
         )
+    share = conjugate(model, model.L) / alpha
     # best equals conjugate(L) analytically; the min() only absorbs the
-    # one-ulp drift of sequential summation at the alpha = 1 tie.
-    target = min(conjugate(model, model.L) / alpha, best)
-    # the prefix does not decrease up to its peak, and the peak reaches target
-    return bisect.bisect_left(prefix, target, 0, peak) + 1
-
-
-def compute_xi(model: CostModel, alpha: float, k_underbar: int) -> float:
-    """Fractional sell-out level of unit k_underbar at valuation L; in (0, 1]."""
-    alpha = _check_alpha(alpha)
-    if not 1 <= k_underbar <= model.k:
-        raise ValidationError(f"k_underbar out of range: {k_underbar}")
-    L = model.L
-    denom = L - model.marginals[k_underbar - 1]
-    if denom <= 0.0:
-        raise DegenerateModelError(
-            "xi undefined: lowest valuation equals the marginal cost of unit "
-            f"{k_underbar}"
-        )
-    head = model.floor_prefix[k_underbar - 2] if k_underbar > 1 else 0.0
-    xi = (conjugate(model, L) / alpha - head) / denom
-    return min(xi, 1.0)
+    # one-ulp drift of sequential summation at the alpha = 1 tie. The
+    # prefix does not decrease up to its peak, and the peak reaches it.
+    ku = bisect.bisect_left(prefix, min(share, best), 0, peak) + 1
+    head = prefix[ku - 2] if ku > 1 else 0.0
+    return ku, min((share - head) / (model.L - model.marginals[ku - 1]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +207,7 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
     lands on the top marginal exactly stays in the checked loop, whose top
     piece is the same integration, until it is above.
     """
-    k_underbar = compute_k_underbar(model, alpha)
-    xi = compute_xi(model, alpha, k_underbar)
+    k_underbar, xi = threshold(model, alpha)
     bps, counts = model.g_steps
     ms, k = model.marginals, model.k
     top, c_top = len(bps), bps[-1]
@@ -301,8 +289,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         # end strictly inside [L, U], so fix alpha at 1 with flat intervals.
         # A top unit that costs more than U can never sell, so that setup
         # takes the c_k >= U error below, as it does for any U.
-        k_underbar = compute_k_underbar(model, 1.0)
-        xi = compute_xi(model, 1.0, k_underbar)
+        k_underbar, xi = threshold(model, 1.0)
         flat = array("d", [model.L]) * (model.k - k_underbar + 2)
         return _mk_solution(1.0, k_underbar, xi, flat, notes=("U == L: alpha fixed at 1",))
 

@@ -11,9 +11,11 @@ constant-g piece of a unit's interval becomes one exponential segment, plus
 a constant floor on the threshold unit; in high-value setups (c_k < L) each
 unit has one segment.
 
-A scheme is its curves, stored as six float columns, not as one object
-per segment. Its price intervals, ``kind`` and guarantee ``cr_guarantee``
-are computed from the curves and the model, each in one place (see
+A scheme is its model, its bound alpha_star and its curves, stored as six
+float columns, not as one object per segment. Its threshold unit and floor
+share (``k_underbar_star``, ``xi_star``) are computed from alpha_star by
+lower_bound.threshold, and its price intervals, ``kind`` and guarantee
+``cr_guarantee`` from the curves and the model, each in one place (see
 PricingScheme). build_scheme and scheme_from_json write the columns
 directly: build_scheme writes the flat units below the threshold and the
 one-segment units above the top marginal as slices of the solver's chain
@@ -33,8 +35,9 @@ scheme_to_json and scheme_from_json are the dict form of a scheme, and they
 round-trip every float bit-exactly; scheme_from_json rejects curves the
 table cannot read, prices that leave [L, U] or break the price chain
 (a unit must start at the price where the one before it ends, L for unit
-1), and a file whose price intervals, kind or guarantee are not the ones
-its curves and model give. scheme_json_chunks streams the text of
+1), rates that are not alpha_star / g, and a file whose k_underbar_star,
+xi_star, price intervals, kind or guarantee are not the ones its model,
+alpha_star and curves give. scheme_json_chunks streams the text of
 ``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``
 straight from the columns, without the stdlib's pure-Python indenting
 encoder: the marginals, price intervals and segments go out a fixed
@@ -56,7 +59,7 @@ import numpy as np
 from . import jsontext
 from .cost_model import CostModel, model_from_json, model_to_json, packed
 from .errors import ValidationError
-from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star
+from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, threshold
 
 
 # One segment of a price curve. Constant piece: rate == 0 and the price is
@@ -64,6 +67,9 @@ from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star
 # cost) * e^{rate * (s - s_lo)}, reaching v_hi at s_hi. Evaluations clamp
 # into [v_lo, v_hi] so shared endpoints are hit exactly.
 _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
+# What a scheme file states and a scheme computes, in the order the loader
+# compares them
+_COMPUTED_FIELDS = ("k_underbar_star", "xi_star", "price_intervals", "kind", "cr_guarantee")
 
 
 @dataclass(frozen=True)
@@ -75,17 +81,31 @@ class PricingScheme:
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
     of segments of unit i. The columns are an ``array("d")`` field, so
     schemes compare by value. Everything else a scheme reports follows from
-    the curves and the model and is computed, not stored:
-    ``price_intervals`` (each unit's first v_lo and last v_hi), ``kind``
-    and ``cr_guarantee``.
+    the model, ``alpha_star`` and the curves and is computed, not stored:
+    ``k_underbar_star`` and ``xi_star`` (``lower_bound.threshold`` at
+    alpha_star), ``price_intervals`` (each unit's first v_lo and last
+    v_hi), ``kind`` and ``cr_guarantee``.
     """
 
     model: CostModel
     alpha_star: float
-    k_underbar_star: int
-    xi_star: float
     columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
     sizes: tuple[int, ...]  # segments per unit
+
+    @cached_property
+    def _threshold(self) -> tuple[int, float]:
+        """``(k_underbar_star, xi_star)``, computed once."""
+        return threshold(self.model, self.alpha_star)
+
+    @property
+    def k_underbar_star(self) -> int:
+        """The threshold unit at alpha_star; the units below it are flat at L."""
+        return self._threshold[0]
+
+    @property
+    def xi_star(self) -> float:
+        """The threshold unit's floor share: its curve is L on seeds [0, xi_star]."""
+        return self._threshold[1]
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -121,15 +141,13 @@ class PricingScheme:
         if model.high_value:
             return alpha * _exp(alpha / model.k)
         # one pass over the units; the conjugate at L_i is L_i g - f(g)
-        # with g = #marginals <= L_i, as in conjugate(). A loaded scheme's
-        # alpha_star may be inf and its model need not sell at L, so an inf
-        # or NaN guarantee is kept, without a warning.
+        # with g = #marginals <= L_i, as in conjugate(). It is positive:
+        # L_i >= L > c_1, which threshold() checks
         lo, hi = self.price_intervals.T
         ms = model.marginal_column
         g = np.searchsorted(ms, lo, side="right")
         conj = lo * g - np.frombuffer(model.cumulative)[g]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.max(alpha * (1.0 + (hi - ms) / conj)))
+        return float(np.max(alpha * (1.0 + (hi - ms) / conj)))
 
     @cached_property
     def _table(self):
@@ -305,14 +323,7 @@ def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
     tail[5] = np.where(ramp, alpha / k, 0.0)
     cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
     sizes += [1] * len(lo)
-    return PricingScheme(
-        model=model,
-        alpha_star=alpha,
-        k_underbar_star=ku,
-        xi_star=xi,
-        columns=packed(cols),
-        sizes=tuple(sizes),
-    )
+    return PricingScheme(model=model, alpha_star=alpha, columns=packed(cols), sizes=tuple(sizes))
 
 
 def build_scheme(model: CostModel) -> PricingScheme:
@@ -398,27 +409,33 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
 
 
 def _check_curves(scheme: PricingScheme) -> None:
-    """Reject curves that the table lookups cannot read, or whose prices
-    leave [L, U] or break the price chain P_1 <= ... <= P_k.
+    """Reject curves that the table lookups cannot read, whose prices
+    leave [L, U] or break the price chain P_1 <= ... <= P_k, or whose rates
+    are not alpha_star's.
 
     Each unit needs a segment, and its segments must run end to end from
     seed 0 to seed 1. Every price lies in [L, U], so a NaN fails, and each
     segment has v_lo <= v_hi. A unit's first v_lo is the previous unit's
     last v_hi (L for unit 1), so the price intervals run end to end from
-    L; every later v_lo lies at or above the v_lo before it. Each test is
-    one comparison over the columns; non-finite rates are read.
+    L; every later v_lo lies at or above the v_lo before it. A ramp
+    (v_hi > v_lo) has rate alpha_star / g, with g the number of marginals
+    at or below its v_lo, and a flat segment rate 0. Each test is one
+    comparison over the columns.
     """
     offsets = scheme._offsets
     sizes = np.diff(offsets)
     if sizes.min() < 1:
         raise ValidationError(f"scheme unit {sizes.argmin() + 1} has no segment")
-    s_lo, s_hi, v_lo, v_hi = _column_view(scheme)[:4]
+    s_lo, s_hi, v_lo, v_hi, _, rate = _column_view(scheme)
     end = np.zeros(len(s_lo), dtype=bool)
     end[offsets[1:] - 1] = True
     start = np.roll(end, 1)  # the last row ends unit k, so row 0 starts unit 1
     L, U = scheme.model.L, scheme.model.U
     floor = np.where(start, np.roll(v_hi, 1), np.roll(v_lo, 1))
     floor[0] = L
+    g = np.searchsorted(scheme.model.marginal_column, v_lo, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp_rate = scheme.alpha_star / g
     for bad, why in (
         (
             ~(s_lo <= s_hi)
@@ -436,15 +453,19 @@ def _check_curves(scheme: PricingScheme) -> None:
             f"the first v_lo must be the previous unit's last v_hi (L = {L} for unit 1)",
         ),
         (v_lo < floor, "v_lo falls below the v_lo before it"),
+        (
+            rate != np.where(v_hi > v_lo, ramp_rate, 0.0),
+            "a segment's rate is not alpha_star / g (0 where v_lo == v_hi)",
+        ),
     ):
         if bad.any():
             raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:
-    """Rebuild a scheme emitted by :func:`scheme_to_json`. Its
-    ``price_intervals``, ``kind`` and ``cr_guarantee`` must be the ones its
-    curves and model give."""
+    """Rebuild a scheme emitted by :func:`scheme_to_json`. Each field the
+    scheme computes, ``k_underbar_star``, ``xi_star``, ``price_intervals``,
+    ``kind`` and ``cr_guarantee``, must equal the file's."""
     if not isinstance(obj, dict):
         raise ValidationError("scheme spec must be a JSON object")
     try:
@@ -454,33 +475,20 @@ def scheme_from_json(obj: dict) -> PricingScheme:
         columns = array(
             "d", (float(seg[f]) for f in _SEGMENT_FIELDS for unit in units for seg in unit)
         )
-        bounds = array("d", (float(x) for lo, hi in obj["price_intervals"] for x in (lo, hi)))
-        kind, cr = obj["kind"], float(obj["cr_guarantee"])
+        stated = {name: np.asarray(obj[name]) for name in _COMPUTED_FIELDS}
         scheme = PricingScheme(
-            model=model,
-            alpha_star=float(obj["alpha_star"]),
-            k_underbar_star=int(obj["k_underbar_star"]),
-            xi_star=float(obj["xi_star"]),
-            columns=columns,
-            sizes=sizes,
+            model=model, alpha_star=float(obj["alpha_star"]), columns=columns, sizes=sizes
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
-    if len(sizes) != model.k or len(bounds) != 2 * model.k:
+    if len(sizes) != model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
     _check_curves(scheme)
-    stated = np.frombuffer(bounds).reshape(-1, 2)
-    off = np.flatnonzero((stated != scheme.price_intervals).any(axis=1))
-    if off.size:
-        i = off[0]
-        raise ValidationError(
-            f"scheme unit {i + 1}: price interval {stated[i].tolist()} is not the "
-            f"{scheme.price_intervals[i].tolist()} its curves span"
-        )
-    if kind != scheme.kind:
-        raise ValidationError(f"scheme kind {kind!r} is not its model's {scheme.kind!r}")
-    if cr != scheme.cr_guarantee:
-        raise ValidationError(
-            f"scheme cr_guarantee {cr!r} is not the {scheme.cr_guarantee!r} its curves give"
-        )
+    for name, value in stated.items():
+        computed = getattr(scheme, name)
+        if not np.array_equal(value, computed):
+            shown = repr(computed) if np.isscalar(computed) else "one"
+            raise ValidationError(
+                f"scheme {name} is not the {shown} its model, alpha_star and curves give"
+            )
     return scheme

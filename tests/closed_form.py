@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from kselect.cost_model import conjugate
-from kselect.lower_bound import DEFAULT_TOL, _chain, compute_k_underbar, compute_xi
+from kselect.lower_bound import DEFAULT_TOL, _chain, threshold
 
 
 def scan_k_underbar(model, alpha: float) -> int:
@@ -52,8 +52,7 @@ def scan_xi(model, alpha: float, k_underbar: int) -> float:
 def closed_form_chain(model, alpha: float):
     """(k_underbar, xi, intervals) of the high-value chain at alpha."""
     assert model.high_value, "closed-form chain needs c_k < L"
-    k_underbar = compute_k_underbar(model, alpha)
-    xi = compute_xi(model, alpha, k_underbar)
+    k_underbar, xi = threshold(model, alpha)
     rate = alpha / model.k
     ms = model.marginals
     c = ms[k_underbar - 1]

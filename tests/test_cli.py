@@ -89,11 +89,11 @@ def _move_junction(unit: int, price: float):
 
 
 # Curve tables the lookups cannot read, whose prices break the chain, or
-# whose price intervals, kind or guarantee are not the ones the curves and
-# model give. The base is the `pricing` output for L=1, U=4,
-# c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on unit 2 a floor on
-# [0, xi] followed by a ramp from L to 1.91; the price intervals are
-# [1, 1], [1, 1.91] and [1.91, 4].
+# whose k_underbar*, xi*, price intervals, kind or guarantee are not the
+# ones the model, alpha* and curves give. The base is the `pricing` output
+# for L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on
+# unit 2 a floor on [0, xi] followed by a ramp from L to 1.91; the price
+# intervals are [1, 1], [1, 1.91] and [1.91, 4].
 BAD_SCHEMES = {
     "<scheme: unit 2 has no segment>": lambda obj: obj["segments"][1].clear(),
     "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
@@ -114,6 +114,12 @@ BAD_SCHEMES = {
     "<scheme: unit 3 starts at price 2.5, above unit 2's top>": _edit_segment(3, 0, v_lo=2.5),
     # the guarantee alpha e^{alpha / k} overflows a float: inf, not the file's
     "<scheme: alpha_star 1e6>": lambda obj: obj.update(alpha_star=1e6),
+    "<scheme: alpha_star inf>": lambda obj: obj.update(alpha_star=math.inf, cr_guarantee=math.inf),
+    "<scheme: k_underbar_star + 1>": lambda obj: obj.update(
+        k_underbar_star=obj["k_underbar_star"] + 1
+    ),
+    "<scheme: xi_star / 2>": lambda obj: obj.update(xi_star=obj["xi_star"] / 2),
+    "<scheme: alpha_star 10**400>": lambda obj: obj.update(alpha_star=10**400),
 }
 
 
@@ -230,6 +236,10 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-intervals-chain-off-the-curves",
         "scheme-curves-with-a-gap",
         "scheme-guarantee-overflows",
+        "scheme-alpha-star-inf",
+        "scheme-k_underbar-off-by-one",
+        "scheme-xi-halved",
+        "scheme-alpha-star-past-float-range",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -921,6 +931,21 @@ def test_simulate_pinned_trace_is_deterministic(tmp_path, capsys):
     assert code == 2 and "2" in err
 
 
+def test_simulate_pinned_draws_one_row_past_the_trial_ceiling(tmp_path, capsys):
+    # 2000 trials * k = 6000 is past the ceiling, but pinned draws one row:
+    # the --pin-seeds trace at sigma on every unit
+    k = 6000
+    model = json.dumps({"L": 1, "U": 30, "k": k, "cost": {"type": "quadratic", "coeff": 0.45 / k}})
+    args = ["simulate", "--model", model, "--instance", write_inst(tmp_path, [2.0, 30.0, 5.0])]
+    code, out, _ = run_cli(capsys, *args, "--mechanism", "pinned")
+    assert code == 0
+    code, trace, _ = run_cli(capsys, *args, "--pin-seeds", ",".join(["0.5"] * k))
+    assert code == 0
+    assert json.loads(out)["mean_welfare"] == json.loads(trace)["welfare"]
+    code, _, err = run_cli(capsys, *args, "--mechanism", "r-dynamic")
+    assert code == 2 and "exceeds the ceiling" in err
+
+
 def test_simulate_estimate_reproducible_and_ratio_at_least_one(tmp_path, capsys):
     inst = write_inst(tmp_path, [1.0, 2.0, 3.0, 4.0, 5.0, 4.0])
     args = [
@@ -1069,11 +1094,11 @@ def test_curves_regime_column_flips_where_costs_cross_l(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--l", "0.5"), ("--u", "0.5"), ("--cost-coeff", "-1")]
+    "flag,value", [("--l", "0.5"), ("--u", "0.5"), ("--cost-coeff", "-1"), ("--cost-coeff", "2")]
 )
 def test_curves_rejects_an_invalid_setup_before_any_capacity(capsys, flag, value):
-    # L below 1, U below L and a negative coefficient are wrong at every k:
-    # invalid input, not a sweep of unsolvable rows
+    # L below 1, U below L, a negative coefficient and c_1 = coeff >= L are
+    # wrong at every k: invalid input, not a sweep of unsolvable rows
     code, out, err = run_cli(capsys, "curves", flag, value)
     assert code == 2
     assert out == ""

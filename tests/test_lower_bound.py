@@ -45,18 +45,16 @@ from kselect.lower_bound import (
     _integral_over_pole,
     build_intervals,
     chain_residual,
-    compute_k_underbar,
-    compute_xi,
     eval_psi,
     solve_alpha_star,
+    threshold,
 )
 
 
 def chain_end_closed_form(model, alpha: float) -> float:
     """u_k as a single sum in powers of e^{alpha/k} (high-value only)."""
     k, L, ms = model.k, model.L, model.marginals
-    ku = compute_k_underbar(model, alpha)
-    xi = compute_xi(model, alpha, ku)
+    ku, xi = threshold(model, alpha)
     r = alpha / k
     c = ms[ku - 1]
     total = (L - c) * math.exp(r * (k + 1 - ku - xi)) + c * math.exp(r * (k - ku))
@@ -86,33 +84,31 @@ class TestKUnderbarAndXi:
     def test_threshold_moves_with_alpha(self):
         m = make_cost_model(L=1.0, U=3.0, k=2, marginals=[0.25, 0.5])
         # conjugate(L) = 2 - 0.75 = 1.25; first prefix sum is 0.75
-        assert compute_k_underbar(m, 1.0) == 2
-        assert compute_k_underbar(m, 1.5) == 2  # 1.25 / 1.5 > 0.75
-        assert compute_k_underbar(m, 2.0) == 1  # 0.625 <= 0.75
-        assert compute_k_underbar(m, 10.0) == 1
+        assert threshold(m, 1.0)[0] == 2
+        assert threshold(m, 1.5)[0] == 2  # 1.25 / 1.5 > 0.75
+        assert threshold(m, 2.0)[0] == 1  # 0.625 <= 0.75
+        assert threshold(m, 10.0)[0] == 1
 
     def test_xi_frozen_values(self):
         m = make_cost_model(L=1.0, U=3.0, k=2, marginals=[0.25, 0.5])
         # alpha = 1.6: target 0.78125, head 0.75, denom 0.5
-        assert compute_xi(m, 1.6, 2) == pytest.approx(0.0625, abs=1e-15)
+        assert threshold(m, 1.6) == (2, pytest.approx(0.0625, abs=1e-15))
         # alpha = 2: k_underbar = 1, xi = 0.625 / 0.75
-        assert compute_xi(m, 2.0, 1) == pytest.approx(5.0 / 6.0, rel=1e-14)
+        assert threshold(m, 2.0) == (1, pytest.approx(5.0 / 6.0, rel=1e-14))
         # alpha = 1 exhausts every prefix: tie at xi = 1
-        assert compute_xi(m, 1.0, 2) == 1.0
+        assert threshold(m, 1.0) == (2, 1.0)
 
     def test_single_unit_free_production(self):
         m = make_cost_model(L=2.0, U=9.0, k=1, marginals=[0.0])
         for alpha in (1.0, 1.7, 4.0):
-            assert compute_k_underbar(m, alpha) == 1
-            assert compute_xi(m, alpha, 1) == pytest.approx(1.0 / alpha, rel=1e-14)
+            assert threshold(m, alpha) == (1, pytest.approx(1.0 / alpha, rel=1e-14))
 
     def test_xi_in_unit_interval_and_threshold_minimal(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = random_general_model(rng)
             alpha = float(rng.uniform(1.0, 8.0))
-            ku = compute_k_underbar(m, alpha)
-            xi = compute_xi(m, alpha, ku)
+            ku, xi = threshold(m, alpha)
             assert 0.0 < xi <= 1.0
             # minimality: the prefix one unit shorter must fall below target
             target = conjugate(m, m.L) / alpha
@@ -137,14 +133,14 @@ class TestKUnderbarAndXi:
             on_prefix = [top / p for p in m.floor_prefix if p > 0.0 and top / p >= 1.0]
             alphas = [1.0, *rng.uniform(1.0, 30.0, size=4).tolist(), *on_prefix[:6]]
             for alpha in alphas:
-                ku = compute_k_underbar(m, alpha)
+                ku, xi = threshold(m, alpha)
                 assert ku == scan_k_underbar(m, alpha)
-                assert compute_xi(m, alpha, ku).hex() == scan_xi(m, alpha, ku).hex()
+                assert xi.hex() == scan_xi(m, alpha, ku).hex()
 
     def test_degenerate_floor_cost(self):
         m = make_cost_model(L=1.0, U=3.0, k=2, marginals=[1.0, 1.5])
         with pytest.raises(DegenerateModelError):
-            compute_k_underbar(m, 2.0)
+            threshold(m, 2.0)
         with pytest.raises(DegenerateModelError):
             solve_alpha_star(m)
 
@@ -152,13 +148,7 @@ class TestKUnderbarAndXi:
         m = make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.0])
         for bad in (0.5, 0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
-                compute_k_underbar(m, bad)
-            with pytest.raises(ValidationError):
-                compute_xi(m, bad, 1)
-        with pytest.raises(ValidationError):
-            compute_xi(m, 2.0, 0)
-        with pytest.raises(ValidationError):
-            compute_xi(m, 2.0, 2)
+                threshold(m, bad)
 
 
 class TestExactIntegration:

@@ -275,14 +275,16 @@ class TestSubstreams:
             expected_welfare(dyn, Instance((2.0,)), m, trials=0, master_seed=1)
 
     def test_trials_times_k_ceiling(self):
-        # checked before any draw: pinned draws one row, so the ceiling
-        # itself runs at once, and one trial past it is refused
+        # checked before any draw, on the rows drawn: pinned draws one row,
+        # so it runs at the ceiling and past it, where the other kinds are
+        # refused one trial past it
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.0, 0.5])
         scheme = build_scheme(m)
         top = MAX_TRIAL_CELLS // 2
-        est = expected_welfare(Mechanism(scheme, "pinned", 0.5), Instance((2.0,)), m, top, 1)
-        assert est.trials == top
-        for kind, trials in (("pinned", top + 1), ("r-dynamic", top + 1), ("static", 10**400)):
+        for trials in (top, top + 1):
+            pinned = Mechanism(scheme, "pinned", 0.5)
+            assert expected_welfare(pinned, Instance((2.0,)), m, trials, 1).trials == trials
+        for kind, trials in (("r-dynamic", top + 1), ("static", 10**400)):
             with pytest.raises(ValidationError, match="exceeds the ceiling"):
                 expected_welfare(Mechanism(scheme, kind), Instance((2.0,)), m, trials, 1)
 
