@@ -52,6 +52,8 @@ from .pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_js
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
 MAX_SAMPLE_CELLS = 10**7
+# Most units one `curves` run solves, its capacities summed.
+MAX_CURVE_UNITS = 10**7
 # Most instances one `experiment` run generates and estimates.
 MAX_INSTANCES = 10**6
 
@@ -410,6 +412,11 @@ def cmd_curves(args) -> int:
         raise ValidationError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
     if k_max > MAX_K:
         raise ValidationError(f"k-max = {k_max} exceeds the ceiling of {MAX_K}")
+    units = (k_min + k_max) * (k_max - k_min + 1) // 2  # each row solves k units
+    if units > MAX_CURVE_UNITS:
+        raise ValidationError(
+            f"{k_min}..{k_max} sums to {units} units, which exceeds the ceiling of {MAX_CURVE_UNITS}"
+        )
     L, U = as_float("L", args.l), as_float("U", args.u)
     coeff = as_float("cost-coeff", args.cost_coeff)
     # L, U and the coefficient are checked once, at k = 1, where no marginal

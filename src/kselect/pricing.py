@@ -17,10 +17,9 @@ share (``k_underbar_star``, ``xi_star``) are computed from alpha_star by
 lower_bound.threshold, and its price intervals, ``kind`` and guarantee
 ``cr_guarantee`` from the curves and the model, each in one place (see
 PricingScheme). build_scheme and scheme_from_json write the columns
-directly: build_scheme writes the flat units below the threshold and the
-one-segment units above the top marginal as slices of the solver's chain
-ends and the marginals, and walks only the units between piece by piece.
-scheme_to_json lists the columns segment by segment.
+directly, build_scheme from one lower_bound.g_pieces call over every
+unit's interval, with no loop over the units. scheme_to_json lists the
+columns segment by segment.
 
 Every lookup reads one cached flat table over the columns
 (``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
@@ -57,7 +56,7 @@ from itertools import pairwise
 import numpy as np
 
 from . import jsontext
-from .cost_model import CostModel, model_from_json, model_to_json, packed
+from .cost_model import CostModel, model_from_json, model_to_json
 from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, threshold
 
@@ -263,67 +262,53 @@ def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndar
 def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
     """Curves inverting the solution's piecewise-log allocation curves.
 
-    Each constant-g piece [a, b] of unit i's interval consumes a seed span of
-    (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
-    c_i + (a - c_i) e^{(alpha / g)(s - s0)} on it. Spans telescope to 1 by
-    construction; the last endpoint is snapped to exactly 1. The last unit's
-    top price is clamped to U, since the solver stops within its tolerance
-    of U on either side.
-
-    The units below the threshold unit are flat at L. The threshold unit,
-    and every later unit whose interval starts below the top marginal c_k,
-    are walked piece by piece (``g_pieces``); one ``searchsorted`` of the
-    chain ends against c_k counts them. Every unit after them lies above
-    c_k, where g = k, and has one segment: seeds [0, 1], prices u_{i-1} to
-    u_i, cost c_i, rate alpha / k (0 on a zero-width interval). The run
-    below and the run above are written as column slices, the second from
-    slices of the chain ends and the marginals, and its spans are checked
-    at once.
+    The units below the threshold unit are flat at L. The pieces of every
+    later unit come from one ``g_pieces`` call: a piece [a, b] of unit i
+    spans seeds (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
+    c_i + (a - c_i) e^{(alpha / g)(s - s0)}; a zero-width piece is flat,
+    of span 1. The threshold unit's floor, L on seeds [0, xi], comes first
+    and replaces its piece if its interval is empty. A unit's spans, summed
+    one piece rank at a time, telescope to 1 within 1e-9, and its last end
+    is snapped to 1: the last span is never stored, the others take libm's
+    log, whose bits NumPy's kernels do not always match. The top price is
+    clamped to U, which the chain meets within the solver's tolerance.
     """
-    alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
-    L, k = model.L, model.k
+    alpha, ku, xi, L = sol.alpha, sol.k_underbar, sol.xi, model.L
     ends = np.frombuffer(sol.ends)  # u_{ku - 1} = L, ..., u_k
-    walked = min(max(1, int(np.searchsorted(ends, model.marginals[-1]))), len(ends) - 1)
-    rows: list[list[float]] = []  # segments of the units walked piece by piece
-    sizes = [1] * (ku - 1)
-    for i, (ell, u) in enumerate(pairwise(sol.ends[: walked + 1]), ku):
-        c = model.marginals[i - 1]
-        raw: list[list[float]] = []
-        s = 0.0
-        if i == ku:
-            raw.append([0.0, xi, L, L, c, 0.0])
-            s = xi
-        if u > ell:
-            for a, b, g in g_pieces(model, ell, u):
-                span = (g / alpha) * math.log((b - c) / (a - c))
-                raw.append([s, s + span, a, b, c, alpha / g])
-                s = s + span
-        if not raw:  # zero-width interval with no floor piece (u == ell == L)
-            raw.append([0.0, 1.0, ell, ell, c, 0.0])
-            s = 1.0
-        if abs(s - 1.0) > 1e-9:
-            raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
-        raw[-1][1] = 1.0
-        rows += raw
-        sizes.append(len(raw))
-    i = ku + walked  # the first unit above the top marginal
-    lo, hi, c = ends[walked:-1], ends[walked + 1 :], model.marginal_column[i - 1 :]
-    ramp = hi > lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        span = (k / alpha) * np.log((hi - c) / (lo - c))
-    off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
+    owner, a, b, g, sizes = g_pieces(model, ends[:-1], ends[1:])
+    cost = model.marginal_column[ku - 1 :][owner]
+    flat = a == b
+    with np.errstate(divide="ignore", invalid="ignore"):  # U == L: c_i may equal L
+        ratio = (b - cost) / (a - cost)
+    inner = np.append(owner[1:] == owner[:-1], False)  # all but each unit's last piece
+    logs = np.log(ratio)
+    logs[inner] = np.fromiter(map(math.log, ratio[inner].tolist()), float)
+    skip = int(flat[0])  # the floor replaces the threshold unit's flat piece
+    sizes[0] += 1 - skip
+    columns = array("d", [0.0]) * (len(_SEGMENT_FIELDS) * (ku + len(owner) - skip))
+    cols = np.frombuffer(columns).reshape(len(_SEGMENT_FIELDS), -1)  # written in place
+    cols[:, :ku] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
+    cols[1, ku - 1], cols[4, ku - 1] = xi, cost[0]
+    span, rate = np.where(flat, 1.0, (g / alpha) * logs), np.where(flat, 0.0, alpha / g)
+    for row, values in zip(cols[1:, ku:], (span, a, b, cost, rate)):
+        row[:] = values[skip:]
+    s_lo, s = cols[0, ku - 1 :], cols[1, ku - 1 :]  # s: each span, then the seed it reaches
+    last = np.cumsum(sizes) - 1  # each unit's last row
+    starts = last + 1 - sizes
+    live = np.flatnonzero(sizes > 1)
+    for r in range(1, sizes.max()):
+        live = live[sizes[live] > r]
+        rows = starts[live] + r
+        s[rows] += s[rows - 1]
+    off = np.flatnonzero(np.abs(s[last] - 1.0) > 1e-9)
     if off.size:
-        raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
-    head = ku - 1 + len(rows)  # segments before the tail
-    cols = np.empty((len(_SEGMENT_FIELDS), head + len(lo)))
-    cols[:, : ku - 1] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
-    cols[:, ku - 1 : head] = np.array(rows).T
-    tail = cols[:, head:]
-    tail[0], tail[1], tail[2], tail[3], tail[4] = 0.0, 1.0, lo, hi, c
-    tail[5] = np.where(ramp, alpha / k, 0.0)
+        raise AssertionError(f"unit {ku + off[0]} seed spans sum to {s[last[off[0]]]}, expected 1")
+    s_lo[1:] = s[:-1]
+    s_lo[starts] = 0.0
+    s[last] = 1.0
     cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
-    sizes += [1] * len(lo)
-    return PricingScheme(model=model, alpha_star=alpha, columns=packed(cols), sizes=tuple(sizes))
+    sizes = (1,) * (ku - 1) + tuple(sizes.tolist())
+    return PricingScheme(model=model, alpha_star=alpha, columns=columns, sizes=sizes)
 
 
 def build_scheme(model: CostModel) -> PricingScheme:

@@ -644,7 +644,44 @@ class TestPsi:
             sol.interval(3)
 
 
+def residual_by_definition(solution, model) -> float:
+    """``chain_residual`` by its definition, one unit at a time from
+    ``_integral_over_pole``: the largest |rise / alpha - share|, with the
+    rise of a descending end taken negative; inf when an interval opens at
+    or below its unit's cost, 0 when U == L."""
+    if model.U == model.L:
+        return 0.0
+    share, worst = 1.0 - solution.xi, 0.0
+    ends = list(solution.ends)
+    for c, ell, u in zip(model.marginals[solution.k_underbar - 1 :], ends, ends[1:]):
+        lo, hi = min(ell, u), max(ell, u)
+        if lo <= c:
+            return math.inf
+        rise = _integral_over_pole(model, c, lo, hi) / solution.alpha
+        worst = max(worst, abs((rise if u >= ell else -rise) - share))
+        share = 1.0
+    return worst
+
+
 class TestChainCertificate:
+    def test_residual_is_the_unit_by_unit_definition(self):
+        setups = [*random_setups(2024), BENCHMARK_MODELS[10], BENCHMARK_MODELS[500]]
+        chains = [(solve_alpha_star(m), m) for m in setups]
+        # the scrambled and the flat benchmark chain and a descending end, as below
+        bench = BENCHMARK_MODELS[10]
+        bench_sol = solve_alpha_star(bench)
+        ends = np.array(bench_sol.ends)
+        inner = np.sort(np.random.default_rng(4).uniform(ends[0], ends[-1], len(ends) - 2))
+        for other in ([ends[0], *inner, ends[-1]], [bench.L] * (len(ends) - 1) + [bench.U]):
+            chains.append((dataclasses.replace(bench_sol, ends=array("d", other)), bench))
+        tie = make_cost_model(L=1.7, U=4.0, k=2, marginals=[0.4, 0.4])
+        sol = build_intervals(tie, 2.0)
+        descending = array("d", [1.7, math.nextafter(1.7, 0.0), sol.ends[2]])
+        chains.append((dataclasses.replace(sol, ends=descending), tie))
+        for sol, m in chains:
+            got, want = chain_residual(sol, m), residual_by_definition(sol, m)
+            assert got == want or abs(got - want) <= 1e-12
+
     def test_residual_small_at_bound_and_above(self):
         rng = np.random.default_rng(29)
         models = [random_high_value_model(rng, k_max=6) for _ in range(3)]

@@ -4,10 +4,12 @@ table's lookups against a literal scan of the segments."""
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
 from array import array
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from kselect.cost_model import conjugate, make_cost_model
 from kselect.errors import ValidationError
 from kselect.lower_bound import eval_psi, solve_alpha_star
 from kselect.pricing import (
+    _scheme,
     build_scheme,
     inverse_price,
     price_at,
@@ -410,7 +413,7 @@ def stdlib_text(scheme) -> str:
 
 def tail_units(scheme) -> int:
     """Units past the threshold unit whose interval starts at or above the
-    top marginal: the ones the builder writes as column slices."""
+    top marginal, where g = k: the units of one segment each."""
     top, ku = scheme.model.marginals[-1], scheme.k_underbar_star
     return int(np.count_nonzero(scheme.price_intervals[ku:, 0] >= top))
 
@@ -561,6 +564,96 @@ def test_every_built_scheme_reports_the_solvers_chain(scheme):
     chain = sol.intervals.tolist()
     chain[-1][1] = min(chain[-1][1], model.U)
     assert intervals == [[model.L, model.L]] * (ku - 1) + chain
+
+
+# ---------------------------------------------------------------------------
+# the curve builder against the per-unit loop it replaced
+
+
+def reference_g_pieces(model, a, b):
+    """Yield (lo, hi, g) sub-intervals of [a, b] on which g is constant."""
+    if b < a:
+        raise ValidationError(f"empty integration range [{a}, {b}]")
+    bps, counts = model.g_steps
+    j = bisect.bisect_right(bps, a)  # the piece holding a
+    lo = a
+    while lo < b:
+        hi = min(b, bps[j]) if j < len(bps) else b
+        yield lo, hi, counts[j]
+        lo = hi
+        j += 1
+
+
+def reference_columns(model, sol):
+    """The curve columns and segment counts of ``sol``'s chain, by the
+    builder that walked each unit below the top marginal piece by piece
+    and wrote the units above it as column slices, kept verbatim as a
+    reference. Its zero-width branch (``if not raw``) never runs: a
+    zero-width interval other than the threshold unit's needs U == L, and
+    there every later unit lies above c_k, in the slices."""
+    alpha, ku, xi = sol.alpha, sol.k_underbar, sol.xi
+    L, k = model.L, model.k
+    ends = np.frombuffer(sol.ends)  # u_{ku - 1} = L, ..., u_k
+    walked = min(max(1, int(np.searchsorted(ends, model.marginals[-1]))), len(ends) - 1)
+    rows: list[list[float]] = []  # segments of the units walked piece by piece
+    sizes = [1] * (ku - 1)
+    for i, (ell, u) in enumerate(pairwise(sol.ends[: walked + 1]), ku):
+        c = model.marginals[i - 1]
+        raw: list[list[float]] = []
+        s = 0.0
+        if i == ku:
+            raw.append([0.0, xi, L, L, c, 0.0])
+            s = xi
+        if u > ell:
+            for a, b, g in reference_g_pieces(model, ell, u):
+                span = (g / alpha) * math.log((b - c) / (a - c))
+                raw.append([s, s + span, a, b, c, alpha / g])
+                s = s + span
+        if not raw:  # zero-width interval with no floor piece (u == ell == L)
+            raw.append([0.0, 1.0, ell, ell, c, 0.0])
+            s = 1.0
+        if abs(s - 1.0) > 1e-9:
+            raise AssertionError(f"unit {i} seed spans sum to {s}, expected 1")
+        raw[-1][1] = 1.0
+        rows += raw
+        sizes.append(len(raw))
+    i = ku + walked  # the first unit above the top marginal
+    lo, hi, c = ends[walked:-1], ends[walked + 1 :], model.marginal_column[i - 1 :]
+    ramp = hi > lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = (k / alpha) * np.log((hi - c) / (lo - c))
+    off = np.flatnonzero(ramp & (np.abs(span - 1.0) > 1e-9))
+    if off.size:
+        raise AssertionError(f"unit {i + off[0]} seed spans sum to {span[off[0]]}, expected 1")
+    head = ku - 1 + len(rows)  # segments before the tail
+    cols = np.empty((6, head + len(lo)))
+    cols[:, : ku - 1] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
+    cols[:, ku - 1 : head] = np.array(rows).T
+    tail = cols[:, head:]
+    tail[0], tail[1], tail[2], tail[3], tail[4] = 0.0, 1.0, lo, hi, c
+    tail[5] = np.where(ramp, alpha / k, 0.0)
+    cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
+    sizes += [1] * len(lo)
+    return cols, tuple(sizes)
+
+
+def scheme_of(L, U, k, **cost):
+    return build_scheme(make_cost_model(L=L, U=U, k=k, **cost))
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_schemes())
+@example(scheme_of(2.0, 2.0, 2, marginals=[0.5, 2.0]))  # flat-range: every interval [L, L]
+@example(scheme_of(1.7, 3.933766376996758, 2, marginals=[0.4, 0.4]))  # xi = 1: [L, L] first
+@example(scheme_of(1.0, math.e, 1, marginals=[0.0]))
+@example(scheme_of(1.0, 30.0, 10, quadratic_coeff=1.0 / 16.0))  # the benchmark setup
+@example(scheme_of(1.0, 30.0, 500, quadratic_coeff=1.0 / 500.0))  # price-general
+# unit 1's interval crosses six pieces, unit 2's two
+@example(scheme_of(1.0, 10.0, 7, marginals=[0.2, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0]))
+def test_builder_matches_the_per_unit_reference(scheme):
+    cols, sizes = reference_columns(scheme.model, solve_alpha_star(scheme.model))
+    assert scheme.sizes == sizes
+    assert scheme.columns.tobytes() == cols.tobytes()
 
 
 def test_built_schemes_draw_tails_of_none_one_and_many_units():
