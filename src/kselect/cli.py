@@ -415,7 +415,7 @@ def cmd_curves(args) -> int:
     units = (k_min + k_max) * (k_max - k_min + 1) // 2  # each row solves k units
     if units > MAX_CURVE_UNITS:
         raise ValidationError(
-            f"{k_min}..{k_max} sums to {units} units, which exceeds the ceiling of {MAX_CURVE_UNITS}"
+            f"capacities {k_min}..{k_max} sum to {units}, over the ceiling of {MAX_CURVE_UNITS}"
         )
     L, U = as_float("L", args.l), as_float("U", args.u)
     coeff = as_float("cost-coeff", args.cost_coeff)

@@ -154,7 +154,7 @@ def g_pieces(model: CostModel, lo, hi):
     interval ``owner[p]``, g is ``g[p]`` on it, and interval n has
     ``count[n]`` pieces, left to right, each ending at the next breakpoint
     of ``CostModel.g_steps`` or at hi. An empty interval is one piece of
-    zero width; a and b are lo and hi themselves if no interval has two."""
+    zero width."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if (hi < lo).any():
         raise ValidationError("an integration range ends below its start")
@@ -162,8 +162,6 @@ def g_pieces(model: CostModel, lo, hi):
     first = np.searchsorted(bps, lo, side="right")  # the piece holding lo
     # an interval's last piece is the first whose breakpoint is at or above hi
     count = np.maximum(np.searchsorted(bps, hi) - first, 0) + 1
-    if (count == 1).all():  # no interval crosses a breakpoint
-        return np.arange(len(lo)), lo, hi, counts[first], count
     starts = np.cumsum(count) - count
     owner = np.repeat(np.arange(len(lo)), count)
     j = (first - starts)[owner] + np.arange(len(owner))  # each piece's index in g_steps
@@ -180,11 +178,6 @@ def _rises(model: CostModel, c, lo, hi) -> np.ndarray:
     owner, a, b, g, _ = g_pieces(model, lo, hi)
     c = np.asarray(c, dtype=float)[owner]
     return np.bincount(owner, weights=g * np.log((b - c) / (a - c)), minlength=len(lo))
-
-
-def _integral_over_pole(model: CostModel, c: float, a: float, b: float) -> float:
-    """Exact integral of g(eta) / (eta - c) over [a, b]; needs a > c."""
-    return float(_rises(model, [c], [a], [b])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +416,8 @@ def eval_psi(solution: LowerBoundSolution, model: CostModel, i: int, v: float) -
     start = solution.xi if i == solution.k_underbar else 0.0
     if v <= ell:
         return start
-    raw = start + _integral_over_pole(model, model.marginals[i - 1], ell, v) / solution.alpha
+    c = model.marginals[i - 1]
+    raw = start + float(_rises(model, [c], [ell], [v])[0]) / solution.alpha
     return min(1.0, max(0.0, raw))
 
 

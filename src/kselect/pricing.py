@@ -78,9 +78,9 @@ class PricingScheme:
     The curves are stored as columns: ``columns`` holds the six
     ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
-    of segments of unit i. The columns are an ``array("d")`` field, so
-    schemes compare by value. Everything else a scheme reports follows from
-    the model, ``alpha_star`` and the curves and is computed, not stored:
+    of segments of unit i. Both are ``array`` fields, so schemes compare by
+    value. Everything else a scheme reports follows from the model,
+    ``alpha_star`` and the curves and is computed, not stored:
     ``k_underbar_star`` and ``xi_star`` (``lower_bound.threshold`` at
     alpha_star), ``price_intervals`` (each unit's first v_lo and last
     v_hi), ``kind`` and ``cr_guarantee``.
@@ -89,7 +89,7 @@ class PricingScheme:
     model: CostModel
     alpha_star: float
     columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
-    sizes: tuple[int, ...]  # segments per unit
+    sizes: array  # array("q"): segments per unit
 
     @cached_property
     def _threshold(self) -> tuple[int, float]:
@@ -108,10 +108,9 @@ class PricingScheme:
 
     @cached_property
     def _offsets(self) -> np.ndarray:
-        """Row offsets of the units, from ``sizes`` converted once: unit i's
-        segments are rows ``_offsets[i - 1]`` up to ``_offsets[i]``."""
-        sizes = np.fromiter(self.sizes, dtype=np.intp, count=len(self.sizes))
-        return np.concatenate(([0], np.cumsum(sizes)))
+        """Row offsets of the units: unit i's segments are rows
+        ``_offsets[i - 1]`` up to ``_offsets[i]``."""
+        return np.concatenate(([0], np.cumsum(np.frombuffer(self.sizes, dtype=np.int64))))
 
     @cached_property
     def price_intervals(self) -> np.ndarray:
@@ -267,39 +266,46 @@ def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
     spans seeds (g / alpha) * ln((b - c_i) / (a - c_i)) and prices as
     c_i + (a - c_i) e^{(alpha / g)(s - s0)}; a zero-width piece is flat,
     of span 1. The threshold unit's floor, L on seeds [0, xi], comes first
-    and replaces its piece if its interval is empty. A unit's spans, summed
-    one piece rank at a time, telescope to 1 within 1e-9, and its last end
-    is snapped to 1: the last span is never stored, the others take libm's
-    log, whose bits NumPy's kernels do not always match. The top price is
+    and replaces its piece if its interval is empty. Spans add up left to
+    right, the units of 2^(e-1) to 2^e - 1 pieces as the rows of one grid
+    2^e wide, so the loop runs at most log2(most pieces in a unit) times.
+    They telescope to 1 within 1e-9; each unit's last end is snapped to 1,
+    so its last span is never stored, and the others take libm's log,
+    whose bits NumPy's kernels do not always match. The top price is
     clamped to U, which the chain meets within the solver's tolerance.
     """
     alpha, ku, xi, L = sol.alpha, sol.k_underbar, sol.xi, model.L
     ends = np.frombuffer(sol.ends)  # u_{ku - 1} = L, ..., u_k
-    owner, a, b, g, sizes = g_pieces(model, ends[:-1], ends[1:])
-    cost = model.marginal_column[ku - 1 :][owner]
-    flat = a == b
+    per_unit = array("q", [1]) * model.k  # segments per unit, made before the temporaries
+    sizes = np.frombuffer(per_unit, dtype=np.int64)[ku - 1 :]  # written in place
+    owner, a, b, g, sizes[:] = g_pieces(model, ends[:-1], ends[1:])
+    skip = int(a[0] == b[0])  # the floor replaces the threshold unit's flat piece
+    columns = array("d", [0.0]) * (len(_SEGMENT_FIELDS) * (ku - skip + len(owner)))
+    cols = np.frombuffer(columns).reshape(len(_SEGMENT_FIELDS), -1)  # written in place
+    _, s, v_lo, v_hi, cost, rate = cols[:, ku - skip :]  # the pieces' rows
+    v_lo[:], v_hi[:] = a, b
+    np.take(model.marginal_column[ku - 1 :], owner, out=cost)
     with np.errstate(divide="ignore", invalid="ignore"):  # U == L: c_i may equal L
         ratio = (b - cost) / (a - cost)
     inner = np.append(owner[1:] == owner[:-1], False)  # all but each unit's last piece
-    logs = np.log(ratio)
-    logs[inner] = np.fromiter(map(math.log, ratio[inner].tolist()), float)
-    skip = int(flat[0])  # the floor replaces the threshold unit's flat piece
+    np.log(ratio, out=s)
+    s[inner] = np.fromiter(map(math.log, ratio[inner].tolist()), float)
+    s *= g / alpha  # each piece's span
+    np.divide(alpha, g, out=rate)
+    s[a == b], rate[a == b] = 1.0, 0.0  # zero-width pieces
+    cols[:, : ku - 1] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
+    cols[1:, ku - 1] = xi, L, L, model.marginals[ku - 1], 0.0  # the floor
     sizes[0] += 1 - skip
-    columns = array("d", [0.0]) * (len(_SEGMENT_FIELDS) * (ku + len(owner) - skip))
-    cols = np.frombuffer(columns).reshape(len(_SEGMENT_FIELDS), -1)  # written in place
-    cols[:, :ku] = np.array([[0.0], [1.0], [L], [L], [0.0], [0.0]])
-    cols[1, ku - 1], cols[4, ku - 1] = xi, cost[0]
-    span, rate = np.where(flat, 1.0, (g / alpha) * logs), np.where(flat, 0.0, alpha / g)
-    for row, values in zip(cols[1:, ku:], (span, a, b, cost, rate)):
-        row[:] = values[skip:]
     s_lo, s = cols[0, ku - 1 :], cols[1, ku - 1 :]  # s: each span, then the seed it reaches
     last = np.cumsum(sizes) - 1  # each unit's last row
     starts = last + 1 - sizes
-    live = np.flatnonzero(sizes > 1)
-    for r in range(1, sizes.max()):
-        live = live[sizes[live] > r]
-        rows = starts[live] + r
-        s[rows] += s[rows - 1]
+    long = np.flatnonzero(sizes > 1)
+    band = np.frexp(sizes[long])[1]  # 2^(band - 1) <= a unit's size < 2^band
+    for e in np.flatnonzero(np.bincount(band)):
+        group = long[band == e]
+        rows = starts[group, None] + np.arange(2**e)  # padded past each unit's end
+        mine = rows <= last[group, None]
+        s[rows[mine]] = np.add.accumulate(np.take(s, rows, mode="clip"), axis=1)[mine]
     off = np.flatnonzero(np.abs(s[last] - 1.0) > 1e-9)
     if off.size:
         raise AssertionError(f"unit {ku + off[0]} seed spans sum to {s[last[off[0]]]}, expected 1")
@@ -307,8 +313,7 @@ def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
     s_lo[starts] = 0.0
     s[last] = 1.0
     cols[3, -1] = min(cols[3, -1], model.U)  # v_hi of unit k's last segment
-    sizes = (1,) * (ku - 1) + tuple(sizes.tolist())
-    return PricingScheme(model=model, alpha_star=alpha, columns=columns, sizes=sizes)
+    return PricingScheme(model=model, alpha_star=alpha, columns=columns, sizes=per_unit)
 
 
 def build_scheme(model: CostModel) -> PricingScheme:
@@ -456,7 +461,7 @@ def scheme_from_json(obj: dict) -> PricingScheme:
     try:
         model = model_from_json(obj["model"])
         units = obj["segments"]
-        sizes = tuple(len(unit) for unit in units)
+        sizes = array("q", map(len, units))
         columns = array(
             "d", (float(seg[f]) for f in _SEGMENT_FIELDS for unit in units for seg in unit)
         )

@@ -25,24 +25,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from kselect.lower_bound import eval_psi
+from kselect.lower_bound import _rises
 
 
 def price_cdfs(solution, model, values) -> np.ndarray:
     """(k, n) array of psi_i(v_t), the probability that unit i's price is <= v_t.
 
     psi_i is 1 below k_underbar, 0 below unit i's interval (xi at L for the
-    threshold unit) and 1 from its top end on; only values inside the
-    interval need ``eval_psi``.
+    threshold unit) and 1 from its top end on. Inside the interval it is
+    ``eval_psi``: the floor share plus the rise of the allocation curve from
+    ell_i to v_t, taken for every such (unit, value) pair in one
+    ``_rises`` call.
     """
     v = np.asarray(values, dtype=float)
     out = np.ones((model.k, v.size))
-    for i in range(solution.k_underbar, model.k + 1):
-        ell, u = solution.interval(i)
-        row = np.where(v >= u, 1.0, 0.0)
-        for t in np.flatnonzero((v >= ell) & (v < u)):
-            row[t] = eval_psi(solution, model, i, float(v[t]))
-        out[i - 1] = row
+    ku = solution.k_underbar
+    ell, u = (end[:, None] for end in solution.intervals.T)  # units k_underbar..k
+    start = np.zeros(len(ell))
+    start[0] = solution.xi
+    unit, t = np.nonzero((v > ell) & (v < u))
+    rise = _rises(model, model.marginal_column[ku - 1 :][unit], ell[unit, 0], v[t])
+    out[ku - 1 :] = np.where(v >= u, 1.0, start[:, None])
+    out[ku - 1 + unit, t] = np.clip(start[unit] + rise / solution.alpha, 0.0, 1.0)
     return out
 
 

@@ -12,7 +12,6 @@ import re
 import stat
 import subprocess
 import sys
-import time
 import tracemalloc
 from unittest import mock
 
@@ -174,6 +173,7 @@ REMOVED_INSTANCE_FLAGS = (
         ("curves", "--k-min", "2", "--k-max", "4", "--u", "x"),
         ("curves", "--k-min", "2", "--k-max", "4", "--cost-coeff", "x"),
         ("curves", "--k-min", "1000001", "--k-max", "1000002"),
+        ("curves", "--k-min", "2", "--k-max", str(10**6)),
         ("experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1000001}'),
         *[("simulate", "--scheme", name, "--instance", os.devnull) for name in BAD_SCHEMES],
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "r-dynamic:7"),
@@ -218,6 +218,7 @@ REMOVED_INSTANCE_FLAGS = (
         "curves-U-string",
         "curves-coeff-string",
         "curves-k-past-size-ceiling",
+        "curves-units-past-size-ceiling",
         "count-past-size-ceiling",
         "scheme-unit-without-segment",
         "scheme-unit-not-from-seed-0",
@@ -1106,19 +1107,9 @@ def test_curves_rejects_an_invalid_setup_before_any_capacity(capsys, flag, value
     assert err.startswith("error: ") and "k=" not in err
 
 
-def test_curves_bounds_the_units_summed_over_its_range(capsys, monkeypatch):
-    # each row builds and solves a model of size k, so 2..10^6 passes the k
-    # ceiling but sums to 5·10^11 units: hours of rows
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "curves", "--k-min", "2", "--k-max", str(10**6))
-    assert (code, out) == (2, "")
-    assert "exceeds the ceiling" in err and "k=" not in err
-    assert time.perf_counter() - start < 2.0
-    # the default range, 2..40, is well inside it: one row per capacity
-    code, out, _ = run_cli(capsys, "curves")
-    assert code == 0
-    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(k) for k in range(2, 41)]
-    # a range whose capacities sum to the ceiling runs
+def test_curves_runs_a_range_whose_units_sum_to_the_ceiling(capsys, monkeypatch):
+    # each row builds and solves a model of size k, so the ceiling bounds
+    # the capacities summed over the range
     monkeypatch.setattr(kselect.cli, "MAX_CURVE_UNITS", 2 + 3 + 4)
     assert run_cli(capsys, "curves", "--k-min", "2", "--k-max", "4")[0] == 0
     assert run_cli(capsys, "curves", "--k-min", "2", "--k-max", "5")[0] == 2

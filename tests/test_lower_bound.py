@@ -20,6 +20,7 @@ Oracles used here and nowhere else:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import time
@@ -42,7 +43,7 @@ from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.instances import hard_instance
 from kselect.lower_bound import (
     DEFAULT_TOL,
-    _integral_over_pole,
+    _rises,
     build_intervals,
     chain_residual,
     eval_psi,
@@ -163,7 +164,7 @@ class TestExactIntegration:
     def test_pole_integral_frozen(self):
         m = make_cost_model(L=1.0, U=4.0, k=2, marginals=[0.5, 2.0])
         want = math.log(3.0) + 2.0 * math.log(3.5 / 1.5)
-        assert _integral_over_pole(m, 0.5, 1.0, 4.0) == pytest.approx(want, rel=1e-14)
+        assert _rises(m, [0.5], [1.0], [4.0])[0] == pytest.approx(want, rel=1e-14)
 
     def test_first_unit_round_trip(self):
         # the walk's first unit integrates g(eta) / (eta - c) from L up to
@@ -176,7 +177,7 @@ class TestExactIntegration:
             c = m.marginals[sol.k_underbar - 1]
             ell, u = sol.intervals[0]
             assert ell == m.L and u >= ell
-            back = _integral_over_pole(m, c, ell, u)
+            back = _rises(m, [c], [ell], [u])[0]
             assert back == pytest.approx(alpha * (1.0 - sol.xi), rel=1e-10, abs=1e-10)
 
     def test_first_unit_zero_target_is_identity(self):
@@ -644,9 +645,22 @@ class TestPsi:
             sol.interval(3)
 
 
+def integral_by_pieces(model, c, a, b) -> float:
+    """The integral of g(eta) / (eta - c) over [a, b], one constant-g piece
+    at a time, each ending at the next breakpoint of ``g_steps`` or at b."""
+    bps, counts = model.g_steps
+    j = bisect.bisect_right(bps, a)  # the piece holding a
+    total = 0.0
+    while a < b:
+        end = min(b, bps[j]) if j < len(bps) else b
+        total += counts[j] * math.log((end - c) / (a - c))
+        a, j = end, j + 1
+    return total
+
+
 def residual_by_definition(solution, model) -> float:
     """``chain_residual`` by its definition, one unit at a time from
-    ``_integral_over_pole``: the largest |rise / alpha - share|, with the
+    ``integral_by_pieces``: the largest |rise / alpha - share|, with the
     rise of a descending end taken negative; inf when an interval opens at
     or below its unit's cost, 0 when U == L."""
     if model.U == model.L:
@@ -657,7 +671,7 @@ def residual_by_definition(solution, model) -> float:
         lo, hi = min(ell, u), max(ell, u)
         if lo <= c:
             return math.inf
-        rise = _integral_over_pole(model, c, lo, hi) / solution.alpha
+        rise = integral_by_pieces(model, c, lo, hi) / solution.alpha
         worst = max(worst, abs((rise if u >= ell else -rise) - share))
         share = 1.0
     return worst

@@ -650,9 +650,11 @@ def scheme_of(L, U, k, **cost):
 @example(scheme_of(1.0, 30.0, 500, quadratic_coeff=1.0 / 500.0))  # price-general
 # unit 1's interval crosses six pieces, unit 2's two
 @example(scheme_of(1.0, 10.0, 7, marginals=[0.2, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0]))
+# marginals packed just above L: unit 1 has 41 segments, unit 2 one
+@example(scheme_of(1.0, 30.0, 40, marginals=[0.1] + [1.0 + i * 1e-8 for i in range(1, 40)]))
 def test_builder_matches_the_per_unit_reference(scheme):
     cols, sizes = reference_columns(scheme.model, solve_alpha_star(scheme.model))
-    assert scheme.sizes == sizes
+    assert scheme.sizes == array("q", sizes)
     assert scheme.columns.tobytes() == cols.tobytes()
 
 
