@@ -14,12 +14,18 @@ name options of that subcommand and provide their defaults; explicit flags
 override the file, and a key that names no option is invalid input. Relative
 ``--out`` paths resolve under $KSELECT_OUTPUT_DIR when it is set. Exit codes:
 0 success, 2 invalid input, 3 solver non-convergence.
+
+``experiment`` evaluates its instances on the CPUs in the process's
+affinity mask, in forked workers, and its output matches a one-CPU run
+byte for byte.
 """
 
 import argparse
 import json
 import os
+import pickle
 import sys
+import threading
 from collections.abc import Iterator
 from itertools import chain
 
@@ -39,6 +45,7 @@ from .instances import (
 )
 from .lower_bound import solve_alpha_star, threshold
 from .mechanisms import (
+    MAX_TRIAL_CELLS,
     Mechanism,
     expected_welfare,
     instance_rng,
@@ -56,6 +63,14 @@ MAX_SAMPLE_CELLS = 10**7
 MAX_CURVE_UNITS = 10**7
 # Most instances one `experiment` run generates and estimates.
 MAX_INSTANCES = 10**6
+# Rows one `experiment` run draws (each estimate's trials, one for pinned,
+# summed over instances and mechanisms) from which its instances are shared
+# among worker processes; smaller runs stay in this process. On a 2-core
+# x86_64 VM, with the benchmark model (k = 10, 1000 arrivals), a forked
+# worker cost 3-5 ms over evaluating its instance here; at 2000-2400 rows
+# (about 20 ms in one process) two CPUs saved 2-3 ms, and at 60 rows they
+# lost 4 ms.
+PARALLEL_MIN_ROWS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +379,89 @@ def cmd_simulate(args) -> int:
 # experiment
 
 
+def _cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the platform has none."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _share(fn, first: int, count: int, step: int) -> tuple[list, tuple | None]:
+    """fn(i) for i = first, first + step, ... below count, stopping at the
+    first that raises: the results so far and (i, exception), or None."""
+    done = []
+    for i in range(first, count, step):
+        try:
+            done.append(fn(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _shared_map(fn, count: int, workers: int) -> list:
+    """[fn(i) for i in range(count)], index i evaluated by worker i % workers.
+
+    This process is worker 0 and forks the others, which pickle their share
+    back through a pipe. A worker that cannot be started has its share
+    evaluated here. The exception of the lowest failing index is raised, as
+    the serial loop would raise it. Every child is reaped before this
+    returns or raises, killed first if it is still running.
+    """
+    children = []  # (worker, pid, read end)
+    reaped = set()
+    try:
+        for w in range(1, workers):
+            try:
+                r, wr = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:  # the child: never return into the caller's stack
+                code = 1
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as fh:
+                        pickle.dump(_share(fn, w, count, workers), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((w, pid, r))
+        forked = {w for w, _, _ in children}
+        shares = {w: _share(fn, w, count, workers) for w in range(workers) if w not in forked}
+        for w, pid, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            if status != 0 or not data:
+                raise ChildProcessError(
+                    f"experiment worker {pid} ended without its results (wait status {status})"
+                )
+            shares[w] = pickle.loads(data)
+    finally:
+        for _, pid, r in children:
+            os.close(r)
+            if pid not in reaped:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    out: list = [None] * count
+    failures = []
+    for w, (done, failure) in shares.items():
+        out[w : w + workers * len(done) : workers] = done
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return out
+
+
 def cmd_experiment(args) -> int:
     model = _load_model(args)
     inst_spec = dict(_json_object("instance spec", args.instances))
@@ -379,17 +477,27 @@ def cmd_experiment(args) -> int:
     scheme = build_scheme(model)
     mechs = [_mechanism(scheme, spec) for spec in specs]
 
-    ratios: list[list[float]] = [[] for _ in mechs]
-    for idx in range(count):
+    def instance_ratios(idx: int) -> list[float]:
         try:
             inst = _build_instance(model, inst_spec, instance_rng(master_seed, idx))
             seed = instance_sim_seed(master_seed, idx)
             opt, _ = offline_opt(inst, model)
-            for m, mech in enumerate(mechs):
-                est = expected_welfare(mech, inst, model, trials, seed)
-                ratios[m].append(ratio_to_opt(opt, est.mean))
+            return [
+                ratio_to_opt(opt, expected_welfare(mech, inst, model, trials, seed).mean)
+                for mech in mechs
+            ]
         except (ValidationError, SolverError) as exc:
             raise type(exc)(f"instance {idx}: {exc}") from exc
+
+    # instances are independent, so they may run on every CPU this process
+    # may use, with at most MAX_TRIAL_CELLS cells drawn per CPU at once; a
+    # fork while other threads run could copy a lock one of them holds
+    rows = [mech.rows(trials) for mech in mechs]
+    workers = 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    if forkable and count * sum(rows) >= PARALLEL_MIN_ROWS:
+        workers = max(1, min(_cpus(), count, MAX_TRIAL_CELLS // (max(rows) * model.k)))
+    ratios = list(zip(*_shared_map(instance_ratios, count, workers)))
 
     lines = ["mechanism,surrogate,empirical_ratio,cumulative_fraction"]
     for m, mech in enumerate(mechs):

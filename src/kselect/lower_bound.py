@@ -24,7 +24,7 @@ float-by-float bisection ends on, and accepts the chain whose end lies
 within ``DEFAULT_TOL`` of U, or else within ``DEFAULT_TOL * U``. Its steps
 interpolate on log(u_k - c_k), which is close to linear in alpha where
 u_k grows like e^alpha, so on the benchmark setups it walks the chain 12
-to 16 times where bisection walks it 56 or 57, and never more than one
+or 13 times where bisection walks it 56 or 57, and never more than one
 walk beyond it.
 
 Each chain walk is one kernel, ``_chain``. It takes ``k_underbar`` and
@@ -362,6 +362,13 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
         if math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo != z_hi:
             width = hi - lo
             x_f = (lo * z_hi - hi * z_lo) / (z_hi - z_lo)
+            # a point on or past an end (u_k = U exactly at hi makes it hi
+            # itself) would fall back to the midpoint, which then halves the
+            # gap from the far end step by step: probe next to the end
+            if x_f <= lo:
+                x_f = math.nextafter(lo, hi)
+            elif x_f >= hi:
+                x_f = math.nextafter(hi, lo)
             delta = kappa1 * width * width
             sigma = 1.0 if mid > x_f else -1.0
             x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid

@@ -115,6 +115,10 @@ class Mechanism:
         """True for the two kinds that stand in for external baselines."""
         return self.kind != "r-dynamic"
 
+    def rows(self, trials: int) -> int:
+        """Trials an estimate of ``trials`` trials draws and sells: pinned runs once."""
+        return 1 if self.kind == "pinned" else trials
+
 
 def _checked(target, model: CostModel) -> Mechanism:
     """target, which must be a Mechanism whose scheme was built for model."""
@@ -163,11 +167,16 @@ def run_posted_price(
 
 
 def _check_valuations(instance: Instance, model: CostModel) -> None:
-    for t, v in enumerate(instance.valuations, start=1):
-        if not (model.L <= v <= model.U and math.isfinite(v)):
-            raise ValidationError(
-                f"arrival {t}: valuation {v} outside [{model.L}, {model.U}]"
-            )
+    """Every valuation finite and in [L, U], or an error naming the first
+    that is not."""
+    v = np.asarray(instance.valuations, dtype=float)
+    bad = ~(np.isfinite(v) & (v >= model.L) & (v <= model.U))
+    if bad.any():
+        t = int(bad.argmax())
+        raise ValidationError(
+            f"arrival {t + 1}: valuation {instance.valuations[t]} "
+            f"outside [{model.L}, {model.U}]"
+        )
 
 
 def offline_opt(instance: Instance, model: CostModel) -> tuple[float, int]:
@@ -261,7 +270,9 @@ def _price_matrix(mech: Mechanism, trial_indices, master_seed: int) -> np.ndarra
     if mech.kind == "static":
         qs = np.array([trial_rng(master_seed, t, k).random() for t in trial_indices])
         return np.repeat(static_prices_for_quantiles(mech.scheme, qs)[:, None], k, axis=1)
-    seeds = np.stack([trial_rng(master_seed, t, k).random(k) for t in trial_indices])
+    seeds = np.empty((len(trial_indices), k))
+    for t, row in zip(trial_indices, seeds):
+        trial_rng(master_seed, t, k).random(out=row)
     return prices_for_seeds(mech.scheme, seeds)
 
 
@@ -375,7 +386,7 @@ def expected_welfare(
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
     mech = _checked(target, model)
-    rows = 1 if mech.kind == "pinned" else trials
+    rows = mech.rows(trials)
     if rows * model.k > MAX_TRIAL_CELLS:
         raise ValidationError(
             f"trials * k exceeds the ceiling of {MAX_TRIAL_CELLS} (k = {model.k})"

@@ -6,12 +6,15 @@ import importlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import pkgutil
 import re
 import stat
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -20,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kselect
-from kselect import jsontext
+from kselect import cli, jsontext
 from kselect.cli import build_parser, main
 from kselect.cost_model import make_cost_model, model_to_json
+from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance, instance_text
 from kselect.lower_bound import solve_alpha_star
 from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
@@ -1060,6 +1064,152 @@ def test_experiment_reports_failing_instance_index(capsys):
     )
     assert code == 2
     assert "instance 0" in err
+
+
+# the experiment's instances shared among forked workers
+
+PARALLEL_ARGS = (
+    "experiment", "--model", FIG_MODEL,
+    "--instances", '{"kind": "iid", "count": 7, "n": 40}',
+    "--mechanisms", "r-dynamic,pinned:0.25,static",
+    "--trials", "30", "--master-seed", "4",
+)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Pids of the experiment workers forked during a test, with every run
+    made to share its instances among three workers, however small."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 0)
+    return pids
+
+
+def assert_reaped(pids):
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def fail_instances(monkeypatch, error, failing):
+    """Make generating each instance in ``failing`` raise ``error``."""
+    real = cli.instance_rng
+
+    def instance_rng(master_seed, idx):
+        if idx in failing:
+            raise error(f"no draw for {idx}")
+        return real(master_seed, idx)
+
+    monkeypatch.setattr(cli, "instance_rng", instance_rng)
+
+
+def test_forked_experiment_gives_the_in_process_bytes(capsys, monkeypatch, forked):
+    code, shared, _ = run_cli(capsys, *PARALLEL_ARGS)
+    assert code == 0 and len(forked) == 2
+    assert_reaped(forked)
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 10**12)
+    assert run_cli(capsys, *PARALLEL_ARGS) == (0, shared, "")
+    assert len(forked) == 2
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 0)
+    assert run_cli(capsys, *PARALLEL_ARGS) == (0, shared, "")
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code", [(ValidationError, 2), (SolverError, 3)], ids=["invalid", "solver"]
+)
+@pytest.mark.parametrize(
+    "failing", [{4, 5}, {2, 3}, {3, 4}], ids=["children", "child-first", "parent-first"]
+)
+def test_forked_experiment_reports_the_lowest_failing_instance(
+    capsys, monkeypatch, forked, error, code, failing
+):
+    # worker 0, this process, evaluates instances 0, 3 and 6; the two
+    # children take 1, 4 and 2, 5
+    fail_instances(monkeypatch, error, failing)
+    got = run_cli(capsys, *PARALLEL_ARGS)
+    assert len(forked) == 2
+    assert_reaped(forked)
+    lowest = min(failing)
+    assert got == (code, "", f"error: instance {lowest}: no draw for {lowest}\n")
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 10**12)
+    assert run_cli(capsys, *PARALLEL_ARGS) == got
+
+
+def test_experiment_runs_in_process_when_no_worker_starts(capsys, monkeypatch, forked):
+    _, want, _ = run_cli(capsys, *PARALLEL_ARGS)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(capsys, *PARALLEL_ARGS) == (0, want, "")
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, *PARALLEL_ARGS) == (0, want, "")
+
+
+def test_experiment_does_not_fork_while_another_thread_runs(capsys, forked):
+    _, want, _ = run_cli(capsys, *PARALLEL_ARGS)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert run_cli(capsys, *PARALLEL_ARGS) == (0, want, "")
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert len(forked) == 2  # the first run's workers only
+
+
+def test_a_worker_that_dies_is_an_error_and_every_child_is_reaped(
+    capsys, monkeypatch, forked
+):
+    parent = os.getpid()
+    real = cli.instance_rng
+
+    def instance_rng(master_seed, idx):
+        if os.getpid() != parent and idx == 4:
+            os._exit(9)
+        return real(master_seed, idx)
+
+    monkeypatch.setattr(cli, "instance_rng", instance_rng)
+    code, out, err = run_cli(capsys, *PARALLEL_ARGS)
+    assert (code, out) == (2, "")
+    assert "ended without its results" in err
+    assert_reaped(forked)
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(capsys, monkeypatch, forked):
+    parent = os.getpid()
+    real = cli.instance_rng
+
+    def instance_rng(master_seed, idx):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child runs until it is killed
+        elif idx == 3:
+            raise KeyboardInterrupt
+        return real(master_seed, idx)
+
+    monkeypatch.setattr(cli, "instance_rng", instance_rng)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(list(PARALLEL_ARGS))
+    assert time.monotonic() - start < 30
+    assert len(forked) == 2
+    assert_reaped(forked)
 
 
 # ---------------------------------------------------------------------------

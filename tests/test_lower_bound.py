@@ -423,15 +423,18 @@ class TestItpSearch:
         m = BENCHMARK_MODELS[k]
         sol, walks, recorded = counted_solve(monkeypatch, m)
         assert sol.alpha.hex() == bisect_alpha(m)[0].hex()
-        assert (walks, recorded) == ({10: 13, 500: 12, 20000: 16}[k], 1)
+        # k = 20000 took 16 walks before the probe next to an end that
+        # regula falsi lands on
+        assert (walks, recorded) == ({10: 13, 500: 12, 20000: 13}[k], 1)
 
     @pytest.mark.parametrize(
         "model, pinned",
         [
             # u_k is steep in alpha where c_k is close to L; regula falsi on
-            # u_k itself took 58 walks here and 36 on the k = 10^5 model
+            # u_k itself took 58 walks here and 36 on the k = 10^5 model,
+            # which took 17 before the probe next to an end
             (make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.99999]), 15),
-            (make_cost_model(L=1.0, U=30.0, k=10**5, quadratic_coeff=0.45e-5), 17),
+            (make_cost_model(L=1.0, U=30.0, k=10**5, quadratic_coeff=0.45e-5), 15),
         ],
         ids=["k1-steep", "k100000"],
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
-from kselect.instances import Instance, gen_iid, hard_instance
+from kselect.instances import Instance, gen_iid, hard_instance, read_instance
 from kselect.mechanisms import (
     MAX_TRIAL_CELLS,
     Mechanism,
@@ -97,6 +98,19 @@ class TestRunPostedPrice:
         for bad in ((1.0, math.nan), (math.inf, 1.5), (1.0, -math.inf)):
             with pytest.raises(ValidationError, match="finite"):
                 run_posted_price(bad, Instance((1.5,)), m)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2.5"])
+    def test_first_bad_arrival_is_named_however_late(self, tmp_path, bad):
+        # read_instance takes nan and inf as numbers; arrival 1001 is bad too
+        m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
+        path = tmp_path / "instance.txt"
+        path.write_text("1.5\n" * 999 + f"{bad}\n0.5\n")
+        inst = read_instance(path)
+        want = re.escape(f"arrival 1000: valuation {float(bad)} outside [1.0, 2.0]")
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            run_posted_price((1.0, 1.5), inst, m)
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            expected_welfare(Mechanism(build_scheme(m)), inst, m, 4, 0)
 
     def test_accepted_prices_nondecreasing(self):
         rng = np.random.default_rng(211)
