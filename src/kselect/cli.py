@@ -71,6 +71,10 @@ MAX_INSTANCES = 10**6
 # (about 20 ms in one process) two CPUs saved 2-3 ms, and at 60 rows they
 # lost 4 ms.
 PARALLEL_MIN_ROWS = 2000
+# A solve interval and a trace decision as array items, each field's place in
+# the order json.dumps writes the keys
+_INTERVAL_ITEM = jsontext.layout(dict.fromkeys(("ell", "i", "u"), jsontext.FIELD), 2)
+_DECISION_ITEM = jsontext.layout(dict.fromkeys(("accepted", "posted_price"), jsontext.FIELD), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +84,6 @@ PARALLEL_MIN_ROWS = 2000
 def _fmt(x: float) -> str:
     """CSV number format: 12 significant digits."""
     return f"{float(x):.12g}"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _resolve_out(path: str) -> str:
@@ -193,20 +193,17 @@ def _solution_json_chunks(model: CostModel, sol) -> Iterator[str]:
         ends = texts[at[a : b + 1]]
         return list(chain.from_iterable(zip(ends[:-1], range(ku + a, ku + b), ends[1:])))
 
-    num = json.dumps
-    template = jsontext.obj(
-        [
-            ("alpha_star", num(sol.alpha)),
-            ("intervals", jsontext.SECTION),
-            ("k_underbar", num(ku)),
-            ("notes", jsontext.block("[]", list(map(num, sol.notes)), 1)),
-            ("regime", num(model.regime)),
-            ("xi", num(sol.xi)),
-        ],
-        0,
+    template = jsontext.layout(
+        {
+            "alpha_star": sol.alpha,
+            "intervals": jsontext.SECTION,
+            "k_underbar": ku,
+            "notes": sol.notes,
+            "regime": model.regime,
+            "xi": sol.xi,
+        }
     )
-    interval = jsontext.obj([("ell", "%s"), ("i", "%s"), ("u", "%s")], 2)
-    return jsontext.document(template, [jsontext.array_chunks([interval] * n, 1, fields)])
+    return jsontext.document(template, [jsontext.array_chunks([_INTERVAL_ITEM] * n, 1, fields)])
 
 
 def cmd_solve(args) -> int:
@@ -308,18 +305,20 @@ def _mechanism(scheme, spec) -> Mechanism:
     return Mechanism(scheme, kind, as_float("sigma", sigma))
 
 
-def _outcome_json(outcome, prices, seeds) -> dict:
-    return {
-        "prices": prices,
-        "seeds": seeds,
-        "decisions": [
-            {"posted_price": d.posted_price, "accepted": d.accepted}
-            for d in outcome.decisions
-        ],
-        "units_sold": outcome.units_sold,
-        "welfare": outcome.welfare,
-        "revenue": outcome.revenue,
-    }
+def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
+    """The text of ``json.dumps(trace, indent=2, sort_keys=True)`` for one
+    posted-price run: the outcome's fields, its prices and seeds, and one
+    ``{"accepted", "posted_price"}`` object per arrival, streamed like the
+    pricing JSON (see jsontext). Posted prices are finite or None."""
+    trace = {**vars(outcome), "decisions": jsontext.SECTION, "prices": prices, "seeds": seeds}
+
+    def fields(a: int, b: int) -> Iterator[str]:
+        for d in outcome.decisions[a:b]:
+            yield "true" if d.accepted else "false"
+            yield "null" if d.posted_price is None else repr(d.posted_price)
+
+    items = jsontext.array_chunks([_DECISION_ITEM] * len(outcome.decisions), 1, fields)
+    return jsontext.document(jsontext.layout(trace), [items])
 
 
 def cmd_simulate(args) -> int:
@@ -340,7 +339,7 @@ def cmd_simulate(args) -> int:
         if len(prices) != model.k:
             raise ValidationError(f"expected {model.k} prices, got {len(prices)}")
         out = run_posted_price(prices, instance, model)
-        _emit(_json_text(_outcome_json(out, prices, [])), args.out)
+        _emit(chain(_trace_chunks(out, prices, []), ("\n",)), args.out)
         return 0
 
     if scheme is None:
@@ -352,7 +351,7 @@ def cmd_simulate(args) -> int:
             raise ValidationError(f"expected {model.k} seeds, got {len(seeds)}")
         prices = prices_for_seeds(scheme, np.array([seeds]))[0].tolist()
         out = run_posted_price(prices, instance, model)
-        _emit(_json_text(_outcome_json(out, prices, seeds)), args.out)
+        _emit(chain(_trace_chunks(out, prices, seeds), ("\n",)), args.out)
         return 0
 
     mech = _mechanism(scheme, args.mechanism)
@@ -371,7 +370,7 @@ def cmd_simulate(args) -> int:
         "opt_units": opt_units,
         "ratio_to_opt": ratio_to_opt(opt, est.mean),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(jsontext.layout(payload) + "\n", args.out)
     return 0
 
 

@@ -11,7 +11,8 @@ Two derived quantities drive the solvers:
   welfare extractable from an unlimited supply of buyers at valuation ``v``.
   The maximum admits ``i = 0`` so the conjugate is never negative.
 * ``allocation_count_g(model, v)`` -- the number of marginals at or below
-  ``v``, which is both the maximizer of the conjugate and its slope.
+  ``v``, which is both the maximizer of the conjugate and its slope. It is
+  the one search of the marginals; both take a valuation or an array.
 
 The per-unit tables a model derives -- cumulative costs, the price-floor
 prefix and the step table of g -- are float columns (``array("d")``),
@@ -19,7 +20,6 @@ built once each by a NumPy pass: scalar readers index them for Python
 floats, and vector readers view them with ``np.frombuffer``.
 """
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -225,21 +225,34 @@ def make_cost_model(
     return model
 
 
-def allocation_count_g(model: CostModel, v: float) -> int:
+def allocation_count_g(model: CostModel, v):
     """Number of marginals <= v: the slope of the conjugate at v.
 
     Non-decreasing step function of v with jumps at the distinct marginals;
-    it is also the production level that maximizes ``v*i - f(i)``.
+    it is also the production level that maximizes ``v*i - f(i)``. A float
+    gives an int, an array an int array; a negative cell raises an error
+    naming the first (in C order).
     """
-    if v < 0.0:
-        raise ValidationError(f"valuation must be >= 0, got {v}")
-    return bisect.bisect_right(model.marginals, v)
+    g = model.marginal_column.searchsorted(v, "right")
+    if not isinstance(g, np.ndarray):
+        if v < 0.0:
+            raise ValidationError(f"valuation must be >= 0, got {v}")
+        return int(g)
+    cells = np.ravel(v)
+    negative = np.flatnonzero(cells < 0.0)
+    if negative.size:
+        cell = negative[0]
+        raise ValidationError(f"valuation must be >= 0, got {cells[cell]} at cell {cell}")
+    return g
 
 
-def conjugate(model: CostModel, v: float) -> float:
-    """max over i in {0,..,k} of ``v*i - f(i)``; never negative."""
+def conjugate(model: CostModel, v):
+    """max over i in {0,..,k} of ``v*i - f(i)``; never negative. A float
+    gives a float, an array an array, cell by cell as the float calls."""
     g = allocation_count_g(model, v)
-    return v * g - model.cumulative[g]
+    if isinstance(g, int):
+        return v * g - model.cumulative[g]
+    return v * g - np.frombuffer(model.cumulative)[g]
 
 
 def model_to_json(model: CostModel) -> dict:

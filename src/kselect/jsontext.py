@@ -1,14 +1,13 @@
 """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, streamed in chunks.
 
-With an indent, ``json.dumps`` runs its pure-Python encoder, which is most
-of the time of ``kselect pricing`` and ``kselect solve`` at large k. The
-writers here lay out the same text from templates instead. A document is
-one template, written by ``obj`` and ``block`` with its keys in sorted
-order and its scalars in place, holding ``SECTION`` where each large array
-goes. ``document`` writes the template and streams every array through
-``array_chunks``, CHUNK_UNITS items at a time: each chunk is a ``%s``
-template filled by one ``%`` over the texts of its numbers. ``number_texts``
-formats each distinct float of a whole document once.
+With an indent, ``json.dumps`` runs its pure-Python encoder, one call per
+value: most of the time of ``solve`` and ``pricing`` at large k, and of a
+long ``simulate`` trace. So ``layout`` has ``json.dumps`` write only the
+templates: a document with ``SECTION`` where each large array goes, and
+an array item with ``%s`` for each ``FIELD``. ``document`` writes the
+template and streams every array through ``array_chunks``, CHUNK_UNITS
+items at a time, each chunk filled by one ``%`` over the texts of its
+fields. ``number_texts`` formats each distinct float of a whole document once.
 """
 
 import json
@@ -21,20 +20,23 @@ CHUNK_UNITS = 4096
 
 # Marks the place of a streamed array in a document template.
 SECTION = "\0"
+# Marks a field of an item template, filled by array_chunks.
+FIELD = "\1"
 
 
-def block(brackets: str, items: list[str], depth: int) -> str:
-    """Rendered items in a JSON array ("[]") or object ("{}"), laid out as
-    ``json.dumps(indent=2)`` does for a container opened at depth ``depth``."""
-    if not items:
-        return brackets
+def layout(value, depth: int = 0) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` writes for
+    ``value`` opened at depth ``depth``, with each FIELD string in it
+    written ``%s`` and each SECTION string kept as it is."""
+    text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    return text.replace(json.dumps(FIELD), "%s").replace(json.dumps(SECTION), SECTION)
+
+
+def block(items: list[str], depth: int) -> str:
+    """A non-empty array of rendered items opened at depth ``depth``, joined
+    in O(len(items)) where ``layout`` would encode every item."""
     pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
-
-
-def obj(pairs: list[tuple[str, str]], depth: int) -> str:
-    """JSON object of (key, rendered value) pairs, in the order given."""
-    return block("{}", [f"{json.dumps(key)}: {val}" for key, val in pairs], depth)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,12 +73,15 @@ def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def array_chunks(
     templates: Sequence[str], depth: int, values: Callable[[int, int], Sequence]
 ) -> Iterator[str]:
-    """A non-empty JSON array opened at depth ``depth``, CHUNK_UNITS items at
-    a time: item i is ``templates[i]`` with its ``%s`` fields filled, and
+    """A JSON array opened at depth ``depth``, CHUNK_UNITS items at a time:
+    item i is ``templates[i]`` with its ``%s`` fields filled, and
     ``values(a, b)`` lists the fields of items a..b-1 in order."""
+    n = len(templates)
+    if not n:
+        yield "[]"
+        return
     pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
-    n = len(templates)
     for a in range(0, n, CHUNK_UNITS):
         b = min(a + CHUNK_UNITS, n)
         lead = "[" + pad if a == 0 else sep

@@ -183,17 +183,15 @@ def offline_opt(instance: Instance, model: CostModel) -> tuple[float, int]:
     """Best achievable welfare with full foresight, and its unit count.
 
     Serving the j highest-valued buyers dominates any other choice of j
-    buyers, so the search is over j alone; ties resolve to the smallest j.
+    buyers, so the search is over j alone; ties resolve to the smallest j,
+    and j = 0 (welfare 0) wins unless some j earns more. One NumPy pass:
+    welfare[j] is the sum of the j highest valuations, added highest first,
+    less f(j).
     """
-    vals = sorted(instance.valuations, reverse=True)
-    best, best_j = 0.0, 0
-    acc = 0.0
-    for j in range(1, min(model.k, len(vals)) + 1):
-        acc += vals[j - 1]
-        w = acc - model.cumulative[j]
-        if w > best:
-            best, best_j = w, j
-    return best, best_j
+    top = np.sort(np.asarray(instance.valuations, dtype=float))[::-1][: model.k]
+    welfare = np.cumsum(np.append(0.0, top)) - np.frombuffer(model.cumulative)[: len(top) + 1]
+    j = int(np.argmax(welfare))
+    return float(welfare[j]), j
 
 
 def ratio_to_opt(opt: float, mean: float) -> float:

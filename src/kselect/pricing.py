@@ -37,15 +37,12 @@ table cannot read, prices that leave [L, U] or break the price chain
 1), rates that are not alpha_star / g, and a file whose k_underbar_star,
 xi_star, price intervals, kind or guarantee are not the ones its model,
 alpha_star and curves give. scheme_json_chunks streams the text of
-``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``
-straight from the columns, without the stdlib's pure-Python indenting
-encoder: the marginals, price intervals and segments go out a fixed
-number of units at a time, and each distinct float of the document is
-formatted once (see jsontext). ``kselect pricing`` writes the chunks as
-they come.
+``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``:
+``json.dumps`` lays out the file (both writers take its fields from
+``_scheme_file``) and its three arrays are streamed in from the columns
+(see jsontext). ``kselect pricing`` writes the chunks as they come.
 """
 
-import json
 import math
 from array import array
 from collections.abc import Iterator
@@ -56,7 +53,7 @@ from itertools import pairwise
 import numpy as np
 
 from . import jsontext
-from .cost_model import CostModel, model_from_json, model_to_json
+from .cost_model import CostModel, allocation_count_g, conjugate, model_from_json, model_to_json
 from .errors import ValidationError
 from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, threshold
 
@@ -66,9 +63,13 @@ from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, t
 # cost) * e^{rate * (s - s_lo)}, reaching v_hi at s_hi. Evaluations clamp
 # into [v_lo, v_hi] so shared endpoints are hit exactly.
 _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
-# What a scheme file states and a scheme computes, in the order the loader
-# compares them
+# The scheme file's fields that a scheme computes: _scheme_file writes them,
+# and the loader compares them in this order
 _COMPUTED_FIELDS = ("k_underbar_star", "xi_star", "price_intervals", "kind", "cr_guarantee")
+# A segment in its unit's list and a price interval in the file's list, each
+# number's place in the order json.dumps writes it
+_SEGMENT_ITEM = jsontext.layout(dict.fromkeys(_SEGMENT_FIELDS, jsontext.FIELD), 3)
+_INTERVAL_ITEM = jsontext.layout([jsontext.FIELD] * 2, 2)
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,11 @@ class PricingScheme:
             return alpha
         if model.high_value:
             return alpha * _exp(alpha / model.k)
-        # one pass over the units; the conjugate at L_i is L_i g - f(g)
-        # with g = #marginals <= L_i, as in conjugate(). It is positive:
-        # L_i >= L > c_1, which threshold() checks
+        # one pass over the units; the conjugate is positive: L_i >= L > c_1,
+        # which threshold() checks
         lo, hi = self.price_intervals.T
-        ms = model.marginal_column
-        g = np.searchsorted(ms, lo, side="right")
-        conj = lo * g - np.frombuffer(model.cumulative)[g]
-        return float(np.max(alpha * (1.0 + (hi - ms) / conj)))
+        conj = conjugate(model, lo)
+        return float(np.max(alpha * (1.0 + (hi - model.marginal_column) / conj)))
 
     @cached_property
     def _table(self):
@@ -322,32 +320,32 @@ def build_scheme(model: CostModel) -> PricingScheme:
     return _scheme(model, solve_alpha_star(model))
 
 
+def _scheme_file(scheme: PricingScheme, price_intervals, segments) -> dict:
+    """The scheme file: the model spec, alpha_star and the computed fields,
+    with ``price_intervals`` and ``segments`` as given."""
+    file = {"model": model_to_json(scheme.model), "alpha_star": scheme.alpha_star}
+    file.update({name: getattr(scheme, name) for name in _COMPUTED_FIELDS})
+    return file | {"price_intervals": price_intervals, "segments": segments}
+
+
 def scheme_to_json(scheme: PricingScheme) -> dict:
     """Serialize a scheme; floats survive the JSON round trip bit-exactly.
     ``segments`` lists each unit's segments, seed-ordered, as objects keyed
     by _SEGMENT_FIELDS."""
     rows = [dict(zip(_SEGMENT_FIELDS, row)) for row in zip(*_column_view(scheme).tolist())]
-    return {
-        "model": model_to_json(scheme.model),
-        "alpha_star": scheme.alpha_star,
-        "k_underbar_star": scheme.k_underbar_star,
-        "xi_star": scheme.xi_star,
-        "cr_guarantee": scheme.cr_guarantee,
-        "kind": scheme.kind,
-        "price_intervals": scheme.price_intervals.tolist(),
-        "segments": [rows[a:b] for a, b in pairwise(scheme._offsets.tolist())],
-    }
+    segments = [rows[a:b] for a, b in pairwise(scheme._offsets.tolist())]
+    return _scheme_file(scheme, scheme.price_intervals.tolist(), segments)
 
 
 def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     """The text of ``json.dumps(scheme_to_json(scheme), indent=2,
     sort_keys=True)``, written from the columns in chunks (see jsontext).
 
-    One template holds the layout, with keys in sorted order and the few
-    scalars written in. The marginals, price intervals and segments are
-    streamed into it jsontext.CHUNK_UNITS units at a time, from the texts
-    of their numbers, made once for the whole document. The numbers are
-    copied from the columns into one array in the order they are written.
+    The marginals, price intervals and segments are streamed into the
+    file's layout jsontext.CHUNK_UNITS units at a time, from the texts of
+    their numbers, made once for the whole document. The numbers are
+    copied from the columns into one array in the order they are written,
+    a segment's fields in sorted order, as ``json.dumps`` writes keys.
     """
     model = scheme.model
     k = model.k
@@ -362,32 +360,17 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     texts, at = jsontext.number_texts(numbers)
     # the numbers of unit i's segments start at row_stops[i]
     row_stops = 3 * k + len(fields) * scheme._offsets
-    segment = jsontext.obj([(f, "%s") for f in fields], 3)
-    unit_templates = {n: jsontext.block("[]", [segment] * n, 2) for n in set(scheme.sizes)}
-    num = json.dumps
-    cost = jsontext.obj([("marginals", jsontext.SECTION), ("type", '"explicit"')], 2)
-    spec = [("L", num(model.L)), ("U", num(model.U)), ("cost", cost), ("k", num(k))]
-    template = jsontext.obj(
-        [
-            ("alpha_star", num(scheme.alpha_star)),
-            ("cr_guarantee", num(scheme.cr_guarantee)),
-            ("k_underbar_star", num(scheme.k_underbar_star)),
-            ("kind", num(scheme.kind)),
-            ("model", jsontext.obj(spec, 1)),
-            ("price_intervals", jsontext.SECTION),
-            ("segments", jsontext.SECTION),
-            ("xi_star", num(scheme.xi_star)),
-        ],
-        0,
-    )
+    unit_templates = {n: jsontext.block([_SEGMENT_ITEM] * n, 2) for n in set(scheme.sizes)}
+    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION)
+    file["model"]["cost"]["marginals"] = jsontext.SECTION
     return jsontext.document(
-        template,
+        jsontext.layout(file),
         [
-            jsontext.array_chunks(["%s"] * k, 3, lambda a, b: texts[at[a:b]]),
             jsontext.array_chunks(
-                [jsontext.block("[]", ["%s", "%s"], 2)] * k,
-                1,
-                lambda a, b: texts[at[k + 2 * a : k + 2 * b]],
+                [jsontext.layout(jsontext.FIELD, 3)] * k, 3, lambda a, b: texts[at[a:b]]
+            ),
+            jsontext.array_chunks(
+                [_INTERVAL_ITEM] * k, 1, lambda a, b: texts[at[k + 2 * a : k + 2 * b]]
             ),
             jsontext.array_chunks(
                 [unit_templates[n] for n in scheme.sizes],
@@ -423,33 +406,34 @@ def _check_curves(scheme: PricingScheme) -> None:
     L, U = scheme.model.L, scheme.model.U
     floor = np.where(start, np.roll(v_hi, 1), np.roll(v_lo, 1))
     floor[0] = L
-    g = np.searchsorted(scheme.model.marginal_column, v_lo, side="right")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ramp_rate = scheme.alpha_star / g
-    for bad, why in (
-        (
-            ~(s_lo <= s_hi)
-            | (start & (s_lo != 0.0))
-            | np.where(end, s_hi != 1.0, s_hi != np.roll(s_lo, -1)),
-            "segments must run end to end over [0, 1]",
-        ),
-        (
-            ~((L <= v_lo) & (v_lo <= U) & (L <= v_hi) & (v_hi <= U)),
-            f"prices must lie in [L, U] = [{L}, {U}]",
-        ),
-        (v_lo > v_hi, "a segment's v_lo exceeds its v_hi"),
-        (
-            start & (v_lo != floor),
-            f"the first v_lo must be the previous unit's last v_hi (L = {L} for unit 1)",
-        ),
-        (v_lo < floor, "v_lo falls below the v_lo before it"),
-        (
-            rate != np.where(v_hi > v_lo, ramp_rate, 0.0),
-            "a segment's rate is not alpha_star / g (0 where v_lo == v_hi)",
-        ),
-    ):
+
+    def check(bad: np.ndarray, why: str) -> None:
         if bad.any():
             raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
+
+    check(
+        ~(s_lo <= s_hi)
+        | (start & (s_lo != 0.0))
+        | np.where(end, s_hi != 1.0, s_hi != np.roll(s_lo, -1)),
+        "segments must run end to end over [0, 1]",
+    )
+    check(
+        ~((L <= v_lo) & (v_lo <= U) & (L <= v_hi) & (v_hi <= U)),
+        f"prices must lie in [L, U] = [{L}, {U}]",
+    )
+    check(v_lo > v_hi, "a segment's v_lo exceeds its v_hi")
+    check(
+        start & (v_lo != floor),
+        f"the first v_lo must be the previous unit's last v_hi (L = {L} for unit 1)",
+    )
+    check(v_lo < floor, "v_lo falls below the v_lo before it")
+    # every v_lo lies in [L, U] now, so g is defined
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp_rate = scheme.alpha_star / allocation_count_g(scheme.model, v_lo)
+    check(
+        rate != np.where(v_hi > v_lo, ramp_rate, 0.0),
+        "a segment's rate is not alpha_star / g (0 where v_lo == v_hi)",
+    )
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:

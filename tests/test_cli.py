@@ -18,6 +18,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +28,16 @@ from kselect import cli, jsontext
 from kselect.cli import build_parser, main
 from kselect.cost_model import make_cost_model, model_to_json
 from kselect.errors import SolverError, ValidationError
-from kselect.instances import hard_instance, instance_text
+from kselect.instances import hard_instance, instance_text, read_instance
 from kselect.lower_bound import solve_alpha_star
-from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
-from kselect.pricing import build_scheme, scheme_from_json, scheme_to_json
+from kselect.mechanisms import (
+    Mechanism,
+    expected_welfare,
+    offline_opt,
+    ratio_to_opt,
+    run_posted_price,
+)
+from kselect.pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_to_json
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -978,6 +985,72 @@ def test_simulate_empty_instance_has_zero_welfare(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["welfare"] == 0.0
     assert payload["units_sold"] == 0
+
+
+def trace_stdlib_text(prices, seeds, instance, model) -> str:
+    """The simulate trace through the stdlib's indenting encoder, one dict
+    per arrival."""
+    out = run_posted_price(prices, instance, model)
+    payload = {
+        "prices": prices,
+        "seeds": seeds,
+        "decisions": [
+            {"posted_price": d.posted_price, "accepted": d.accepted} for d in out.decisions
+        ],
+        "units_sold": out.units_sold,
+        "welfare": out.welfare,
+        "revenue": out.revenue,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("units", [1, 2, jsontext.CHUNK_UNITS])
+def test_simulate_trace_is_the_stdlib_indent_text(tmp_path, capsys, units):
+    # random small runs through --prices and --pin-seeds, among them runs
+    # that sell out (null posted prices after), instances with no arrivals
+    # and a price -0.0
+    rng = np.random.default_rng(units)
+    seen = set()
+    for run in range(48):
+        k = int(rng.integers(1, 5))
+        L, U = 1.0, float(rng.choice([1.0, 3.0, 30.0]))
+        model = make_cost_model(L, U, k, marginals=np.sort(rng.uniform(0.0, 0.9, k)).tolist())
+        inst = write_inst(tmp_path, rng.choice(rng.uniform(L, U, 3), run % 7).tolist())
+        argv = ["simulate", "--model", json.dumps(model_to_json(model)), "--instance", inst]
+        if run % 2:
+            flag, seeds = "--pin-seeds", rng.uniform(0.0, 1.0, k).tolist()
+            prices = prices_for_seeds(build_scheme(model), np.array([seeds]))[0].tolist()
+            argv.append(f"{flag}={','.join(map(repr, seeds))}")
+        else:
+            flag, seeds = "--prices", []
+            prices = np.sort(rng.uniform(0.0, U, k)).tolist()
+            prices[0] = -0.0 if run % 4 else prices[0]
+            argv.append(f"{flag}={','.join(map(repr, prices))}")
+        with mock.patch.object(jsontext, "CHUNK_UNITS", units):
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == trace_stdlib_text(prices, seeds, read_instance(inst), model)
+        seen |= {flag} | {mark for mark in ('"decisions": []', "null", "-0.0") if mark in out}
+    assert seen == {"--prices", "--pin-seeds", '"decisions": []', "null", "-0.0"}
+
+
+def test_simulate_trace_streams_and_holds_its_memory(tmp_path):
+    bench = '{"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}'
+    inst = write_inst(tmp_path, np.random.default_rng(0).uniform(1.0, 30.0, 10**5).tolist())
+    out = tmp_path / "trace.json"
+    argv = ["simulate", "--model", bench, "--instance", inst, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--pin-seeds", ",".join(["0.5"] * 10)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the traced peak was 69.5 MB when the trace was one dict per arrival
+    # laid out by the indenting encoder; streamed, 5.7 MB, most of it the
+    # instance read in
+    assert peak <= 7e6
+    assert len(json.loads(out.read_text())["decisions"]) == 10**5
 
 
 def test_simulate_scheme_file_must_match_model(tmp_path, capsys):

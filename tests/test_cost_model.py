@@ -265,6 +265,28 @@ class TestConjugate:
             assert np.all(np.diff(diffs) >= -1e-9)
 
 
+    def test_an_array_gives_the_one_point_values_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            m = random_model(rng)
+            grid = np.concatenate(
+                (rng.uniform(0.0, m.U * 1.2, size=20), m.marginal_column, [0.0, -0.0])
+            )
+            g = allocation_count_g(m, grid)
+            f = conjugate(m, grid)
+            assert g.tolist() == [allocation_count_g(m, v) for v in grid.tolist()]
+            assert [x.hex() for x in f.tolist()] == [
+                conjugate(m, v).hex() for v in grid.tolist()
+            ]
+            assert type(allocation_count_g(m, 1.0)) is int and type(conjugate(m, 1.0)) is float
+
+    def test_an_array_with_a_negative_cell_names_the_first(self):
+        m = make_cost_model(1.0, 2.0, 2, marginals=[0.5, 1.0])
+        for call in (allocation_count_g, conjugate):
+            with pytest.raises(ValidationError, match=r"got -0\.25 at cell 2"):
+                call(m, np.array([0.0, 1.5, -0.25, -3.0]))
+
+
 class TestAllocationCount:
     def test_below_first_and_above_last(self):
         m = make_cost_model(1.0, 2.0, 3, marginals=[0.2, 0.5, 0.9])

@@ -239,6 +239,35 @@ class TestOfflineOpt:
             assert got[1] == want[1]
 
 
+    def test_matches_the_prefix_loop_and_enumeration_on_ties(self):
+        # tied valuations and tied marginals, k > n and n = 0: the NumPy
+        # pass gives the sorted-prefix loop's result bit for bit and the
+        # enumeration's welfare (whose count a tie within 1e-12 can move)
+        def prefix_loop(instance, model):
+            vals = sorted(instance.valuations, reverse=True)
+            best, best_j, acc = 0.0, 0, 0.0
+            for j in range(1, min(model.k, len(vals)) + 1):
+                acc += vals[j - 1]
+                w = acc - model.cumulative[j]
+                if w > best:
+                    best, best_j = w, j
+            return best, best_j
+
+        rng = np.random.default_rng(5)
+        for n in range(300):
+            k = int(rng.integers(1, 7))
+            pool = rng.uniform(0.0, 3.0, size=3)
+            m = make_cost_model(L=1.0, U=4.0, k=k, marginals=np.sort(rng.choice(pool, k)).tolist())
+            levels = [1.0, 2.5, 4.0, *pool[pool >= 1.0]]
+            T = n % 9  # 0..8 arrivals, so k > n in many runs
+            inst = Instance(tuple(float(v) for v in rng.choice(levels, T)))
+            got = offline_opt(inst, m)
+            want = prefix_loop(inst, m)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+            assert type(got[0]) is float and type(got[1]) is int
+            assert got[0] == pytest.approx(opt_by_subset_enumeration(inst, m)[0], abs=1e-12)
+
+
 class TestSubstreams:
     def test_run_trial_bit_identical(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])

@@ -8,6 +8,7 @@ import bisect
 import dataclasses
 import json
 import math
+import re
 from array import array
 from itertools import pairwise
 from unittest import mock
@@ -517,6 +518,51 @@ def test_number_texts_are_the_json_texts_of_the_column():
     assert len(texts) == 7  # each distinct float once; -0.0 and 0.0 apart
 
 
+_TEXT = st.text(st.characters(blacklist_characters="%\0\1"), max_size=4)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_TEXT, kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, st.integers(0, 3), st.data())
+def test_layout_is_the_stdlib_indent_text_with_its_marks_filled(value, depth, data):
+    def text(v, d):
+        return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + "  " * d)
+
+    fills = []  # the text of each mark, in the order the marks are written
+
+    def mark(v, d):
+        how = data.draw(st.sampled_from(["keep", "field", "section"]))
+        if how == "section":
+            fills.append(text(v, d))
+            return jsontext.SECTION
+        if isinstance(v, dict):
+            return {key: mark(v[key], d + 1) for key in sorted(v)}
+        if isinstance(v, list):
+            return [mark(x, d + 1) for x in v]
+        if how == "field":
+            fills.append(json.dumps(v))
+            return jsontext.FIELD
+        return v
+
+    marked = mark(value, depth)
+    parts = re.split("%s|\0", jsontext.layout(marked, depth))
+    assert len(parts) == len(fills) + 1
+    filled = "".join(p + f for p, f in zip(parts, fills)) + parts[-1]
+    assert filled == text(value, depth)
+
+
 def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
     L, U, ms, _ = NAMED_SETUPS["negative-zero-marginal"]
     scheme = build_scheme(make_cost_model(L=L, U=U, k=len(ms), marginals=ms))
@@ -529,6 +575,15 @@ def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
     zeros = [unit[0]["s_lo"] for unit in units] + [units[0][0]["cost"], units[0][0]["rate"]]
     assert zeros == [0.0] * len(zeros)
     assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
+
+def test_a_negative_price_in_a_scheme_file_is_reported_as_out_of_range():
+    # g is asked for only once every price lies in [L, U]
+    scheme = build_scheme(make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3]))
+    obj = scheme_to_json(scheme)
+    obj["segments"][2][0]["v_lo"] = -1.0
+    with pytest.raises(ValidationError, match=r"unit 3: prices must lie in \[L, U\]"):
+        scheme_from_json(obj)
 
 
 @settings(max_examples=100, deadline=None)
