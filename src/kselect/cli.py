@@ -15,9 +15,9 @@ override the file, and a key that names no option is invalid input. Relative
 ``--out`` paths resolve under $KSELECT_OUTPUT_DIR when it is set. Exit codes:
 0 success, 2 invalid input, 3 solver non-convergence.
 
-``experiment`` evaluates its instances on the CPUs in the process's
-affinity mask, in forked workers, and its output matches a one-CPU run
-byte for byte.
+``experiment`` lays the trial rows of all its estimates end to end and
+splits them evenly among the CPUs in the process's affinity mask, in
+forked workers; its output matches a one-CPU run byte for byte.
 """
 
 import argparse
@@ -27,7 +27,7 @@ import pickle
 import sys
 import threading
 from collections.abc import Iterator
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -53,8 +53,15 @@ from .mechanisms import (
     offline_opt,
     ratio_to_opt,
     run_posted_price,
+    trial_welfares,
 )
-from .pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_json_chunks
+from .pricing import (
+    build_scheme,
+    max_file_bytes,
+    prices_for_seeds,
+    scheme_from_json,
+    scheme_json_chunks,
+)
 
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
@@ -63,13 +70,20 @@ MAX_SAMPLE_CELLS = 10**7
 MAX_CURVE_UNITS = 10**7
 # Most instances one `experiment` run generates and estimates.
 MAX_INSTANCES = 10**6
+# Most bytes of a model file: MAX_K explicit marginals at 64 bytes each,
+# room for the longest float text (24 characters), a separator and an
+# indent. A config file may add --prices and --pin-seeds, k numbers each.
+MAX_MODEL_FILE_BYTES = 64 * MAX_K
+MAX_CONFIG_FILE_BYTES = 3 * MAX_MODEL_FILE_BYTES
+# Most bytes of a scheme file: the largest that `pricing` writes at MAX_K
+MAX_SCHEME_FILE_BYTES = max_file_bytes(MAX_K)
 # Rows one `experiment` run draws (each estimate's trials, one for pinned,
-# summed over instances and mechanisms) from which its instances are shared
-# among worker processes; smaller runs stay in this process. On a 2-core
-# x86_64 VM, with the benchmark model (k = 10, 1000 arrivals), a forked
-# worker cost 3-5 ms over evaluating its instance here; at 2000-2400 rows
-# (about 20 ms in one process) two CPUs saved 2-3 ms, and at 60 rows they
-# lost 4 ms.
+# summed over instances and mechanisms) from which it shares them among
+# worker processes, each taking at least half as many; smaller runs stay in
+# this process. On a 2-core x86_64 VM, with the benchmark model (k = 10,
+# 1000 arrivals), a forked worker cost 3-5 ms over evaluating its rows
+# here; at 2000-2400 rows (about 20 ms in one process) two CPUs saved
+# 2-3 ms, and at 60 rows they lost 4 ms.
 PARALLEL_MIN_ROWS = 2000
 # A solve interval and a trace decision as array items, each field's place in
 # the order json.dumps writes the keys
@@ -139,29 +153,39 @@ def _items(name: str, value) -> list:
     raise ValidationError(f"{name} must be a comma list or JSON array")
 
 
-def _read_json_file(path: str, what: str):
-    """Parse a UTF-8 JSON file; undecodable bytes or bad JSON are invalid input."""
+def _read_json_file(path: str, what: str, max_bytes: int):
+    """Parse a UTF-8 JSON file of at most ``max_bytes`` bytes; a larger file,
+    undecodable bytes or bad JSON are invalid input."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # a pipe's size reads 0, so the read stops one byte past the ceiling
+        data = fh.read(max_bytes + 1) if size <= max_bytes else b""
+    if max(size, len(data)) > max_bytes:
+        raise ValidationError(f"{what} {path} exceeds the ceiling of {max_bytes} bytes")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} {path} is not UTF-8 text: {exc}") from None
+    del data  # the parse holds the text only
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _json_object(what: str, value, path_ok: bool = False) -> dict:
+def _json_object(what: str, value, file_bytes: int = 0) -> dict:
     """A JSON object given as inline text or, from --config, as an object.
-    With ``path_ok``, text that is not JSON may name a file holding it."""
+    With ``file_bytes``, text that is not JSON may name a file of at most
+    that many bytes holding it."""
     if isinstance(value, str):
         text = value.strip()
         try:
             value = json.loads(text)
         except json.JSONDecodeError as exc:
-            if not (path_ok and os.path.isfile(text)):
-                nor_file = " nor a file" if path_ok else ""
+            if not (file_bytes and os.path.isfile(text)):
+                nor_file = " nor a file" if file_bytes else ""
                 raise ValidationError(f"{what} is not valid JSON{nor_file}: {exc}") from None
-            value = _read_json_file(text, f"{what} file")
+            value = _read_json_file(text, f"{what} file", file_bytes)
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be a JSON object")
     return value
@@ -173,7 +197,7 @@ def _load_model(args) -> CostModel:
         raise ValidationError(
             "no model given: pass --model JSON (or a path) or set 'model' in --config"
         )
-    return model_from_json(_json_object("model spec", args.model, path_ok=True))
+    return model_from_json(_json_object("model spec", args.model, MAX_MODEL_FILE_BYTES))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +348,8 @@ def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
 def cmd_simulate(args) -> int:
     scheme = None
     if args.scheme is not None:
-        scheme = scheme_from_json(_read_json_file(_path("scheme", args.scheme), "scheme file"))
+        path = _path("scheme", args.scheme)
+        scheme = scheme_from_json(_read_json_file(path, "scheme file", MAX_SCHEME_FILE_BYTES))
         model = scheme.model
         if args.model is not None and _load_model(args) != model:
             raise ValidationError("--model disagrees with the model stored in --scheme")
@@ -384,26 +409,22 @@ def _cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _share(fn, first: int, count: int, step: int) -> tuple[list, tuple | None]:
-    """fn(i) for i = first, first + step, ... below count, stopping at the
-    first that raises: the results so far and (i, exception), or None."""
-    done = []
-    for i in range(first, count, step):
-        try:
-            done.append(fn(i))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+def _outcome(fn, w: int) -> tuple:
+    """(fn(w), None), or (None, the exception fn(w) raised)."""
+    try:
+        return fn(w), None
+    except Exception as exc:
+        return None, exc
 
 
-def _shared_map(fn, count: int, workers: int) -> list:
-    """[fn(i) for i in range(count)], index i evaluated by worker i % workers.
+def _shared_map(fn, workers: int) -> list:
+    """[fn(w) for w in range(workers)], each call in its own worker.
 
-    This process is worker 0 and forks the others, which pickle their share
-    back through a pipe. A worker that cannot be started has its share
-    evaluated here. The exception of the lowest failing index is raised, as
-    the serial loop would raise it. Every child is reaped before this
-    returns or raises, killed first if it is still running.
+    This process is worker 0 and forks the others, which pickle their
+    result, or the exception they raised, back through a pipe. A call whose
+    worker cannot be started runs here. The lowest failing worker's
+    exception is raised. Every child is reaped before this returns or
+    raises, killed first if it is still running.
     """
     children = []  # (worker, pid, read end)
     reaped = set()
@@ -424,14 +445,14 @@ def _shared_map(fn, count: int, workers: int) -> list:
                 try:
                     os.close(r)
                     with open(wr, "wb") as fh:
-                        pickle.dump(_share(fn, w, count, workers), fh)
+                        pickle.dump(_outcome(fn, w), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(wr)
             children.append((w, pid, r))
         forked = {w for w, _, _ in children}
-        shares = {w: _share(fn, w, count, workers) for w in range(workers) if w not in forked}
+        outcomes = {w: _outcome(fn, w) for w in range(workers) if w not in forked}
         for w, pid, r in children:
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -441,7 +462,7 @@ def _shared_map(fn, count: int, workers: int) -> list:
                 raise ChildProcessError(
                     f"experiment worker {pid} ended without its results (wait status {status})"
                 )
-            shares[w] = pickle.loads(data)
+            outcomes[w] = pickle.loads(data)
     finally:
         for _, pid, r in children:
             os.close(r)
@@ -450,15 +471,10 @@ def _shared_map(fn, count: int, workers: int) -> list:
 
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    out: list = [None] * count
-    failures = []
-    for w, (done, failure) in shares.items():
-        out[w : w + workers * len(done) : workers] = done
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return out
+    for w in range(workers):
+        if outcomes[w][1] is not None:
+            raise outcomes[w][1]
+    return [outcomes[w][0] for w in range(workers)]
 
 
 def cmd_experiment(args) -> int:
@@ -476,27 +492,59 @@ def cmd_experiment(args) -> int:
     scheme = build_scheme(model)
     mechs = [_mechanism(scheme, spec) for spec in specs]
 
-    def instance_ratios(idx: int) -> list[float]:
-        try:
-            inst = _build_instance(model, inst_spec, instance_rng(master_seed, idx))
-            seed = instance_sim_seed(master_seed, idx)
-            opt, _ = offline_opt(inst, model)
-            return [
-                ratio_to_opt(opt, expected_welfare(mech, inst, model, trials, seed).mean)
-                for mech in mechs
-            ]
-        except (ValidationError, SolverError) as exc:
-            raise type(exc)(f"instance {idx}: {exc}") from exc
-
-    # instances are independent, so they may run on every CPU this process
-    # may use, with at most MAX_TRIAL_CELLS cells drawn per CPU at once; a
-    # fork while other threads run could copy a lock one of them holds
+    # estimate (idx, m) draws rows idx * per + ends[m] up to idx * per +
+    # ends[m + 1] of the run's total; worker w sells rows w * total // workers
+    # up to (w + 1) * total // workers
     rows = [mech.rows(trials) for mech in mechs]
+    ends = list(accumulate(rows, initial=0))
+    per = ends[-1]
+    total = count * per
+
+    def sell(w: int) -> list[tuple]:
+        """(idx, m, opt, value) for each estimate with rows in worker w's
+        range, in row order: value is the estimate's mean when the range
+        holds all its rows, else its welfares on the rows it holds."""
+        lo, hi = w * total // workers, (w + 1) * total // workers
+        out = []
+        for idx in range(lo // per, -(-hi // per)):
+            try:
+                inst = _build_instance(model, inst_spec, instance_rng(master_seed, idx))
+                seed = instance_sim_seed(master_seed, idx)
+                opt, _ = offline_opt(inst, model)
+                for m, mech in enumerate(mechs):
+                    a, b = idx * per + ends[m], idx * per + ends[m + 1]
+                    if lo <= a and b <= hi:
+                        value = expected_welfare(mech, inst, model, trials, seed).mean
+                    elif max(a, lo) < min(b, hi):
+                        cut = slice(max(a, lo) - a, min(b, hi) - a)
+                        value = trial_welfares(mech, inst, model, trials, seed, cut)
+                    else:
+                        continue
+                    out.append((idx, m, opt, value))
+            except (ValidationError, SolverError) as exc:
+                raise type(exc)(f"instance {idx}: {exc}") from exc
+        return out
+
+    # a worker draws one estimate's cells at a time, so all of them hold at
+    # most MAX_TRIAL_CELLS, and sells at least PARALLEL_MIN_ROWS / 2 rows; a
+    # fork while other threads run could copy a lock one of them holds
     workers = 1
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    if forkable and count * sum(rows) >= PARALLEL_MIN_ROWS:
-        workers = max(1, min(_cpus(), count, MAX_TRIAL_CELLS // (max(rows) * model.k)))
-    ratios = list(zip(*_shared_map(instance_ratios, count, workers)))
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        cells = max(rows) * model.k
+        fill = total // max(1, PARALLEL_MIN_ROWS // 2)
+        workers = max(1, min(_cpus(), MAX_TRIAL_CELLS // cells, fill))
+    opts = [0.0] * count
+    means = [[0.0] * count for _ in mechs]
+    parts: dict[tuple, list] = {}  # welfares of each estimate split between workers
+    for idx, m, opt, value in chain.from_iterable(_shared_map(sell, workers)):
+        opts[idx] = opt
+        if isinstance(value, float):
+            means[m][idx] = value
+        else:
+            parts.setdefault((idx, m), []).append(value)
+    for (idx, m), slices in parts.items():
+        means[m][idx] = float(np.concatenate(slices).mean())
+    ratios = [[ratio_to_opt(opt, mean) for opt, mean in zip(opts, col)] for col in means]
 
     lines = ["mechanism,surrogate,empirical_ratio,cumulative_fraction"]
     for m, mech in enumerate(mechs):
@@ -655,7 +703,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _config_defaults(args) -> dict:
     """Defaults from the ``--config`` file: a JSON object whose keys, with
     dashes or underscores, name options of the chosen subcommand."""
-    cfg = _read_json_file(args.config, "config file")
+    cfg = _read_json_file(args.config, "config file", MAX_CONFIG_FILE_BYTES)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     options = vars(args).keys() - {"command", "func", "config"}

@@ -4,11 +4,12 @@ The staged worst-case family posts k identical buyers at each valuation
 stage L, L+eps, ... ; stochastic generators draw truncated normals by
 rejection. Every generated valuation lies in [L, U] by construction, never
 by clamping, and no generator builds, nor ``read_instance`` reads, more
-than MAX_ARRIVALS arrivals.
+than MAX_ARRIVALS arrivals or a line of more than MAX_LINE_CHARS characters.
 """
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ _MAX_REJECTION_ROUNDS = 10_000
 # most arrivals one instance may hold: checked before a generated one is
 # built, and line by line while a file is read
 MAX_ARRIVALS = 10_000_000
+# most characters one line of an instance file may hold, its newline not
+# counted: a longer line is refused before the rest of it is read
+MAX_LINE_CHARS = 1024
 
 
 def _check_size(n: int) -> None:
@@ -147,12 +151,31 @@ def instance_text(instance: Instance) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _lines(fh, path) -> Iterator[str]:
+    """The lines of a text file, read 64K characters at a time, so a line
+    longer than MAX_LINE_CHARS is refused, by its number, once that much of
+    it has been read."""
+    tail, seen = "", 0
+    while block := fh.read(1 << 16):
+        *lines, tail = (tail + block).split("\n")
+        if max(map(len, lines), default=0) > MAX_LINE_CHARS or len(tail) > MAX_LINE_CHARS:
+            lines.append(tail)
+            first = next(i for i, line in enumerate(lines) if len(line) > MAX_LINE_CHARS)
+            raise ValidationError(
+                f"{path}: line {seen + first + 1}: longer than {MAX_LINE_CHARS} characters"
+            )
+        seen += len(lines)
+        yield from lines
+    if tail:
+        yield tail
+
+
 def read_instance(path: str | os.PathLike) -> Instance:
     label = ""
     vals: list[float] = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate(_lines(fh, path), start=1):
                 text = line.strip()
                 if not text:
                     continue

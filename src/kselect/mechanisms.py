@@ -11,8 +11,9 @@ are reproducible and independent of the order trials are drawn in.
 A Mechanism is a pricing scheme plus the kind of seeding it uses; its
 name and surrogate flag follow from the kind. One function, _price_matrix,
 draws the prices of any set of trials and is the only place the kinds
-differ: expected_welfare takes rows 0..trials-1 of it and run_trial
-replays one row through run_posted_price.
+differ: trial_welfares sells any range of its rows, expected_welfare
+averages rows 0..trials-1, and run_trial replays one row through
+run_posted_price.
 Its prices are lookups in the pricing layer's flat curve table, through
 prices_for_seeds and static_prices_for_quantiles; the layout stays there.
 
@@ -371,15 +372,16 @@ def run_trial(
     return run_posted_price(prices.tolist(), instance, model)
 
 
-def expected_welfare(
-    target, instance: Instance, model: CostModel, trials: int, master_seed: int
-) -> WelfareEstimate:
-    """Monte-Carlo estimate of expected welfare.
+def trial_welfares(
+    target, instance: Instance, model: CostModel, trials: int, master_seed: int,
+    part: slice = slice(None),
+) -> np.ndarray:
+    """Welfare of each trial row in ``part`` of an estimate of ``trials``
+    trials: rows ``range(target.rows(trials))[part]``, in order.
 
-    std_error is the sample standard error of per-trial welfare (0 for the
-    pinned variant, which runs once); see WelfareEstimate for when it
-    understates the error. The ratio to the optimum is ratio_to_opt of
-    offline_opt and the mean, computed once per instance by the caller.
+    The checks are the whole estimate's, whatever ``part`` is, and row r's
+    welfare depends on r alone, so the parts of any cut of the rows,
+    joined, are the whole estimate's vector bit for bit.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials}")
@@ -390,7 +392,23 @@ def expected_welfare(
             f"trials * k exceeds the ceiling of {MAX_TRIAL_CELLS} (k = {model.k})"
         )
     _check_valuations(instance, model)
-    w, _ = _welfares(_price_matrix(mech, range(rows), master_seed), instance, model)
+    w, _ = _welfares(_price_matrix(mech, range(rows)[part], master_seed), instance, model)
+    return w
+
+
+def expected_welfare(
+    target, instance: Instance, model: CostModel, trials: int, master_seed: int
+) -> WelfareEstimate:
+    """Monte-Carlo estimate of expected welfare: the mean of trial_welfares.
+    A caller that splits the rows among workers, as ``experiment`` does,
+    gets the same mean, bit for bit, from the parts joined in row order.
+
+    std_error is the sample standard error of per-trial welfare (0 for the
+    pinned variant, which runs once); see WelfareEstimate for when it
+    understates the error. The ratio to the optimum is ratio_to_opt of
+    offline_opt and the mean, computed once per instance by the caller.
+    """
+    w = trial_welfares(target, instance, model, trials, master_seed)
     mean = float(w.mean())
     std_error = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
     return WelfareEstimate(mean=mean, std_error=std_error, trials=trials)

@@ -337,6 +337,21 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
     return _scheme_file(scheme, scheme.price_intervals.tolist(), segments)
 
 
+def max_file_bytes(k: int) -> int:
+    """Most bytes the scheme file of a k-unit scheme takes: its layout with
+    every number at its longest text, 24 characters, 2k + 1 segments and
+    1 KB for the fields outside the arrays. No scheme holds more segments:
+    one per unit, one more per distinct marginal strictly inside a unit's
+    price interval, and the threshold unit's floor."""
+    longest = "-1.2345678901234567e-308"
+
+    def item(template: str, depth: int) -> int:  # an array item and its separator
+        return len(template.replace("%s", longest)) + len(",\n") + 2 * (depth + 1)
+
+    unit = item("%s", 3) + item(_INTERVAL_ITEM, 1) + item("[\n    ]", 1)
+    return 1024 + k * unit + (2 * k + 1) * item(_SEGMENT_ITEM, 2)
+
+
 def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     """The text of ``json.dumps(scheme_to_json(scheme), indent=2,
     sort_keys=True)``, written from the columns in chunks (see jsontext).

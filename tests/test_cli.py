@@ -1139,7 +1139,11 @@ def test_experiment_reports_failing_instance_index(capsys):
     assert "instance 0" in err
 
 
-# the experiment's instances shared among forked workers
+# the experiment's trial rows shared among forked workers: PARALLEL_ARGS
+# draws 61 rows an instance (30 + 1 + 30), 427 in all, and three workers
+# take rows 0-141, 142-283 and 284-426, so this process sells instances 0,
+# 1 and the start of 2, one child the rest of 2, 3 and the start of 4, and
+# the other the rest of 4, 5 and 6
 
 PARALLEL_ARGS = (
     "experiment", "--model", FIG_MODEL,
@@ -1152,7 +1156,7 @@ PARALLEL_ARGS = (
 @pytest.fixture
 def forked(monkeypatch):
     """Pids of the experiment workers forked during a test, with every run
-    made to share its instances among three workers, however small."""
+    made to share its trial rows among three workers, however few."""
     pids = []
     real_fork = os.fork
 
@@ -1200,17 +1204,33 @@ def test_forked_experiment_gives_the_in_process_bytes(capsys, monkeypatch, forke
     assert len(forked) == 2
 
 
+def test_a_one_instance_experiment_shares_its_rows_with_the_in_process_bytes(
+    capsys, monkeypatch, forked
+):
+    args = list(PARALLEL_ARGS)
+    args[args.index("--instances") + 1] = '{"kind": "iid", "count": 1, "n": 40}'
+    code, shared, _ = run_cli(capsys, *args)
+    assert code == 0 and len(forked) == 2
+    assert_reaped(forked)
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 10**12)
+    assert run_cli(capsys, *args) == (0, shared, "")
+    assert len(forked) == 2
+
+
 @pytest.mark.parametrize(
     "error, code", [(ValidationError, 2), (SolverError, 3)], ids=["invalid", "solver"]
 )
 @pytest.mark.parametrize(
-    "failing", [{4, 5}, {2, 3}, {3, 4}], ids=["children", "child-first", "parent-first"]
+    "failing",
+    [{1, 3}, {3, 5}, {5, 6}, {2, 3}, {4, 6}],
+    ids=["parent-first", "children", "child-first", "split-parent-child", "split-children"],
 )
 def test_forked_experiment_reports_the_lowest_failing_instance(
     capsys, monkeypatch, forked, error, code, failing
 ):
-    # worker 0, this process, evaluates instances 0, 3 and 6; the two
-    # children take 1, 4 and 2, 5
+    # the lowest failing instance lies in this process's rows, in the first
+    # child's or the last child's only, or across this process's and a
+    # child's, or two children's
     fail_instances(monkeypatch, error, failing)
     got = run_cli(capsys, *PARALLEL_ARGS)
     assert len(forked) == 2
@@ -1272,7 +1292,7 @@ def test_an_interrupt_kills_and_reaps_every_worker(capsys, monkeypatch, forked):
     def instance_rng(master_seed, idx):
         if os.getpid() != parent:
             time.sleep(60)  # a child runs until it is killed
-        elif idx == 3:
+        elif idx == 1:  # in this process's rows
             raise KeyboardInterrupt
         return real(master_seed, idx)
 
@@ -1399,6 +1419,66 @@ def test_instance_file_past_the_arrival_ceiling_exits_2(capsys, tmp_path, monkey
     code, out, err = run_cli(capsys, "simulate", "--model", K2_MODEL, "--instance", str(inst))
     assert (code, out) == (2, "")
     assert "more than 4 arrivals" in err
+
+
+@pytest.mark.parametrize(
+    "flag, ceiling",
+    [
+        ("--model", "MAX_MODEL_FILE_BYTES"),
+        ("--config", "MAX_CONFIG_FILE_BYTES"),
+        ("--scheme", "MAX_SCHEME_FILE_BYTES"),
+    ],
+)
+def test_json_file_past_its_byte_ceiling_exits_2_unread(capsys, tmp_path, flag, ceiling):
+    # a sparse file one byte past the ceiling: refused on its size alone
+    limit = getattr(cli, ceiling)
+    big = tmp_path / "big.json"
+    big.touch()
+    os.truncate(big, limit + 1)
+    inst = tmp_path / "inst.txt"
+    inst.write_text("2\n")
+    argv = ["simulate", flag, str(big), "--instance", str(inst), "--trials", "1"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert f"exceeds the ceiling of {limit} bytes" in err
+    assert peak < 2**20
+
+
+def test_json_file_at_its_byte_ceiling_is_read(capsys, tmp_path, monkeypatch):
+    model = tmp_path / "model.json"
+    model.write_text(K2_MODEL)
+    argv = ("solve", "--model", str(model))
+    want = run_cli(capsys, "solve", "--model", K2_MODEL)
+    monkeypatch.setattr(cli, "MAX_MODEL_FILE_BYTES", len(K2_MODEL))
+    assert run_cli(capsys, *argv) == want
+    model.write_text(K2_MODEL + " ")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and f"exceeds the ceiling of {len(K2_MODEL)} bytes" in err
+
+
+def test_config_pipe_past_its_byte_ceiling_exits_2(capsys, tmp_path, monkeypatch):
+    # a pipe's size reads 0: the read itself stops one byte past the ceiling
+    monkeypatch.setattr(cli, "MAX_CONFIG_FILE_BYTES", 100)
+    fifo = tmp_path / "config.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "w") as fh:
+            fh.write(json.dumps({"model": json.loads(K2_MODEL), "out": "x" * 200}))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--config", str(fifo))
+    finally:
+        writer.join(30)
+    assert (code, out) == (2, "")
+    assert "exceeds the ceiling of 100 bytes" in err
 
 
 def test_model_json_helpers_agree_with_cli_input():

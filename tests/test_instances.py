@@ -3,6 +3,9 @@ against a quadrature oracle, and lossless file round trips."""
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import (
     MAX_ARRIVALS,
+    MAX_LINE_CHARS,
     Instance,
     gen_iid,
     gen_low2high,
@@ -202,6 +206,27 @@ class TestFileIO:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert read_instance(path).valuations == ()
+
+    def test_line_ceiling_names_the_line_and_reads_no_further(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        ok = " " * (MAX_LINE_CHARS - 3) + "1.5"
+        path.write_text(f"2.0\n{ok}\n\n" + "1.5\n" * 20000 + "2" * (MAX_LINE_CHARS + 1) + "\n")
+        with pytest.raises(ValidationError, match=f"line 20004: longer than {MAX_LINE_CHARS}"):
+            read_instance(path)
+        path.write_text(f"2.0\n{ok}")
+        assert read_instance(path).valuations == (2.0, 1.5)
+        # a gigabyte line with no newline: a sparse file, refused after one block
+        with open(path, "w") as fh:
+            fh.write("1.5\n")
+        os.truncate(path, 2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="line 2: longer than"):
+                read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_arrival_ceiling_checked_while_reading(self, tmp_path, monkeypatch):
         monkeypatch.setattr(instances, "MAX_ARRIVALS", 3)

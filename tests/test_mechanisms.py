@@ -35,6 +35,7 @@ from kselect.mechanisms import (
     run_trial,
     static_prices_for_quantiles,
     trial_rng,
+    trial_welfares,
 )
 from kselect.lower_bound import solve_alpha_star
 from kselect.pricing import (
@@ -460,6 +461,54 @@ class TestExpectedWelfare:
         assert ratio_to_opt(offline_opt(Instance(()), m)[0], est.mean) == 1.0
         assert ratio_to_opt(1.0, 0.0) == math.inf
         assert ratio_to_opt(2.0, 0.5) == 4.0
+
+
+@st.composite
+def row_cuts(draw, kind):
+    """A mechanism of ``kind`` on a random setup, an instance, a seed, and
+    trials with a cut of the estimate's rows into contiguous slices; or,
+    one time in four, trials past the cell ceiling and one slice."""
+    L = draw(st.floats(1.0, 3.0))
+    U = L * draw(st.floats(1.5, 6.0))
+    k = draw(st.integers(1, 6))
+    ms = sorted(draw(st.lists(st.floats(0.0, 1.5 * L), min_size=k, max_size=k)))
+    ms[0] = min(ms[0], 0.9 * L)
+    model = make_cost_model(L=L, U=U, k=k, marginals=ms)
+    mech = Mechanism(build_scheme(model), kind, draw(st.floats(0.0, 1.0)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    rng = np.random.default_rng(seed)
+    inst = Instance(tuple(rng.uniform(L, U, draw(st.integers(0, 40))).tolist()))
+    if draw(st.integers(0, 3)) == 0:
+        trials = MAX_TRIAL_CELLS // k + draw(st.integers(1, 10**9))
+        start = draw(st.integers(0, mech.rows(trials) - 1))
+        cut = [start, start + draw(st.integers(1, 50))]
+    else:
+        trials = draw(st.integers(1, 80))
+        rows = mech.rows(trials)
+        cut = sorted({0, rows, *draw(st.lists(st.integers(0, rows), max_size=6))})
+    return mech, inst, seed, trials, [slice(a, b) for a, b in itertools.pairwise(cut)]
+
+
+class TestTrialWelfares:
+    @pytest.mark.parametrize("kind", ["r-dynamic", "pinned", "static"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_cut_of_the_rows_joins_to_the_estimate(self, kind, data):
+        mech, inst, seed, trials, parts = data.draw(row_cuts(kind))
+        model = mech.scheme.model
+        if mech.rows(trials) * model.k > MAX_TRIAL_CELLS:
+            with pytest.raises(ValidationError) as whole:
+                expected_welfare(mech, inst, model, trials, seed)
+            with pytest.raises(ValidationError) as part:
+                trial_welfares(mech, inst, model, trials, seed, parts[0])
+            assert str(part.value) == str(whole.value)
+            return
+        full = trial_welfares(mech, inst, model, trials, seed)
+        joined = np.concatenate(
+            [trial_welfares(mech, inst, model, trials, seed, p) for p in parts]
+        )
+        assert joined.tobytes() == full.tobytes()
+        assert float(joined.mean()) == expected_welfare(mech, inst, model, trials, seed).mean
 
 
 class TestSurrogates:

@@ -26,6 +26,7 @@ from kselect.pricing import (
     _scheme,
     build_scheme,
     inverse_price,
+    max_file_bytes,
     price_at,
     prices_for_seeds,
     scheme_from_json,
@@ -694,6 +695,16 @@ def reference_columns(model, sol):
 
 def scheme_of(L, U, k, **cost):
     return build_scheme(make_cost_model(L=L, U=U, k=k, **cost))
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_schemes())
+@example(scheme_of(1.0, 30.0, 200, marginals=[0.1] + [1.0 + j * 1e-9 for j in range(199)]))
+def test_every_scheme_file_fits_its_byte_ceiling(scheme):
+    # the clustered example puts one piece per marginal in a unit
+    k = scheme.model.k
+    assert sum(scheme.sizes) <= 2 * k + 1
+    assert len(scheme_json_text(scheme).encode()) <= max_file_bytes(k)
 
 
 @settings(max_examples=200, deadline=None)
