@@ -1,20 +1,21 @@
 """Arrival-instance generators and file I/O.
 
-The staged worst-case family posts k identical buyers at each valuation
-stage L, L+eps, ... ; stochastic generators draw truncated normals by
-rejection. Every generated valuation lies in [L, U] by construction, never
-by clamping, and no generator builds, nor ``read_instance`` reads, more
-than MAX_ARRIVALS arrivals or a line of more than MAX_LINE_CHARS characters.
+Valuations are one float column. The staged worst-case family posts k identical
+buyers at each stage L, L+eps, ...; stochastic generators draw truncated
+normals by rejection. Generated valuations lie in [L, U] by construction, never
+by clamping, and no generator builds, nor ``read_instance`` reads, more than
+MAX_ARRIVALS arrivals or a line of more than MAX_LINE_CHARS characters.
 """
 
 import math
 import os
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import CostModel
+from .cost_model import CostModel, packed
 from .errors import ValidationError
 
 # rejection sampling gives up after this many rounds without filling the
@@ -27,6 +28,7 @@ MAX_ARRIVALS = 10_000_000
 # most characters one line of an instance file may hold, its newline not
 # counted: a longer line is refused before the rest of it is read
 MAX_LINE_CHARS = 1024
+_TEXT_BLOCK = 1 << 16  # valuations per block of text instance_text yields
 
 
 def _check_size(n: int) -> None:
@@ -36,8 +38,14 @@ def _check_size(n: int) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    valuations: tuple[float, ...]
+    """Arrivals in order; any float sequence is packed into ``array("d")``."""
+
+    valuations: array
     label: str = ""
+    __hash__ = None  # == compares the column by value; it has no hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "valuations", packed(self.valuations))
 
     def __len__(self) -> int:
         return len(self.valuations)
@@ -65,19 +73,17 @@ def hard_instance(model: CostModel, epsilon: float, terminal_stage: float) -> In
             f"(nearest stage {snapped})"
         )
     _check_size((j_t + 1) * model.k)
-    vals = []
-    for j in range(j_t + 1):
-        stage = terminal_stage if j == j_t else L + j * epsilon
-        vals.extend([stage] * model.k)
+    stages = L + np.arange(j_t + 1) * epsilon
+    stages[-1] = terminal_stage
     return Instance(
-        valuations=tuple(vals),
+        valuations=np.repeat(stages, model.k),
         label=f"hard(eps={epsilon:g}, terminal={terminal_stage:g})",
     )
 
 
 def _truncated_normal(
     model: CostModel, n: int, mu: float, sdev: float, rng: np.random.Generator
-) -> list[float]:
+) -> np.ndarray:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError(f"n must be a non-negative integer, got {n}")
     _check_size(n)
@@ -87,19 +93,17 @@ def _truncated_normal(
     if sdev == 0.0:
         if not L <= mu <= U:
             raise ValidationError(f"degenerate draw at mu={mu} falls outside [{L}, {U}]")
-        return [float(mu)] * n
-    out: list[float] = []
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if len(out) >= n:
-            break
-        draws = rng.normal(mu, sdev, size=max(2 * (n - len(out)), 64))
-        kept = draws[(draws >= L) & (draws <= U)]
-        out.extend(float(v) for v in kept[: n - len(out)])
-    else:
+        return np.full(n, float(mu))
+    kept, missing, rounds = [np.empty(0)], n, 0
+    while missing and rounds < _MAX_REJECTION_ROUNDS:
+        draws = rng.normal(mu, sdev, size=max(2 * missing, 64))
+        kept.append(draws[(draws >= L) & (draws <= U)][:missing])
+        missing, rounds = missing - len(kept[-1]), rounds + 1
+    if missing:
         raise ValidationError(
             f"rejection sampling stalled: N({mu}, {sdev}) almost never lands in [{L}, {U}]"
         )
-    return out
+    return np.concatenate(kept)
 
 
 def gen_iid(
@@ -107,15 +111,15 @@ def gen_iid(
 ) -> Instance:
     """n independent draws from normal(mu, sdev) conditioned on [L, U]."""
     vals = _truncated_normal(model, n, mu, sdev, rng)
-    return Instance(tuple(vals), label=f"iid(n={n}, mu={mu:g}, sdev={sdev:g})")
+    return Instance(vals, label=f"iid(n={n}, mu={mu:g}, sdev={sdev:g})")
 
 
 def gen_sorted(
     model: CostModel, n: int, mu: float, sdev: float, rng: np.random.Generator
 ) -> Instance:
     """Same draw as gen_iid, then arrivals sorted ascending."""
-    vals = sorted(_truncated_normal(model, n, mu, sdev, rng))
-    return Instance(tuple(vals), label=f"sorted(n={n}, mu={mu:g}, sdev={sdev:g})")
+    vals = np.sort(_truncated_normal(model, n, mu, sdev, rng))
+    return Instance(vals, label=f"sorted(n={n}, mu={mu:g}, sdev={sdev:g})")
 
 
 def gen_low2high(
@@ -131,10 +135,10 @@ def gen_low2high(
     """A low-valued block followed by a high-valued block, one stream."""
     if isinstance(n1, int) and isinstance(n2, int):
         _check_size(n1 + n2)
-    vals = _truncated_normal(model, n1, mu1, sdev1, rng)
-    vals += _truncated_normal(model, n2, mu2, sdev2, rng)
+    low = _truncated_normal(model, n1, mu1, sdev1, rng)
+    high = _truncated_normal(model, n2, mu2, sdev2, rng)
     return Instance(
-        tuple(vals),
+        np.concatenate((low, high)),
         label=(
             f"low2high(n1={n1}, mu1={mu1:g}, sdev1={sdev1:g}, "
             f"n2={n2}, mu2={mu2:g}, sdev2={sdev2:g})"
@@ -142,13 +146,13 @@ def gen_low2high(
     )
 
 
-def instance_text(instance: Instance) -> str:
-    """File body: optional label comment plus one valuation per line."""
-    lines = []
+def instance_text(instance: Instance) -> Iterator[str]:
+    """File body, in blocks: optional label comment plus one valuation per line."""
     if instance.label:
-        lines.append(f"# label: {instance.label}")
-    lines.extend(f"{v:.17g}" for v in instance.valuations)
-    return "\n".join(lines) + "\n" if lines else ""
+        yield f"# label: {instance.label}\n"
+    vals = instance.valuations
+    for a in range(0, len(vals), _TEXT_BLOCK):
+        yield "".join([f"{v:.17g}\n" for v in vals[a : a + _TEXT_BLOCK]])
 
 
 def _lines(fh, path) -> Iterator[str]:
@@ -172,7 +176,7 @@ def _lines(fh, path) -> Iterator[str]:
 
 def read_instance(path: str | os.PathLike) -> Instance:
     label = ""
-    vals: list[float] = []
+    vals = array("d")
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(_lines(fh, path), start=1):
@@ -193,4 +197,4 @@ def read_instance(path: str | os.PathLike) -> Instance:
                     )
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-    return Instance(tuple(vals), label=label)
+    return Instance(vals, label=label)

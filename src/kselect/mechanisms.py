@@ -170,7 +170,7 @@ def run_posted_price(
 def _check_valuations(instance: Instance, model: CostModel) -> None:
     """Every valuation finite and in [L, U], or an error naming the first
     that is not."""
-    v = np.asarray(instance.valuations, dtype=float)
+    v = np.frombuffer(instance.valuations)
     bad = ~(np.isfinite(v) & (v >= model.L) & (v <= model.U))
     if bad.any():
         t = int(bad.argmax())
@@ -189,7 +189,7 @@ def offline_opt(instance: Instance, model: CostModel) -> tuple[float, int]:
     welfare[j] is the sum of the j highest valuations, added highest first,
     less f(j).
     """
-    top = np.sort(np.asarray(instance.valuations, dtype=float))[::-1][: model.k]
+    top = np.sort(np.frombuffer(instance.valuations))[::-1][: model.k]
     welfare = np.cumsum(np.append(0.0, top)) - np.frombuffer(model.cumulative)[: len(top) + 1]
     j = int(np.argmax(welfare))
     return float(welfare[j]), j
@@ -346,7 +346,7 @@ def _welfares(P: np.ndarray, instance: Instance, model: CostModel):
     """
     trials, k = P.shape
     n = len(instance)
-    tree, offsets = _max_tree(instance.valuations)
+    tree, offsets = _max_tree(np.frombuffer(instance.valuations))
     pos = np.full((trials, k), n)
     sum_v = np.zeros(trials)
     live = np.arange(trials)

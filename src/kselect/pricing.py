@@ -54,7 +54,7 @@ import numpy as np
 
 from . import jsontext
 from .cost_model import CostModel, allocation_count_g, conjugate, model_from_json, model_to_json
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, threshold
 
 
@@ -306,7 +306,8 @@ def _scheme(model: CostModel, sol: LowerBoundSolution) -> PricingScheme:
         s[rows[mine]] = np.add.accumulate(np.take(s, rows, mode="clip"), axis=1)[mine]
     off = np.flatnonzero(np.abs(s[last] - 1.0) > 1e-9)
     if off.size:
-        raise AssertionError(f"unit {ku + off[0]} seed spans sum to {s[last[off[0]]]}, expected 1")
+        i = off[0]  # an end too near its unit's cost to resolve the unit's spans
+        raise SolverError(f"no scheme: unit {ku + i} seed spans sum to {s[last[i]]}, not 1")
     s_lo[1:] = s[:-1]
     s_lo[starts] = 0.0
     s[last] = 1.0

@@ -334,6 +334,22 @@ def test_flat_range_with_a_top_unit_above_u_exits_3(capsys, tmp_path, U):
         assert "no solution: c_k = 3.0 >= U" in err
 
 
+@pytest.mark.parametrize("top", [math.nextafter(1.5, 0.0), 1.5 - 1e-9])
+def test_a_top_marginal_too_near_u_exits_3(capsys, tmp_path, top):
+    # u_{k-1} must open within about (U - c_k) e^{-alpha/k} of c_k, below float
+    # resolution here, so unit k's seed spans cannot sum to 1: no scheme is
+    # built, and every command that prices exits 3 rather than raising
+    model = json.dumps(
+        {"L": 1, "U": 1.5, "k": 4, "cost": {"type": "explicit", "marginals": [0, 0, 0, top]}}
+    )
+    inst = tmp_path / "inst.txt"
+    inst.write_text("1.2\n1.5\n")
+    for argv in (("pricing",), ("simulate", "--instance", str(inst), "--trials", "3")):
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, out) == (3, "")
+        assert re.search(r"no scheme: unit 4 seed spans sum to \S+, not 1", err)
+
+
 def test_solve_end_test_scales_with_u(capsys):
     # the search ends on adjacent floats whose chain ends lie 3e-9 from U
     big = (
@@ -890,7 +906,24 @@ def test_instances_hard_matches_library_output(capsys):
     )
     assert code == 0
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
-    assert out == instance_text(hard_instance(model, 0.5, 2.0))
+    assert out == "".join(instance_text(hard_instance(model, 0.5, 2.0)))
+
+
+def test_instances_writes_its_text_in_blocks(tmp_path):
+    bench = '{"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}'
+    out = tmp_path / "iid.txt"
+    argv = ["instances", "--model", bench, "--spec", '{"kind": "iid", "n": 100000}']
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--seed", "0", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(read_instance(out)) == 100_000
+    # the traced peak was 14.7 MB when the valuations were a tuple of floats
+    # and the text one string; as a float column written in blocks, 7.3 MB
+    assert peak <= 10e6
 
 
 def test_instances_seed_reproducibility(tmp_path, capsys):

@@ -1,15 +1,21 @@
 """Instance generator tests: staged family by hand, truncated normals
-against a quadrature oracle, and lossless file round trips."""
+against a quadrature oracle, the generators bit for bit against their
+list-based references, and lossless file round trips."""
 
 from __future__ import annotations
 
+import math
 import os
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kselect import instances
+from kselect.cli import main
 from kselect.cost_model import make_cost_model
 from kselect.errors import ValidationError
 from kselect.instances import (
@@ -42,26 +48,61 @@ def ks_statistic(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
+BENCH = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+BENCH_JSON = '{"L": 1, "U": 30, "k": 10, "cost": {"type": "quadratic", "coeff": 0.0625}}'
+
+
 @pytest.fixture
 def wide_model():
-    return make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
+    return BENCH
+
+
+def reference_truncated_normal(model, n, mu, sdev, rng) -> tuple[list[float], int]:
+    """The list-based rejection sampler the generators ran before an
+    instance was a float column, with no ceiling on its rounds: its values,
+    and the batches it drew."""
+    if sdev == 0.0:
+        return [float(mu)] * n, 0
+    out: list[float] = []
+    batches = 0
+    while len(out) < n:
+        draws = rng.normal(mu, sdev, size=max(2 * (n - len(out)), 64))
+        kept = draws[(draws >= model.L) & (draws <= model.U)]
+        out.extend(float(v) for v in kept[: n - len(out)])
+        batches += 1
+    return out, batches
+
+
+def reference_hard(model, epsilon: float, terminal_stage: float) -> list[float]:
+    """The stage loop hard_instance ran before: k copies of stage j = L + j * eps,
+    the last stage the terminal itself."""
+    j_t = round((terminal_stage - model.L) / epsilon)
+    vals = []
+    for j in range(j_t + 1):
+        stage = terminal_stage if j == j_t else model.L + j * epsilon
+        vals.extend([stage] * model.k)
+    return vals
+
+
+def same_bits(inst: Instance, ref: list[float]) -> bool:
+    return inst.valuations.tobytes() == array("d", ref).tobytes()
 
 
 class TestHardInstance:
     def test_hand_example(self):
         m = make_cost_model(L=1.0, U=1.25, k=2, marginals=[0.1, 0.2])
         inst = hard_instance(m, epsilon=0.1, terminal_stage=1.2)
-        assert inst.valuations == (1.0, 1.0, 1.1, 1.1, 1.2, 1.2)
+        assert list(inst.valuations) == [1.0, 1.0, 1.1, 1.1, 1.2, 1.2]
 
     def test_terminal_at_floor(self):
         m = make_cost_model(L=1.0, U=2.0, k=3, marginals=[0.1, 0.2, 0.3])
         inst = hard_instance(m, epsilon=0.25, terminal_stage=1.0)
-        assert inst.valuations == (1.0, 1.0, 1.0)
+        assert list(inst.valuations) == [1.0, 1.0, 1.0]
 
     def test_epsilon_wider_than_range(self):
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
         inst = hard_instance(m, epsilon=5.0, terminal_stage=1.0)
-        assert inst.valuations == (1.0, 1.0)
+        assert list(inst.valuations) == [1.0, 1.0]
 
     def test_off_grid_terminal_rejected(self):
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
@@ -93,6 +134,93 @@ class TestHardInstance:
         assert len(inst) == 10 * 4
         for stage, count in zip(*np.unique(inst.valuations, return_counts=True)):
             assert count == 10
+
+
+class TestAgainstReference:
+    """Every generator gives its list-based reference's values bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sorted_=st.booleans(),
+        n=st.integers(0, 300),
+        mu=st.floats(0.0, 31.0),
+        sdev=st.just(0.0) | st.floats(1.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sorted_=False, n=0, mu=15.0, sdev=15.0, seed=0)
+    @example(sorted_=True, n=5, mu=12.5, sdev=0.0, seed=0)
+    def test_iid_and_sorted(self, sorted_, n, mu, sdev, seed):
+        assume(sdev > 0.0 or 1.0 <= mu <= 30.0)
+        ref, _ = reference_truncated_normal(BENCH, n, mu, sdev, np.random.default_rng(seed))
+        gen = gen_sorted if sorted_ else gen_iid
+        inst = gen(BENCH, n, mu, sdev, np.random.default_rng(seed))
+        assert same_bits(inst, sorted(ref) if sorted_ else ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.just(0) | st.integers(0, 200),
+        n2=st.just(0) | st.integers(0, 200),
+        mu=st.tuples(st.floats(0.0, 31.0), st.floats(0.0, 31.0)),
+        sdev=st.tuples(st.floats(1.0, 40.0), st.floats(1.0, 40.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n1=0, n2=40, mu=(7.5, 22.5), sdev=(7.5, 7.5), seed=17)
+    @example(n1=40, n2=0, mu=(7.5, 22.5), sdev=(7.5, 7.5), seed=17)
+    def test_low2high(self, n1, n2, mu, sdev, seed):
+        rng = np.random.default_rng(seed)
+        ref = reference_truncated_normal(BENCH, n1, mu[0], sdev[0], rng)[0]
+        ref += reference_truncated_normal(BENCH, n2, mu[1], sdev[1], rng)[0]
+        args = (n1, mu[0], sdev[0], n2, mu[1], sdev[1], np.random.default_rng(seed))
+        assert same_bits(gen_low2high(BENCH, *args), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.floats(1.0, 3.0),
+        k=st.integers(1, 4),
+        eps=st.floats(1e-3, 2.0),
+        j_t=st.just(0) | st.integers(0, 300),
+        ulps=st.integers(-3, 3),
+    )
+    @example(L=1.0, k=2, eps=0.1, j_t=3, ulps=-1)  # terminal one ulp below stage 1 + 3 * 0.1
+    def test_hard(self, L, k, eps, j_t, ulps):
+        # the terminal a few ulps off L + j_t * eps, within the snap tolerance
+        terminal = L + j_t * eps
+        for _ in range(abs(ulps)):
+            terminal = float(np.nextafter(terminal, math.copysign(math.inf, ulps)))
+        assume(terminal >= L)
+        m = make_cost_model(L=L, U=terminal + 1.0, k=k, marginals=[0.0] * k)
+        assert same_bits(hard_instance(m, eps, terminal), reference_hard(m, eps, terminal))
+
+    @pytest.mark.parametrize("ceiling, n, sdev", [(1, 1, 15.0), (2, 20, 60.0)])
+    def test_the_last_allowed_round_may_fill_the_request(self, monkeypatch, ceiling, n, sdev):
+        ref, batches = reference_truncated_normal(BENCH, n, 15.0, sdev, np.random.default_rng(0))
+        assert batches == ceiling
+        monkeypatch.setattr(instances, "_MAX_REJECTION_ROUNDS", ceiling)
+        assert same_bits(gen_iid(BENCH, n, 15.0, sdev, np.random.default_rng(0)), ref)
+        monkeypatch.setattr(instances, "_MAX_REJECTION_ROUNDS", ceiling - 1)
+        with pytest.raises(ValidationError, match="stalled"):
+            gen_iid(BENCH, n, 15.0, sdev, np.random.default_rng(0))
+
+
+class TestInstance:
+    @pytest.mark.parametrize(
+        "values",
+        [(1.5, 2), [1.5, 2.0], np.array([1.5, 2.0]), array("d", [1.5, 2.0])],
+        ids=["tuple", "list", "ndarray", "array"],
+    )
+    def test_packs_any_float_sequence_and_compares_by_value(self, values):
+        inst = Instance(values, "x")
+        assert type(inst.valuations) is array and inst.valuations.typecode == "d"
+        assert type(inst.valuations[1]) is float
+        assert inst == Instance((1.5, 2.0), "x")
+        assert inst != Instance((1.5, 2.5), "x") and inst != Instance((1.5, 2.0), "y")
+        if not isinstance(values, tuple):
+            values[0] = 9.0  # packing copied the values
+            assert inst.valuations[0] == 1.5
+
+    def test_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(Instance((1.5,)))
 
 
 class TestSizeCeiling:
@@ -139,9 +267,9 @@ class TestStochasticGenerators:
 
     def test_empty_and_degenerate(self, wide_model):
         rng = np.random.default_rng(0)
-        assert gen_iid(wide_model, 0, 15.0, 15.0, rng).valuations == ()
+        assert list(gen_iid(wide_model, 0, 15.0, 15.0, rng).valuations) == []
         inst = gen_iid(wide_model, 4, 12.5, 0.0, rng)
-        assert inst.valuations == (12.5,) * 4
+        assert list(inst.valuations) == [12.5] * 4
         with pytest.raises(ValidationError):
             gen_iid(wide_model, 4, 0.5, 0.0, rng)
         with pytest.raises(ValidationError):
@@ -184,16 +312,16 @@ class TestFileIO:
         rng = np.random.default_rng(29)
         inst = gen_iid(wide_model, 64, 15.0, 15.0, rng)
         path = tmp_path / "inst.txt"
-        path.write_text(instance_text(inst))
+        path.write_text("".join(instance_text(inst)))
         back = read_instance(path)
         assert back.valuations == inst.valuations
         assert back.label == inst.label
 
     def test_no_label(self, tmp_path):
         path = tmp_path / "plain.txt"
-        path.write_text(instance_text(Instance((1.5, 2.0))))
+        path.write_text("".join(instance_text(Instance((1.5, 2.0)))))
         back = read_instance(path)
-        assert back.valuations == (1.5, 2.0)
+        assert list(back.valuations) == [1.5, 2.0]
         assert back.label == ""
 
     def test_malformed_line_reported(self, tmp_path):
@@ -205,7 +333,7 @@ class TestFileIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        assert read_instance(path).valuations == ()
+        assert list(read_instance(path).valuations) == []
 
     def test_line_ceiling_names_the_line_and_reads_no_further(self, tmp_path):
         path = tmp_path / "lines.txt"
@@ -214,7 +342,7 @@ class TestFileIO:
         with pytest.raises(ValidationError, match=f"line 20004: longer than {MAX_LINE_CHARS}"):
             read_instance(path)
         path.write_text(f"2.0\n{ok}")
-        assert read_instance(path).valuations == (2.0, 1.5)
+        assert list(read_instance(path).valuations) == [2.0, 1.5]
         # a gigabyte line with no newline: a sparse file, refused after one block
         with open(path, "w") as fh:
             fh.write("1.5\n")
@@ -232,7 +360,47 @@ class TestFileIO:
         monkeypatch.setattr(instances, "MAX_ARRIVALS", 3)
         path = tmp_path / "long.txt"
         path.write_text("# label: x\n1.5\n\n2.0\n2.5\n")
-        assert read_instance(path).valuations == (1.5, 2.0, 2.5)
+        assert list(read_instance(path).valuations) == [1.5, 2.0, 2.5]
         path.write_text("1.5\n2.0\n2.5\n3.0\nabc\n")
         with pytest.raises(ValidationError, match="more than 3 arrivals"):
             read_instance(path)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1_0", 10.0),
+            ("\u0661", 1.0),
+            (" \t2.5  ", 2.5),
+            ("nan", math.nan),
+            ("inf", math.inf),
+            ("+1e5", 1e5),
+        ],
+        ids=["underscore", "arabic-indic", "padded", "nan", "inf", "plus"],
+    )
+    def test_reads_what_float_reads(self, tmp_path, text, value):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"2.0\n{text}\n", encoding="utf-8")
+        assert read_instance(path).valuations.tobytes() == array("d", [2.0, value]).tobytes()
+
+    @pytest.mark.parametrize("text", ["2.5 # c", "0x10"])
+    def test_refuses_what_float_refuses(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"2.0\n{text}\n")
+        code = main(["simulate", "--model", BENCH_JSON, "--instance", str(path), "--trials", "1"])
+        assert code == 2
+        assert f"line 2: not a number: {text!r}" in capsys.readouterr().err
+
+    def test_reader_holds_one_float_column(self, tmp_path):
+        path = tmp_path / "iid.txt"
+        inst = gen_iid(BENCH, 100_000, 15.0, 15.0, np.random.default_rng(0))
+        path.write_text("".join(instance_text(inst)))
+        tracemalloc.start()
+        try:
+            back = read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == inst
+        # the traced peak was 4.0 MB when the reader built a list, then a
+        # tuple, of Python floats; appending to one float column, 1.7 MB
+        assert peak <= 2.5e6
