@@ -20,6 +20,8 @@ splits them evenly among the CPUs in the process's affinity mask, in
 forked workers; its output matches a one-CPU run byte for byte.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os
@@ -43,7 +45,7 @@ from .instances import (
     instance_text,
     read_instance,
 )
-from .lower_bound import solve_alpha_star, threshold
+from .lower_bound import DEFAULT_TOL, chain_residual, solve_alpha_star, threshold
 from .mechanisms import (
     MAX_TRIAL_CELLS,
     Mechanism,
@@ -233,6 +235,14 @@ def _solution_json_chunks(model: CostModel, sol) -> Iterator[str]:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     sol = solve_alpha_star(model)
+    # the chain ends at U, yet an end too near its unit's cost to resolve
+    # can miss that unit's equation; pricing refuses the same chain
+    residual = chain_residual(sol, model)
+    if not residual <= DEFAULT_TOL:
+        raise SolverError(
+            f"no solution: the chain misses its equations by {residual:.3e} of alpha, "
+            f"over the tolerance {DEFAULT_TOL:g}"
+        )
     _emit(chain(_solution_json_chunks(model, sol), ("\n",)), args.out)
     return 0
 

@@ -7,6 +7,9 @@ Each master seed keys one counter-based Philox stream, and trial t reads
 row t of it: the k words from counter block t * ceil(k / 4), four words
 per block. Any trial is addressable without drawing the others, so results
 are reproducible and independent of the order trials are drawn in.
+numpy.random is loaded at the first draw, not on import: the seed
+sequence type that hands Philox its key is made then, and annotations are
+never evaluated, so a command that draws nothing never loads it.
 
 A Mechanism is a pricing scheme plus the kind of seeding it uses; its
 name and surrogate flag follow from the kind. One function, _price_matrix,
@@ -32,13 +35,14 @@ every output; they stand in for external baseline designs whose exact
 constructions are not reproduced here.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .cost_model import CostModel
 from .errors import ValidationError
@@ -207,23 +211,29 @@ def ratio_to_opt(opt: float, mean: float) -> float:
 # seed streams
 
 
-class _PhiloxKey(ISeedSequence):
-    """A seed sequence that hands Philox a fixed key, the two uint64 words
-    it asks for, so building a trial's generator neither hashes a seed nor
-    draws OS entropy."""
+@functools.cache
+def _key_type() -> type:
+    """The seed sequence type that hands Philox a fixed key, the two uint64
+    words it asks for, so building a trial's generator neither hashes a seed
+    nor draws OS entropy. Made on first use, as its base class lives in
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
 
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.key
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.key
+
+    return PhiloxKey
 
 
 @functools.lru_cache(maxsize=16)
-def _philox_key(master_seed: int) -> _PhiloxKey:
+def _philox_key(master_seed: int):
     key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     key.flags.writeable = False
-    return _PhiloxKey(key)
+    return _key_type()(key)
 
 
 def trial_rng(master_seed: int, trial_index: int, k: int) -> np.random.Generator:

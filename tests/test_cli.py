@@ -338,7 +338,8 @@ def test_flat_range_with_a_top_unit_above_u_exits_3(capsys, tmp_path, U):
 def test_a_top_marginal_too_near_u_exits_3(capsys, tmp_path, top):
     # u_{k-1} must open within about (U - c_k) e^{-alpha/k} of c_k, below float
     # resolution here, so unit k's seed spans cannot sum to 1: no scheme is
-    # built, and every command that prices exits 3 rather than raising
+    # built, and every command that prices exits 3 rather than raising;
+    # solve, whose chain then misses unit k's equation, exits 3 as well
     model = json.dumps(
         {"L": 1, "U": 1.5, "k": 4, "cost": {"type": "explicit", "marginals": [0, 0, 0, top]}}
     )
@@ -348,6 +349,9 @@ def test_a_top_marginal_too_near_u_exits_3(capsys, tmp_path, top):
         code, out, err = run_cli(capsys, *argv, "--model", model)
         assert (code, out) == (3, "")
         assert re.search(r"no scheme: unit 4 seed spans sum to \S+, not 1", err)
+    code, out, err = run_cli(capsys, "solve", "--model", model)
+    assert (code, out) == (3, "")
+    assert re.search(r"no solution: the chain misses its equations by \S+ of alpha", err)
 
 
 def test_solve_end_test_scales_with_u(capsys):
@@ -795,6 +799,31 @@ SOLVE_SHA256 = {
 def test_solve_json_bytes_are_pinned(capsys, name):
     model, digest = SOLVE_SHA256[name]
     code, out, _ = run_cli(capsys, "solve", "--model", model)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+# SHA-256 of `curves` stdout: the default sweep, whose regime turns general
+# at k = 30; one from k = 1, high-value throughout, where the chain's top
+# end lies within tolerance of U, not on it; and one general from k = 51.
+# Recorded with NumPy's AVX-512 kernels on and off.
+CURVES_SHA256 = {
+    "default": ((), "bf68985b6de1e50037d83dd26a9371b5c06d32aedc7cd0df662a89eaa2fc2ba7"),
+    "from-k1-coeff-0.001": (
+        ("--k-min", "1", "--k-max", "200", "--cost-coeff", "0.001"),
+        "a264259aae9421ad8c6ef08cb88b41f0dff4084d2da3918c3e6d558fd992ae56",
+    ),
+    "coeff-0.01": (
+        ("--k-max", "200", "--cost-coeff", "0.01"),
+        "8050ebe6efc098ac677b5033448ec083945c61745804bb0b21aa5da9f41156cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES_SHA256))
+def test_curves_csv_bytes_are_pinned(capsys, name):
+    extra, digest = CURVES_SHA256[name]
+    code, out, _ = run_cli(capsys, "curves", *extra)
     assert code == 0
     assert sha256(out) == digest
 
@@ -1401,27 +1430,88 @@ def test_curves_rejects_bad_range(capsys):
 # process-level entry
 
 
-def test_module_invocation_in_subprocess():
-    # the child finds the package where this process found it, installed or not
+def fresh_interpreter(cwd, *argv) -> str:
+    """stdout of ``python *argv`` in a new interpreter that finds the
+    package where this process found it."""
     src = os.path.dirname(os.path.dirname(kselect.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "kselect.cli", "solve", "--model", E_MODEL],
-        capture_output=True, text=True, timeout=120, env=env,
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=cwd
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_module_invocation_in_subprocess():
+    # the child finds the package where this process found it, installed or not
+    out = fresh_interpreter(None, "-m", "kselect.cli", "solve", "--model", E_MODEL)
+    assert json.loads(out)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_package_invocation_in_subprocess():
-    src = os.path.dirname(os.path.dirname(kselect.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "kselect", "solve", "--model", E_MODEL],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+    out = fresh_interpreter(None, "-m", "kselect", "solve", "--model", E_MODEL)
+    assert json.loads(out)["alpha_star"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("module", ["kselect", "kselect.cli"])
+def test_importing_the_package_loads_no_random_stack(tmp_path, module):
+    probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
+    assert fresh_interpreter(tmp_path, "-c", probe) == "False\n"
+
+
+# main(argv) in a fresh interpreter, printing its exit code, whether it
+# loaded numpy.random and the SHA-256 of its stdout
+_STARTUP_PROBE = """\
+import contextlib, hashlib, io, json, sys
+from kselect.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps([code, "numpy.random" in sys.modules, digest]))
+"""
+_SIMULATE_FIG = (
+    "simulate", "--model", FIG_MODEL, "--instance", "inst.txt", "--trials", "50", "--seed", "3"
+)
+_PIN = ("--pin-seeds", ",".join(["0.5"] * 10))
+# command -> (argv, whether it draws, SHA-256 of its stdout); the digests
+# not taken from the tables above were recorded before any command left
+# numpy.random unloaded
+STARTUP = {
+    "solve": (("solve", "--model", SOLVE_SHA256["exp"][0]), False, SOLVE_SHA256["exp"][1]),
+    "pricing": (("pricing", "--model", FIG_MODEL), False, PRICING_SHA256["fig"][1]),
+    "pricing-samples": (
+        ("pricing", "--model", FIG_MODEL, "--samples", "8"), False,
+        "adb6beb889ccfc311ed007a49a8abe08674ef9e2953474c80badc0afce891ca7",
+    ),
+    "curves": (("curves",), False, CURVES_SHA256["default"][1]),
+    "simulate-pin-seeds": ((*_SIMULATE_FIG, *_PIN), False, SIMULATE_SHA256[_PIN]),
+    "simulate-prices": (
+        (*_SIMULATE_FIG, "--prices", ",".join(map(str, range(1, 11)))), False,
+        "c7deb86d995f7761835b585fd739864a8bc07cc017f4ec7a8e0df781c0b87aec",
+    ),
+    "simulate": (_SIMULATE_FIG, True, SIMULATE_SHA256[()]),
+    "simulate-static": (
+        (*_SIMULATE_FIG, "--mechanism", "static"), True,
+        SIMULATE_SHA256[("--mechanism", "static")],
+    ),
+    "experiment": (
+        PARALLEL_ARGS, True, "3f0a98a309524d3f5b94d1ca3f3a51ae72e80ab919a241aa5fc2e5f071c4c799"
+    ),
+    "instances": (
+        ("instances", "--model", FIG_MODEL, "--seed", "5",
+         "--spec", '{"kind": "low2high", "n1": 20, "n2": 20}'), True,
+        "debd520cb57572ca9f12ffa3d25bfe9209175bb6178c0d09e9cba415ac2cfe04",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARTUP))
+def test_only_commands_that_draw_load_the_random_stack(tmp_path, name):
+    argv, draws, digest = STARTUP[name]
+    write_inst(tmp_path, [1.5, 3.0, 9.5, 2.25, 7.0, 4.0, 1.0, 8.5, 6.0, 5.5, 2.0, 10.0])
+    out = fresh_interpreter(tmp_path, "-c", _STARTUP_PROBE, *argv)
+    assert json.loads(out) == [0, draws, digest]
 
 
 def test_size_ceilings_reject_before_allocating(capsys):
