@@ -292,7 +292,7 @@ _SPEC_DEFAULTS = {
 _GENERATORS = {"iid": gen_iid, "sorted": gen_sorted, "low2high": gen_low2high}
 
 
-def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator) -> Instance:
+def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator | None) -> Instance:
     kind = spec.get("kind")
     defaults = _SPEC_DEFAULTS.get(kind) if isinstance(kind, str) else None
     if defaults is None:
@@ -314,7 +314,9 @@ def _build_instance(model: CostModel, spec: dict, rng: np.random.Generator) -> I
 def cmd_instances(args) -> int:
     model = _load_model(args)
     spec = _json_object("instance spec", args.spec)
-    rng = np.random.default_rng(as_int("seed", args.seed, minimum=0))
+    seed = as_int("seed", args.seed, minimum=0)
+    # the hard family draws nothing, so it gets no generator
+    rng = None if spec.get("kind") == "hard" else np.random.default_rng(seed)
     _emit(instance_text(_build_instance(model, spec, rng)), args.out)
     return 0
 

@@ -14,10 +14,11 @@ Two derived quantities drive the solvers:
   ``v``, which is both the maximizer of the conjugate and its slope. It is
   the one search of the marginals; both take a valuation or an array.
 
-The per-unit tables a model derives -- cumulative costs, the price-floor
-prefix and the step table of g -- are float columns (``array("d")``),
-built once each by a NumPy pass: scalar readers index them for Python
-floats, and vector readers view them with ``np.frombuffer``.
+The marginals and the per-unit tables a model derives from them --
+cumulative costs, the price-floor prefix and the step table of g -- are
+float columns (``array("d")``), each built once by a NumPy pass: scalar
+readers index them for Python floats, and vector readers view them with
+``np.frombuffer``.
 """
 
 import math
@@ -56,20 +57,20 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
 class CostModel:
     """Immutable setup {L, U, k, marginals}. Build via :func:`make_cost_model`.
 
-    ``marginals`` stays a tuple, the model's identity for ``==`` and
-    ``hash``; the tables derived from it are float columns.
+    ``marginals`` is one float column, and ``marginal_column`` a read-only
+    NumPy view of it.
     """
 
     L: float
     U: float
     k: int
-    marginals: tuple[float, ...]
+    marginals: array  # array("d"): c_1..c_k
+    __hash__ = None  # == compares the column by value; it has no hash
 
     @cached_property
     def marginal_column(self) -> np.ndarray:
-        """The marginals as a read-only float64 array; ``make_cost_model``
-        sets it to the array it checked."""
-        out = np.array(self.marginals)
+        """The marginals as a read-only float64 view of their column."""
+        out = np.frombuffer(self.marginals)
         out.flags.writeable = False
         return out
 
@@ -207,9 +208,9 @@ def make_cost_model(
         arr = arr.astype(np.float64, copy=False)
         if len(arr) != k:
             raise ValidationError(f"expected {k} marginals, got {len(arr)}")
-    ms = tuple(arr.tolist())
     if (~np.isfinite(arr) | (arr < 0.0)).any() or (arr[1:] < arr[:-1]).any():
         # the error of the first bad marginal
+        ms = arr.tolist()
         for i, c in enumerate(ms):
             if not math.isfinite(c) or c < 0.0:
                 raise ValidationError(f"marginal c_{i + 1} = {c} must be finite and >= 0")
@@ -217,12 +218,7 @@ def make_cost_model(
                 raise ValidationError(
                     f"marginals must be non-decreasing: c_{i + 1} = {c} < c_{i} = {ms[i - 1]}"
                 )
-    model = CostModel(L=L, U=U, k=k, marginals=ms)
-    # the checked array is the model's marginal column, so no read of it
-    # converts the tuple again
-    arr.flags.writeable = False
-    vars(model)["marginal_column"] = arr
-    return model
+    return CostModel(L=L, U=U, k=k, marginals=packed(arr))
 
 
 def allocation_count_g(model: CostModel, v):
@@ -261,7 +257,7 @@ def model_to_json(model: CostModel) -> dict:
         "L": model.L,
         "U": model.U,
         "k": model.k,
-        "cost": {"type": "explicit", "marginals": list(model.marginals)},
+        "cost": {"type": "explicit", "marginals": model.marginals.tolist()},
     }
 
 

@@ -367,6 +367,9 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     k = model.k
     fields = sorted(_SEGMENT_FIELDS)
     cols = _column_view(scheme)
+    # laid out first: the k marginal floats it lists are freed before the texts are made
+    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION)
+    file["model"]["cost"]["marginals"] = jsontext.SECTION
     numbers = np.empty(3 * k + cols.size)
     numbers[:k] = model.marginal_column
     numbers[k : 3 * k].reshape(-1, 2)[:] = scheme.price_intervals
@@ -377,8 +380,6 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     # the numbers of unit i's segments start at row_stops[i]
     row_stops = 3 * k + len(fields) * scheme._offsets
     unit_templates = {n: jsontext.block([_SEGMENT_ITEM] * n, 2) for n in set(scheme.sizes)}
-    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION)
-    file["model"]["cost"]["marginals"] = jsontext.SECTION
     return jsontext.document(
         jsontext.layout(file),
         [

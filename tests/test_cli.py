@@ -179,6 +179,7 @@ REMOVED_INSTANCE_FLAGS = (
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
          "--mechanism", "pinned", "--sigma", "0.5"),
         ("instances", "--model", K2_MODEL, "--seed", "-1"),
+        ("instances", "--model", K2_MODEL, "--seed", "-1", "--spec", '{"kind": "hard"}'),
         *[("instances", "--model", K2_MODEL, f"--{flag}", "1") for flag in REMOVED_INSTANCE_FLAGS],
         ("curves", "--k-min", "2", "--k-max", "4", "--l", "x"),
         ("curves", "--k-min", "2", "--k-max", "4", "--u", "x"),
@@ -224,6 +225,7 @@ REMOVED_INSTANCE_FLAGS = (
         "no-tol-flag",
         "no-sigma-flag",
         "negative-seed",
+        "negative-seed-hard",
         *[f"no-{flag}-flag" for flag in REMOVED_INSTANCE_FLAGS],
         "curves-L-string",
         "curves-U-string",
@@ -1502,6 +1504,10 @@ STARTUP = {
         ("instances", "--model", FIG_MODEL, "--seed", "5",
          "--spec", '{"kind": "low2high", "n1": 20, "n2": 20}'), True,
         "debd520cb57572ca9f12ffa3d25bfe9209175bb6178c0d09e9cba415ac2cfe04",
+    ),
+    "instances-hard": (
+        ("instances", "--model", FIG_MODEL, "--seed", "5", "--spec", '{"kind": "hard"}'), False,
+        "fdbd1e0d59230df430085ecce91cd4e757b9b5622b7a3dceb8ba8ce0e10127b7",
     ),
 }
 

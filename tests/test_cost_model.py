@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -147,17 +148,49 @@ class TestCostTables:
 
     @settings(max_examples=100, deadline=None)
     @given(ladders(), st.sampled_from((-0.0, 0.0, 0.3, 1.0 / 59.0)))
-    def test_marginal_column_is_the_tuple_read_only(self, ladder, a):
+    def test_marginal_column_is_a_read_only_view_of_the_marginals(self, ladder, a):
         L, ms = ladder
         for m in (
             make_cost_model(L, L + 1.0, len(ms), marginals=ms),
             make_cost_model(L, L + 1.0, len(ms), quadratic_coeff=a),
         ):
-            assert isinstance(m.marginals, tuple)
+            assert isinstance(m.marginals, array) and m.marginals.typecode == "d"
             column = m.marginal_column
             assert column.dtype == np.float64
-            assert float_bits(column) == float_bits(np.array(m.marginals))
+            assert np.shares_memory(column, m.marginals)
+            assert float_bits(column) == float_bits(m.marginals)
             assert not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(quadratic_coeff=1e-5), dict(marginals=(1e-5 * np.arange(1, 2 * 10**5, 2)).tolist())],
+        ids=["quadratic", "explicit"],
+    )
+    def test_the_model_holds_its_ladder_once(self, kwargs):
+        # 10^5 marginals are 0.8 MB as one float column; a tuple of them
+        # held 4.0 MB and peaked at 4.8 MB while the model was built
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = make_cost_model(1.0, 2.0, 10**5, **kwargs)
+            held, peak = (n - base for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert m.marginals[-1] == pytest.approx(1e-5 * (2 * 10**5 - 1))
+        assert held <= 1.2e6
+        assert peak <= 2.4e6
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 200), st.sampled_from((-0.0, 0.0, 0.3, 1.0 / 59.0)))
+    def test_quadratic_and_explicit_spellings_compare_equal(self, k, a):
+        quadratic = make_cost_model(1.0, 2.0, k, quadratic_coeff=a)
+        explicit = make_cost_model(1.0, 2.0, k, marginals=[a * (2 * i - 1) for i in range(1, k + 1)])
+        assert quadratic == explicit
+        assert quadratic != make_cost_model(1.0, 2.0, k, quadratic_coeff=a + 1.0)
+
+    def test_a_model_has_no_hash(self):
+        with pytest.raises(TypeError):
+            hash(make_cost_model(1.0, 2.0, 2, marginals=[0.1, 0.2]))
 
     @pytest.mark.parametrize(
         "kwargs, message",

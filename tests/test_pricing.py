@@ -593,6 +593,14 @@ def test_every_built_scheme_loads_back_equal(scheme):
     assert scheme_from_json(json.loads(scheme_json_text(scheme))) == scheme
 
 
+@settings(max_examples=50, deadline=None)
+@given(built_schemes())
+def test_a_scheme_object_loads_back_with_an_equal_model(scheme):
+    model = scheme_from_json(scheme_to_json(scheme)).model
+    assert model == scheme.model
+    assert model.marginals.tobytes() == scheme.model.marginals.tobytes()  # -0.0 kept
+
+
 def two_unit_scheme(L, U, marginals):
     return build_scheme(make_cost_model(L=L, U=U, k=2, marginals=marginals))
 
