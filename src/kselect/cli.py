@@ -9,6 +9,11 @@ Subcommands:
 * experiment  empirical-ratio CDF data across generated instances, as CSV
 * curves      guarantee-versus-capacity sweep for a cost family, as CSV
 
+The command line is the subcommand, then ``--name VALUE`` pairs: each name
+is an option of that subcommand in the table ``COMMANDS``, spelt in full,
+and the token after it is its value. ``-h`` or ``--help`` prints the usage
+and the options. Any other command line is invalid input.
+
 Every subcommand accepts ``--config FILE`` holding a JSON object whose keys
 name options of that subcommand and provide their defaults; explicit flags
 override the file, and a key that names no option is invalid input. Relative
@@ -22,7 +27,6 @@ forked workers; its output matches a one-CPU run byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pickle
@@ -30,6 +34,7 @@ import sys
 import threading
 from collections.abc import Iterator
 from itertools import accumulate, chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -610,133 +615,142 @@ def cmd_curves(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# command line
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line (an unknown flag, a missing or invalid
-    value) as invalid input: ``error: ...`` on stderr and exit 2, through
-    the same handler as every other input check."""
-
-    def error(self, message):
-        raise ValidationError(f"{message}\n{self.format_usage().rstrip()}")
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON file of defaults for this subcommand's options")
-    shared.add_argument("--out", help="output path (stdout when omitted)")
-
-    model_opts = argparse.ArgumentParser(add_help=False)
-    model_opts.add_argument("--model", help="model JSON, inline or a file path")
-
-    parser = _Parser(
-        prog="kselect",
-        description="solver, pricing and simulation toolkit for capacitated "
-        "posted-price selling with non-decreasing marginal costs",
-    )
-    subs_action = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
-
-    p = subs["solve"] = subs_action.add_parser(
-        "solve", parents=[shared, model_opts], help="bound value and interval chain"
-    )
-    p.set_defaults(func=cmd_solve)
-
-    p = subs["pricing"] = subs_action.add_parser(
-        "pricing", parents=[shared, model_opts], help="price curves as JSON or CSV"
-    )
-    p.add_argument(
-        "--samples",
-        default=0,
-        help="emit CSV sampling each curve at this many steps instead of JSON",
-    )
-    p.set_defaults(func=cmd_pricing)
-
-    p = subs["instances"] = subs_action.add_parser(
-        "instances", parents=[shared, model_opts], help="write an arrival sequence"
-    )
-    p.add_argument(
-        "--spec",
-        default='{"kind": "iid"}',
-        help="instance spec JSON: kind and its distribution parameters",
-    )
-    p.add_argument("--seed", default=0, help="generation seed")
-    p.set_defaults(func=cmd_instances)
-
-    p = subs["simulate"] = subs_action.add_parser(
-        "simulate", parents=[shared, model_opts], help="run one mechanism on one instance"
-    )
-    p.add_argument("--instance", help="instance file to replay")
-    p.add_argument("--scheme", help="scheme JSON from the pricing subcommand")
-    p.add_argument(
-        "--mechanism",
-        default="r-dynamic",
-        help="r-dynamic, static or pinned; pinned takes an optional :sigma suffix",
-    )
-    p.add_argument("--trials", default=2000, help="Monte-Carlo trials")
-    p.add_argument("--seed", default=0, help="master seed keying the trial stream")
-    p.add_argument("--pin-seeds", help="comma seeds; one deterministic trace")
-    p.add_argument("--prices", help="comma prices; bypass the scheme entirely")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs["experiment"] = subs_action.add_parser(
-        "experiment", parents=[shared, model_opts], help="empirical-ratio CDF data"
-    )
-    p.add_argument(
-        "--instances",
-        default='{"kind": "iid", "count": 300}',
-        help="instance spec JSON: kind, count and distribution parameters",
-    )
-    p.add_argument(
-        "--mechanisms",
-        default="r-dynamic,pinned:0.5,static",
-        help="comma list; pinned takes an optional :sigma suffix",
-    )
-    p.add_argument("--trials", default=2000, help="Monte-Carlo trials per instance")
-    p.add_argument("--master-seed", default=0, help="seed for all substreams")
-    p.set_defaults(func=cmd_experiment)
-
-    p = subs["curves"] = subs_action.add_parser(
-        "curves", parents=[shared], help="guarantee sweep over capacities"
-    )
-    p.add_argument("--k-min", default=2)
-    p.add_argument("--k-max", default=40)
-    p.add_argument("--l", default=1.0, help="lowest valuation")
-    p.add_argument("--u", default=10.0, help="highest valuation")
-    p.add_argument(
-        "--cost-coeff", default=1.0 / 59.0, help="a in the cumulative cost a*i^2"
-    )
-    p.set_defaults(func=cmd_curves)
-
-    return parser, subs
+# Options as name -> (default, help), spelt --name VALUE on the command line
+# and name in a config file. Every subcommand takes the shared ones, and
+# all but curves take --model too.
+_SHARED = {
+    "config": (None, "JSON file of defaults for this subcommand's options"),
+    "out": (None, "output path (stdout when omitted)"),
+}
+_MODEL = _SHARED | {"model": (None, "model JSON, inline or a file path")}
+# subcommand -> (its function, its summary, its options)
+COMMANDS = {
+    "solve": (cmd_solve, "bound value and interval chain", _MODEL),
+    "pricing": (cmd_pricing, "price curves as JSON or CSV", _MODEL | {
+        "samples": (0, "emit CSV sampling each curve at this many steps instead of JSON"),
+    }),
+    "instances": (cmd_instances, "write an arrival sequence", _MODEL | {
+        "spec": ('{"kind": "iid"}', "instance spec JSON: kind and its distribution parameters"),
+        "seed": (0, "generation seed"),
+    }),
+    "simulate": (cmd_simulate, "run one mechanism on one instance", _MODEL | {
+        "instance": (None, "instance file to replay"),
+        "scheme": (None, "scheme JSON from the pricing subcommand"),
+        "mechanism": (
+            "r-dynamic", "r-dynamic, static or pinned; pinned takes an optional :sigma suffix"
+        ),
+        "trials": (2000, "Monte-Carlo trials"),
+        "seed": (0, "master seed keying the trial stream"),
+        "pin-seeds": (None, "comma seeds; one deterministic trace"),
+        "prices": (None, "comma prices; bypass the scheme entirely"),
+    }),
+    "experiment": (cmd_experiment, "empirical-ratio CDF data", _MODEL | {
+        "instances": (
+            '{"kind": "iid", "count": 300}',
+            "instance spec JSON: kind, count and distribution parameters",
+        ),
+        "mechanisms": (
+            "r-dynamic,pinned:0.5,static", "comma list; pinned takes an optional :sigma suffix"
+        ),
+        "trials": (2000, "Monte-Carlo trials per instance"),
+        "master-seed": (0, "seed for all substreams"),
+    }),
+    "curves": (cmd_curves, "guarantee sweep over capacities", _SHARED | {
+        "k-min": (2, "smallest capacity"),
+        "k-max": (40, "largest capacity"),
+        "l": (1.0, "lowest valuation"),
+        "u": (10.0, "highest valuation"),
+        "cost-coeff": (1.0 / 59.0, "a in the cumulative cost a*i^2"),
+    }),
+}
+_HELP = ("-h", "--help")
 
 
-def _config_defaults(args) -> dict:
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: kselect {{{','.join(COMMANDS)}}} [--OPTION VALUE ...]"
+    flags = (f"[--{name} {name.upper()}]" for name in COMMANDS[command][2])
+    return " ".join(("usage: kselect", command, "[-h]", *flags))
+
+
+def _help(command: str | None) -> str:
+    """The usage line, then each subcommand's summary, or each option of
+    ``command`` with its help and default."""
+    if command is None:
+        body = [
+            "solver, pricing and simulation toolkit for capacitated posted-price selling",
+            "with non-decreasing marginal costs",
+            "",
+            "subcommands:",
+        ]
+        body += [f"  {name:<12}{summary}" for name, (_, summary, _) in COMMANDS.items()]
+        body += ["", "kselect SUBCOMMAND --help lists the options of SUBCOMMAND."]
+    else:
+        body = [COMMANDS[command][1], "", "options:", "  -h, --help", "      print this help"]
+        for name, (default, text) in COMMANDS[command][2].items():
+            shown = "" if default is None else f" (default: {default})"
+            body += [f"  --{name} {name.upper()}", f"      {text}{shown}"]
+    return "\n".join([_usage(command), "", *body]) + "\n"
+
+
+def _parse(argv: list[str]) -> tuple[str, dict] | None:
+    """The subcommand ``argv`` names and the values its flags give, by
+    option name; None when it asks for help, which is printed. Each flag is
+    an exact option name followed by its value, which is the next token
+    whatever it holds, so ``--seed -1`` gives the seed -1."""
+    if argv and argv[0] in _HELP:
+        sys.stdout.write(_help(None))
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand given"
+        raise ValidationError(f"{what}: expected one of {', '.join(COMMANDS)}\n{_usage(None)}")
+    command, tokens = argv[0], iter(argv[1:])
+    options, flags = COMMANDS[command][2], {}
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_help(command))
+            return None
+        if not token.startswith("--") or token[2:] not in options:
+            raise ValidationError(f"unknown option {token!r}\n{_usage(command)}")
+        value = next(tokens, None)
+        if value is None:
+            raise ValidationError(f"option {token} needs a value\n{_usage(command)}")
+        flags[token[2:]] = value
+    return command, flags
+
+
+def _config_defaults(command: str, path: str) -> dict:
     """Defaults from the ``--config`` file: a JSON object whose keys, with
     dashes or underscores, name options of the chosen subcommand."""
-    cfg = _read_json_file(args.config, "config file", MAX_CONFIG_FILE_BYTES)
+    cfg = _read_json_file(path, "config file", MAX_CONFIG_FILE_BYTES)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
-    options = vars(args).keys() - {"command", "func", "config"}
+    options = COMMANDS[command][2].keys() - {"config"}
     defaults = {}
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in options:
-            raise ValidationError(f"config key {key!r} is not an option of {args.command}")
-        defaults[dest] = value
+        name = key.replace("_", "-")
+        if name not in options:
+            raise ValidationError(f"config key {key!r} is not an option of {command}")
+        defaults[name] = value
     return defaults
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subs = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            subs[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
-        return args.func(args)
+        parsed = _parse(argv)
+        if parsed is None:
+            return 0
+        command, flags = parsed
+        run, _, options = COMMANDS[command]
+        values = {name: default for name, (default, _) in options.items()}
+        if "config" in flags:
+            values |= _config_defaults(command, flags["config"])
+        values |= flags
+        return run(SimpleNamespace(**{name.replace("-", "_"): v for name, v in values.items()}))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -746,9 +760,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0 if code is None else 2
 
 
 if __name__ == "__main__":

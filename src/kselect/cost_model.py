@@ -251,13 +251,17 @@ def conjugate(model: CostModel, v):
     return v * g - np.frombuffer(model.cumulative)[g]
 
 
-def model_to_json(model: CostModel) -> dict:
-    """Serialize to the interchange schema (costs always explicit)."""
+def model_to_json(model: CostModel, marginals=None) -> dict:
+    """Serialize to the interchange schema (costs always explicit). A writer
+    that streams the marginals passes the mark of their place as
+    ``marginals``, so that their list is never built."""
+    if marginals is None:
+        marginals = model.marginals.tolist()
     return {
         "L": model.L,
         "U": model.U,
         "k": model.k,
-        "cost": {"type": "explicit", "marginals": model.marginals.tolist()},
+        "cost": {"type": "explicit", "marginals": marginals},
     }
 
 

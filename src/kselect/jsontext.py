@@ -17,6 +17,9 @@ import numpy as np
 
 # Items (units) per streamed chunk: bounds the text held at once.
 CHUNK_UNITS = 4096
+# Distinct floats number_texts formats at once: bounds the Python floats and
+# the list of texts held beside the texts array.
+FORMAT_SLICE = 1 << 16
 
 # Marks the place of a streamed array in a document template.
 SECTION = "\0"
@@ -48,7 +51,9 @@ def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by their bits: -0.0 and 0.0 compare and hash equal, so a dedupe by
     value would write one as the other. A stable argsort groups equal
     bits; it runs faster than ``np.unique``'s quicksort here, since a
-    document's columns are mostly ascending runs.
+    document's columns are mostly ascending runs. The distinct floats are
+    formatted FORMAT_SLICE at a time, so their Python floats and texts are
+    not all held at once beside the texts array.
     """
     bits = floats.view(np.int64)
     order = np.argsort(bits, kind="stable")
@@ -64,7 +69,10 @@ def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at = np.empty_like(rank)
     at[order] = rank
     del order, rank
-    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    texts = np.empty(len(values), dtype=object)
+    for a in range(0, len(values), FORMAT_SLICE):
+        part = values[a : a + FORMAT_SLICE].tolist()
+        texts[a : a + len(part)] = list(map(float.__repr__, part))
     for j in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
     return texts, at

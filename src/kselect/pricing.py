@@ -321,10 +321,11 @@ def build_scheme(model: CostModel) -> PricingScheme:
     return _scheme(model, solve_alpha_star(model))
 
 
-def _scheme_file(scheme: PricingScheme, price_intervals, segments) -> dict:
+def _scheme_file(scheme: PricingScheme, price_intervals, segments, marginals=None) -> dict:
     """The scheme file: the model spec, alpha_star and the computed fields,
-    with ``price_intervals`` and ``segments`` as given."""
-    file = {"model": model_to_json(scheme.model), "alpha_star": scheme.alpha_star}
+    with ``price_intervals`` and ``segments`` as given, and ``marginals`` in
+    place of the model's list when given."""
+    file = {"model": model_to_json(scheme.model, marginals), "alpha_star": scheme.alpha_star}
     file.update({name: getattr(scheme, name) for name in _COMPUTED_FIELDS})
     return file | {"price_intervals": price_intervals, "segments": segments}
 
@@ -367,9 +368,7 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     k = model.k
     fields = sorted(_SEGMENT_FIELDS)
     cols = _column_view(scheme)
-    # laid out first: the k marginal floats it lists are freed before the texts are made
-    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION)
-    file["model"]["cost"]["marginals"] = jsontext.SECTION
+    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION, jsontext.SECTION)
     numbers = np.empty(3 * k + cols.size)
     numbers[:k] = model.marginal_column
     numbers[k : 3 * k].reshape(-1, 2)[:] = scheme.price_intervals

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import kselect
 from kselect import cli, jsontext
-from kselect.cli import build_parser, main
+from kselect.cli import COMMANDS, main
 from kselect.cost_model import make_cost_model, model_to_json
 from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance, instance_text, read_instance
@@ -278,6 +278,46 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,token",
+    [
+        (("solve", "--mod", K2_MODEL), "--mod"),
+        (("solve", "--mo", K2_MODEL), "--mo"),
+        (("solve", f"--model={K2_MODEL}"), f"--model={K2_MODEL}"),
+        (("slove", "--model", K2_MODEL), "slove"),
+        (("--hlp",), "--hlp"),
+        (("solve", "-m", K2_MODEL), "-m"),
+        (("solve", K2_MODEL), K2_MODEL),
+    ],
+    ids=["prefix", "shorter-prefix", "equals-sign", "unknown-subcommand", "root-typo", "short",
+         "bare-value"],
+)
+def test_a_token_not_spelt_as_an_option_exits_2(capsys, argv, token):
+    # each input has one spelling: an option is its exact name, then its value
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert repr(token) in err.splitlines()[0]
+    assert err.splitlines()[1].startswith("usage: kselect")
+
+
+def test_no_subcommand_exits_2_with_the_usage_line(capsys):
+    code, out, err = run_cli(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no subcommand")
+    assert err.splitlines()[1].startswith("usage: kselect {solve,")
+
+
+def test_the_token_after_an_option_is_its_value(capsys):
+    # a value that starts with a dash is still the value, not an option
+    code, out, err = run_cli(capsys, "instances", "--model", K2_MODEL, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be")
+    code, out, err = run_cli(capsys, "solve", "--out", "--model")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no model given")
+
+
+@pytest.mark.parametrize(
     "argv,cfg",
     [
         (("simulate", "--instance", os.devnull), {"mechanism": {"kind": "static", "sigma": 0.3}}),
@@ -504,8 +544,8 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert json.loads(out)["trials"] == 40
 
 
-def _long_options(sub) -> set[str]:
-    return {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+def _long_options(options: dict) -> set[str]:
+    return {f"--{name}" for name in options}
 
 
 # One valid run per case: for each option, its flag text and the JSON value
@@ -554,15 +594,16 @@ CONFIG_CASES = {
 
 
 def test_config_cases_cover_every_option():
-    _, subs = build_parser()
     covered: dict[str, set[str]] = {}
     for case, options in CONFIG_CASES.items():
         covered.setdefault(case.split("-")[0], set()).update(f"--{o}" for o in options)
-    # every subcommand takes --out from one shared parent parser; it is
-    # checked once, under solve
+    # every subcommand takes --out from one shared entry of the option
+    # table; it is checked once, under solve
     assert "--out" in covered["solve"]
     covered = {name: options | {"--out"} for name, options in covered.items()}
-    assert covered == {name: _long_options(sub) - {"--config"} for name, sub in subs.items()}
+    assert covered == {
+        name: _long_options(options) - {"--config"} for name, (_, _, options) in COMMANDS.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -581,7 +622,7 @@ def test_config_value_gives_the_same_output_as_the_flag(tmp_path, capsys, case, 
 
     command = case.split("-")[0]
     flags = {o: fill(text) for o, (text, _) in CONFIG_CASES[case].items()}
-    default = build_parser()[1][command].get_default(option.replace("-", "_"))
+    default = COMMANDS[command][2][option][0]
     assert default is None or str(default) != flags[option]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({option: fill(CONFIG_CASES[case][option][1])}))
@@ -675,6 +716,13 @@ def test_config_without_a_value_returns_2_and_help_returns_0(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.startswith("usage: kselect")
+    out = run_cli(capsys, "-h")[1]
+    for name in ("solve", "pricing", "instances", "simulate", "experiment", "curves"):
+        assert re.search(rf"^  {name} ", out, re.M), name
+    code, out, _ = run_cli(capsys, "pricing", "--help")
+    assert code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) - {"--help"}
+    assert flags == _long_options(COMMANDS["pricing"][2])
 
 
 def test_readme_names_exactly_the_options_of_each_subcommand():
@@ -686,8 +734,7 @@ def test_readme_names_exactly_the_options_of_each_subcommand():
     for text in subsections:
         name, _, body = text.partition("\n")
         named[name.strip()] = set(flag.findall(body))
-    _, subs = build_parser()
-    defined = {name: _long_options(sub) for name, sub in subs.items()}
+    defined = {name: _long_options(options) for name, (_, _, options) in COMMANDS.items()}
     assert named == defined
     assert set(flag.findall(preamble)) <= set().union(*defined.values())
 
@@ -1072,7 +1119,7 @@ def trace_stdlib_text(prices, seeds, instance, model) -> str:
 def test_simulate_trace_is_the_stdlib_indent_text(tmp_path, capsys, units):
     # random small runs through --prices and --pin-seeds, among them runs
     # that sell out (null posted prices after), instances with no arrivals
-    # and a price -0.0
+    # and a price -0.0, given as the token after its flag like any value
     rng = np.random.default_rng(units)
     seen = set()
     for run in range(48):
@@ -1084,12 +1131,12 @@ def test_simulate_trace_is_the_stdlib_indent_text(tmp_path, capsys, units):
         if run % 2:
             flag, seeds = "--pin-seeds", rng.uniform(0.0, 1.0, k).tolist()
             prices = prices_for_seeds(build_scheme(model), np.array([seeds]))[0].tolist()
-            argv.append(f"{flag}={','.join(map(repr, seeds))}")
+            argv += [flag, ",".join(map(repr, seeds))]
         else:
             flag, seeds = "--prices", []
             prices = np.sort(rng.uniform(0.0, U, k)).tolist()
             prices[0] = -0.0 if run % 4 else prices[0]
-            argv.append(f"{flag}={','.join(map(repr, prices))}")
+            argv += [flag, ",".join(map(repr, prices))]
         with mock.patch.object(jsontext, "CHUNK_UNITS", units):
             code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -1462,15 +1509,20 @@ def test_importing_the_package_loads_no_random_stack(tmp_path, module):
 
 
 # main(argv) in a fresh interpreter, printing its exit code, whether it
-# loaded numpy.random and the SHA-256 of its stdout
+# loaded numpy.random, the SHA-256 of its stdout and which of the modules an
+# argument parser would bring (argparse, and gettext and locale for its
+# messages) were loaded after the import and after the call
 _STARTUP_PROBE = """\
 import contextlib, hashlib, io, json, sys
 from kselect.cli import main
+parser_stack = ("argparse", "gettext", "locale")
+on_import = [name for name in parser_stack if name in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-print(json.dumps([code, "numpy.random" in sys.modules, digest]))
+on_call = [name for name in parser_stack if name in sys.modules]
+print(json.dumps([code, "numpy.random" in sys.modules, digest, on_import, on_call]))
 """
 _SIMULATE_FIG = (
     "simulate", "--model", FIG_MODEL, "--instance", "inst.txt", "--trials", "50", "--seed", "3"
@@ -1514,10 +1566,11 @@ STARTUP = {
 
 @pytest.mark.parametrize("name", sorted(STARTUP))
 def test_only_commands_that_draw_load_the_random_stack(tmp_path, name):
+    # no command loads an argument parser's modules either
     argv, draws, digest = STARTUP[name]
     write_inst(tmp_path, [1.5, 3.0, 9.5, 2.25, 7.0, 4.0, 1.0, 8.5, 6.0, 5.5, 2.0, 10.0])
     out = fresh_interpreter(tmp_path, "-c", _STARTUP_PROBE, *argv)
-    assert json.loads(out) == [0, draws, digest]
+    assert json.loads(out) == [0, draws, digest, [], []]
 
 
 def test_size_ceilings_reject_before_allocating(capsys):
