@@ -16,10 +16,9 @@ float columns, not as one object per segment. Its threshold unit and floor
 share (``k_underbar_star``, ``xi_star``) are computed from alpha_star by
 lower_bound.threshold, and its price intervals, ``kind`` and guarantee
 ``cr_guarantee`` from the curves and the model, each in one place (see
-PricingScheme). build_scheme and scheme_from_json write the columns
-directly, build_scheme from one lower_bound.g_pieces call over every
-unit's interval, with no loop over the units. scheme_to_json lists the
-columns segment by segment.
+PricingScheme). build_scheme writes the columns directly, from one
+lower_bound.g_pieces call over every unit's interval, with no loop over
+the units. scheme_to_json lists the columns segment by segment.
 
 Every lookup reads one cached flat table over the columns
 (``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
@@ -31,12 +30,14 @@ imaginary part, so one ``np.searchsorted`` finds the segment of any
 static_prices_for_quantiles; ``_seeds`` (price -> seed) serves inverse_price.
 
 scheme_to_json and scheme_from_json are the dict form of a scheme, and they
-round-trip every float bit-exactly; scheme_from_json rejects curves the
-table cannot read, prices that leave [L, U] or break the price chain
-(a unit must start at the price where the one before it ends, L for unit
-1), rates that are not alpha_star / g, and a file whose k_underbar_star,
-xi_star, price intervals, kind or guarantee are not the ones its model,
-alpha_star and curves give. scheme_json_chunks streams the text of
+round-trip every float bit-exactly. scheme_from_json loads a file only as
+the scheme its model builds at the file's alpha_star: one chain walk at
+that alpha, accepted by the solver's own end test (lower_bound.solution_at),
+then the curve builder. The file's segment counts, its six columns, bit for
+bit, and its five computed fields must equal the rebuilt scheme's, so an
+edited cost, rate or junction is invalid input, and so is a file written
+with other alpha_star bits or by a libm whose log gives other bits.
+scheme_json_chunks streams the text of
 ``json.dumps(scheme_to_json(scheme), indent=2, sort_keys=True)``:
 ``json.dumps`` lays out the file (both writers take its fields from
 ``_scheme_file``) and its three arrays are streamed in from the columns
@@ -44,16 +45,17 @@ alpha_star and curves give. scheme_json_chunks streams the text of
 """
 
 import math
+import operator
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
-from . import jsontext
-from .cost_model import CostModel, allocation_count_g, conjugate, model_from_json, model_to_json
+from . import jsontext, lower_bound
+from .cost_model import CostModel, conjugate, model_from_json, model_to_json
 from .errors import SolverError, ValidationError
 from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, threshold
 
@@ -63,6 +65,7 @@ from .lower_bound import LowerBoundSolution, _exp, g_pieces, solve_alpha_star, t
 # cost) * e^{rate * (s - s_lo)}, reaching v_hi at s_hi. Evaluations clamp
 # into [v_lo, v_hi] so shared endpoints are hit exactly.
 _SEGMENT_FIELDS = ("s_lo", "s_hi", "v_lo", "v_hi", "cost", "rate")
+_segment_row = operator.itemgetter(*_SEGMENT_FIELDS)  # a segment object's numbers
 # The scheme file's fields that a scheme computes: _scheme_file writes them,
 # and the loader compares them in this order
 _COMPUTED_FIELDS = ("k_underbar_star", "xi_star", "price_intervals", "kind", "cr_guarantee")
@@ -397,88 +400,50 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     )
 
 
-def _check_curves(scheme: PricingScheme) -> None:
-    """Reject curves that the table lookups cannot read, whose prices
-    leave [L, U] or break the price chain P_1 <= ... <= P_k, or whose rates
-    are not alpha_star's.
-
-    Each unit needs a segment, and its segments must run end to end from
-    seed 0 to seed 1. Every price lies in [L, U], so a NaN fails, and each
-    segment has v_lo <= v_hi. A unit's first v_lo is the previous unit's
-    last v_hi (L for unit 1), so the price intervals run end to end from
-    L; every later v_lo lies at or above the v_lo before it. A ramp
-    (v_hi > v_lo) has rate alpha_star / g, with g the number of marginals
-    at or below its v_lo, and a flat segment rate 0. Each test is one
-    comparison over the columns.
-    """
-    offsets = scheme._offsets
-    sizes = np.diff(offsets)
-    if sizes.min() < 1:
-        raise ValidationError(f"scheme unit {sizes.argmin() + 1} has no segment")
-    s_lo, s_hi, v_lo, v_hi, _, rate = _column_view(scheme)
-    end = np.zeros(len(s_lo), dtype=bool)
-    end[offsets[1:] - 1] = True
-    start = np.roll(end, 1)  # the last row ends unit k, so row 0 starts unit 1
-    L, U = scheme.model.L, scheme.model.U
-    floor = np.where(start, np.roll(v_hi, 1), np.roll(v_lo, 1))
-    floor[0] = L
-
-    def check(bad: np.ndarray, why: str) -> None:
-        if bad.any():
-            raise ValidationError(f"scheme unit {start[: bad.argmax() + 1].sum()}: {why}")
-
-    check(
-        ~(s_lo <= s_hi)
-        | (start & (s_lo != 0.0))
-        | np.where(end, s_hi != 1.0, s_hi != np.roll(s_lo, -1)),
-        "segments must run end to end over [0, 1]",
-    )
-    check(
-        ~((L <= v_lo) & (v_lo <= U) & (L <= v_hi) & (v_hi <= U)),
-        f"prices must lie in [L, U] = [{L}, {U}]",
-    )
-    check(v_lo > v_hi, "a segment's v_lo exceeds its v_hi")
-    check(
-        start & (v_lo != floor),
-        f"the first v_lo must be the previous unit's last v_hi (L = {L} for unit 1)",
-    )
-    check(v_lo < floor, "v_lo falls below the v_lo before it")
-    # every v_lo lies in [L, U] now, so g is defined
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ramp_rate = scheme.alpha_star / allocation_count_g(scheme.model, v_lo)
-    check(
-        rate != np.where(v_hi > v_lo, ramp_rate, 0.0),
-        "a segment's rate is not alpha_star / g (0 where v_lo == v_hi)",
-    )
-
-
 def scheme_from_json(obj: dict) -> PricingScheme:
-    """Rebuild a scheme emitted by :func:`scheme_to_json`. Each field the
-    scheme computes, ``k_underbar_star``, ``xi_star``, ``price_intervals``,
-    ``kind`` and ``cr_guarantee``, must equal the file's."""
+    """Load a scheme file: the scheme its model builds at its alpha_star
+    (``lower_bound.solution_at``, then the curve builder), whose sizes,
+    six columns, bit for bit, and computed fields must be the file's. A
+    difference, or a rebuild that fails, raises ValidationError naming the
+    first unit and field that differ."""
     if not isinstance(obj, dict):
         raise ValidationError("scheme spec must be a JSON object")
     try:
         model = model_from_json(obj["model"])
+        alpha = float(obj["alpha_star"])
         units = obj["segments"]
         sizes = array("q", map(len, units))
-        columns = array(
-            "d", (float(seg[f]) for f in _SEGMENT_FIELDS for unit in units for seg in unit)
-        )
+        # segment-major: row by row, each segment's fields in _SEGMENT_FIELDS order
+        rows = array("d", chain.from_iterable(map(_segment_row, chain.from_iterable(units))))
         stated = {name: np.asarray(obj[name]) for name in _COMPUTED_FIELDS}
-        scheme = PricingScheme(
-            model=model, alpha_star=float(obj["alpha_star"]), columns=columns, sizes=sizes
-        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scheme spec: {exc!r}") from None
     if len(sizes) != model.k:
         raise ValidationError("scheme spec does not match the model's unit count")
-    _check_curves(scheme)
+    try:
+        scheme = _scheme(model, lower_bound.solution_at(model, alpha))
+    except (SolverError, ValidationError) as exc:
+        raise ValidationError(f"scheme alpha_star: {exc}") from None
+    built = "its model builds at alpha_star"
+    if sizes != scheme.sizes:
+        i = next(i for i, pair in enumerate(zip(sizes, scheme.sizes)) if pair[0] != pair[1])
+        raise ValidationError(
+            f"scheme unit {i + 1}: {sizes[i]} segments, not the {scheme.sizes[i]} {built}"
+        )
+    # segment by segment, bit for bit: a -0.0 or a NaN differs too
+    mine = np.frombuffer(rows).reshape(-1, len(_SEGMENT_FIELDS))
+    want = _column_view(scheme).T
+    differ = mine.view(np.int64) != want.view(np.int64)
+    if differ.any():
+        row, f = divmod(int(differ.argmax()), len(_SEGMENT_FIELDS))
+        unit = int(np.searchsorted(scheme._offsets, row, side="right"))
+        raise ValidationError(
+            f"scheme unit {unit} segment {row - scheme._offsets[unit - 1] + 1}: "
+            f"{_SEGMENT_FIELDS[f]} {mine[row, f]} is not the {want[row, f]} {built}"
+        )
     for name, value in stated.items():
         computed = getattr(scheme, name)
         if not np.array_equal(value, computed):
             shown = repr(computed) if np.isscalar(computed) else "one"
-            raise ValidationError(
-                f"scheme {name} is not the {shown} its model, alpha_star and curves give"
-            )
+            raise ValidationError(f"scheme {name} is not the {shown} {built}")
     return scheme

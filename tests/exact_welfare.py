@@ -25,7 +25,30 @@ from __future__ import annotations
 
 import numpy as np
 
+from kselect.errors import ValidationError
 from kselect.lower_bound import _rises
+
+
+def eval_psi(solution, model, i: int, v: float) -> float:
+    """Allocation curve of unit i at valuation v, clamped to [0, 1].
+
+    Units below k_underbar are constant 1. Unit k_underbar starts at xi when
+    v = L; higher units start at 0 at the left edge of their interval. Values
+    are clamped to absorb last-digit rounding at interval endpoints.
+    """
+    if not 1 <= i <= model.k:
+        raise ValidationError(f"unit index {i} out of range 1..{model.k}")
+    if not model.L - 1e-9 <= v <= model.U + 1e-9:
+        raise ValidationError(f"valuation {v} outside [{model.L}, {model.U}]")
+    if i < solution.k_underbar:
+        return 1.0
+    ell, _ = solution.interval(i)  # L for unit k_underbar
+    start = solution.xi if i == solution.k_underbar else 0.0
+    if v <= ell:
+        return start
+    c = model.marginals[i - 1]
+    raw = start + float(_rises(model, [c], [ell], [v])[0]) / solution.alpha
+    return min(1.0, max(0.0, raw))
 
 
 def price_cdfs(solution, model, values) -> np.ndarray:

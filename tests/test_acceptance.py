@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 from closed_form import closed_form_alpha
-from exact_welfare import dynamic_welfare, static_welfare
+from exact_welfare import dynamic_welfare, eval_psi, static_welfare
 
 from kselect.cost_model import make_cost_model
 from kselect.instances import Instance, gen_iid, gen_low2high, gen_sorted, hard_instance
-from kselect.lower_bound import build_intervals, chain_residual, eval_psi, solve_alpha_star
+from kselect.lower_bound import build_intervals, chain_residual, solve_alpha_star
 from kselect.mechanisms import Mechanism, expected_welfare, offline_opt, ratio_to_opt
 from kselect.pricing import build_scheme, inverse_price, prices_for_seeds
 

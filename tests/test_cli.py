@@ -29,7 +29,7 @@ from kselect.cli import COMMANDS, main
 from kselect.cost_model import make_cost_model, model_to_json
 from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance, instance_text, read_instance
-from kselect.lower_bound import solve_alpha_star
+from kselect.lower_bound import build_intervals, solve_alpha_star
 from kselect.mechanisms import (
     Mechanism,
     expected_welfare,
@@ -37,7 +37,13 @@ from kselect.mechanisms import (
     ratio_to_opt,
     run_posted_price,
 )
-from kselect.pricing import build_scheme, prices_for_seeds, scheme_from_json, scheme_to_json
+from kselect.pricing import (
+    _scheme,
+    build_scheme,
+    prices_for_seeds,
+    scheme_from_json,
+    scheme_to_json,
+)
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -99,12 +105,24 @@ def _move_junction(unit: int, price: float):
     return change
 
 
-# Curve tables the lookups cannot read, whose prices break the chain, or
-# whose k_underbar*, xi*, price intervals, kind or guarantee are not the
-# ones the model, alpha* and curves give. The base is the `pricing` output
-# for L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units 1 and 3, and on
-# unit 2 a floor on [0, xi] followed by a ramp from L to 1.91; the price
-# intervals are [1, 1], [1, 1.91] and [1.91, 4].
+def _move_seed_junction(unit: int, seed: float):
+    """Move the seed where unit's floor ends and its ramp starts, on both."""
+
+    def change(obj):
+        floor, ramp = obj["segments"][unit - 1]
+        floor["s_hi"] = ramp["s_lo"] = seed
+
+    return change
+
+
+# Scheme files whose curves, alpha*, k_underbar*, xi*, price intervals, kind
+# or guarantee are not the ones the model builds at the file's alpha*. The
+# base is the `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment
+# on units 1 and 3, and on unit 2 a floor on [0, xi] followed by a ramp from
+# L to 1.91; the price intervals are [1, 1], [1, 1.91] and [1.91, 4]. The
+# last three entries keep every price in [L, U] and chained, and every rate
+# alpha* / g, yet move unit 3's price at seed 0.5 from 2.744 to 4.0 (cost)
+# or unit 2's at seed 0.9 from 1.778 to 1.832 (junction).
 BAD_SCHEMES = {
     "<scheme: unit 2 has no segment>": lambda obj: obj["segments"][1].clear(),
     "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
@@ -131,6 +149,9 @@ BAD_SCHEMES = {
     ),
     "<scheme: xi_star / 2>": lambda obj: obj.update(xi_star=obj["xi_star"] / 2),
     "<scheme: alpha_star 10**400>": lambda obj: obj.update(alpha_star=10**400),
+    "<scheme: unit 3's cost -5>": _edit_segment(3, 0, cost=-5.0),
+    "<scheme: unit 3's cost -1e300>": _edit_segment(3, 0, cost=-1e300),
+    "<scheme: unit 2's junction at seed 0.0404>": _move_seed_junction(2, 0.0404),
 }
 
 
@@ -255,6 +276,9 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-k_underbar-off-by-one",
         "scheme-xi-halved",
         "scheme-alpha-star-past-float-range",
+        "scheme-cost-negative",
+        "scheme-cost-past-the-clamp",
+        "scheme-junction-moved-on-both-segments",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -275,6 +299,34 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "No such file" not in err
+
+
+@pytest.mark.parametrize("case", ["alpha-off-the-root", "no-scheme-in-floats"])
+def test_a_scheme_file_whose_model_builds_no_scheme_at_its_alpha_exits_2(capsys, tmp_path, case):
+    if case == "alpha-off-the-root":
+        # curves and computed fields rebuilt at alpha* (1 + 1e-6): the file
+        # agrees with itself, but its chain ends above U
+        model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
+        alpha = solve_alpha_star(model).alpha * (1 + 1e-6)
+        obj = scheme_to_json(_scheme(model, build_intervals(model, alpha)))
+        why = "is not a bound the solver accepts"
+    else:
+        # the solver finds alpha*, but the curves have no float form, so
+        # `pricing` exits 3; the file is another model's scheme, given this
+        # model and its alpha*
+        L, U = 2.2886, 1.5 * 2.2886
+        model = make_cost_model(L, U, 4, marginals=[0.0, 0.0, 0.0, math.nextafter(U, 0.0)])
+        assert run_cli(capsys, "pricing", "--model", json.dumps(model_to_json(model)))[0] == 3
+        obj = scheme_to_json(build_scheme(make_cost_model(L, U, 4, marginals=[0.0] * 4)))
+        obj.update(model=model_to_json(model), alpha_star=solve_alpha_star(model).alpha)
+        why = "no scheme: unit 4 seed spans sum to"
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "simulate", "--scheme", str(path), "--instance", os.devnull)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scheme alpha_star: ")
+    assert why in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

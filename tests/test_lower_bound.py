@@ -35,7 +35,7 @@ from closed_form import (
     scan_k_underbar,
     scan_xi,
 )
-from exact_welfare import dynamic_welfare
+from exact_welfare import dynamic_welfare, eval_psi
 
 from kselect import lower_bound
 from kselect.cost_model import conjugate, make_cost_model
@@ -46,7 +46,6 @@ from kselect.lower_bound import (
     _rises,
     build_intervals,
     chain_residual,
-    eval_psi,
     solve_alpha_star,
     threshold,
 )
@@ -322,6 +321,22 @@ class TestSolver:
         m_eq = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.0])
         with pytest.raises(SolverError):
             solve_alpha_star(m_eq)
+
+    def test_solution_at_accepts_the_solvers_alpha_alone(self):
+        # a chain that misses U, the flat range at any alpha but 1, and a
+        # priced-out top unit at any alpha all raise; the solver's alpha
+        # gives its own solution back
+        m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
+        flat = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
+        for model in (m, flat):
+            sol = solve_alpha_star(model)
+            assert lower_bound.solution_at(model, sol.alpha) == sol
+        a = solve_alpha_star(m).alpha
+        priced_out = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.5, 2.5])
+        cases = ((m, a * (1 + 1e-6)), (m, a * (1 - 1e-6)), (flat, 1.5), (priced_out, 2.0))
+        for model, alpha in cases:
+            with pytest.raises(SolverError):
+                lower_bound.solution_at(model, alpha)
 
     def test_guarantee_decays_with_capacity(self):
         # same cost ladder shape, growing k: the per-step factor e^{alpha*/k}

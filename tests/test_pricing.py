@@ -16,13 +16,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from exact_welfare import eval_psi
 from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from kselect import jsontext
-from kselect.cost_model import conjugate, make_cost_model
+from kselect.cost_model import allocation_count_g, conjugate, make_cost_model
 from kselect.errors import ValidationError
-from kselect.lower_bound import eval_psi, solve_alpha_star
+from kselect.lower_bound import solve_alpha_star
 from kselect.pricing import (
     _scheme,
     build_scheme,
@@ -597,13 +598,39 @@ def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
     assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
 
 
-def test_a_negative_price_in_a_scheme_file_is_reported_as_out_of_range():
-    # g is asked for only once every price lies in [L, U]
+def test_a_negative_price_in_a_scheme_file_is_reported_with_its_unit_and_field():
     scheme = build_scheme(make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3]))
     obj = scheme_to_json(scheme)
     obj["segments"][2][0]["v_lo"] = -1.0
-    with pytest.raises(ValidationError, match=r"unit 3: prices must lie in \[L, U\]"):
+    want = r"scheme unit 3 segment 1: v_lo -1.0 is not the 1.9145\d* its model builds at alpha_star"
+    with pytest.raises(ValidationError, match=want):
         scheme_from_json(obj)
+
+
+@pytest.mark.parametrize("regime", ["general", "high_value"])
+@settings(max_examples=100, deadline=None)
+@given(scheme=built_schemes())
+def test_every_built_curve_tiles_the_seeds_and_chains_its_prices(regime, scheme):
+    """The curve builder's output, column by column: each unit's segments
+    run end to end over the seeds [0, 1]; every price lies in [L, U] with
+    v_lo <= v_hi; unit 1 starts at L and each later unit at the previous
+    unit's last v_hi; v_lo never decreases; a ramp's rate is alpha* / g, g
+    the number of marginals at or below its v_lo, and a flat segment's 0."""
+    model = scheme.model
+    assume(model.regime == regime)
+    L, U = model.L, model.U
+    s_lo, s_hi, v_lo, v_hi, _, rate = np.frombuffer(scheme.columns).reshape(6, -1)
+    ends = np.cumsum(scheme.sizes)
+    last, first = ends - 1, ends - np.frombuffer(scheme.sizes, dtype=np.int64)
+    inner = np.setdiff1d(np.arange(len(s_lo)), last)
+    assert min(scheme.sizes) >= 1
+    assert (s_lo[first] == 0.0).all() and (s_hi[last] == 1.0).all()
+    assert (s_hi[inner] == s_lo[inner + 1]).all() and (s_lo <= s_hi).all()
+    assert ((L <= v_lo) & (v_lo <= v_hi) & (v_hi <= U)).all()
+    assert v_lo[0] == L and (v_lo[first[1:]] == v_hi[last[:-1]]).all()
+    assert (np.diff(v_lo) >= 0.0).all()
+    ramp = scheme.alpha_star / allocation_count_g(model, v_lo)
+    assert (rate == np.where(v_hi > v_lo, ramp, 0.0)).all()
 
 
 @settings(max_examples=100, deadline=None)
