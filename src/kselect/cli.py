@@ -363,6 +363,8 @@ def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.prices is not None and args.pin_seeds is not None:
+        raise ValidationError("--prices and --pin-seeds exclude each other: give one")
     scheme = None
     if args.scheme is not None:
         path = _path("scheme", args.scheme)

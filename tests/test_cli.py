@@ -152,6 +152,7 @@ BAD_SCHEMES = {
     "<scheme: unit 3's cost -5>": _edit_segment(3, 0, cost=-5.0),
     "<scheme: unit 3's cost -1e300>": _edit_segment(3, 0, cost=-1e300),
     "<scheme: unit 2's junction at seed 0.0404>": _move_seed_junction(2, 0.0404),
+    "<scheme: unit 3's segment list removed>": lambda obj: obj["segments"].pop(),
 }
 
 
@@ -162,6 +163,32 @@ def _bad_scheme_file(tmp_path, name) -> str:
     path = tmp_path / "scheme.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+# scheme or config files holding these JSON values
+JSON_FILES = {
+    "<file: []>": [],
+    "<file: mechanisms 5>": {"mechanisms": 5},
+    "<file: trials [1]>": {"trials": [1]},
+    "<file: trials 1.5>": {"trials": 1.5},
+    "<file: prices and pin-seeds>": {"prices": [1, 2], "pin_seeds": [0.1, 0.9]},
+}
+
+
+def _given_file(tmp_path, token: str) -> str:
+    """The path of the file a placeholder token names, written in tmp_path;
+    any other token as it is."""
+    if token == NOT_UTF8:
+        path = tmp_path / "not-utf8"
+        path.write_bytes(b'\xff{"L": 1}\n')
+        return str(path)
+    if token in BAD_SCHEMES:
+        return _bad_scheme_file(tmp_path, token)
+    if token in JSON_FILES:
+        path = tmp_path / "given.json"
+        path.write_text(json.dumps(JSON_FILES[token]))
+        return str(path)
+    return token
 
 # instance flags that the JSON --spec replaced
 REMOVED_INSTANCE_FLAGS = (
@@ -223,6 +250,19 @@ REMOVED_INSTANCE_FLAGS = (
         ("solve", "--model", _model_with(U=10**400)),
         ("solve", "--model", _model_with(cost={"marginals": [0.25, 10**400]})),
         ("instances", "--model", K2_MODEL, "--spec", json.dumps({"kind": "iid", "mu": 10**400})),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
+         "--prices", "1,2", "--pin-seeds", "0.1,0.9"),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
+         "--config", "<file: prices and pin-seeds>"),
+        ("simulate", "--scheme", "<file: []>", "--instance", os.devnull),
+        ("experiment", "--model", K2_MODEL, "--config", "<file: mechanisms 5>"),
+        ("instances", "--model", K2_MODEL, "--spec", "notjson"),
+        ("experiment", "--model", K2_MODEL, "--mechanisms", ","),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
+         "--config", "<file: trials [1]>"),
+        ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
+         "--config", "<file: trials 1.5>"),
+        ("instances", "--model", K2_MODEL, "--spec", '{"kind": "iid", "sdev": -1}'),
     ],
     ids=[
         "marginals-string",
@@ -279,6 +319,7 @@ REMOVED_INSTANCE_FLAGS = (
         "scheme-cost-negative",
         "scheme-cost-past-the-clamp",
         "scheme-junction-moved-on-both-segments",
+        "scheme-unit-count-short",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -287,13 +328,19 @@ REMOVED_INSTANCE_FLAGS = (
         "U-past-float-range",
         "marginal-past-float-range",
         "mu-past-float-range",
+        "prices-with-pin-seeds",
+        "prices-with-pin-seeds-from-config",
+        "scheme-json-array",
+        "config-mechanisms-number",
+        "spec-not-json",
+        "no-mechanism-in-list",
+        "config-trials-list",
+        "config-trials-fraction",
+        "negative-sdev",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
-    bad = tmp_path / "not-utf8"
-    bad.write_bytes(b'\xff{"L": 1}\n')
-    argv = [_bad_scheme_file(tmp_path, a) if a in BAD_SCHEMES else a for a in argv]
-    code, out, err = run_cli(capsys, *[str(bad) if a == NOT_UTF8 else a for a in argv])
+    code, out, err = run_cli(capsys, *[_given_file(tmp_path, a) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

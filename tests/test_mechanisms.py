@@ -555,6 +555,9 @@ class TestSurrogates:
         assert ps[1] == pytest.approx(4.0, abs=1e-9)
         grid = static_prices_for_quantiles(sch, np.linspace(0.0, 1.0, 41))
         assert np.all(np.diff(grid) >= -1e-12)
+        for q in (1.5, -0.5, math.nan):
+            with pytest.raises(ValidationError, match=r"quantiles outside \[0, 1\]"):
+                static_prices_for_quantiles(sch, np.array([q]))
 
     @pytest.mark.parametrize(
         "L, U, k, marginals, kind",
@@ -669,3 +672,4 @@ class TestExactWelfareOracle:
         )
         exact = static_welfare(solve_alpha_star(m), m, inst.valuations)
         assert exact == pytest.approx(brute, abs=1e-9)
+

@@ -1,5 +1,6 @@
 """Price-curve tests: frozen closed forms, duality with the allocation
-curves, chain exactness, agreement with the solver's chain, and the curve
+curves, chain exactness, agreement with the solver's chain, metamorphic
+relations, the reported guarantee on the exact staircase, and the curve
 table's lookups against a literal scan of the segments."""
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from exact_welfare import eval_psi
+from exact_welfare import dynamic_welfare, eval_psi
 from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from kselect import jsontext
 from kselect.cost_model import allocation_count_g, conjugate, make_cost_model
 from kselect.errors import ValidationError
+from kselect.instances import hard_instance
 from kselect.lower_bound import solve_alpha_star
+from kselect.mechanisms import offline_opt
 from kselect.pricing import (
     _scheme,
     build_scheme,
@@ -674,6 +677,77 @@ def test_every_built_scheme_reports_the_solvers_chain(scheme):
     chain = sol.intervals.tolist()
     chain[-1][1] = min(chain[-1][1], model.U)
     assert intervals == [[model.L, model.L]] * (ku - 1) + chain
+
+
+# ---------------------------------------------------------------------------
+# random explicit ladders: metamorphic relations, and the guarantee on the
+# exact staircase
+
+
+@st.composite
+def explicit_ladders(draw, k_max: int = 59):
+    """(L, U, marginals) of a high-value or general setup with k <= k_max;
+    high-value with k = 2 is the two-unit kind."""
+    L = draw(st.floats(1.0, 3.0))
+    U = L * draw(st.floats(1.2, 40.0))
+    k = draw(st.integers(1, k_max))
+    general = k > 1 and draw(st.booleans())
+    cap = min(1.8 * L, 0.9 * U) if general else 0.9 * L
+    ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
+    if general:
+        ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
+    return L, U, ms
+
+
+def ladder_alpha(L, U, ms) -> float:
+    return solve_alpha_star(make_cost_model(L=L, U=U, k=len(ms), marginals=ms)).alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_ladders(), st.sampled_from((2.0, 8.0)))
+def test_scaling_every_price_and_cost_scales_the_curves_exactly(ladder, lam):
+    # alpha* and the seeds are ratios of prices; rate = alpha* / g is an
+    # exponent in seed space, so it does not scale either
+    L, U, ms = ladder
+    base = build_scheme(make_cost_model(L=L, U=U, k=len(ms), marginals=ms))
+    scaled = build_scheme(
+        make_cost_model(L=lam * L, U=lam * U, k=len(ms), marginals=[lam * c for c in ms])
+    )
+    assert scaled.alpha_star.hex() == base.alpha_star.hex()
+    assert scaled.sizes == base.sizes
+    old, new = (np.frombuffer(s.columns).reshape(6, -1) for s in (base, scaled))
+    seeds_and_rates = [0, 1, 5]  # s_lo, s_hi, rate; then v_lo, v_hi, cost
+    assert new[seeds_and_rates].tobytes() == old[seeds_and_rates].tobytes()
+    assert new[2:5].tobytes() == (lam * old[2:5]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_ladders())
+def test_alpha_rises_with_u_and_falls_with_l(ladder):
+    L, U, ms = ladder
+    alpha = ladder_alpha(L, U, ms)
+    assert ladder_alpha(L, 1.1 * U, ms) >= alpha
+    assert ladder_alpha(1.05 * L, U, ms) <= alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_ladders(k_max=5))
+def test_the_reported_guarantee_holds_on_the_exact_staircase(ladder):
+    # k buyers at each stage of a 40-step grid from L up to every terminal:
+    # OPT over the exact expected welfare of the curves is at least 1 and at
+    # most alpha*, which it reaches at the first stage (the floor is built
+    # for f*(L) / alpha*), so at most the reported guarantee
+    L, U, ms = ladder
+    model = make_cost_model(L=L, U=U, k=len(ms), marginals=ms)
+    scheme, sol = build_scheme(model), solve_alpha_star(model)
+    eps = (U - L) / 40
+    ratios = []
+    for j in range(41):
+        inst = hard_instance(model, eps, min(L + j * eps, U))
+        ratios.append(offline_opt(inst, model)[0] / dynamic_welfare(sol, model, inst.valuations))
+    assert min(ratios) >= 1.0
+    assert max(ratios) <= scheme.alpha_star * (1.0 + 1e-12)
+    assert scheme.alpha_star <= scheme.cr_guarantee
 
 
 # ---------------------------------------------------------------------------
