@@ -79,9 +79,9 @@ MAX_CURVE_UNITS = 10**7
 MAX_INSTANCES = 10**6
 # Most bytes of a model file: MAX_K explicit marginals at 64 bytes each,
 # room for the longest float text (24 characters), a separator and an
-# indent. A config file may add --prices and --pin-seeds, k numbers each.
+# indent. A config file may add --prices or --pin-seeds, k numbers.
 MAX_MODEL_FILE_BYTES = 64 * MAX_K
-MAX_CONFIG_FILE_BYTES = 3 * MAX_MODEL_FILE_BYTES
+MAX_CONFIG_FILE_BYTES = 2 * MAX_MODEL_FILE_BYTES
 # Most bytes of a scheme file: the largest that `pricing` writes at MAX_K
 MAX_SCHEME_FILE_BYTES = max_file_bytes(MAX_K)
 # Rows one `experiment` run draws (each estimate's trials, one for pinned,
@@ -365,6 +365,12 @@ def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
 def cmd_simulate(args) -> int:
     if args.prices is not None and args.pin_seeds is not None:
         raise ValidationError("--prices and --pin-seeds exclude each other: give one")
+    if args.prices is not None or args.pin_seeds is not None:
+        # a trace posts the given prices or seeds once: it draws no trial
+        mode = "--prices" if args.prices is not None else "--pin-seeds"
+        for name in ("mechanism", "trials", "seed"):
+            if name in args.given:
+                raise ValidationError(f"--{name} does nothing beside {mode}: drop it")
     scheme = None
     if args.scheme is not None:
         path = _path("scheme", args.scheme)
@@ -748,11 +754,14 @@ def main(argv=None) -> int:
             return 0
         command, flags = parsed
         run, _, options = COMMANDS[command]
-        values = {name: default for name, (default, _) in options.items()}
+        given = flags
         if "config" in flags:
-            values |= _config_defaults(command, flags["config"])
-        values |= flags
-        return run(SimpleNamespace(**{name.replace("-", "_"): v for name, v in values.items()}))
+            given = _config_defaults(command, flags["config"]) | flags
+        values = {name: default for name, (default, _) in options.items()} | given
+        # the command learns which options were given, as flags or from
+        # --config, so it can refuse one its mode ignores
+        args = {name.replace("-", "_"): value for name, value in values.items()}
+        return run(SimpleNamespace(**args, given=given.keys()))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

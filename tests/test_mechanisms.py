@@ -493,6 +493,25 @@ def row_cuts(draw, kind):
     return mech, inst, seed, trials, [slice(a, b) for a, b in itertools.pairwise(cut)]
 
 
+@st.composite
+def tied_setups(draw):
+    """A scheme on a random explicit ladder of k <= 50 units in either
+    regime, a seed and arrivals drawn from at most four distinct values."""
+    general = draw(st.booleans())
+    L = draw(st.floats(1.0, 3.0))
+    U = L * draw(st.floats(1.5, 6.0))
+    k = draw(st.integers(2 if general else 1, 50))
+    cap = min(1.8 * L, 0.9 * U) if general else 0.9 * L
+    ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
+    if general:
+        ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
+    model = make_cost_model(L=L, U=U, k=k, marginals=ms)
+    assert model.regime == ("general" if general else "high_value")
+    pool = draw(st.lists(st.floats(L, U), min_size=1, max_size=4))
+    inst = Instance(tuple(draw(st.lists(st.sampled_from(pool), max_size=60))))
+    return build_scheme(model), draw(st.integers(0, 2**64 - 1)), inst
+
+
 class TestTrialWelfares:
     @pytest.mark.parametrize("kind", ["r-dynamic", "pinned", "static"])
     @settings(max_examples=60, deadline=None)
@@ -513,6 +532,16 @@ class TestTrialWelfares:
         )
         assert joined.tobytes() == full.tobytes()
         assert float(joined.mean()) == expected_welfare(mech, inst, model, trials, seed).mean
+
+    @pytest.mark.parametrize("kind", ["r-dynamic", "pinned", "static"])
+    @settings(max_examples=40, deadline=None)
+    @given(setup=tied_setups(), sigma=st.floats(0.0, 1.0))
+    def test_no_trial_beats_the_offline_optimum(self, kind, setup, sigma):
+        scheme, seed, inst = setup
+        model = scheme.model
+        opt = offline_opt(inst, model)[0]
+        w = trial_welfares(Mechanism(scheme, kind, sigma), inst, model, 20, seed)
+        assert w.max() <= opt + 1e-12 * opt
 
 
 class TestSurrogates:
