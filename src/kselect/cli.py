@@ -63,6 +63,7 @@ from .mechanisms import (
     trial_welfares,
 )
 from .pricing import (
+    Curves,
     build_scheme,
     max_file_bytes,
     prices_for_seeds,
@@ -330,20 +331,29 @@ def cmd_instances(args) -> int:
 # simulate
 
 
-def _mechanism(scheme, spec) -> Mechanism:
-    """Mechanism of a ``kind[:sigma]`` spec, or of a config object
-    ``{"kind": ..., "sigma": ...}``. Only pinned takes sigma, 0.5 when
-    omitted; a sigma on any other kind is invalid input."""
+def _mechanism(scheme, spec) -> tuple[str, Mechanism]:
+    """The label and mechanism of a ``kind[:sigma]`` spec, or of a config
+    object ``{"kind": ..., "sigma": ...}``; pinned posts the scheme's prices
+    at seed sigma, 0.5 when omitted, as flat curves. Only pinned takes
+    sigma; a sigma on any other kind is invalid input."""
     if isinstance(spec, dict):
         kind, has_sigma = spec.get("kind"), "sigma" in spec
         sigma = spec.get("sigma", 0.5)
     else:
         kind, sep, rest = str(spec).partition(":")
         has_sigma, sigma = bool(sep), rest if sep else 0.5
-    if has_sigma and kind != "pinned":
-        Mechanism(scheme, kind)  # an unknown kind is the error to report
+    if kind == "pinned":
+        sigma = as_float("sigma", sigma)
+        if not 0.0 <= sigma <= 1.0:
+            raise ValidationError(f"sigma {sigma} outside [0, 1]")
+        prices = prices_for_seeds(scheme, np.full((1, scheme.model.k), sigma))[0]
+        return f"d-dynamic-surrogate(sigma={sigma:g})", Mechanism(Curves.flat(scheme.model, prices))
+    if kind not in ("r-dynamic", "static"):
+        raise ValidationError(f"unknown mechanism {kind!r}: expected r-dynamic, pinned or static")
+    if has_sigma:
         raise ValidationError(f"mechanism {spec!r}: only pinned takes a sigma")
-    return Mechanism(scheme, kind, as_float("sigma", sigma))
+    static = kind == "static"
+    return ("r-static-surrogate" if static else "r-dynamic"), Mechanism(scheme, static=static)
 
 
 def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
@@ -365,12 +375,13 @@ def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
 def cmd_simulate(args) -> int:
     if args.prices is not None and args.pin_seeds is not None:
         raise ValidationError("--prices and --pin-seeds exclude each other: give one")
-    if args.prices is not None or args.pin_seeds is not None:
-        # a trace posts the given prices or seeds once: it draws no trial
-        mode = "--prices" if args.prices is not None else "--pin-seeds"
+    # a trace posts the given prices, or the curves' at the given seeds: it draws no trial
+    trace = "prices" if args.prices is not None else "pin-seeds"
+    values = args.prices if args.prices is not None else args.pin_seeds
+    if values is not None:
         for name in ("mechanism", "trials", "seed"):
             if name in args.given:
-                raise ValidationError(f"--{name} does nothing beside {mode}: drop it")
+                raise ValidationError(f"--{name} does nothing beside --{trace}: drop it")
     scheme = None
     if args.scheme is not None:
         path = _path("scheme", args.scheme)
@@ -384,35 +395,29 @@ def cmd_simulate(args) -> int:
         raise ValidationError("no instance given: pass --instance FILE")
     instance = read_instance(_path("instance", args.instance))
 
-    if args.prices is not None:
-        prices = [as_float("prices", p) for p in _items("prices", args.prices)]
-        if len(prices) != model.k:
-            raise ValidationError(f"expected {model.k} prices, got {len(prices)}")
-        out = run_posted_price(prices, instance, model)
-        _emit(chain(_trace_chunks(out, prices, []), ("\n",)), args.out)
-        return 0
-
-    if scheme is None:
+    if scheme is None and args.prices is None:  # --prices builds no scheme
         scheme = build_scheme(model)
 
-    if args.pin_seeds is not None:
-        seeds = [as_float("pin-seeds", p) for p in _items("pin-seeds", args.pin_seeds)]
-        if len(seeds) != model.k:
-            raise ValidationError(f"expected {model.k} seeds, got {len(seeds)}")
-        prices = prices_for_seeds(scheme, np.array([seeds]))[0].tolist()
+    if values is not None:
+        values = [as_float(trace, p) for p in _items(trace, values)]
+        if len(values) != model.k:
+            what = trace.removeprefix("pin-")
+            raise ValidationError(f"expected {model.k} {what}, got {len(values)}")
+        seeds = values if trace == "pin-seeds" else []
+        prices = prices_for_seeds(scheme, [seeds])[0].tolist() if seeds else values
         out = run_posted_price(prices, instance, model)
         _emit(chain(_trace_chunks(out, prices, seeds), ("\n",)), args.out)
         return 0
 
-    mech = _mechanism(scheme, args.mechanism)
+    label, mech = _mechanism(scheme, args.mechanism)
     est = expected_welfare(
         mech, instance, model, as_int("trials", args.trials),
         as_int("seed", args.seed, minimum=0),
     )
     opt, opt_units = offline_opt(instance, model)
     payload = {
-        "mechanism": mech.name,
-        "surrogate": mech.surrogate,
+        "mechanism": label,
+        "surrogate": label != "r-dynamic",
         "trials": est.trials,
         "mean_welfare": est.mean,
         "std_error": est.std_error,
@@ -515,7 +520,7 @@ def cmd_experiment(args) -> int:
         raise ValidationError("no mechanisms requested")
 
     scheme = build_scheme(model)
-    mechs = [_mechanism(scheme, spec) for spec in specs]
+    labels, mechs = zip(*[_mechanism(scheme, spec) for spec in specs])
 
     # estimate (idx, m) draws rows idx * per + ends[m] up to idx * per +
     # ends[m + 1] of the run's total; worker w sells rows w * total // workers
@@ -572,11 +577,11 @@ def cmd_experiment(args) -> int:
     ratios = [[ratio_to_opt(opt, mean) for opt, mean in zip(opts, col)] for col in means]
 
     lines = ["mechanism,surrogate,empirical_ratio,cumulative_fraction"]
-    for m, mech in enumerate(mechs):
-        flag = "true" if mech.surrogate else "false"
+    for m, label in enumerate(labels):
+        flag = "false" if label == "r-dynamic" else "true"
         ordered = sorted(zip(ratios[m], range(count)))
         for pos, (ratio, _) in enumerate(ordered, start=1):
-            lines.append(f"{mech.name},{flag},{_fmt(ratio)},{_fmt(pos / count)}")
+            lines.append(f"{label},{flag},{_fmt(ratio)},{_fmt(pos / count)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -11,12 +11,12 @@ numpy.random is loaded at the first draw, not on import: the seed
 sequence type that hands Philox its key is made then, and annotations are
 never evaluated, so a command that draws nothing never loads it.
 
-A Mechanism is a pricing scheme plus the kind of seeding it uses; its
-name and surrogate flag follow from the kind. One function, _price_matrix,
-draws the prices of any set of trials and is the only place the kinds
-differ: trial_welfares sells any range of its rows, expected_welfare
-averages rows 0..trials-1, and run_trial replays one row through
-run_posted_price.
+A Mechanism is price curves, drawn seed by seed or, static, as one price
+for every unit; a price vector is flat curves (pricing.Curves.flat). One
+function, _price_matrix, draws the prices of any set of trials, and fixed
+curves draw nothing: trial_welfares sells any range of its rows,
+expected_welfare averages rows 0..trials-1, and run_trial replays one row
+through run_posted_price.
 Its prices are lookups in the pricing layer's flat curve table, through
 prices_for_seeds and static_prices_for_quantiles; the layout stays there.
 
@@ -28,11 +28,11 @@ per arrival, and the tree holds about 2n floats. run_posted_price is its
 one-row run, with the trace rebuilt from the sale positions.
 
 Two documented baseline surrogates accompany the randomized mechanism:
-a deterministic variant with every seed pinned to one value, and a
+a deterministic variant, flat curves of the prices at one seed, and a
 static-random variant that draws a single price from the aggregate price
 distribution and posts it to everyone. Both are labeled as surrogates in
-every output; they stand in for external baseline designs whose exact
-constructions are not reproduced here.
+every output (cli._mechanism); they stand in for external baseline
+designs whose exact constructions are not reproduced here.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cost_model import CostModel
 from .errors import ValidationError
 from .instances import Instance
-from .pricing import PricingScheme, prices_for_seeds, static_prices_for_quantiles
+from .pricing import Curves, prices_for_seeds, static_prices_for_quantiles
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,8 @@ class WelfareEstimate:
     trials: int
 
 
-_KINDS = ("r-dynamic", "pinned", "static")
-
 # Most cells (rows drawn times k) one estimate may draw, checked before any
-# draw; pinned draws one row whatever the trials. An estimate holds its
+# draw; fixed curves draw one row whatever the trials. An estimate holds its
 # seeds, prices and sale positions for every cell at once, 20-50 bytes a
 # cell (more at small k), so this caps it near 0.5 GB; the largest the
 # tests and benchmark workloads ask for is 2 * 10**5 cells.
@@ -88,49 +86,25 @@ MAX_TRIAL_CELLS = 10**7
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A pricing scheme and the way its seeds are drawn.
+    """Price curves and the way their prices are drawn: each trial draws
+    every unit's seed uniformly and posts the curves' prices (the same at
+    every seed for fixed curves), or with ``static`` posts one draw from the
+    aggregate price distribution to every buyer, a single-price surrogate."""
 
-    kind "r-dynamic" draws every unit's seed uniformly in each trial;
-    "pinned" fixes every seed to sigma in [0, 1], a deterministic surrogate;
-    "static" posts one draw from the aggregate price distribution to every
-    buyer, a single-price surrogate. Only pinned reads sigma.
-    """
-
-    scheme: PricingScheme
-    kind: str = "r-dynamic"
-    sigma: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(
-                f"unknown mechanism {self.kind!r}: expected r-dynamic, pinned or static"
-            )
-        if self.kind == "pinned" and not 0.0 <= self.sigma <= 1.0:
-            raise ValidationError(f"sigma {self.sigma} outside [0, 1]")
-
-    @property
-    def name(self) -> str:
-        """The label every output reports."""
-        if self.kind == "pinned":
-            return f"d-dynamic-surrogate(sigma={self.sigma:g})"
-        return "r-static-surrogate" if self.kind == "static" else "r-dynamic"
-
-    @property
-    def surrogate(self) -> bool:
-        """True for the two kinds that stand in for external baselines."""
-        return self.kind != "r-dynamic"
+    curves: Curves
+    static: bool = field(default=False, kw_only=True)
 
     def rows(self, trials: int) -> int:
-        """Trials an estimate of ``trials`` trials draws and sells: pinned runs once."""
-        return 1 if self.kind == "pinned" else trials
+        """Rows an estimate of ``trials`` trials sells: one for fixed curves, not static."""
+        return 1 if self.curves.fixed and not self.static else trials
 
 
 def _checked(target, model: CostModel) -> Mechanism:
-    """target, which must be a Mechanism whose scheme was built for model."""
+    """target, which must be a Mechanism whose curves were built for model."""
     if not isinstance(target, Mechanism):
         raise ValidationError(f"expected a Mechanism, got {type(target)!r}")
-    if target.scheme.model != model:
-        raise ValidationError("the mechanism's scheme was built for another model")
+    if target.curves.model != model:
+        raise ValidationError("the mechanism's curves were built for another model")
     return target
 
 
@@ -273,16 +247,15 @@ def instance_sim_seed(master_seed: int, index: int) -> int:
 
 def _price_matrix(mech: Mechanism, trial_indices, master_seed: int) -> np.ndarray:
     """Posted prices, (n, k); row r depends only on trial_indices[r]."""
-    k = mech.scheme.model.k
-    if mech.kind == "pinned":
-        return prices_for_seeds(mech.scheme, np.full((len(trial_indices), k), float(mech.sigma)))
-    if mech.kind == "static":
+    curves, k = mech.curves, mech.curves.model.k
+    if mech.static:
         qs = np.array([trial_rng(master_seed, t, k).random() for t in trial_indices])
-        return np.repeat(static_prices_for_quantiles(mech.scheme, qs)[:, None], k, axis=1)
-    seeds = np.empty((len(trial_indices), k))
-    for t, row in zip(trial_indices, seeds):
-        trial_rng(master_seed, t, k).random(out=row)
-    return prices_for_seeds(mech.scheme, seeds)
+        return np.repeat(static_prices_for_quantiles(curves, qs)[:, None], k, axis=1)
+    seeds = np.zeros((len(trial_indices), k))
+    if not curves.fixed:
+        for t, row in zip(trial_indices, seeds):
+            trial_rng(master_seed, t, k).random(out=row)
+    return prices_for_seeds(curves, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +386,8 @@ def expected_welfare(
     A caller that splits the rows among workers, as ``experiment`` does,
     gets the same mean, bit for bit, from the parts joined in row order.
 
-    std_error is the sample standard error of per-trial welfare (0 for the
-    pinned variant, which runs once); see WelfareEstimate for when it
+    std_error is the sample standard error of per-trial welfare (0 for
+    fixed curves, which run once); see WelfareEstimate for when it
     understates the error. The ratio to the optimum is ratio_to_opt of
     offline_opt and the mean, computed once per instance by the caller.
     """

@@ -11,17 +11,19 @@ constant-g piece of a unit's interval becomes one exponential segment, plus
 a constant floor on the threshold unit; in high-value setups (c_k < L) each
 unit has one segment.
 
-A scheme is its model, its bound alpha_star and its curves, stored as six
-float columns, not as one object per segment. Its threshold unit and floor
-share (``k_underbar_star``, ``xi_star``) are computed from alpha_star by
-lower_bound.threshold, and its price intervals, ``kind`` and guarantee
-``cr_guarantee`` from the curves and the model, each in one place (see
-PricingScheme). build_scheme writes the columns directly, from one
-lower_bound.g_pieces call over every unit's interval, with no loop over
-the units. scheme_to_json lists the columns segment by segment.
+Curves are a model and its units' segments, stored as six float columns,
+not as one object per segment: a scheme's randomized curves, or
+``Curves.flat`` of one price vector, one constant segment per unit. A
+scheme (PricingScheme, a Curves) adds its bound alpha_star. Its threshold
+unit and floor share (``k_underbar_star``, ``xi_star``) are computed from
+alpha_star by lower_bound.threshold, and its price intervals, ``kind`` and
+guarantee ``cr_guarantee`` from the curves and the model, each in one
+place (see PricingScheme). build_scheme writes the columns directly, from
+one lower_bound.g_pieces call over every unit's interval, with no loop
+over the units. scheme_to_json lists the columns segment by segment.
 
 Every lookup reads one cached flat table over the columns
-(``PricingScheme._table``), keyed by ``unit + 1j * s_lo`` and
+(``Curves._table``), keyed by ``unit + 1j * s_lo`` and
 ``unit + 1j * v_lo``. NumPy orders complex numbers by real part, then
 imaginary part, so one ``np.searchsorted`` finds the segment of any
 (unit, seed) or (unit, price) pair exactly, where a float key such as
@@ -76,39 +78,31 @@ _INTERVAL_ITEM = jsontext.layout([jsontext.FIELD] * 2, 2)
 
 
 @dataclass(frozen=True)
-class PricingScheme:
-    """Price curves of every unit and the bound they meet.
-
-    The curves are stored as columns: ``columns`` holds the six
-    ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
+class Curves:
+    """Price curves of every unit, stored as columns: ``columns`` holds the
+    six ``_SEGMENT_FIELDS`` columns back to back, each listing every unit's
     segments unit-major and seed-ordered, and ``sizes[i - 1]`` is the number
-    of segments of unit i. Both are ``array`` fields, so schemes compare by
-    value. Everything else a scheme reports follows from the model,
-    ``alpha_star`` and the curves and is computed, not stored:
-    ``k_underbar_star`` and ``xi_star`` (``lower_bound.threshold`` at
-    alpha_star), ``price_intervals`` (each unit's first v_lo and last
-    v_hi), ``kind`` and ``cr_guarantee``.
-    """
+    of segments of unit i. Both are ``array`` fields, so curves compare by
+    value."""
 
     model: CostModel
-    alpha_star: float
     columns: array  # array("d"): the _SEGMENT_FIELDS columns back to back
     sizes: array  # array("q"): segments per unit
 
+    @classmethod
+    def flat(cls, model: CostModel, prices) -> "Curves":
+        """Unit i prices at ``prices[i - 1]`` on every seed: one segment
+        ``(0, 1, p_i, p_i, 0, 0)`` per unit."""
+        p = np.asarray(prices, dtype=float)
+        if p.shape != (model.k,) or not np.isfinite(p).all():
+            raise ValidationError(f"expected {model.k} finite prices, got {p.tolist()!r}")
+        cols = np.concatenate((np.zeros(model.k), np.ones(model.k), p, p, np.zeros(2 * model.k)))
+        return cls(model, array("d", cols.tobytes()), array("q", [1]) * model.k)
+
     @cached_property
-    def _threshold(self) -> tuple[int, float]:
-        """``(k_underbar_star, xi_star)``, computed once."""
-        return threshold(self.model, self.alpha_star)
-
-    @property
-    def k_underbar_star(self) -> int:
-        """The threshold unit at alpha_star; the units below it are flat at L."""
-        return self._threshold[0]
-
-    @property
-    def xi_star(self) -> float:
-        """The threshold unit's floor share: its curve is L on seeds [0, xi_star]."""
-        return self._threshold[1]
+    def fixed(self) -> bool:
+        """Each unit has one segment with v_lo == v_hi: one price at every seed."""
+        return self.sizes.count(1) == len(self.sizes) and np.array_equal(*self.price_intervals.T)
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -124,6 +118,40 @@ class PricingScheme:
         out = np.column_stack((v_lo[self._offsets[:-1]], v_hi[self._offsets[1:] - 1]))
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _table(self):
+        """(s_key, v_key, first row of each unit, _SEGMENT_FIELDS columns)."""
+        cols = _column_view(self)
+        offsets = self._offsets
+        unit = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        return unit + 1j * cols[0], unit + 1j * cols[2], offsets[:-1], cols
+
+
+@dataclass(frozen=True)
+class PricingScheme(Curves):
+    """The curves of the bound solver's chain and the bound they meet.
+    Everything else a scheme reports follows from the model, alpha_star and
+    the curves and is computed, not stored: ``k_underbar_star`` and
+    ``xi_star`` (``lower_bound.threshold`` at alpha_star), ``price_intervals``
+    (each unit's first v_lo and last v_hi), ``kind`` and ``cr_guarantee``."""
+
+    alpha_star: float
+
+    @cached_property
+    def _threshold(self) -> tuple[int, float]:
+        """``(k_underbar_star, xi_star)``, computed once."""
+        return threshold(self.model, self.alpha_star)
+
+    @property
+    def k_underbar_star(self) -> int:
+        """The threshold unit at alpha_star; the units below it are flat at L."""
+        return self._threshold[0]
+
+    @property
+    def xi_star(self) -> float:
+        """The threshold unit's floor share: its curve is L on seeds [0, xi_star]."""
+        return self._threshold[1]
 
     @property
     def kind(self) -> str:
@@ -148,18 +176,10 @@ class PricingScheme:
         conj = conjugate(model, lo)
         return float(np.max(alpha * (1.0 + (hi - model.marginal_column) / conj)))
 
-    @cached_property
-    def _table(self):
-        """(s_key, v_key, first row of each unit, _SEGMENT_FIELDS columns)."""
-        cols = _column_view(self)
-        offsets = self._offsets
-        unit = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-        return unit + 1j * cols[0], unit + 1j * cols[2], offsets[:-1], cols
 
-
-def _column_view(scheme: PricingScheme) -> np.ndarray:
-    """The scheme's columns as a (6, segments) array sharing their memory."""
-    return np.frombuffer(scheme.columns).reshape(len(_SEGMENT_FIELDS), -1)
+def _column_view(curves: Curves) -> np.ndarray:
+    """The curves' columns as a (6, segments) array sharing their memory."""
+    return np.frombuffer(curves.columns).reshape(len(_SEGMENT_FIELDS), -1)
 
 
 def _check_unit(model: CostModel, i: int) -> None:
@@ -194,38 +214,39 @@ def _seeds(table, units, v: np.ndarray) -> np.ndarray:
     return np.where(idx < first[units], 0.0, s)
 
 
-def price_at(scheme: PricingScheme, i: int, s: float) -> float:
+def price_at(curves: Curves, i: int, s: float) -> float:
     """Price curve of unit i at seed s, clamped into [L_i, U_i]."""
-    _check_unit(scheme.model, i)
+    _check_unit(curves.model, i)
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"seed {s} outside [0, 1]")
-    return float(_prices(scheme._table, i - 1, np.array([s], dtype=float))[0])
+    return float(_prices(curves._table, i - 1, np.array([s], dtype=float))[0])
 
 
-def inverse_price(scheme: PricingScheme, i: int, v: float) -> float:
+def inverse_price(curves: Curves, i: int, v: float) -> float:
     """sup{s in [0,1] : phi_i(s) <= v}; 0 when even the lowest price exceeds v.
 
     On constant pieces the supremum is the right endpoint, so at v = L the
     threshold unit returns xi_star rather than 0.
     """
-    _check_unit(scheme.model, i)
-    model = scheme.model
+    _check_unit(curves.model, i)
+    model = curves.model
     if not model.L - 1e-9 <= v <= model.U + 1e-9:
         raise ValidationError(f"valuation {v} outside [{model.L}, {model.U}]")
-    return float(_seeds(scheme._table, i - 1, np.array([v], dtype=float))[0])
+    return float(_seeds(curves._table, i - 1, np.array([v], dtype=float))[0])
 
 
 _BLOCK_CELLS = 1 << 15  # cells per prices_for_seeds block; bounds its temporaries
 
 
-def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
+def prices_for_seeds(curves: Curves, seeds: np.ndarray) -> np.ndarray:
     """Vectorized curve evaluation: seeds (n, k) -> prices (n, k).
 
     Column i - 1 is unit i's curve, evaluated as by price_at, so every row
-    satisfies the price chain P_1 <= ... <= P_k with no tolerance.
+    of a built scheme satisfies the price chain P_1 <= ... <= P_k with no
+    tolerance.
     """
     seeds = np.asarray(seeds, dtype=float)
-    k = scheme.model.k
+    k = curves.model.k
     if seeds.ndim != 2 or seeds.shape[1] != k:
         raise ValidationError(f"seed array must have shape (n, {k})")
     if seeds.size and not (seeds.min() >= 0.0 and seeds.max() <= 1.0):
@@ -233,11 +254,11 @@ def prices_for_seeds(scheme: PricingScheme, seeds: np.ndarray) -> np.ndarray:
     out = np.empty(seeds.shape)
     step = max(1, _BLOCK_CELLS // k)
     for r in range(0, len(seeds), step):
-        out[r : r + step] = _prices(scheme._table, np.arange(k), seeds[r : r + step])
+        out[r : r + step] = _prices(curves._table, np.arange(k), seeds[r : r + step])
     return out
 
 
-def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndarray:
+def static_prices_for_quantiles(curves: Curves, q: np.ndarray) -> np.ndarray:
     """Exact quantiles of the aggregate price law F(v) = mean_i P(phi_i(s) <= v).
 
     The curves tile the price chain end to end: unit i's curve ends where
@@ -249,10 +270,10 @@ def static_prices_for_quantiles(scheme: PricingScheme, q: np.ndarray) -> np.ndar
     q = np.asarray(q, dtype=float)
     if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
         raise ValidationError("quantiles outside [0, 1]")
-    k = scheme.model.k
+    k = curves.model.k
     x = q * k
     unit = np.minimum(np.floor(x), k - 1)
-    return _prices(scheme._table, unit, x - unit)
+    return _prices(curves._table, unit, x - unit)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from closed_form import closed_form_alpha
 from exact_welfare import dynamic_welfare, eval_psi, static_welfare
 
+from kselect.cli import _mechanism
 from kselect.cost_model import make_cost_model
 from kselect.instances import Instance, gen_iid, gen_low2high, gen_sorted, hard_instance
 from kselect.lower_bound import build_intervals, chain_residual, solve_alpha_star
@@ -293,7 +294,7 @@ def test_criterion_11_ratio_cdf_shapes():
     """
     sol = solve_alpha_star(BENCH)
     scheme = build_scheme(BENCH)
-    mechs = [Mechanism(scheme), Mechanism(scheme, "pinned", 0.5), Mechanism(scheme, "static")]
+    mechs = [_mechanism(scheme, spec)[1] for spec in ("r-dynamic", "pinned:0.5", "static")]
     trials, count = 400, 60
 
     iid_est, iid_exact, iid_opt = [], [], []

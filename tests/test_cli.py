@@ -30,7 +30,6 @@ from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance, instance_text, read_instance
 from kselect.lower_bound import build_intervals, solve_alpha_star
 from kselect.mechanisms import (
-    Mechanism,
     expected_welfare,
     offline_opt,
     ratio_to_opt,
@@ -881,6 +880,21 @@ def test_readme_library_section_names_exactly_the_package_root():
     assert named == set(kselect.__all__)
 
 
+def test_readme_library_example_runs(tmp_path, capsys, monkeypatch):
+    # the section's Python example, run where `kselect instances` wrote its iid.txt
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    model = model_to_json(make_cost_model(1.0, 30.0, 10, quadratic_coeff=1 / 16))
+    out = str(tmp_path / "iid.txt")
+    assert run_cli(capsys, "instances", "--model", json.dumps(model), "--out", out)[0] == 0
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(example, "README.md", "exec"), names)
+    assert names["est"].trials == 2000 and names["ratio"] >= 1.0
+    assert names["pinned"].curves.fixed and names["pinned"].rows(2000) == 1
+
+
 # ---------------------------------------------------------------------------
 # pricing
 
@@ -1061,6 +1075,17 @@ def test_simulate_pinned_trace_is_deterministic(tmp_path, capsys):
     assert code == 2 and "2" in err
 
 
+def test_simulate_on_a_U_equal_L_model_runs_one_row(tmp_path, capsys):
+    # every price is L = U at every seed: one run, not a mean of seven
+    # identical rows that reads 4.8999999999999995 with an error of 3.6e-16
+    model = '{"L": 2, "U": 2, "k": 3, "cost": {"type": "explicit", "marginals": [0.1, 0.3, 0.7]}}'
+    args = ["--instance", write_inst(tmp_path, [2.0] * 3), "--trials", "7", "--seed", "1"]
+    code, out, _ = run_cli(capsys, "simulate", "--model", model, *args)
+    assert code == 0
+    got = json.loads(out)
+    assert (got["mean_welfare"], got["std_error"], got["ratio_to_opt"]) == (4.9, 0.0, 1.0)
+
+
 def test_simulate_pinned_draws_one_row_past_the_trial_ceiling(tmp_path, capsys):
     # 2000 trials * k = 6000 is past the ceiling, but pinned draws one row:
     # the --pin-seeds trace at sigma on every unit
@@ -1207,7 +1232,7 @@ def test_experiment_single_pinned_instance_single_point(tmp_path, capsys):
     assert flag == "true"
     assert frac == "1"
     model = make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5])
-    mech = Mechanism(build_scheme(model), "pinned", 0.5)
+    _, mech = cli._mechanism(build_scheme(model), "pinned:0.5")
     inst = hard_instance(model, 1.0, 5.0)
     est = expected_welfare(mech, inst, model, 1, 0)
     want = ratio_to_opt(offline_opt(inst, model)[0], est.mean)
@@ -1230,11 +1255,11 @@ def test_experiment_cdf_is_valid_and_rerun_is_byte_identical(tmp_path, capsys):
     for name, flag, ratio, frac in rows:
         seen.setdefault(name, []).append((float(ratio), float(frac), flag))
     assert set(seen) == {"r-dynamic", "d-dynamic-surrogate(sigma=0.25)", "r-static-surrogate"}
-    # each kind's derived labels are the ones the CSV shows
+    # each spec's label is the one the CSV shows, and only r-dynamic is no surrogate
     scheme = build_scheme(make_cost_model(1.0, 5.0, 2, marginals=[0.25, 0.5]))
-    mechs = [Mechanism(scheme), Mechanism(scheme, "pinned", 0.25), Mechanism(scheme, "static")]
+    labels = [cli._mechanism(scheme, spec)[0] for spec in ("r-dynamic", "pinned:0.25", "static")]
     assert {name: pts[0][2] for name, pts in seen.items()} == {
-        m.name: "true" if m.surrogate else "false" for m in mechs
+        label: "false" if label == "r-dynamic" else "true" for label in labels
     }
     for name, pts in seen.items():
         ratios = [r for r, _, _ in pts]

@@ -6,11 +6,13 @@ exact-welfare oracle against brute-force integration over seeds."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from exact_welfare import dynamic_welfare, price_cdfs, static_welfare
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from kselect import mechanisms
+from kselect.cli import _mechanism
 from kselect.cost_model import make_cost_model
 from kselect.errors import SolverError, ValidationError
 from kselect.instances import Instance, gen_iid, hard_instance, read_instance
@@ -39,11 +43,17 @@ from kselect.mechanisms import (
 )
 from kselect.lower_bound import solve_alpha_star
 from kselect.pricing import (
+    Curves,
     build_scheme,
     inverse_price,
     price_at,
     prices_for_seeds,
 )
+
+
+def mechanism(scheme, kind, sigma=0.5):
+    """The mechanism the command line builds for ``kind``, at ``sigma`` for pinned."""
+    return _mechanism(scheme, f"pinned:{sigma!r}" if kind == "pinned" else kind)[1]
 
 
 def opt_by_subset_enumeration(instance, model):
@@ -164,7 +174,7 @@ def kernel_cases(draw):
     scheme = build_scheme(model)
     mech_kind = draw(st.sampled_from(("r-dynamic", "static", "pinned")))
     sigma = draw(st.floats(0.0, 1.0)) if mech_kind == "pinned" else 0.5
-    mech = Mechanism(scheme, mech_kind, sigma)
+    mech = mechanism(scheme, mech_kind, sigma)
     seed = draw(st.integers(0, 2**32 - 1))
     P = _price_matrix(mech, range(draw(st.integers(1, 12))), seed)
     m = draw(st.integers(0, 9))
@@ -295,7 +305,7 @@ class TestSubstreams:
         m = make_cost_model(L=1.0, U=30.0, k=10, quadratic_coeff=1.0 / 16.0)
         sch = build_scheme(m)
         dyn = Mechanism(sch)
-        stat = Mechanism(sch, "static")
+        stat = Mechanism(sch, static=True)
         inst = Instance((m.U,) * m.k)
         for t in range(20):
             posted = [d.posted_price for d in run_trial(dyn, inst, m, 8, t).decisions]
@@ -326,11 +336,11 @@ class TestSubstreams:
         scheme = build_scheme(m)
         top = MAX_TRIAL_CELLS // 2
         for trials in (top, top + 1):
-            pinned = Mechanism(scheme, "pinned", 0.5)
+            pinned = mechanism(scheme, "pinned")
             assert expected_welfare(pinned, Instance((2.0,)), m, trials, 1).trials == trials
         for kind, trials in (("r-dynamic", top + 1), ("static", 10**400)):
             with pytest.raises(ValidationError, match="exceeds the ceiling"):
-                expected_welfare(Mechanism(scheme, kind), Instance((2.0,)), m, trials, 1)
+                expected_welfare(mechanism(scheme, kind), Instance((2.0,)), m, trials, 1)
 
 
 def philox_rows(master_seed, k, trials):
@@ -383,7 +393,7 @@ class TestTrialStreams:
         sch = build_scheme(m)
         q = philox_rows(21, m.k, 30)[:, 0]
         want = static_prices_for_quantiles(sch, q)
-        got = _price_matrix(Mechanism(sch, "static"), range(30), 21)
+        got = _price_matrix(Mechanism(sch, static=True), range(30), 21)
         assert got.tobytes() == np.repeat(want[:, None], m.k, axis=1).tobytes()
 
 
@@ -399,6 +409,18 @@ class TestExpectedWelfare:
         assert ratio_to_opt(offline_opt(Instance((math.e,)), m)[0], est.mean) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_a_U_equal_L_model_runs_one_row(self):
+        # every price is L at every seed: the curves are fixed, so the
+        # estimate is the one run, drawn from no stream
+        m = make_cost_model(L=2.0, U=2.0, k=3, marginals=[0.1, 0.3, 0.7])
+        dyn = Mechanism(build_scheme(m))
+        assert dyn.curves.fixed and dyn.rows(7) == 1
+        inst = Instance((2.0, 2.0, 2.0))
+        with mock.patch.object(mechanisms, "trial_rng", side_effect=AssertionError("drew")):
+            est = expected_welfare(dyn, inst, m, trials=7, master_seed=1)
+        assert est.mean == run_posted_price([2.0] * m.k, inst, m).welfare == 4.9
+        assert (est.std_error, est.trials) == (0.0, 7)
 
     def test_flat_scheme_has_zero_variance(self):
         m = make_cost_model(L=2.0, U=2.0, k=2, marginals=[0.5, 1.0])
@@ -444,9 +466,9 @@ class TestExpectedWelfare:
         for kind in ("r-dynamic", "pinned", "static"):
             for other in others:
                 with pytest.raises(ValidationError, match="built for another model"):
-                    expected_welfare(Mechanism(sch, kind), inst, other, 50, 1)
+                    expected_welfare(mechanism(sch, kind), inst, other, 50, 1)
                 with pytest.raises(ValidationError, match="built for another model"):
-                    run_trial(Mechanism(sch, kind), inst, other, 1, 0)
+                    run_trial(mechanism(sch, kind), inst, other, 1, 0)
         for target in (sch, "r-dynamic"):
             with pytest.raises(ValidationError, match="expected a Mechanism"):
                 expected_welfare(target, inst, m, 50, 1)
@@ -478,7 +500,7 @@ def row_cuts(draw, kind):
         scheme = build_scheme(model)
     except SolverError:  # exit 3: c_k = U, or too near U (test_cli)
         reject()
-    mech = Mechanism(scheme, kind, draw(st.floats(0.0, 1.0)))
+    mech = mechanism(scheme, kind, draw(st.floats(0.0, 1.0)))
     seed = draw(st.integers(0, 2**64 - 1))
     rng = np.random.default_rng(seed)
     inst = Instance(tuple(rng.uniform(L, U, draw(st.integers(0, 40))).tolist()))
@@ -494,22 +516,43 @@ def row_cuts(draw, kind):
 
 
 @st.composite
-def tied_setups(draw):
-    """A scheme on a random explicit ladder of k <= 50 units in either
-    regime, a seed and arrivals drawn from at most four distinct values."""
+def explicit_ladders(draw, max_k=50):
+    """A random explicit ladder of k <= max_k units in either regime."""
     general = draw(st.booleans())
     L = draw(st.floats(1.0, 3.0))
     U = L * draw(st.floats(1.5, 6.0))
-    k = draw(st.integers(2 if general else 1, 50))
+    k = draw(st.integers(2 if general else 1, max_k))
     cap = min(1.8 * L, 0.9 * U) if general else 0.9 * L
     ms = sorted(draw(st.lists(st.floats(0.0, cap), min_size=k, max_size=k)))
     if general:
         ms[0], ms[-1] = min(ms[0], 0.9 * L), max(ms[-1], L)
     model = make_cost_model(L=L, U=U, k=k, marginals=ms)
     assert model.regime == ("general" if general else "high_value")
-    pool = draw(st.lists(st.floats(L, U), min_size=1, max_size=4))
+    return model
+
+
+@st.composite
+def tied_setups(draw):
+    """A scheme on a random explicit ladder of k <= 50 units in either
+    regime, a seed and arrivals drawn from at most four distinct values."""
+    model = draw(explicit_ladders())
+    pool = draw(st.lists(st.floats(model.L, model.U), min_size=1, max_size=4))
     inst = Instance(tuple(draw(st.lists(st.sampled_from(pool), max_size=60))))
     return build_scheme(model), draw(st.integers(0, 2**64 - 1)), inst
+
+
+@st.composite
+def flat_setups(draw):
+    """A ladder of k <= 30 units in either regime, a price vector in [L, U]
+    that need not be sorted, often at L or U, a seed and arrivals that
+    often sit exactly at a price."""
+    model = draw(explicit_ladders(max_k=30))
+    L, U = model.L, model.U
+    one = st.one_of(st.sampled_from((L, U)), st.floats(L, U))
+    prices = draw(st.lists(one, min_size=model.k, max_size=model.k))
+    pool = st.one_of(st.sampled_from(prices), st.floats(L, U))
+    inst = Instance(tuple(draw(st.lists(pool, max_size=40))))
+    return model, prices, draw(st.integers(0, 2**64 - 1)), inst
 
 
 class TestTrialWelfares:
@@ -518,7 +561,7 @@ class TestTrialWelfares:
     @given(data=st.data())
     def test_any_cut_of_the_rows_joins_to_the_estimate(self, kind, data):
         mech, inst, seed, trials, parts = data.draw(row_cuts(kind))
-        model = mech.scheme.model
+        model = mech.curves.model
         if mech.rows(trials) * model.k > MAX_TRIAL_CELLS:
             with pytest.raises(ValidationError) as whole:
                 expected_welfare(mech, inst, model, trials, seed)
@@ -540,16 +583,67 @@ class TestTrialWelfares:
         scheme, seed, inst = setup
         model = scheme.model
         opt = offline_opt(inst, model)[0]
-        w = trial_welfares(Mechanism(scheme, kind, sigma), inst, model, 20, seed)
+        w = trial_welfares(mechanism(scheme, kind, sigma), inst, model, 20, seed)
         assert w.max() <= opt + 1e-12 * opt
+
+
+class TestFlatCurves:
+    @settings(max_examples=60, deadline=None)
+    @given(setup=flat_setups())
+    def test_every_seed_posts_the_price_vector(self, setup):
+        model, prices, seed, _ = setup
+        flat = Curves.flat(model, prices)
+        assert flat.fixed and flat.sizes.tolist() == [1] * model.k
+        seeds = np.vstack(([0.0] * model.k, [1.0] * model.k))
+        seeds = np.vstack((seeds, np.random.default_rng(seed).random((4, model.k))))
+        want = np.array([prices] * len(seeds))
+        assert prices_for_seeds(flat, seeds).tobytes() == want.tobytes()
+        for i, p in enumerate(prices, start=1):
+            for s in seeds[:, i - 1].tolist():
+                assert price_at(flat, i, s).hex() == p.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=flat_setups(), data=st.data())
+    def test_inverse_price_is_the_step_at_the_price(self, setup, data):
+        model, prices, _, _ = setup
+        flat = Curves.flat(model, prices)
+        for i, p in enumerate(prices, start=1):
+            below, above = math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
+            extra = data.draw(st.floats(model.L, model.U))
+            for v in (model.L, model.U, p, below, above, extra):
+                assert inverse_price(flat, i, v) == (1.0 if v >= p else 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=flat_setups(), trials=st.integers(1, 50))
+    def test_an_estimate_is_one_run_drawn_from_no_stream(self, setup, trials):
+        model, prices, seed, inst = setup
+        mech = Mechanism(Curves.flat(model, prices))
+        assert mech.rows(trials) == 1
+        assert Mechanism(mech.curves, static=True).rows(trials) == trials
+        run = run_posted_price(prices, inst, model)
+        with mock.patch.object(mechanisms, "trial_rng", side_effect=AssertionError("drew")):
+            w = trial_welfares(mech, inst, model, trials, seed)
+            assert run_trial(mech, inst, model, seed, trials - 1) == run
+        assert w.tobytes() == np.array([run.welfare]).tobytes()
+
+    @pytest.mark.parametrize(
+        "prices",
+        [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], [[1.0, 2.0, 3.0]], [1.0, math.nan, 2.0],
+         [math.inf, 2.0, 3.0]],
+        ids=["short", "long", "empty", "nested", "nan", "inf"],
+    )
+    def test_a_wrong_length_or_a_non_finite_price_is_invalid(self, prices):
+        m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match="^expected 3 finite prices, got "):
+            Curves.flat(m, prices)
 
 
 class TestSurrogates:
     def test_pinned_extremes_and_determinism(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
         sch = build_scheme(m)
-        lo = Mechanism(sch, "pinned", 0.0)
-        hi = Mechanism(sch, "pinned", 1.0)
+        label, lo = _mechanism(sch, "pinned:0")
+        hi = mechanism(sch, "pinned", 1.0)
         inst = gen_iid(m, 25, 2.5, 1.0, np.random.default_rng(43))
         out_lo = run_trial(lo, inst, m, 0, 0)
         posted = [d.posted_price for d in out_lo.decisions if d.posted_price is not None]
@@ -560,19 +654,29 @@ class TestSurrogates:
         assert run_trial(lo, inst, m, 5, 3) == run_trial(lo, inst, m, 11, 8)
         est = expected_welfare(lo, inst, m, trials=40, master_seed=0)
         assert est.std_error == 0.0
-        assert lo.surrogate and "surrogate" in lo.name
+        assert lo.curves.fixed and label == "d-dynamic-surrogate(sigma=0)"
 
     def test_pinned_sigma_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
         sch = build_scheme(m)
-        with pytest.raises(ValidationError, match="sigma 1.2 outside"):
-            Mechanism(sch, "pinned", 1.2)
+        for spec in ("pinned:1.2", {"kind": "pinned", "sigma": 1.2}):
+            with pytest.raises(ValidationError, match="sigma 1.2 outside"):
+                _mechanism(sch, spec)
         # only pinned reads sigma
-        assert Mechanism(sch, "static", 1.2).name == "r-static-surrogate"
-        # an unknown kind fails when the mechanism is built, not at its first estimate
+        assert _mechanism(sch, "static")[0] == "r-static-surrogate"
+        with pytest.raises(ValidationError, match="only pinned takes a sigma"):
+            _mechanism(sch, "static:1.2")
+        # an unknown kind fails when the spec is read, not at the first estimate
         for kind in ("bogus", "", None):
             with pytest.raises(ValidationError, match="expected r-dynamic, pinned or static"):
-                Mechanism(sch, kind)
+                _mechanism(sch, {"kind": kind})
+
+    def test_static_is_keyword_only(self):
+        # the old spelling Mechanism(scheme, "static") must not read as static
+        sch = build_scheme(make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0]))
+        with pytest.raises(TypeError):
+            Mechanism(sch, "static")
+        assert [f.name for f in dataclasses.fields(Mechanism)] == ["curves", "static"]
 
     def test_static_quantile_extremes(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
@@ -620,16 +724,16 @@ class TestSurrogates:
         m = make_cost_model(L=1.0, U=math.e, k=1, marginals=[0.0])
         sch = build_scheme(m)
         dyn = Mechanism(sch)
-        stat = Mechanism(sch, "static")
+        label, stat = _mechanism(sch, "static")
         inst = Instance((1.3, 2.0, 2.5))
         a = expected_welfare(dyn, inst, m, trials=4000, master_seed=55)
         b = expected_welfare(stat, inst, m, trials=4000, master_seed=56)
         assert abs(a.mean - b.mean) <= 3.0 * (a.std_error + b.std_error)
-        assert stat.surrogate and "surrogate" in stat.name
+        assert stat.static and label == "r-static-surrogate"
 
     def test_static_posts_one_price(self):
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
-        stat = Mechanism(build_scheme(m), "static")
+        stat = Mechanism(build_scheme(m), static=True)
         out = run_trial(stat, Instance((3.9, 3.9, 3.9, 3.9)), m, 5, 2)
         posted = {d.posted_price for d in out.decisions if d.posted_price is not None}
         assert len(posted) == 1
