@@ -62,14 +62,7 @@ from .mechanisms import (
     run_posted_price,
     trial_welfares,
 )
-from .pricing import (
-    Curves,
-    build_scheme,
-    max_file_bytes,
-    prices_for_seeds,
-    scheme_from_json,
-    scheme_json_chunks,
-)
+from .pricing import Curves, build_scheme, prices_for_seeds, scheme_json_chunks
 
 OUTPUT_DIR_ENV = "KSELECT_OUTPUT_DIR"
 # Largest `pricing --samples` table, in (samples + 1) * k cells.
@@ -83,8 +76,6 @@ MAX_INSTANCES = 10**6
 # indent. A config file may add --prices or --pin-seeds, k numbers.
 MAX_MODEL_FILE_BYTES = 64 * MAX_K
 MAX_CONFIG_FILE_BYTES = 2 * MAX_MODEL_FILE_BYTES
-# Most bytes of a scheme file: the largest that `pricing` writes at MAX_K
-MAX_SCHEME_FILE_BYTES = max_file_bytes(MAX_K)
 # Rows one `experiment` run draws (each estimate's trials, one for pinned,
 # summed over instances and mechanisms) from which it shares them among
 # worker processes, each taking at least half as many; smaller runs stay in
@@ -382,21 +373,11 @@ def cmd_simulate(args) -> int:
         for name in ("mechanism", "trials", "seed"):
             if name in args.given:
                 raise ValidationError(f"--{name} does nothing beside --{trace}: drop it")
-    scheme = None
-    if args.scheme is not None:
-        path = _path("scheme", args.scheme)
-        scheme = scheme_from_json(_read_json_file(path, "scheme file", MAX_SCHEME_FILE_BYTES))
-        model = scheme.model
-        if args.model is not None and _load_model(args) != model:
-            raise ValidationError("--model disagrees with the model stored in --scheme")
-    else:
-        model = _load_model(args)
+    model = _load_model(args)
     if args.instance is None:
         raise ValidationError("no instance given: pass --instance FILE")
     instance = read_instance(_path("instance", args.instance))
-
-    if scheme is None and args.prices is None:  # --prices builds no scheme
-        scheme = build_scheme(model)
+    scheme = None if args.prices is not None else build_scheme(model)  # --prices builds none
 
     if values is not None:
         values = [as_float(trace, p) for p in _items(trace, values)]
@@ -651,7 +632,6 @@ COMMANDS = {
     }),
     "simulate": (cmd_simulate, "run one mechanism on one instance", _MODEL | {
         "instance": (None, "instance file to replay"),
-        "scheme": (None, "scheme JSON from the pricing subcommand"),
         "mechanism": (
             "r-dynamic", "r-dynamic, static or pinned; pinned takes an optional :sigma suffix"
         ),

@@ -15,8 +15,8 @@ A Mechanism is price curves, drawn seed by seed or, static, as one price
 for every unit; a price vector is flat curves (pricing.Curves.flat). One
 function, _price_matrix, draws the prices of any set of trials, and fixed
 curves draw nothing: trial_welfares sells any range of its rows,
-expected_welfare averages rows 0..trials-1, and run_trial replays one row
-through run_posted_price.
+expected_welfare averages its ``rows(trials)`` rows (one for fixed curves),
+and run_trial replays one row through run_posted_price.
 Its prices are lookups in the pricing layer's flat curve table, through
 prices_for_seeds and static_prices_for_quantiles; the layout stays there.
 
@@ -47,7 +47,7 @@ import numpy as np
 from .cost_model import CostModel
 from .errors import ValidationError
 from .instances import Instance
-from .pricing import Curves, prices_for_seeds, static_prices_for_quantiles
+from .pricing import Curves, price_vector, prices_for_seeds, static_prices_for_quantiles
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,13 @@ def run_posted_price(
 
     The sales come from the Monte-Carlo kernel's one-row run; the trace is
     rebuilt from the sale positions: unit j + 1 is posted to every arrival
-    after unit j's sale up to and including its own.
+    after unit j's sale up to and including its own. ``prices`` must be k
+    finite numbers (pricing.price_vector).
     """
-    if len(prices) != model.k:
-        raise ValidationError(
-            f"price vector has {len(prices)} entries, model capacity is {model.k}"
-        )
-    if not all(map(math.isfinite, prices)):
-        raise ValidationError(f"price vector must be finite, got {prices!r}")
+    p = price_vector(model, prices)
+    prices = p.tolist()
     _check_valuations(instance, model)
-    welfare, pos = _welfares(np.array([prices], dtype=float), instance, model)
+    welfare, pos = _welfares(p[None], instance, model)
     n = len(instance)
     sales = [t for t in pos[0].tolist() if t < n]
     decisions: list[BuyerDecision] = []
@@ -352,7 +349,7 @@ def run_trial(
 ) -> RunOutcome:
     """Row trial_index of the Monte-Carlo engine, traced; bit-identical on rerun."""
     prices = _price_matrix(_checked(target, model), [trial_index], master_seed)[0]
-    return run_posted_price(prices.tolist(), instance, model)
+    return run_posted_price(prices, instance, model)
 
 
 def trial_welfares(

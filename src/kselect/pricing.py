@@ -13,7 +13,8 @@ unit has one segment.
 
 Curves are a model and its units' segments, stored as six float columns,
 not as one object per segment: a scheme's randomized curves, or
-``Curves.flat`` of one price vector, one constant segment per unit. A
+``Curves.flat`` of one price vector, one constant segment per unit
+(price_vector checks such a vector here and for the mechanisms). A
 scheme (PricingScheme, a Curves) adds its bound alpha_star. Its threshold
 unit and floor share (``k_underbar_star``, ``xi_star``) are computed from
 alpha_star by lower_bound.threshold, and its price intervals, ``kind`` and
@@ -77,6 +78,14 @@ _SEGMENT_ITEM = jsontext.layout(dict.fromkeys(_SEGMENT_FIELDS, jsontext.FIELD), 
 _INTERVAL_ITEM = jsontext.layout([jsontext.FIELD] * 2, 2)
 
 
+def price_vector(model: CostModel, prices) -> np.ndarray:
+    """``prices`` as a float array, checked: k finite prices, one per unit."""
+    p = np.asarray(prices, dtype=float)
+    if p.shape != (model.k,) or not np.isfinite(p).all():
+        raise ValidationError(f"expected {model.k} finite prices, got {p.tolist()!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class Curves:
     """Price curves of every unit, stored as columns: ``columns`` holds the
@@ -93,9 +102,7 @@ class Curves:
     def flat(cls, model: CostModel, prices) -> "Curves":
         """Unit i prices at ``prices[i - 1]`` on every seed: one segment
         ``(0, 1, p_i, p_i, 0, 0)`` per unit."""
-        p = np.asarray(prices, dtype=float)
-        if p.shape != (model.k,) or not np.isfinite(p).all():
-            raise ValidationError(f"expected {model.k} finite prices, got {p.tolist()!r}")
+        p = price_vector(model, prices)
         cols = np.concatenate((np.zeros(model.k), np.ones(model.k), p, p, np.zeros(2 * model.k)))
         return cls(model, array("d", cols.tobytes()), array("q", [1]) * model.k)
 
@@ -361,21 +368,6 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
     rows = [dict(zip(_SEGMENT_FIELDS, row)) for row in zip(*_column_view(scheme).tolist())]
     segments = [rows[a:b] for a, b in pairwise(scheme._offsets.tolist())]
     return _scheme_file(scheme, scheme.price_intervals.tolist(), segments)
-
-
-def max_file_bytes(k: int) -> int:
-    """Most bytes the scheme file of a k-unit scheme takes: its layout with
-    every number at its longest text, 24 characters, 2k + 1 segments and
-    1 KB for the fields outside the arrays. No scheme holds more segments:
-    one per unit, one more per distinct marginal strictly inside a unit's
-    price interval, and the threshold unit's floor."""
-    longest = "-1.2345678901234567e-308"
-
-    def item(template: str, depth: int) -> int:  # an array item and its separator
-        return len(template.replace("%s", longest)) + len(",\n") + 2 * (depth + 1)
-
-    unit = item("%s", 3) + item(_INTERVAL_ITEM, 1) + item("[\n    ]", 1)
-    return 1024 + k * unit + (2 * k + 1) * item(_SEGMENT_ITEM, 2)
 
 
 def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:

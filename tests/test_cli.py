@@ -28,20 +28,14 @@ from kselect.cli import COMMANDS, main
 from kselect.cost_model import make_cost_model, model_to_json
 from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance, instance_text, read_instance
-from kselect.lower_bound import build_intervals, solve_alpha_star
+from kselect.lower_bound import solve_alpha_star
 from kselect.mechanisms import (
     expected_welfare,
     offline_opt,
     ratio_to_opt,
     run_posted_price,
 )
-from kselect.pricing import (
-    _scheme,
-    build_scheme,
-    prices_for_seeds,
-    scheme_from_json,
-    scheme_to_json,
-)
+from kselect.pricing import build_scheme, prices_for_seeds, scheme_from_json
 
 E_MODEL = '{"L": 1, "U": 2.718281828459045, "k": 1, "cost": {"type": "explicit", "marginals": [0]}}'
 FIG_MODEL = '{"L": 1, "U": 10, "k": 10, "cost": {"type": "quadratic", "coeff": 0.016949152542372881}}'
@@ -77,95 +71,11 @@ def _model_with(**changes):
 
 
 NOT_UTF8 = "<a file that starts with byte 0xff>"
+PRICING_FILE = "<the file pricing writes>"
 
 
-def _edit_segment(unit: int, seg: int, **fields):
-    def change(obj):
-        obj["segments"][unit - 1][seg].update(fields)
-
-    return change
-
-
-def _edit_top_price(unit: int, top: float):
-    def change(obj):
-        obj["price_intervals"][unit - 1][1] = top
-
-    return change
-
-
-def _move_junction(unit: int, price: float):
-    """Move the top of unit's price interval and the bottom of the next
-    unit's to ``price``, so that the intervals still chain."""
-
-    def change(obj):
-        obj["price_intervals"][unit - 1][1] = obj["price_intervals"][unit][0] = price
-
-    return change
-
-
-def _move_seed_junction(unit: int, seed: float):
-    """Move the seed where unit's floor ends and its ramp starts, on both."""
-
-    def change(obj):
-        floor, ramp = obj["segments"][unit - 1]
-        floor["s_hi"] = ramp["s_lo"] = seed
-
-    return change
-
-
-# Scheme files whose curves, alpha*, k_underbar*, xi*, price intervals, kind
-# or guarantee are not the ones the model builds at the file's alpha*. The
-# base is the `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment
-# on units 1 and 3, and on unit 2 a floor on [0, xi] followed by a ramp from
-# L to 1.91; the price intervals are [1, 1], [1, 1.91] and [1.91, 4]. The
-# last three entries keep every price in [L, U] and chained, and every rate
-# alpha* / g, yet move unit 3's price at seed 0.5 from 2.744 to 4.0 (cost)
-# or unit 2's at seed 0.9 from 1.778 to 1.832 (junction).
-BAD_SCHEMES = {
-    "<scheme: unit 2 has no segment>": lambda obj: obj["segments"][1].clear(),
-    "<scheme: unit 3 starts at seed 0.25>": _edit_segment(3, 0, s_lo=0.25),
-    "<scheme: unit 3 ends at seed 0.75>": _edit_segment(3, 0, s_hi=0.75),
-    "<scheme: unit 2 has a gap>": _edit_segment(2, 1, s_lo=0.5),
-    "<scheme: unit 2 goes back in seed>": _edit_segment(2, 0, s_hi=1.5),
-    "<scheme: unit 2's v_lo decreases>": _edit_segment(2, 1, v_lo=0.5),
-    "<scheme: unit 3 starts at price 0.5>": _edit_segment(3, 0, v_lo=0.5),
-    "<scheme: unit 3 starts below unit 2's top>": _edit_segment(3, 0, v_lo=1.5),
-    "<scheme: unit 3 ends above U>": _edit_segment(3, 0, v_hi=4.5),
-    "<scheme: unit 3's price interval ends at NaN>": _edit_top_price(3, math.nan),
-    "<scheme: unit 3's price interval is reversed>": _edit_top_price(3, 1.5),
-    "<scheme: unit 3's price interval ends above U>": _edit_top_price(3, 4.5),
-    "<scheme: unit 2's price interval ends short of unit 3's>": _edit_top_price(2, 1.5),
-    "<scheme: kind two_unit>": lambda obj: obj.update(kind="two_unit"),
-    "<scheme: cr_guarantee 1.0>": lambda obj: obj.update(cr_guarantee=1.0),
-    "<scheme: unit 2's and unit 3's price intervals meet at 1.5>": _move_junction(2, 1.5),
-    "<scheme: unit 3 starts at price 2.5, above unit 2's top>": _edit_segment(3, 0, v_lo=2.5),
-    # the guarantee alpha e^{alpha / k} overflows a float: inf, not the file's
-    "<scheme: alpha_star 1e6>": lambda obj: obj.update(alpha_star=1e6),
-    "<scheme: alpha_star inf>": lambda obj: obj.update(alpha_star=math.inf, cr_guarantee=math.inf),
-    "<scheme: k_underbar_star + 1>": lambda obj: obj.update(
-        k_underbar_star=obj["k_underbar_star"] + 1
-    ),
-    "<scheme: xi_star / 2>": lambda obj: obj.update(xi_star=obj["xi_star"] / 2),
-    "<scheme: alpha_star 10**400>": lambda obj: obj.update(alpha_star=10**400),
-    "<scheme: unit 3's cost -5>": _edit_segment(3, 0, cost=-5.0),
-    "<scheme: unit 3's cost -1e300>": _edit_segment(3, 0, cost=-1e300),
-    "<scheme: unit 2's junction at seed 0.0404>": _move_seed_junction(2, 0.0404),
-    "<scheme: unit 3's segment list removed>": lambda obj: obj["segments"].pop(),
-}
-
-
-def _bad_scheme_file(tmp_path, name) -> str:
-    model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
-    obj = scheme_to_json(build_scheme(model))
-    BAD_SCHEMES[name](obj)
-    path = tmp_path / "scheme.json"
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-# scheme or config files holding these JSON values
+# config files holding these JSON values
 JSON_FILES = {
-    "<file: []>": [],
     "<file: mechanisms 5>": {"mechanisms": 5},
     "<file: trials [1]>": {"trials": [1]},
     "<file: trials 1.5>": {"trials": 1.5},
@@ -181,8 +91,10 @@ def _given_file(tmp_path, token: str) -> str:
         path = tmp_path / "not-utf8"
         path.write_bytes(b'\xff{"L": 1}\n')
         return str(path)
-    if token in BAD_SCHEMES:
-        return _bad_scheme_file(tmp_path, token)
+    if token == PRICING_FILE:
+        path = tmp_path / "scheme.json"
+        assert main(["pricing", "--model", K2_MODEL, "--out", str(path)]) == 0
+        return str(path)
     if token in JSON_FILES:
         path = tmp_path / "given.json"
         path.write_text(json.dumps(JSON_FILES[token]))
@@ -214,7 +126,6 @@ REMOVED_INSTANCE_FLAGS = (
         ("solve", "--model", NOT_UTF8),
         ("solve", "--config", NOT_UTF8, "--model", K2_MODEL),
         ("simulate", "--model", K2_MODEL, "--instance", NOT_UTF8),
-        ("simulate", "--scheme", NOT_UTF8, "--instance", os.devnull),
         ("solve", "--model", _model_with(k=10**6 + 1, cost={"type": "quadratic", "coeff": 1e-9})),
         ("pricing", "--model", K2_MODEL, "--samples", "5000000"),
         ("solve", "--model", K2_MODEL, "--regime", "general"),
@@ -225,6 +136,7 @@ REMOVED_INSTANCE_FLAGS = (
         ),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
          "--mechanism", "pinned", "--sigma", "0.5"),
+        ("simulate", "--scheme", PRICING_FILE, "--instance", os.devnull),
         ("instances", "--model", K2_MODEL, "--seed", "-1"),
         ("instances", "--model", K2_MODEL, "--seed", "-1", "--spec", '{"kind": "hard"}'),
         *[("instances", "--model", K2_MODEL, f"--{flag}", "1") for flag in REMOVED_INSTANCE_FLAGS],
@@ -234,7 +146,6 @@ REMOVED_INSTANCE_FLAGS = (
         ("curves", "--k-min", "1000001", "--k-max", "1000002"),
         ("curves", "--k-min", "2", "--k-max", str(10**6)),
         ("experiment", "--model", K2_MODEL, "--instances", '{"kind": "iid", "count": 1000001}'),
-        *[("simulate", "--scheme", name, "--instance", os.devnull) for name in BAD_SCHEMES],
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "r-dynamic:7"),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull, "--mechanism", "static:0.3"),
         (
@@ -259,7 +170,6 @@ REMOVED_INSTANCE_FLAGS = (
          "--prices", "1,2", "--trials", "9"),
         ("simulate", "--model", K2_MODEL, "--instance", os.devnull,
          "--pin-seeds", "0.1,0.9", "--config", "<file: seed 3>"),
-        ("simulate", "--scheme", "<file: []>", "--instance", os.devnull),
         ("experiment", "--model", K2_MODEL, "--config", "<file: mechanisms 5>"),
         ("instances", "--model", K2_MODEL, "--spec", "notjson"),
         ("experiment", "--model", K2_MODEL, "--mechanisms", ","),
@@ -283,13 +193,13 @@ REMOVED_INSTANCE_FLAGS = (
         "model-not-utf8",
         "config-not-utf8",
         "instance-not-utf8",
-        "scheme-not-utf8",
         "k-past-size-ceiling",
         "samples-past-size-ceiling",
         "no-regime-flag",
         "no-builder-flag",
         "no-tol-flag",
         "no-sigma-flag",
+        "no-scheme-flag",
         "negative-seed",
         "negative-seed-hard",
         *[f"no-{flag}-flag" for flag in REMOVED_INSTANCE_FLAGS],
@@ -299,32 +209,6 @@ REMOVED_INSTANCE_FLAGS = (
         "curves-k-past-size-ceiling",
         "curves-units-past-size-ceiling",
         "count-past-size-ceiling",
-        "scheme-unit-without-segment",
-        "scheme-unit-not-from-seed-0",
-        "scheme-unit-not-to-seed-1",
-        "scheme-unit-with-gap",
-        "scheme-unit-going-back",
-        "scheme-v_lo-decreasing",
-        "scheme-price-below-L",
-        "scheme-chain-broken",
-        "scheme-price-above-U",
-        "scheme-interval-nan",
-        "scheme-interval-reversed",
-        "scheme-interval-above-U",
-        "scheme-interval-gap",
-        "scheme-kind-not-the-models",
-        "scheme-guarantee-not-the-curves",
-        "scheme-intervals-chain-off-the-curves",
-        "scheme-curves-with-a-gap",
-        "scheme-guarantee-overflows",
-        "scheme-alpha-star-inf",
-        "scheme-k_underbar-off-by-one",
-        "scheme-xi-halved",
-        "scheme-alpha-star-past-float-range",
-        "scheme-cost-negative",
-        "scheme-cost-past-the-clamp",
-        "scheme-junction-moved-on-both-segments",
-        "scheme-unit-count-short",
         "sigma-on-r-dynamic",
         "sigma-on-static",
         "sigma-on-static-in-list",
@@ -338,7 +222,6 @@ REMOVED_INSTANCE_FLAGS = (
         "mechanism-beside-pin-seeds",
         "trials-beside-prices",
         "seed-beside-pin-seeds-from-config",
-        "scheme-json-array",
         "config-mechanisms-number",
         "spec-not-json",
         "no-mechanism-in-list",
@@ -354,34 +237,6 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "No such file" not in err
-
-
-@pytest.mark.parametrize("case", ["alpha-off-the-root", "no-scheme-in-floats"])
-def test_a_scheme_file_whose_model_builds_no_scheme_at_its_alpha_exits_2(capsys, tmp_path, case):
-    if case == "alpha-off-the-root":
-        # curves and computed fields rebuilt at alpha* (1 + 1e-6): the file
-        # agrees with itself, but its chain ends above U
-        model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
-        alpha = solve_alpha_star(model).alpha * (1 + 1e-6)
-        obj = scheme_to_json(_scheme(model, build_intervals(model, alpha)))
-        why = "is not a bound the solver accepts"
-    else:
-        # the solver finds alpha*, but the curves have no float form, so
-        # `pricing` exits 3; the file is another model's scheme, given this
-        # model and its alpha*
-        L, U = 2.2886, 1.5 * 2.2886
-        model = make_cost_model(L, U, 4, marginals=[0.0, 0.0, 0.0, math.nextafter(U, 0.0)])
-        assert run_cli(capsys, "pricing", "--model", json.dumps(model_to_json(model)))[0] == 3
-        obj = scheme_to_json(build_scheme(make_cost_model(L, U, 4, marginals=[0.0] * 4)))
-        obj.update(model=model_to_json(model), alpha_star=solve_alpha_star(model).alpha)
-        why = "no scheme: unit 4 seed spans sum to"
-    path = tmp_path / "scheme.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, "simulate", "--scheme", str(path), "--instance", os.devnull)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: scheme alpha_star: ")
-    assert why in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -668,7 +523,7 @@ def _long_options(options: dict) -> set[str]:
 
 
 # One valid run per case: for each option, its flag text and the JSON value
-# a config file gives for the same input. {inst}, {scheme} and {tmp} stand
+# a config file gives for the same input. {inst}, {model} and {tmp} stand
 # for files made by the test.
 CONFIG_CASES = {
     "solve": {"model": (K2_MODEL, json.loads(K2_MODEL)), "out": ("{tmp}/o.json",) * 2},
@@ -679,7 +534,7 @@ CONFIG_CASES = {
         "seed": ("3", 3),
     },
     "simulate": {
-        "scheme": ("{scheme}",) * 2,
+        "model": ("{model}",) * 2,
         "instance": ("{inst}",) * 2,
         "mechanism": ("static", "static"),
         "trials": ("7", 7),
@@ -730,8 +585,8 @@ def test_config_cases_cover_every_option():
 )
 def test_config_value_gives_the_same_output_as_the_flag(tmp_path, capsys, case, option):
     files = {"{tmp}": str(tmp_path), "{inst}": write_inst(tmp_path, [1.0, 3.0, 4.5, 2.0])}
-    files["{scheme}"] = str(tmp_path / "scheme.json")
-    assert main(["pricing", "--model", K2_MODEL, "--out", files["{scheme}"]]) == 0
+    files["{model}"] = str(tmp_path / "model.json")
+    (tmp_path / "model.json").write_text(K2_MODEL)
 
     def fill(value):
         if isinstance(value, str):
@@ -913,21 +768,21 @@ PRICE_HIGHVALUE = json.dumps(
 )
 
 
-def test_simulate_reads_the_scheme_file_pricing_wrote_on_a_tie(tmp_path, capsys):
+def test_the_scheme_file_pricing_writes_on_a_tie_loads_with_every_price_in_range(
+    tmp_path, capsys
+):
     # xi = 1 at alpha = 2: the chain end that rounds below L is set back to
     # L, so every price of the file lies in [L, U]
-    model = json.dumps(
-        {"L": 1.7, "U": 3.933766376996758, "k": 2,
-         "cost": {"type": "explicit", "marginals": [0.4, 0.4]}}
-    )
-    scheme = tmp_path / "scheme.json"
-    code, _, _ = run_cli(capsys, "pricing", "--model", model, "--out", str(scheme))
-    assert code == 0
-    inst = write_inst(tmp_path, [1.8, 3.5, 2.0])
-    code, _, err = run_cli(
-        capsys, "simulate", "--scheme", str(scheme), "--instance", inst, "--trials", "20"
-    )
+    L, U = 1.7, 3.933766376996758
+    cost = {"type": "explicit", "marginals": [0.4, 0.4]}
+    model = json.dumps({"L": L, "U": U, "k": 2, "cost": cost})
+    path = tmp_path / "scheme.json"
+    code, _, err = run_cli(capsys, "pricing", "--model", model, "--out", str(path))
     assert code == 0, err
+    scheme = scheme_from_json(json.loads(path.read_text()))
+    _, _, v_lo, v_hi, _, _ = np.frombuffer(scheme.columns).reshape(6, -1)
+    prices = np.concatenate((v_lo, v_hi, scheme.price_intervals.ravel()))
+    assert ((L <= prices) & (prices <= U)).all()
 
 
 def test_pricing_builds_no_segment_objects_and_holds_its_memory(tmp_path):
@@ -1193,24 +1048,6 @@ def test_simulate_trace_streams_and_holds_its_memory(tmp_path):
     # instance read in
     assert peak <= 7e6
     assert len(json.loads(out.read_text())["decisions"]) == 10**5
-
-
-def test_simulate_scheme_file_must_match_model(tmp_path, capsys):
-    scheme_path = tmp_path / "scheme.json"
-    code, _, _ = run_cli(capsys, "pricing", "--model", K2_MODEL, "--out", str(scheme_path))
-    assert code == 0
-    inst = write_inst(tmp_path, [2.0, 3.0])
-    code, _, _ = run_cli(
-        capsys, "simulate", "--scheme", str(scheme_path), "--instance", inst,
-        "--trials", "5", "--seed", "1",
-    )
-    assert code == 0
-    code, _, err = run_cli(
-        capsys, "simulate", "--scheme", str(scheme_path), "--model", FIG_MODEL,
-        "--instance", inst, "--trials", "5", "--seed", "1",
-    )
-    assert code == 2
-    assert "disagrees" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1574,7 +1411,6 @@ def test_instance_file_past_the_arrival_ceiling_exits_2(capsys, tmp_path, monkey
     [
         ("--model", "MAX_MODEL_FILE_BYTES"),
         ("--config", "MAX_CONFIG_FILE_BYTES"),
-        ("--scheme", "MAX_SCHEME_FILE_BYTES"),
     ],
 )
 def test_json_file_past_its_byte_ceiling_exits_2_unread(capsys, tmp_path, flag, ceiling):

@@ -120,7 +120,6 @@ def files(tmp_path_factory):
     (tmp / "junk.json").write_text('{"kind": "x"}')
     model = '{"L": 1, "U": 5, "k": 2, "cost": {"type": "explicit", "marginals": [0.25, 0.5]}}'
     (tmp / "model.json").write_text(model)
-    assert main(["pricing", "--model", model, "--out", str(tmp / "scheme.json")]) == 0
     (tmp / "out").mkdir()
     (tmp / "link").symlink_to(tmp / "out" / "target.txt")
     return tmp
@@ -162,7 +161,6 @@ def _options(files):
                 path("inst.txt"),
                 path("words.txt", "not-utf8", "missing", "out") | JUNK,
             ),
-            "scheme": (True, path("scheme.json"), path("junk.json", "not-utf8", "missing") | JUNK),
             "mechanism": (False, MECHANISM, BAD_MECHANISM),
             "trials": trials,
             "seed": seed,
@@ -195,10 +193,6 @@ def invocations(draw, files):
     command = draw(st.sampled_from(sorted(all_options)))
     options = all_options[command]
     names = [n for n, (always, _, _) in options.items() if always or draw(st.booleans())]
-    if command == "simulate":
-        # the setup comes from --model or from a --scheme file; other tests
-        # cover both and neither
-        names.remove(draw(st.sampled_from(["model", "scheme"])))
     spoiled = draw(st.sampled_from([None] * 2 * len(names) + names))
     argv, config = [command], {}
     for name in names:

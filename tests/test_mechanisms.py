@@ -104,10 +104,10 @@ class TestRunPostedPrice:
         m = make_cost_model(L=1.0, U=2.0, k=2, marginals=[0.1, 0.2])
         with pytest.raises(ValidationError, match="arrival 2"):
             run_posted_price((1.0, 1.5), Instance((1.5, 0.9)), m)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^expected 2 finite prices, got \[1\.0\]$"):
             run_posted_price((1.0,), Instance((1.5,)), m)
         for bad in ((1.0, math.nan), (math.inf, 1.5), (1.0, -math.inf)):
-            with pytest.raises(ValidationError, match="finite"):
+            with pytest.raises(ValidationError, match="^expected 2 finite prices, got "):
                 run_posted_price(bad, Instance((1.5,)), m)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "2.5"])
@@ -633,9 +633,12 @@ class TestFlatCurves:
         ids=["short", "long", "empty", "nested", "nan", "inf"],
     )
     def test_a_wrong_length_or_a_non_finite_price_is_invalid(self, prices):
+        # one check, pricing.price_vector, serves the curves and the runner
         m = make_cost_model(L=1.0, U=4.0, k=3, marginals=[0.1, 0.2, 0.3])
         with pytest.raises(ValidationError, match="^expected 3 finite prices, got "):
             Curves.flat(m, prices)
+        with pytest.raises(ValidationError, match="^expected 3 finite prices, got "):
+            run_posted_price(prices, Instance((1.5,)), m)
 
 
 class TestSurrogates:

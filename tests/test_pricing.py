@@ -22,16 +22,15 @@ from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from kselect import jsontext
-from kselect.cost_model import allocation_count_g, conjugate, make_cost_model
-from kselect.errors import ValidationError
+from kselect.cost_model import allocation_count_g, conjugate, make_cost_model, model_to_json
+from kselect.errors import SolverError, ValidationError
 from kselect.instances import hard_instance
-from kselect.lower_bound import solve_alpha_star
+from kselect.lower_bound import build_intervals, solve_alpha_star
 from kselect.mechanisms import offline_opt
 from kselect.pricing import (
     _scheme,
     build_scheme,
     inverse_price,
-    max_file_bytes,
     price_at,
     prices_for_seeds,
     scheme_from_json,
@@ -610,6 +609,168 @@ def test_a_negative_price_in_a_scheme_file_is_reported_with_its_unit_and_field()
         scheme_from_json(obj)
 
 
+def _edit_segment(unit: int, seg: int, **fields):
+    def change(obj):
+        obj["segments"][unit - 1][seg].update(fields)
+
+    return change
+
+
+def _edit_top_price(unit: int, top: float):
+    def change(obj):
+        obj["price_intervals"][unit - 1][1] = top
+
+    return change
+
+
+def _move_junction(unit: int, price: float):
+    """Move the top of unit's price interval and the bottom of the next
+    unit's to ``price``, so that the intervals still chain."""
+
+    def change(obj):
+        obj["price_intervals"][unit - 1][1] = obj["price_intervals"][unit][0] = price
+
+    return change
+
+
+def _move_seed_junction(unit: int, seed: float):
+    """Move the seed where unit's floor ends and its ramp starts, on both."""
+
+    def change(obj):
+        floor, ramp = obj["segments"][unit - 1]
+        floor["s_hi"] = ramp["s_lo"] = seed
+
+    return change
+
+
+# Edits of a scheme file whose curves, alpha*, k_underbar*, xi*, price
+# intervals, kind or guarantee are not the ones the model builds at the
+# file's alpha*, each with the start of the loader's message. The base is
+# the `pricing` output for L=1, U=4, c=(0.1, 0.2, 0.3): one segment on units
+# 1 and 3, and on unit 2 a floor on [0, xi] followed by a ramp from L to
+# 1.91; the price intervals are [1, 1], [1, 1.91] and [1.91, 4]. The last
+# three entries keep every price in [L, U] and chained, and every rate
+# alpha* / g, yet move unit 3's price at seed 0.5 from 2.744 to 4.0 (cost)
+# or unit 2's at seed 0.9 from 1.778 to 1.832 (junction).
+BUILT = "its model builds at alpha_star"
+INTERVALS = f"scheme price_intervals is not the one {BUILT}"
+BAD_SCHEMES = {
+    "scheme-unit-without-segment": (
+        lambda obj: obj["segments"][1].clear(), "scheme unit 2: 0 segments, not the 2 "
+    ),
+    "scheme-unit-not-from-seed-0": (
+        _edit_segment(3, 0, s_lo=0.25), "scheme unit 3 segment 1: s_lo 0.25 is not the 0.0 "
+    ),
+    "scheme-unit-not-to-seed-1": (
+        _edit_segment(3, 0, s_hi=0.75), "scheme unit 3 segment 1: s_hi 0.75 is not the 1.0 "
+    ),
+    "scheme-unit-with-gap": (
+        _edit_segment(2, 1, s_lo=0.5), "scheme unit 2 segment 2: s_lo 0.5 is not the 0.0808"
+    ),
+    "scheme-unit-going-back": (
+        _edit_segment(2, 0, s_hi=1.5), "scheme unit 2 segment 1: s_hi 1.5 is not the 0.0808"
+    ),
+    "scheme-v_lo-decreasing": (
+        _edit_segment(2, 1, v_lo=0.5), "scheme unit 2 segment 2: v_lo 0.5 is not the 1.0 "
+    ),
+    "scheme-price-below-L": (
+        _edit_segment(3, 0, v_lo=0.5), "scheme unit 3 segment 1: v_lo 0.5 is not the 1.9145"
+    ),
+    "scheme-chain-broken": (
+        _edit_segment(3, 0, v_lo=1.5), "scheme unit 3 segment 1: v_lo 1.5 is not the 1.9145"
+    ),
+    "scheme-price-above-U": (
+        _edit_segment(3, 0, v_hi=4.5), "scheme unit 3 segment 1: v_hi 4.5 is not the 4.0 "
+    ),
+    "scheme-interval-nan": (_edit_top_price(3, math.nan), INTERVALS),
+    "scheme-interval-reversed": (_edit_top_price(3, 1.5), INTERVALS),
+    "scheme-interval-above-U": (_edit_top_price(3, 4.5), INTERVALS),
+    "scheme-interval-gap": (_edit_top_price(2, 1.5), INTERVALS),
+    "scheme-kind-not-the-models": (
+        lambda obj: obj.update(kind="two_unit"), "scheme kind is not the 'high_value' "
+    ),
+    "scheme-guarantee-not-the-curves": (
+        lambda obj: obj.update(cr_guarantee=1.0), "scheme cr_guarantee is not the 5.7015"
+    ),
+    "scheme-intervals-chain-off-the-curves": (_move_junction(2, 1.5), INTERVALS),
+    "scheme-curves-with-a-gap": (
+        _edit_segment(3, 0, v_lo=2.5), "scheme unit 3 segment 1: v_lo 2.5 is not the 1.9145"
+    ),
+    # the guarantee alpha e^{alpha / k} overflows a float: inf, not the file's
+    "scheme-guarantee-overflows": (
+        lambda obj: obj.update(alpha_star=1e6),
+        "scheme alpha_star: alpha = 1000000.0 is not a bound the solver accepts",
+    ),
+    "scheme-alpha-star-inf": (
+        lambda obj: obj.update(alpha_star=math.inf, cr_guarantee=math.inf),
+        "scheme alpha_star: alpha must be a finite value >= 1, got inf",
+    ),
+    "scheme-k_underbar-off-by-one": (
+        lambda obj: obj.update(k_underbar_star=obj["k_underbar_star"] + 1),
+        "scheme k_underbar_star is not the 2 ",
+    ),
+    "scheme-xi-halved": (
+        lambda obj: obj.update(xi_star=obj["xi_star"] / 2), "scheme xi_star is not the 0.0808"
+    ),
+    "scheme-alpha-star-past-float-range": (
+        lambda obj: obj.update(alpha_star=10**400), "malformed scheme spec: OverflowError"
+    ),
+    "scheme-cost-negative": (
+        _edit_segment(3, 0, cost=-5.0), "scheme unit 3 segment 1: cost -5.0 is not the 0.3 "
+    ),
+    "scheme-cost-past-the-clamp": (
+        _edit_segment(3, 0, cost=-1e300), "scheme unit 3 segment 1: cost -1e+300 is not the 0.3 "
+    ),
+    "scheme-junction-moved-on-both-segments": (
+        _move_seed_junction(2, 0.0404), "scheme unit 2 segment 1: s_hi 0.0404 is not the 0.0808"
+    ),
+    "scheme-unit-count-short": (
+        lambda obj: obj["segments"].pop(), "scheme spec does not match the model's unit count"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SCHEMES)
+def test_an_edited_scheme_file_does_not_load(name):
+    edit, message = BAD_SCHEMES[name]
+    obj = scheme_to_json(build_scheme(make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])))
+    scheme_from_json(json.loads(json.dumps(obj)))  # the file loads before the edit
+    edit(obj)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        scheme_from_json(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("value", [[], None, "scheme"], ids=["array", "null", "string"])
+def test_a_scheme_spec_that_is_not_an_object_does_not_load(value):
+    with pytest.raises(ValidationError, match="^scheme spec must be a JSON object$"):
+        scheme_from_json(value)
+
+
+@pytest.mark.parametrize("case", ["alpha-off-the-root", "no-scheme-in-floats"])
+def test_a_scheme_file_whose_model_builds_no_scheme_at_its_alpha_does_not_load(case):
+    if case == "alpha-off-the-root":
+        # curves and computed fields rebuilt at alpha* (1 + 1e-6): the file
+        # agrees with itself, but its chain ends above U
+        model = make_cost_model(1.0, 4.0, 3, marginals=[0.1, 0.2, 0.3])
+        alpha = solve_alpha_star(model).alpha * (1 + 1e-6)
+        obj = scheme_to_json(_scheme(model, build_intervals(model, alpha)))
+        why = "is not a bound the solver accepts"
+    else:
+        # the solver finds alpha*, but the curves have no float form, so
+        # build_scheme fails (`pricing` exits 3); the file is another
+        # model's scheme, given this model and its alpha*
+        L, U = 2.2886, 1.5 * 2.2886
+        model = make_cost_model(L, U, 4, marginals=[0.0, 0.0, 0.0, math.nextafter(U, 0.0)])
+        with pytest.raises(SolverError):
+            build_scheme(model)
+        obj = scheme_to_json(build_scheme(make_cost_model(L, U, 4, marginals=[0.0] * 4)))
+        obj.update(model=model_to_json(model), alpha_star=solve_alpha_star(model).alpha)
+        why = "no scheme: unit 4 seed spans sum to"
+    with pytest.raises(ValidationError, match=r"^scheme alpha_star: ") as info:
+        scheme_from_json(json.loads(json.dumps(obj)))
+    assert why in str(info.value)
+
+
 @pytest.mark.parametrize("regime", ["general", "high_value"])
 @settings(max_examples=100, deadline=None)
 @given(scheme=built_schemes())
@@ -828,11 +989,11 @@ def scheme_of(L, U, k, **cost):
 @settings(max_examples=100, deadline=None)
 @given(built_schemes())
 @example(scheme_of(1.0, 30.0, 200, marginals=[0.1] + [1.0 + j * 1e-9 for j in range(199)]))
-def test_every_scheme_file_fits_its_byte_ceiling(scheme):
-    # the clustered example puts one piece per marginal in a unit
-    k = scheme.model.k
-    assert sum(scheme.sizes) <= 2 * k + 1
-    assert len(scheme_json_text(scheme).encode()) <= max_file_bytes(k)
+def test_no_scheme_holds_more_than_2k_plus_1_segments(scheme):
+    # one per unit, one more per distinct marginal strictly inside a unit's
+    # price interval, and the threshold unit's floor; the clustered example
+    # puts one piece per marginal in a unit
+    assert sum(scheme.sizes) <= 2 * scheme.model.k + 1
 
 
 @settings(max_examples=200, deadline=None)
