@@ -80,7 +80,10 @@ _INTERVAL_ITEM = jsontext.layout([jsontext.FIELD] * 2, 2)
 
 def price_vector(model: CostModel, prices) -> np.ndarray:
     """``prices`` as a float array, checked: k finite prices, one per unit."""
-    p = np.asarray(prices, dtype=float)
+    try:
+        p = np.asarray(prices, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+        raise ValidationError(f"expected {model.k} finite prices, got {prices!r}") from None
     if p.shape != (model.k,) or not np.isfinite(p).all():
         raise ValidationError(f"expected {model.k} finite prices, got {p.tolist()!r}")
     return p

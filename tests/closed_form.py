@@ -91,7 +91,8 @@ def bisect_alpha(model):
     The bracket-and-bisect loop the package's solver ran before it switched
     to ITP, over the same ``_chain`` walk: alpha doubles from [1, 2] until
     the chain reaches U, then the bracket halves down to adjacent floats,
-    and the end within ``DEFAULT_TOL`` of U is the answer (hi first). Only
+    and the end within ``DEFAULT_TOL`` of U is the answer (hi first). Every
+    walk records its ends, so none takes the solver's tail estimate. Only
     setups with a solution are meant; the solver's error paths are not
     reproduced.
     """
@@ -101,7 +102,7 @@ def bisect_alpha(model):
     def u_of(alpha):
         nonlocal walks
         walks += 1
-        chain = _chain(model, alpha)
+        chain = _chain(model, alpha, [])
         return -math.inf if chain is None else chain[2]
 
     lo, hi = 1.0, 2.0

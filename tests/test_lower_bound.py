@@ -24,6 +24,7 @@ import bisect
 import dataclasses
 import math
 import time
+import warnings
 from array import array
 
 import numpy as np
@@ -38,7 +39,7 @@ from closed_form import (
 from exact_welfare import dynamic_welfare, eval_psi
 
 from kselect import lower_bound
-from kselect.cost_model import conjugate, make_cost_model
+from kselect.cost_model import MAX_K, conjugate, make_cost_model
 from kselect.errors import DegenerateModelError, SolverError, ValidationError
 from kselect.instances import hard_instance
 from kselect.lower_bound import (
@@ -427,6 +428,25 @@ def counted_solve(monkeypatch, model):
     return sol, searched, recorded
 
 
+def split_walks(monkeypatch, model):
+    """``counted_solve`` with its search walks split in two: those that end
+    on the walked chain, and those that take ``_tail_estimate``'s closed
+    form for the tail: ``(solution, exact, estimated, recorded)``."""
+    estimated = 0
+    estimate = lower_bound._tail_estimate
+
+    def counting(*args):
+        nonlocal estimated
+        u = estimate(*args)
+        estimated += u is not None
+        return u
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lower_bound, "_tail_estimate", counting)
+        sol, searched, recorded = counted_solve(monkeypatch, model)
+    return sol, searched - estimated, estimated, recorded
+
+
 class TestItpSearch:
     """The ITP search lands on the alpha the float-by-float bisection finds,
     in far fewer chain walks and never more than one walk beyond it."""
@@ -444,27 +464,30 @@ class TestItpSearch:
     @pytest.mark.parametrize("k", sorted(BENCHMARK_MODELS))
     def test_benchmark_models(self, monkeypatch, k):
         m = BENCHMARK_MODELS[k]
-        sol, walks, recorded = counted_solve(monkeypatch, m)
+        sol, exact, estimated, recorded = split_walks(monkeypatch, m)
         assert sol.alpha.hex() == bisect_alpha(m)[0].hex()
-        # k = 20000 took 16 walks before the probe next to an end that
-        # regula falsi lands on
-        assert (walks, recorded) == ({10: 13, 500: 12, 20000: 13}[k], 1)
+        # (exact walks, estimated walks, recording walks). k = 20000 walked
+        # its whole chain 13 times before the tail estimate, and 16 times
+        # before the probe next to an end that regula falsi lands on
+        assert (exact, estimated, recorded) == {10: (13, 0, 1), 500: (12, 0, 1),
+                                                20000: (5, 9, 1)}[k]
 
     @pytest.mark.parametrize(
         "model, pinned",
         [
             # u_k is steep in alpha where c_k is close to L; regula falsi on
             # u_k itself took 58 walks here and 36 on the k = 10^5 model,
-            # which took 17 before the probe next to an end
-            (make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.99999]), 15),
-            (make_cost_model(L=1.0, U=30.0, k=10**5, quadratic_coeff=0.45e-5), 15),
+            # which took 17 before the probe next to an end, and 15 exact
+            # walks before the tail estimate
+            (make_cost_model(L=1.0, U=3.0, k=1, marginals=[0.99999]), (15, 0)),
+            (make_cost_model(L=1.0, U=30.0, k=10**5, quadratic_coeff=0.45e-5), (7, 9)),
         ],
         ids=["k1-steep", "k100000"],
     )
     def test_steep_setups(self, monkeypatch, model, pinned):
-        sol, walks, recorded = counted_solve(monkeypatch, model)
+        sol, exact, estimated, recorded = split_walks(monkeypatch, model)
         assert sol.alpha.hex() == bisect_alpha(model)[0].hex()
-        assert (walks, recorded) == (pinned, 1)
+        assert (exact, estimated, recorded) == (*pinned, 1)
 
     def test_worst_case_is_bisection_plus_one(self, monkeypatch):
         # u_k = U + (alpha - 3.7)^3 is flat at its root, where regula falsi
@@ -504,6 +527,122 @@ class TestItpSearch:
         side = math.inf if end < m.U else -math.inf
         other = build_intervals(m, math.nextafter(sol.alpha, side)).intervals[-1][1]
         assert (end - m.U) * (other - m.U) < 0.0
+
+
+def walk_tail(model, i: int, u: float, rise: float) -> float:
+    """The chain's end walked from u = u_i above the top marginal, one step
+    per unit, as ``_chain`` walks it."""
+    for c in model.marginals[i:]:
+        u += (u - c) * rise
+    return u
+
+
+def solve_with_tail_estimates(monkeypatch, model, from_units):
+    """``solve_alpha_star`` with tails of ``from_units`` units or more
+    estimated, and ``(U, estimate, walked end)`` of every estimate a search
+    walk took."""
+    taken = []
+    estimate = lower_bound._tail_estimate
+
+    def recording(m, i, u, rise):
+        end = estimate(m, i, u, rise)
+        if end is not None:
+            taken.append((m.U, end, walk_tail(m, i, u, rise)))
+        return end
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lower_bound, "TAIL_ESTIMATE_MIN", from_units)
+        patch.setattr(lower_bound, "_tail_estimate", recording)
+        return solve_alpha_star(model), taken
+
+
+LONG_CHAINS = {
+    f"{kind}-{k}": make_cost_model(L=1.0, U=30.0, k=k, quadratic_coeff=coeff / k)
+    for k in (20_000, 200_000)
+    for kind, coeff in (("high-value", 0.45), ("general", 1.0))
+}
+
+
+class TestTailEstimate:
+    """A search walk may take the tail's closed form in place of walking it;
+    the solver still answers with the alpha bits and the chain of the search
+    that walks every tail."""
+
+    @staticmethod
+    def assert_same_as_walked(monkeypatch, model, from_units):
+        sol, taken = solve_with_tail_estimates(monkeypatch, model, from_units)
+        walked, none = solve_with_tail_estimates(monkeypatch, model, MAX_K + 1)
+        assert none == []
+        assert sol.alpha.hex() == walked.alpha.hex(), (model.L, model.U, model.marginals)
+        assert sol.ends == walked.ends
+        for U, end, walked_end in taken:
+            # within 1e-12 of U, or of the end itself far above U, where the
+            # error of e^{alpha m / k} grows with alpha
+            assert abs(end - walked_end) <= 1e-12 * max(U, walked_end)
+        return taken
+
+    def test_random_setups_estimating_every_tail(self, monkeypatch):
+        estimated = 0
+        for m in random_setups(2025):
+            estimated += len(self.assert_same_as_walked(monkeypatch, m, 1))
+        assert estimated > 1000
+
+    @pytest.mark.parametrize("name", sorted(LONG_CHAINS))
+    def test_long_chains(self, monkeypatch, name):
+        taken = self.assert_same_as_walked(
+            monkeypatch, LONG_CHAINS[name], lower_bound.TAIL_ESTIMATE_MIN
+        )
+        assert len(taken) >= 8
+
+    def test_an_estimate_near_u_or_an_end_test_bound_is_not_taken(self):
+        # at U = 2 the margin is 2e-10, and the end test's bounds lie at
+        # |u_k - U| = 1e-9 and 2e-9; the estimate is linear in u_i, so each
+        # gap below is hit by solving for u_i
+        k, i, rise = 600, 1, math.expm1(1.5 / 600)
+        m = make_cost_model(L=1.0, U=2.0, k=k, marginals=np.linspace(0.1, 0.5, k).tolist())
+        at_1, at_2 = (lower_bound._tail_estimate(m, i, u, rise) for u in (1.0, 1.5))
+        slope = (at_2 - at_1) / 0.5
+        taken = {}
+        for gap in (0.0, 1e-10, 5e-10, 0.9e-9, 1e-9, 1.1e-9, 1.5e-9, 2e-9, 2.15e-9, 3e-9):
+            for side in (1.0, -1.0):
+                u = 1.0 + (m.U + side * gap - at_1) / slope
+                end = lower_bound._tail_estimate(m, i, u, rise)
+                assert end is None or abs(abs(end - m.U) - gap) < 1e-14
+                taken[side * gap] = end is not None
+        assert taken == {
+            s * g: took
+            for g, took in ((0.0, False), (1e-10, False), (5e-10, True), (0.9e-9, False),
+                            (1e-9, False), (1.1e-9, False), (1.5e-9, True), (2e-9, False),
+                            (2.15e-9, False), (3e-9, True))
+            for s in (1.0, -1.0)
+        }
+
+    @pytest.mark.parametrize("marginals", ["rising", "tied"])
+    def test_an_overflowing_estimate_falls_back_to_the_walk(self, monkeypatch, marginals):
+        # alpha* is about 690 at U = 1e300, so the bracket grows to
+        # [512, 1024]. At alpha = 1024 the tail's growth e^{alpha m / k}
+        # overflows: the estimate is inf (rising costs) or nan (tied costs,
+        # inf * 0), and the walk runs, to its own inf.
+        k = 1000
+        ms = np.linspace(0.1, 0.5, k) if marginals == "rising" else np.full(k, 0.5)
+        m = make_cost_model(L=1.0, U=1e300, k=k, marginals=ms.tolist())
+        calls = []
+        estimate = lower_bound._tail_estimate
+
+        def recording(model, i, u, rise):
+            calls.append((i, u, rise))
+            return estimate(model, i, u, rise)
+
+        monkeypatch.setattr(lower_bound, "_tail_estimate", recording)
+        assert lower_bound._chain(m, 1024.0)[2] == math.inf
+        (i, u, rise), = calls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and prints no RuntimeWarning
+            assert estimate(m, i, u, rise) is None
+        monkeypatch.undo()
+        taken = self.assert_same_as_walked(monkeypatch, m, lower_bound.TAIL_ESTIMATE_MIN)
+        assert 512.0 < solve_alpha_star(m).alpha < 1024.0
+        assert taken
 
 
 def random_large_setups(seed: int, count: int):

@@ -629,8 +629,10 @@ class TestFlatCurves:
     @pytest.mark.parametrize(
         "prices",
         [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], [[1.0, 2.0, 3.0]], [1.0, math.nan, 2.0],
-         [math.inf, 2.0, 3.0]],
-        ids=["short", "long", "empty", "nested", "nan", "inf"],
+         [math.inf, 2.0, 3.0], [[1.0], [2.0, 3.0], [4.0]], ["a", "b", "c"],
+         [1.0, 2.0, 10**400], "1,2,3"],
+        ids=["short", "long", "empty", "nested", "nan", "inf", "ragged", "text", "too-large",
+             "string"],
     )
     def test_a_wrong_length_or_a_non_finite_price_is_invalid(self, prices):
         # one check, pricing.price_vector, serves the curves and the runner
