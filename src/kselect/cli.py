@@ -60,6 +60,7 @@ from .mechanisms import (
     offline_opt,
     ratio_to_opt,
     run_posted_price,
+    seed_rng,
     trial_welfares,
 )
 from .pricing import Curves, build_scheme, prices_for_seeds, scheme_json_chunks
@@ -313,7 +314,7 @@ def cmd_instances(args) -> int:
     spec = _json_object("instance spec", args.spec)
     seed = as_int("seed", args.seed, minimum=0)
     # the hard family draws nothing, so it gets no generator
-    rng = None if spec.get("kind") == "hard" else np.random.default_rng(seed)
+    rng = None if spec.get("kind") == "hard" else seed_rng(seed)
     _emit(instance_text(_build_instance(model, spec, rng)), args.out)
     return 0
 

@@ -34,10 +34,12 @@ then walks one step per unit, keeping only the current end: exact g-piece
 integration, inlined, while the chain is at or below the top marginal, and
 ``u += (u - c) * expm1(alpha/k)`` once it is above, where no unit can open
 below its cost and the loop tests nothing.
-The search walks return ``(k_underbar, xi, u_k)`` alone; one more walk at
-the answer, ``build_intervals``, records the chain ends. The solution holds
-them as one float column, ``LowerBoundSolution.ends``, from which the
-``(ell_i, u_i)`` pairs are read as a view, never built one tuple per unit.
+A walk returns one float, u_k, or -inf where alpha is infeasible, and the
+search probes with it as it is. One more walk at the answer,
+``build_intervals``, records the chain ends, which the solution holds as
+one float column, ``LowerBoundSolution.ends``, beside ``threshold``'s
+``k_underbar`` and ``xi``; the ``(ell_i, u_i)`` pairs are read from it as
+a view, never built one tuple per unit.
 
 That tail step is linear in u, so its end has a closed form
 (``_tail_estimate``). A search walk whose tail has ``TAIL_ESTIMATE_MIN``
@@ -205,21 +207,21 @@ def _rises(model: CostModel, c, lo, hi) -> np.ndarray:
 # the interval chain
 
 
-def _chain(model: CostModel, alpha: float, ends: list | None = None):
-    """One walk up the interval chain at alpha: ``(k_underbar, xi, u_k)``, or
-    None when alpha is infeasibly low.
+def _chain(model: CostModel, alpha: float, ends: list | None = None) -> float:
+    """One walk up the interval chain at alpha: its end u_k, or -inf when
+    alpha is infeasibly low.
 
     Infeasible means some interval would open at or below its own marginal
     cost (an integrand pole), which happens for small alpha when costs reach
-    above L. Feasibility is monotone in alpha, so the search on alpha treats
-    None as "chain falls short of U". When ``ends`` is a list, the walk
-    appends ``u_{k_underbar}, ..., u_k`` to it (a list appends faster than
-    an ``array``, which is made from it once): unit i's interval runs from
-    the end before it (L for the first) to its own. The search asks for u_k
-    alone; ``build_intervals`` records the ends. A search walk whose tail
-    above the top marginal has ``TAIL_ESTIMATE_MIN`` units or more may
-    return ``_tail_estimate``'s u_k in place of walking it; a recording
-    walk never does.
+    above L. Feasibility is monotone in alpha, and -inf is below U, so the
+    search on alpha reads it as a chain that falls short of U with no
+    translation. When ``ends`` is a list, the walk appends ``u_{k_underbar},
+    ..., u_k`` to it (a list appends faster than an ``array``, which is made
+    from it once): unit i's interval runs from the end before it (L for the
+    first) to its own. The search asks for u_k alone; ``build_intervals``
+    records the ends. A search walk whose tail above the top marginal has
+    ``TAIL_ESTIMATE_MIN`` units or more may return ``_tail_estimate``'s u_k
+    in place of walking it; a recording walk never does.
 
     Unit i's end is the u where the integral of g(eta) / (eta - c_i) from
     the end before it reaches its target: alpha (1 - xi) for unit
@@ -268,7 +270,7 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
         if ends is not None:
             ends.append(u)
         if i == k:
-            return k_underbar, xi, u
+            return u
         if u > c_top:
             break
         j = p  # pieces j..p-1 all end at or below lo <= u
@@ -276,7 +278,7 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
             j += 1
         c = ms[i]
         if u <= c:
-            return None
+            return -math.inf
         target = alpha
         i += 1
     rise = _exp(alpha / k, math.expm1)
@@ -284,14 +286,14 @@ def _chain(model: CostModel, alpha: float, ends: list | None = None):
         if k - i >= TAIL_ESTIMATE_MIN:
             estimate = _tail_estimate(model, i, u, rise)
             if estimate is not None:
-                return k_underbar, xi, estimate
+                return estimate
         for c in ms[i:]:
             u += (u - c) * rise
     else:
         for c in ms[i:]:
             u += (u - c) * rise
             ends.append(u)
-    return k_underbar, xi, u
+    return u
 
 
 def _powers(step: float, n: int) -> np.ndarray:
@@ -348,13 +350,12 @@ def build_intervals(model: CostModel, alpha: float) -> LowerBoundSolution:
     """Interval chain at a given alpha via exact piecewise-log integration."""
     alpha = _check_alpha(alpha)
     ends = [model.L]
-    chain = _chain(model, alpha, ends)
-    if chain is None:
+    if _chain(model, alpha, ends) == -math.inf:
         raise ValidationError(
             f"alpha = {alpha} is below the feasible range for this setup "
             "(an interval would open below its unit's marginal cost)"
         )
-    return _mk_solution(alpha, chain[0], chain[1], array("d", ends))
+    return _mk_solution(alpha, *threshold(model, alpha), array("d", ends))
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +394,19 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
 
     # The search walks ask for u_k alone; build_intervals walks the chain
     # once more at the answer to record its ends.
-    def u_of(alpha):
-        chain = _chain(model, alpha)
-        return -math.inf if chain is None else chain[2]
-
     lo, hi = 1.0, 2.0
-    u_lo = u_of(lo)
+    u_lo = _chain(model, lo)
     if abs(u_lo - U) <= DEFAULT_TOL:
         return build_intervals(model, lo)
     if u_lo > U:
         raise SolverError(f"no bracket: chain already exceeds U at alpha = {lo}")
-    u_hi = u_of(hi)
+    u_hi = _chain(model, hi)
     while u_hi < U:
         lo, u_lo = hi, u_hi
         hi *= 2.0
         if hi > MAX_BRACKET:
             raise SolverError(f"bracket growth exhausted at alpha = {hi}")
-        u_hi = u_of(hi)
+        u_hi = _chain(model, hi)
 
     # ITP (interpolate, truncate, project): step to the regula falsi point,
     # nudged towards the midpoint by kappa1 * width^2 (kappa2 = 2) and kept
@@ -461,7 +458,7 @@ def solve_alpha_star(model: CostModel) -> LowerBoundSolution:
             x = x_t if abs(x_t - mid) <= r else mid - sigma * r
             if not lo < x < hi:
                 x = mid
-        u_x = u_of(x)
+        u_x = _chain(model, x)
         z_x = z_of(u_x)
         if u_x >= U:
             if moved > 0 and scaled:

@@ -227,6 +227,11 @@ def trial_rng(master_seed: int, trial_index: int, k: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(_philox_key(master_seed), counter=counter))
 
 
+def seed_rng(seed: int) -> np.random.Generator:
+    """Generation stream of the ``instances`` command: default_rng(seed)."""
+    return np.random.default_rng(seed)
+
+
 def instance_rng(master_seed: int, index: int) -> np.random.Generator:
     """Generation stream of experiment instance ``index``: spawn key (0, index)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, index)))

@@ -102,8 +102,7 @@ def bisect_alpha(model):
     def u_of(alpha):
         nonlocal walks
         walks += 1
-        chain = _chain(model, alpha, [])
-        return -math.inf if chain is None else chain[2]
+        return _chain(model, alpha, [])
 
     lo, hi = 1.0, 2.0
     u_lo = u_of(lo)

@@ -37,6 +37,7 @@ from kselect.mechanisms import (
     ratio_to_opt,
     run_posted_price,
     run_trial,
+    seed_rng,
     static_prices_for_quantiles,
     trial_rng,
     trial_welfares,
@@ -321,6 +322,9 @@ class TestSubstreams:
             assert instance_rng(master, idx).random(4).tolist() == ref.random(4).tolist()
             ss = np.random.SeedSequence(master, spawn_key=(1, idx))
             assert instance_sim_seed(master, idx) == int(ss.generate_state(1, np.uint64)[0])
+            # the instances command's stream, seeded by --seed alone
+            ref = np.random.default_rng(master)
+            assert seed_rng(master).random(4).tolist() == ref.random(4).tolist()
 
     def test_trials_validation(self):
         m = make_cost_model(L=1.0, U=4.0, k=1, marginals=[0.0])
