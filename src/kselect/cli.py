@@ -81,9 +81,10 @@ MAX_CONFIG_FILE_BYTES = 2 * MAX_MODEL_FILE_BYTES
 # summed over instances and mechanisms) from which it shares them among
 # worker processes, each taking at least half as many; smaller runs stay in
 # this process. On a 2-core x86_64 VM, with the benchmark model (k = 10,
-# 1000 arrivals), a forked worker cost 3-5 ms over evaluating its rows
-# here; at 2000-2400 rows (about 20 ms in one process) two CPUs saved
-# 2-3 ms, and at 60 rows they lost 4 ms.
+# 1000 arrivals), a row sells in about 5 us and a forked worker costs 5-6 ms:
+# two CPUs lost 1-6 ms at 60-5000 rows, broke even near 6000 and saved
+# 10-12 ms at 8000-10^4 (perfbench's experiments, 2*10^4 and 3*10^4 rows,
+# ran 0.12 and 0.18 s against 0.16 and 0.26 s on one CPU).
 PARALLEL_MIN_ROWS = 2000
 # A solve interval and a trace decision as array items, each field's place in
 # the order json.dumps writes the keys
@@ -211,10 +212,10 @@ def _solution_json_chunks(model: CostModel, sol) -> Iterator[str]:
     JSON (see jsontext). Interval j runs from chain end j to end j + 1, so
     each end is formatted once."""
     ku, n = sol.k_underbar, len(sol.ends) - 1
-    texts, at = jsontext.number_texts(np.frombuffer(sol.ends))
+    text = jsontext.number_texts(np.frombuffer(sol.ends))
 
     def fields(a: int, b: int) -> list:
-        ends = texts[at[a : b + 1]]
+        ends = text(a, b + 1)
         return list(chain.from_iterable(zip(ends[:-1], range(ku + a, ku + b), ends[1:])))
 
     template = jsontext.layout(

@@ -7,7 +7,8 @@ templates: a document with ``SECTION`` where each large array goes, and
 an array item with ``%s`` for each ``FIELD``. ``document`` writes the
 template and streams every array through ``array_chunks``, CHUNK_UNITS
 items at a time, each chunk filled by one ``%`` over the texts of its
-fields. ``number_texts`` formats each distinct float of a whole document once.
+fields. ``number_texts`` formats each distinct float of a whole document once;
+a chunk finds the texts of its floats by a binary search on their bits.
 """
 
 import json
@@ -42,40 +43,38 @@ def block(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def number_texts(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(texts, at): ``texts[at[j]]`` is the text ``json.dumps`` writes for
-    ``floats[j]``, and ``texts`` holds each distinct float's text once.
-
-    ``floats`` is one float64 array holding every number of a document's
-    streamed arrays, in the order they are written. Floats are told apart
-    by their bits: -0.0 and 0.0 compare and hash equal, so a dedupe by
-    value would write one as the other. A stable argsort groups equal
-    bits; it runs faster than ``np.unique``'s quicksort here, since a
-    document's columns are mostly ascending runs. The distinct floats are
-    formatted FORMAT_SLICE at a time, so their Python floats and texts are
-    not all held at once beside the texts array.
-    """
-    bits = floats.view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    ranked = bits[order]
-    new = np.empty(len(ranked), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    values = ranked[new].view(float)
-    del ranked  # each temporary is freed as soon as it is used
-    rank = np.cumsum(new)
-    del new
-    rank -= 1
-    at = np.empty_like(rank)
-    at[order] = rank
-    del order, rank
-    texts = np.empty(len(values), dtype=object)
-    for a in range(0, len(values), FORMAT_SLICE):
-        part = values[a : a + FORMAT_SLICE].tolist()
-        texts[a : a + len(part)] = list(map(float.__repr__, part))
+def float_texts(values: np.ndarray) -> list[str]:
+    """The texts ``json.dumps`` writes for the float64 ``values``, in order."""
+    texts = list(map(float.__repr__, values.tolist()))
     for j in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[j] = json.dumps(values[j].item())  # NaN, Infinity, -Infinity
-    return texts, at
+    return texts
+
+
+def number_texts(floats: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A lookup ``text``: ``text(a, b)`` lists the texts ``json.dumps``
+    writes for ``floats[a:b]``.
+
+    ``floats`` is one float64 array holding every number of a document's
+    streamed arrays, in the order they are written. The lookup holds it,
+    the sorted int64 bits of its distinct floats and their texts, and
+    nothing per number: ``text`` finds a window's bits by binary search.
+    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
+    equal, so a dedupe by value would write one as the other, and NaN is
+    unequal to itself (``np.unique`` on the bits ran 7-16 times slower than
+    a sort). The distinct floats are formatted FORMAT_SLICE at a time, so
+    their Python floats and texts are not all held at once beside the
+    texts array.
+    """
+    bits = np.sort(floats.view(np.int64))
+    new = np.ones(len(bits), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    keys = bits[new]
+    del bits, new  # freed before the texts are made
+    texts = np.empty(len(keys), dtype=object)
+    for a in range(0, len(keys), FORMAT_SLICE):
+        texts[a : a + FORMAT_SLICE] = float_texts(keys[a : a + FORMAT_SLICE].view(float))
+    return lambda a, b: texts[np.searchsorted(keys, floats[a:b].view(np.int64))]
 
 
 def array_chunks(

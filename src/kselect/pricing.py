@@ -378,10 +378,11 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     sort_keys=True)``, written from the columns in chunks (see jsontext).
 
     The marginals, price intervals and segments are streamed into the
-    file's layout jsontext.CHUNK_UNITS units at a time, from the texts of
-    their numbers, made once for the whole document. The numbers are
+    file's layout jsontext.CHUNK_UNITS units at a time. The numbers are
     copied from the columns into one array in the order they are written,
     a segment's fields in sorted order, as ``json.dumps`` writes keys.
+    ``jsontext.number_texts`` formats each distinct number of that array
+    once, and each chunk looks up the texts of its window of it.
     """
     model = scheme.model
     k = model.k
@@ -394,23 +395,21 @@ def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     rows = numbers[3 * k :].reshape(-1, len(fields))
     for f, name in enumerate(fields):
         rows[:, f] = cols[_SEGMENT_FIELDS.index(name)]
-    texts, at = jsontext.number_texts(numbers)
+    text = jsontext.number_texts(numbers)
     # the numbers of unit i's segments start at row_stops[i]
     row_stops = 3 * k + len(fields) * scheme._offsets
     unit_templates = {n: jsontext.block([_SEGMENT_ITEM] * n, 2) for n in set(scheme.sizes)}
     return jsontext.document(
         jsontext.layout(file),
         [
+            jsontext.array_chunks([jsontext.layout(jsontext.FIELD, 3)] * k, 3, text),
             jsontext.array_chunks(
-                [jsontext.layout(jsontext.FIELD, 3)] * k, 3, lambda a, b: texts[at[a:b]]
-            ),
-            jsontext.array_chunks(
-                [_INTERVAL_ITEM] * k, 1, lambda a, b: texts[at[k + 2 * a : k + 2 * b]]
+                [_INTERVAL_ITEM] * k, 1, lambda a, b: text(k + 2 * a, k + 2 * b)
             ),
             jsontext.array_chunks(
                 [unit_templates[n] for n in scheme.sizes],
                 1,
-                lambda a, b: texts[at[row_stops[a] : row_stops[b]]],
+                lambda a, b: text(row_stops[a], row_stops[b]),
             ),
         ],
     )

@@ -516,29 +516,71 @@ class TestSchemeJsonText:
         assert '"rate": Infinity,' in text and '"rate": -Infinity,' in text
 
 
+def number_lookup(floats: np.ndarray):
+    """``jsontext.number_texts(floats)`` and the floats it formatted, in the
+    order it formatted them, one array per ``float_texts`` call."""
+    with mock.patch.object(jsontext, "float_texts", wraps=jsontext.float_texts) as spy:
+        text = jsontext.number_texts(floats)
+    return text, [values for (values,), _ in spy.call_args_list]
+
+
 def test_number_texts_are_the_json_texts_of_the_column():
     column = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -0.0, 1e300, 1.5])
-    texts, at = jsontext.number_texts(column)
-    assert texts[at].tolist() == [json.dumps(x) for x in column.tolist()]
-    assert len(texts) == 7  # each distinct float once; -0.0 and 0.0 apart
+    text, formatted = number_lookup(column)
+    assert text(0, len(column)).tolist() == [json.dumps(x) for x in column.tolist()]
+    assert sum(map(len, formatted)) == 7  # each distinct float once; -0.0 and 0.0 apart
 
 
 def test_number_texts_formats_its_distinct_floats_a_slice_at_a_time():
     # 6*10^5 numbers, 4*10^5 of them distinct 17-digit floats: formatting
     # every distinct float at once held all their Python floats and texts
-    # beside the texts array, 16.1 MB over what the call returns; a slice of
-    # 2^16 at a time, 5.5 MB
+    # beside the texts array, 16.1 MB over what the call returns; a slice
+    # of 2^16 at a time, 2.2 MB (5.4 MB when the call also built an index
+    # of the texts with one entry per number)
     distinct = 1.0 + np.random.default_rng(0).random(400_000)
     floats = np.concatenate([distinct, distinct[::2]])
     tracemalloc.start()
     try:
-        texts, at = jsontext.number_texts(floats)
+        text, formatted = number_lookup(floats)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - held <= 8e6
-    assert len(texts) == len(np.unique(distinct))
-    assert texts[at].tolist() == [repr(x) for x in floats.tolist()]
+    assert sum(map(len, formatted)) == len(np.unique(distinct))
+    assert text(0, len(floats)).tolist() == [repr(x) for x in floats.tolist()]
+
+
+def _float64_bits(sign: bool, exponent: int, mantissa: int) -> int:
+    return sign << 63 | exponent << 52 | mantissa
+
+
+# the bits of one float64: any float, subnormals, zeros and infinities of
+# either sign, and NaNs of either sign with any payload
+_FLOAT_BITS = st.one_of(
+    st.floats().map(lambda x: int(np.float64(x).view(np.uint64))),
+    st.builds(_float64_bits, st.booleans(), st.just(0), st.integers(0, 2**52 - 1)),
+    st.builds(_float64_bits, st.booleans(), st.sampled_from([0, 0x7FF]), st.just(0)),
+    st.builds(_float64_bits, st.booleans(), st.just(0x7FF), st.integers(1, 2**52 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOAT_BITS, min_size=1, max_size=12), st.integers(1, 4), st.data())
+def test_number_texts_looks_up_any_window_of_any_column(pool, slice_, data):
+    # a column drawn from a small pool repeats its floats; windows come in
+    # any order and overlap
+    bits = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    floats = np.array(bits, dtype=np.uint64).view(np.float64)
+    n = len(floats)
+    with mock.patch.object(jsontext, "FORMAT_SLICE", slice_):
+        text, formatted = number_lookup(floats)
+    windows = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=8))
+    for a, b in map(sorted, windows):
+        assert text(a, b).tolist() == [json.dumps(x) for x in floats[a:b].tolist()]
+    # each distinct bit pattern is formatted once, slice_ of them at a time
+    assert all(len(values) <= slice_ for values in formatted)
+    done = [int(x) for values in formatted for x in values.view(np.uint64)]
+    assert sorted(done) == sorted(set(bits))
 
 
 _TEXT = st.text(st.characters(blacklist_characters="%\0\1"), max_size=4)
