@@ -85,7 +85,7 @@ MAX_CONFIG_FILE_BYTES = 2 * MAX_MODEL_FILE_BYTES
 # two CPUs lost 1-6 ms at 60-5000 rows, broke even near 6000 and saved
 # 10-12 ms at 8000-10^4 (perfbench's experiments, 2*10^4 and 3*10^4 rows,
 # ran 0.12 and 0.18 s against 0.16 and 0.26 s on one CPU).
-PARALLEL_MIN_ROWS = 2000
+PARALLEL_MIN_ROWS = 6000
 # A solve interval and a trace decision as array items, each field's place in
 # the order json.dumps writes the keys
 _INTERVAL_ITEM = jsontext.layout(dict.fromkeys(("ell", "i", "u"), jsontext.FIELD), 2)
@@ -209,26 +209,18 @@ def _solution_json_chunks(model: CostModel, sol) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
     solve payload: alpha_star, k_underbar, xi, the model's regime, notes and one
     ``{"i", "ell", "u"}`` object per interval, streamed like the pricing
-    JSON (see jsontext). Interval j runs from chain end j to end j + 1, so
-    each end is formatted once."""
-    ku, n = sol.k_underbar, len(sol.ends) - 1
-    text = jsontext.number_texts(np.frombuffer(sol.ends))
+    JSON (see jsontext). Interval j runs from chain end j to end j + 1: the
+    chain is looked up in place for both, so each end is formatted once."""
+    ku, ends = sol.k_underbar, np.frombuffer(sol.ends)
+    text = jsontext.number_texts([ends])
 
-    def fields(a: int, b: int) -> list:
-        ends = text(a, b + 1)
-        return list(chain.from_iterable(zip(ends[:-1], range(ku + a, ku + b), ends[1:])))
+    def fields(a: int, b: int) -> tuple:
+        return text(ends[a:b]), list(map(str, range(ku + a, ku + b))), text(ends[a + 1 : b + 1])
 
-    template = jsontext.layout(
-        {
-            "alpha_star": sol.alpha,
-            "intervals": jsontext.SECTION,
-            "k_underbar": ku,
-            "notes": sol.notes,
-            "regime": model.regime,
-            "xi": sol.xi,
-        }
-    )
-    return jsontext.document(template, [jsontext.array_chunks([_INTERVAL_ITEM] * n, 1, fields)])
+    payload = {"alpha_star": sol.alpha, "intervals": jsontext.SECTION, "k_underbar": ku}
+    payload |= {"notes": sol.notes, "regime": model.regime, "xi": sol.xi}
+    intervals = jsontext.array_chunks(_INTERVAL_ITEM, 1, len(ends) - 1, fields)
+    return jsontext.document(jsontext.layout(payload), [intervals])
 
 
 def cmd_solve(args) -> int:
@@ -356,12 +348,14 @@ def _trace_chunks(outcome, prices: list, seeds: list) -> Iterator[str]:
     pricing JSON (see jsontext). Posted prices are finite or None."""
     trace = {**vars(outcome), "decisions": jsontext.SECTION, "prices": prices, "seeds": seeds}
 
-    def fields(a: int, b: int) -> Iterator[str]:
-        for d in outcome.decisions[a:b]:
-            yield "true" if d.accepted else "false"
-            yield "null" if d.posted_price is None else repr(d.posted_price)
+    def fields(a: int, b: int) -> tuple:
+        ds = outcome.decisions[a:b]
+        return (
+            ["true" if d.accepted else "false" for d in ds],
+            ["null" if d.posted_price is None else repr(d.posted_price) for d in ds],
+        )
 
-    items = jsontext.array_chunks([_DECISION_ITEM] * len(outcome.decisions), 1, fields)
+    items = jsontext.array_chunks(_DECISION_ITEM, 1, len(outcome.decisions), fields)
     return jsontext.document(jsontext.layout(trace), [items])
 
 

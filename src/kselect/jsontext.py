@@ -3,16 +3,17 @@
 With an indent, ``json.dumps`` runs its pure-Python encoder, one call per
 value: most of the time of ``solve`` and ``pricing`` at large k, and of a
 long ``simulate`` trace. So ``layout`` has ``json.dumps`` write only the
-templates: a document with ``SECTION`` where each large array goes, and
-an array item with ``%s`` for each ``FIELD``. ``document`` writes the
-template and streams every array through ``array_chunks``, CHUNK_UNITS
-items at a time, each chunk filled by one ``%`` over the texts of its
-fields. ``number_texts`` formats each distinct float of a whole document once;
-a chunk finds the texts of its floats by a binary search on their bits.
+templates: a document with ``SECTION`` where each large array goes, and an
+array item with ``FIELD`` where each of its values goes. ``document`` writes
+the template and streams every array through ``array_chunks``, whose chunks
+are each one ``"".join``. ``number_texts`` formats each distinct float of a
+document's float columns once and looks up the texts of any float array by
+a binary search on its bits, so a writer reads its columns where they are.
 """
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
+from itertools import pairwise
 
 import numpy as np
 
@@ -30,17 +31,10 @@ FIELD = "\1"
 
 def layout(value, depth: int = 0) -> str:
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` writes for
-    ``value`` opened at depth ``depth``, with each FIELD string in it
-    written ``%s`` and each SECTION string kept as it is."""
+    ``value`` opened at depth ``depth``, with each FIELD and SECTION string
+    in it written as the bare mark."""
     text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-    return text.replace(json.dumps(FIELD), "%s").replace(json.dumps(SECTION), SECTION)
-
-
-def block(items: list[str], depth: int) -> str:
-    """A non-empty array of rendered items opened at depth ``depth``, joined
-    in O(len(items)) where ``layout`` would encode every item."""
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    return text.replace(json.dumps(FIELD), FIELD).replace(json.dumps(SECTION), SECTION)
 
 
 def float_texts(values: np.ndarray) -> list[str]:
@@ -51,22 +45,22 @@ def float_texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-def number_texts(floats: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """A lookup ``text``: ``text(a, b)`` lists the texts ``json.dumps``
-    writes for ``floats[a:b]``.
+def number_texts(columns: Iterable[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A lookup ``text``: ``text(x)`` is an object array of the texts
+    ``json.dumps`` writes for the floats of ``x``, a float64 array of any
+    shape or strides whose floats all occur in ``columns``, the float64
+    arrays a document prints, read in place.
 
-    ``floats`` is one float64 array holding every number of a document's
-    streamed arrays, in the order they are written. The lookup holds it,
-    the sorted int64 bits of its distinct floats and their texts, and
-    nothing per number: ``text`` finds a window's bits by binary search.
-    Floats are told apart by their bits: -0.0 and 0.0 compare and hash
-    equal, so a dedupe by value would write one as the other, and NaN is
-    unequal to itself (``np.unique`` on the bits ran 7-16 times slower than
-    a sort). The distinct floats are formatted FORMAT_SLICE at a time, so
-    their Python floats and texts are not all held at once beside the
-    texts array.
+    One concatenated copy of the columns' int64 bits is sorted, and freed
+    once the distinct bits and their texts are taken. Floats are told apart
+    by their bits: -0.0 and 0.0 compare and hash equal, so a dedupe by
+    value would write one as the other, and NaN is unequal to itself
+    (``np.unique`` on the bits ran 7-16 times slower than a sort). The
+    distinct floats are formatted FORMAT_SLICE at a time, so their Python
+    floats and texts are not all held at once beside the texts array.
     """
-    bits = np.sort(floats.view(np.int64))
+    bits = np.concatenate([np.ravel(column) for column in columns]).view(np.int64)
+    bits.sort()
     new = np.ones(len(bits), dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     keys = bits[new]
@@ -74,25 +68,51 @@ def number_texts(floats: np.ndarray) -> Callable[[int, int], np.ndarray]:
     texts = np.empty(len(keys), dtype=object)
     for a in range(0, len(keys), FORMAT_SLICE):
         texts[a : a + FORMAT_SLICE] = float_texts(keys[a : a + FORMAT_SLICE].view(float))
-    return lambda a, b: texts[np.searchsorted(keys, floats[a:b].view(np.int64))]
+    return lambda x: texts[np.searchsorted(keys, x.view(np.int64))]
 
 
-def array_chunks(
-    templates: Sequence[str], depth: int, values: Callable[[int, int], Sequence]
-) -> Iterator[str]:
-    """A JSON array opened at depth ``depth``, CHUNK_UNITS items at a time:
-    item i is ``templates[i]`` with its ``%s`` fields filled, and
-    ``values(a, b)`` lists the fields of items a..b-1 in order."""
-    n = len(templates)
-    if not n:
+def array_chunks(item: str, depth: int, rows: int, fields: Callable, groups=None) -> Iterator[str]:
+    """A JSON array opened at depth ``depth``, CHUNK_UNITS items at a time,
+    then its close: its ``rows`` items are the template ``item`` with its
+    FIELD marks (one or more) filled, and ``fields(a, b)`` gives one
+    sequence of texts per field for items a..b-1. With ``groups``, offsets
+    that rise strictly from 0 to ``rows``, it is an array of arrays, group
+    j of items ``groups[j]`` up to ``groups[j + 1]`` laid out at depth
+    ``depth + 2``, and a chunk holds CHUNK_UNITS groups.
+
+    A chunk is one object array, a row per item: its even columns are the
+    pieces of ``item`` between its FIELD marks and its odd columns the
+    fields' texts. The first piece is led by the comma or bracket before
+    the item, and the last closes the item's group where it ends one.
+    """
+    if not rows:
         yield "[]"
         return
-    pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
-    for a in range(0, n, CHUNK_UNITS):
-        b = min(a + CHUNK_UNITS, n)
-        lead = "[" + pad if a == 0 else sep
-        yield lead + sep.join(templates[a:b]) % tuple(values(a, b))
+    head, *middle, tail = item.split(FIELD)
+    outer = "\n" + "  " * (depth + 1)
+    start, end = "," + outer + head, tail  # the pieces around a group's first and last items
+    lead, close = start, end  # and around the others
+    if groups is not None:
+        inner = "\n" + "  " * (depth + 2)
+        start, end = "," + outer + "[" + inner + head, tail + outer + "]"
+        lead = "," + inner + head
+    units = rows if groups is None else len(groups) - 1
+    cuts = [*range(0, units, CHUNK_UNITS), units]
+    stops = cuts if groups is None else groups[cuts].tolist()
+    buf = np.empty((max(b - a for a, b in pairwise(stops)), 2 * len(middle) + 3), dtype=object)
+    buf[:, 2:-1:2] = middle
+    for (u, v), (a, b) in zip(pairwise(cuts), pairwise(stops)):
+        chunk = buf[: b - a]
+        chunk[:, 0], chunk[:, -1] = lead, close
+        if groups is not None:
+            bounds = groups[u : v + 1] - a
+            chunk[bounds[:-1], 0] = start
+            chunk[bounds[1:] - 1, -1] = end
+        if u == 0:
+            chunk[0, 0] = "[" + start[1:]
+        for f, texts in enumerate(fields(a, b)):
+            chunk[:, 2 * f + 1] = texts
+        yield "".join(chunk.ravel().tolist())
     yield "\n" + "  " * depth + "]"
 
 

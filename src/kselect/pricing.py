@@ -375,44 +375,25 @@ def scheme_to_json(scheme: PricingScheme) -> dict:
 
 def scheme_json_chunks(scheme: PricingScheme) -> Iterator[str]:
     """The text of ``json.dumps(scheme_to_json(scheme), indent=2,
-    sort_keys=True)``, written from the columns in chunks (see jsontext).
-
-    The marginals, price intervals and segments are streamed into the
-    file's layout jsontext.CHUNK_UNITS units at a time. The numbers are
-    copied from the columns into one array in the order they are written,
-    a segment's fields in sorted order, as ``json.dumps`` writes keys.
-    ``jsontext.number_texts`` formats each distinct number of that array
-    once, and each chunk looks up the texts of its window of it.
-    """
-    model = scheme.model
-    k = model.k
-    fields = sorted(_SEGMENT_FIELDS)
-    cols = _column_view(scheme)
-    file = _scheme_file(scheme, jsontext.SECTION, jsontext.SECTION, jsontext.SECTION)
-    numbers = np.empty(3 * k + cols.size)
-    numbers[:k] = model.marginal_column
-    numbers[k : 3 * k].reshape(-1, 2)[:] = scheme.price_intervals
-    rows = numbers[3 * k :].reshape(-1, len(fields))
-    for f, name in enumerate(fields):
-        rows[:, f] = cols[_SEGMENT_FIELDS.index(name)]
-    text = jsontext.number_texts(numbers)
-    # the numbers of unit i's segments start at row_stops[i]
-    row_stops = 3 * k + len(fields) * scheme._offsets
-    unit_templates = {n: jsontext.block([_SEGMENT_ITEM] * n, 2) for n in set(scheme.sizes)}
-    return jsontext.document(
-        jsontext.layout(file),
-        [
-            jsontext.array_chunks([jsontext.layout(jsontext.FIELD, 3)] * k, 3, text),
-            jsontext.array_chunks(
-                [_INTERVAL_ITEM] * k, 1, lambda a, b: text(k + 2 * a, k + 2 * b)
-            ),
-            jsontext.array_chunks(
-                [unit_templates[n] for n in scheme.sizes],
-                1,
-                lambda a, b: text(row_stops[a], row_stops[b]),
-            ),
-        ],
-    )
+    sort_keys=True)``, written from the columns in chunks (see jsontext):
+    the marginals, the price intervals and, unit by unit, the segments,
+    each segment's fields in the sorted order ``json.dumps`` writes keys
+    in. Their texts are looked up in the marginal column, the price
+    intervals and the six segment columns where they are."""
+    marginals, cols = scheme.model.marginal_column, _column_view(scheme)
+    k, (lo, hi) = scheme.model.k, scheme.price_intervals.T
+    fields = [cols[_SEGMENT_FIELDS.index(name)] for name in sorted(_SEGMENT_FIELDS)]
+    template = jsontext.layout(_scheme_file(scheme, *[jsontext.SECTION] * 3))
+    text = jsontext.number_texts([marginals, scheme.price_intervals, cols])
+    sections = [
+        jsontext.array_chunks(jsontext.FIELD, 3, k, lambda a, b: [text(marginals[a:b])]),
+        jsontext.array_chunks(_INTERVAL_ITEM, 1, k, lambda a, b: [text(lo[a:b]), text(hi[a:b])]),
+        jsontext.array_chunks(
+            _SEGMENT_ITEM, 1, cols.shape[1], lambda a, b: [text(c[a:b]) for c in fields],
+            scheme._offsets,
+        ),
+    ]
+    return jsontext.document(template, sections)
 
 
 def scheme_from_json(obj: dict) -> PricingScheme:

@@ -1232,6 +1232,26 @@ def test_experiment_runs_in_process_when_no_worker_starts(capsys, monkeypatch, f
     assert run_cli(capsys, *PARALLEL_ARGS) == (0, want, "")
 
 
+def test_an_experiment_of_5000_rows_forks_no_worker(capsys, monkeypatch):
+    # 5 instances of 1000 r-dynamic trials: below PARALLEL_MIN_ROWS, where
+    # two CPUs lost time to the fork, the run stays in this process
+    args = list(PARALLEL_ARGS)
+    args[args.index("--instances") + 1] = '{"kind": "iid", "count": 5, "n": 40}'
+    args[args.index("--mechanisms") + 1] = "r-dynamic"
+    args[args.index("--trials") + 1] = "1000"
+    monkeypatch.setattr(cli, "PARALLEL_MIN_ROWS", 10**12)
+    want = run_cli(capsys, *args)
+    assert want[0] == 0
+    monkeypatch.undo()
+
+    def no_fork():
+        raise AssertionError("an experiment of 5000 rows forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    assert run_cli(capsys, *args) == want
+
+
 def test_experiment_does_not_fork_while_another_thread_runs(capsys, forked):
     _, want, _ = run_cli(capsys, *PARALLEL_ARGS)
     release = threading.Event()

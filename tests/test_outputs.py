@@ -122,18 +122,18 @@ OUTPUTS = {
     # tail step became u + (u - c) * expm1(alpha / k)
     "solve-high-value-2e5": (("solve", "--model", HIGH_VALUE), None, False, None,
                              "560096945bdbf588015727ec18a6332a214a70e1d4516bd4833a426522dfc2d1"),
-    # the ceilings of this row and of pricing-general-2e5 are about 1.5
-    # times (solve-1e6's headroom) the peaks measured when the writer found
-    # its texts by a binary search on the bits, 107 and 148 MB (129 and
-    # 169 MB when it kept an index of the texts with one entry per number)
+    # the ceilings of this row and of pricing-general-2e5 are 1.5 times
+    # (solve-1e6's headroom) the peaks measured when the writer read the
+    # float columns in place, 90 and 127 MB (107 and 148 MB when it copied
+    # every number of the file into one array first)
     "pricing-high-value-2e5": (("pricing", "--model", HIGH_VALUE, "--out", "scheme.json"),
-                               "scheme.json", False, 160,
+                               "scheme.json", False, 135,
                                "b45b6a540d575fd2e3926ddbe838c0947c9f00dbe14e56f833acbdfe5a6ff742"),
     # recorded before the price intervals, kind and guarantee were computed
     # from the curves
     "solve-general-2e5": (("solve", "--model", GENERAL), None, False, None,
                           "91113a676634e9be7a54141b74a7633bc9eb6b263a576898d5a502fedb607fdf"),
-    "pricing-general-2e5": (("pricing", "--model", GENERAL), None, False, 220,
+    "pricing-general-2e5": (("pricing", "--model", GENERAL), None, False, 191,
                             "d5c381a4f9cae16064e5bba62210a7434df6c5964af5b3a562e9909ab40322c3"),
     # streamed one decision at a time; recorded when each arrival was one
     # dict through the stdlib's indenting encoder, which peaked at 758 MB

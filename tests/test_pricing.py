@@ -12,6 +12,7 @@ import math
 import re
 import tracemalloc
 from array import array
+from collections.abc import Iterator
 from itertools import pairwise
 from unittest import mock
 
@@ -515,39 +516,63 @@ class TestSchemeJsonText:
         assert '"rate": NaN,' in text
         assert '"rate": Infinity,' in text and '"rate": -Infinity,' in text
 
+    def test_streaming_holds_the_texts_table_and_no_copy_of_the_numbers(self):
+        # high-value k = 2*10^5: the file prints 9k numbers, 14.4 MB as one
+        # float array; while the chunks stream, the writer holds the table
+        # of distinct texts and one chunk's buffers and text, 2.7 MB over
+        # the table (the scheme's cached fields are made before tracing
+        # starts), and a writer holding that copy fails the bound
+        model = make_cost_model(L=1.0, U=30.0, k=200_000, quadratic_coeff=2.25e-6)
+        scheme = build_scheme(model)
+        scheme.cr_guarantee
+        columns = [model.marginal_column, scheme.price_intervals, np.frombuffer(scheme.columns)]
+        tracemalloc.start()
+        try:
+            text = jsontext.number_texts(columns)
+            table, _ = tracemalloc.get_traced_memory()
+            del text
+            chunks = scheme_json_chunks(scheme)
+            tracemalloc.reset_peak()
+            for _ in chunks:
+                pass
+            _, streaming = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert streaming - table <= 4e6
 
-def number_lookup(floats: np.ndarray):
-    """``jsontext.number_texts(floats)`` and the floats it formatted, in the
+
+def number_lookup(columns: list[np.ndarray]):
+    """``jsontext.number_texts(columns)`` and the floats it formatted, in the
     order it formatted them, one array per ``float_texts`` call."""
     with mock.patch.object(jsontext, "float_texts", wraps=jsontext.float_texts) as spy:
-        text = jsontext.number_texts(floats)
+        text = jsontext.number_texts(columns)
     return text, [values for (values,), _ in spy.call_args_list]
 
 
 def test_number_texts_are_the_json_texts_of_the_column():
     column = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -0.0, 1e300, 1.5])
-    text, formatted = number_lookup(column)
-    assert text(0, len(column)).tolist() == [json.dumps(x) for x in column.tolist()]
+    text, formatted = number_lookup([column[:4], column[4:]])
+    assert text(column).tolist() == [json.dumps(x) for x in column.tolist()]
     assert sum(map(len, formatted)) == 7  # each distinct float once; -0.0 and 0.0 apart
 
 
 def test_number_texts_formats_its_distinct_floats_a_slice_at_a_time():
-    # 6*10^5 numbers, 4*10^5 of them distinct 17-digit floats: formatting
-    # every distinct float at once held all their Python floats and texts
-    # beside the texts array, 16.1 MB over what the call returns; a slice
-    # of 2^16 at a time, 2.2 MB (5.4 MB when the call also built an index
-    # of the texts with one entry per number)
+    # 6*10^5 numbers in two columns, 4*10^5 of them distinct 17-digit
+    # floats: formatting every distinct float at once held all their Python
+    # floats and texts beside the texts array, 16.1 MB over what the call
+    # returns; a slice of 2^16 at a time, 2.2 MB (5.4 MB when the call also
+    # built an index of the texts with one entry per number)
     distinct = 1.0 + np.random.default_rng(0).random(400_000)
     floats = np.concatenate([distinct, distinct[::2]])
     tracemalloc.start()
     try:
-        text, formatted = number_lookup(floats)
+        text, formatted = number_lookup([distinct, distinct[::2]])
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - held <= 8e6
     assert sum(map(len, formatted)) == len(np.unique(distinct))
-    assert text(0, len(floats)).tolist() == [repr(x) for x in floats.tolist()]
+    assert text(floats).tolist() == [repr(x) for x in floats.tolist()]
 
 
 def _float64_bits(sign: bool, exponent: int, mantissa: int) -> int:
@@ -567,23 +592,34 @@ _FLOAT_BITS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_FLOAT_BITS, min_size=1, max_size=12), st.integers(1, 4), st.data())
 def test_number_texts_looks_up_any_window_of_any_column(pool, slice_, data):
-    # a column drawn from a small pool repeats its floats; windows come in
-    # any order and overlap
-    bits = data.draw(st.lists(st.sampled_from(pool), max_size=40))
-    floats = np.array(bits, dtype=np.uint64).view(np.float64)
-    n = len(floats)
+    # columns drawn from a small pool repeat their floats, within a column
+    # and across columns; windows come in any order, overlap and may step
+    # over floats, as a column of a 2-D array does
+    bits = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=40), min_size=1, max_size=3))
+    columns = [np.array(column, dtype=np.uint64).view(np.float64) for column in bits]
     with mock.patch.object(jsontext, "FORMAT_SLICE", slice_):
-        text, formatted = number_lookup(floats)
-    windows = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=8))
-    for a, b in map(sorted, windows):
-        assert text(a, b).tolist() == [json.dumps(x) for x in floats[a:b].tolist()]
+        text, formatted = number_lookup(columns)
+    windows = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(columns) - 1),
+                st.integers(0, 40),
+                st.integers(0, 40),
+                st.integers(1, 3),
+            ),
+            max_size=8,
+        )
+    )
+    for c, a, b, step in windows:
+        window = columns[c][min(a, b) : max(a, b) : step]
+        assert text(window).tolist() == [json.dumps(x) for x in window.tolist()]
     # each distinct bit pattern is formatted once, slice_ of them at a time
     assert all(len(values) <= slice_ for values in formatted)
     done = [int(x) for values in formatted for x in values.view(np.uint64)]
-    assert sorted(done) == sorted(set(bits))
+    assert sorted(done) == sorted(set().union(*bits))
 
 
-_TEXT = st.text(st.characters(blacklist_characters="%\0\1"), max_size=4)
+_TEXT = st.text(st.characters(blacklist_characters="\0\1"), max_size=4)
 _SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -622,10 +658,62 @@ def test_layout_is_the_stdlib_indent_text_with_its_marks_filled(value, depth, da
         return v
 
     marked = mark(value, depth)
-    parts = re.split("%s|\0", jsontext.layout(marked, depth))
+    parts = re.split("[\0\1]", jsontext.layout(marked, depth))
     assert len(parts) == len(fills) + 1
     filled = "".join(p + f for p, f in zip(parts, fills)) + parts[-1]
     assert filled == text(value, depth)
+
+
+def _marks(shape) -> int:
+    """The FIELD marks in an item shape."""
+    if isinstance(shape, dict):
+        shape = list(shape.values())
+    return sum(map(_marks, shape)) if isinstance(shape, list) else 1
+
+
+def _filled(shape, values: Iterator):
+    """``shape`` with its FIELD marks replaced by ``values`` in the order
+    json.dumps writes them."""
+    if isinstance(shape, dict):
+        return {key: _filled(shape[key], values) for key in sorted(shape)}
+    if isinstance(shape, list):
+        return [_filled(x, values) for x in shape]
+    return next(values)
+
+
+# an array item: FIELD marks in lists and objects, at least one of them
+_ITEM_SHAPES = st.recursive(
+    st.just(jsontext.FIELD),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_TEXT, kids, max_size=3),
+    max_leaves=5,
+).filter(_marks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ITEM_SHAPES, st.integers(0, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_array_chunks_are_the_stdlib_indent_text(shape, depth, units, grouped, data):
+    # empty arrays, groups of one row and chunks that end inside and at
+    # the end of the array
+    fields = _marks(shape)
+    sizes = data.draw(st.lists(st.integers(1, 4), max_size=6)) if grouped else None
+    rows = sum(sizes) if grouped else data.draw(st.integers(0, 10))
+    values = data.draw(
+        st.lists(st.lists(_SCALARS, min_size=fields, max_size=fields), min_size=rows, max_size=rows)
+    )
+    items = [_filled(shape, iter(row)) for row in values]
+    texts = [[json.dumps(row[f]) for row in values] for f in range(fields)]
+    groups = np.cumsum([0, *sizes]) if grouped else None
+    want = [items[a:b] for a, b in pairwise(groups)] if grouped else items
+    item = jsontext.layout(shape, depth + 2 if grouped else depth + 1)
+    with mock.patch.object(jsontext, "CHUNK_UNITS", units):
+        chunks = list(
+            jsontext.array_chunks(item, depth, rows, lambda a, b: [t[a:b] for t in texts], groups)
+        )
+    assert "".join(chunks) == json.dumps(want, indent=2, sort_keys=True).replace(
+        "\n", "\n" + "  " * depth
+    )
+    # CHUNK_UNITS items or groups a chunk, then the closing bracket
+    assert len(chunks) == (-(-len(want) // units) + 1 if want else 1)
 
 
 def test_negative_zero_is_written_once_and_other_zeros_stay_positive():
