@@ -1,8 +1,9 @@
 """Every pinned command output, each command in a new interpreter.
 
 Each row of ``OUTPUTS`` is one command: its argv, the output it hashes
-(stdout, or the file it writes), that output's SHA-256, whether the command
-loads ``numpy.random`` and, where one holds, a ceiling on its peak RSS. Every
+(stdout, or the file it writes), that output's SHA-256, which of the modules
+the package loads only when a command needs them (``numpy.random``,
+``orjson``) it loads and, where one holds, a ceiling on its peak RSS. Every
 row runs alone in a new interpreter; the rows below k = 2*10^5 and 10^6
 arrivals run again, together, with NumPy's AVX-512 kernels off, since
 ``np.exp`` and ``np.log`` give other bits under them and a pinned output must
@@ -48,108 +49,113 @@ ARRIVALS = "iid1m.txt"
 SIMULATE_FIG = ("simulate", "--model", FIG_MODEL, "--instance", INSTANCE)
 PIN = ("--pin-seeds", ",".join(["0.5"] * 10))
 
-# name -> (argv, the file it writes or None for stdout, whether it loads
-# numpy.random, a ceiling on its peak RSS in MB or None, the SHA-256 of that
-# output). A name ending in 2e5, 1e6 or 2e6 runs at k = 2*10^5 and up or on
-# 10^6 arrivals and up.
+# the lazily loaded modules of a command that draws random numbers, and of
+# one that writes a JSON document of at least jsontext.ORJSON_MIN_FLOATS
+# distinct floats
+DRAWS = ("numpy.random",)
+FORMATS = ("orjson",)
+# name -> (argv, the file it writes or None for stdout, the lazily loaded
+# modules it loads, a ceiling on its peak RSS in MB or None, the SHA-256 of
+# that output). A name ending in 2e5, 1e6 or 2e6 runs at k = 2*10^5 and up or
+# on 10^6 arrivals and up.
 OUTPUTS = {
     # the fig, price-general and price-highvalue digests were recorded again
     # when the chain's tail step became u + (u - c) * expm1(alpha / k)
-    "pricing-price-general": (("pricing", "--model", PRICE_GENERAL), None, False, None,
+    "pricing-price-general": (("pricing", "--model", PRICE_GENERAL), None, (), None,
                               "00e8d816910cfd12f522211b806a3684413bf3c1f0c963517792811b754e30df"),
-    "pricing-price-highvalue": (("pricing", "--model", PRICE_HIGHVALUE), None, False, None,
+    "pricing-price-highvalue": (("pricing", "--model", PRICE_HIGHVALUE), None, FORMATS, None,
                                 "7c32d50e57ca0f3c3959e1d602a17949117b79223bccbe3842f8d0f507b38b55"),
-    "pricing-fig": (("pricing", "--model", FIG_MODEL), None, False, None,
+    "pricing-fig": (("pricing", "--model", FIG_MODEL), None, (), None,
                     "48af08c97902e4725b3062d2bc049590c9b9dddcbcd648b3920a0cea5e70f729"),
-    "pricing-two-unit": (("pricing", "--model", K2_MODEL), None, False, None,
+    "pricing-two-unit": (("pricing", "--model", K2_MODEL), None, (), None,
                          "00f21499e8f7226349365399a1509aa969303f6e75f62d3709a7644c63e4ce7e"),
     "pricing-negative-zero": (
         ("pricing", "--model",
          '{"L": 1, "U": 4, "k": 3, "cost": {"type": "explicit", "marginals": [-0.0, 0.2, 0.3]}}'),
-        None, False, None, "7c2fc683ea64e29d45ac35f8a638c4908b7b549868fadaf4985c1cc8d22f5317"),
+        None, (), None, "7c2fc683ea64e29d45ac35f8a638c4908b7b549868fadaf4985c1cc8d22f5317"),
     # U = L = c_2: unit 2 is above the top marginal with a zero-width interval
     "pricing-flat-range": (
         ("pricing", "--model",
          '{"L": 2, "U": 2, "k": 2, "cost": {"type": "explicit", "marginals": [0.5, 2.0]}}'),
-        None, False, None, "da3af399e277b473a418dd62fc70145f46e7c91d4147cb0e73e2fc752d6f75f0"),
-    "pricing-samples": (("pricing", "--model", FIG_MODEL, "--samples", "8"), None, False, None,
+        None, (), None, "da3af399e277b473a418dd62fc70145f46e7c91d4147cb0e73e2fc752d6f75f0"),
+    "pricing-samples": (("pricing", "--model", FIG_MODEL, "--samples", "8"), None, (), None,
                         "adb6beb889ccfc311ed007a49a8abe08674ef9e2953474c80badc0afce891ca7"),
     # the benchmark setups, recorded when the chain's tail step became
     # u + (u - c) * expm1(alpha / k) (at k = 10 alpha kept its bits and the
     # chain ends moved)
-    "solve-exp": (("solve", "--model", BENCHMARK), None, False, None,
+    "solve-exp": (("solve", "--model", BENCHMARK), None, (), None,
                   "c9847850297f8a9cebc84c938d55efd4b4892a6d5da535992a1e87b636c3c759"),
-    "solve-price-general": (("solve", "--model", PRICE_GENERAL), None, False, None,
+    "solve-price-general": (("solve", "--model", PRICE_GENERAL), None, (), None,
                             "c113b7dbce5d203697bcdac7a1c46045628df8660ac3af0ded3588f131499e2f"),
-    "solve-price-highvalue": (("solve", "--model", PRICE_HIGHVALUE), None, False, None,
+    "solve-price-highvalue": (("solve", "--model", PRICE_HIGHVALUE), None, FORMATS, None,
                               "e7c97473fc863321ec16dcfa36e84c47e4c47648f6506d6604bdaef74fc7668e"),
     # the default sweep, whose regime turns general at k = 30; one from
     # k = 1, high-value throughout, where the chain's top end lies within
     # tolerance of U, not on it; and one general from k = 51
-    "curves-default": (("curves",), None, False, None,
+    "curves-default": (("curves",), None, (), None,
                        "bf68985b6de1e50037d83dd26a9371b5c06d32aedc7cd0df662a89eaa2fc2ba7"),
     "curves-from-k1-coeff-0.001": (
-        ("curves", "--k-min", "1", "--k-max", "200", "--cost-coeff", "0.001"), None, False, None,
+        ("curves", "--k-min", "1", "--k-max", "200", "--cost-coeff", "0.001"), None, (), None,
         "a264259aae9421ad8c6ef08cb88b41f0dff4084d2da3918c3e6d558fd992ae56"),
-    "curves-coeff-0.01": (("curves", "--k-max", "200", "--cost-coeff", "0.01"), None, False, None,
+    "curves-coeff-0.01": (("curves", "--k-max", "200", "--cost-coeff", "0.01"), None, (), None,
                           "8050ebe6efc098ac677b5033448ec083945c61745804bb0b21aa5da9f41156cd"),
     # the --pin-seeds digest was recorded with the pricing-fig digest; the
     # r-dynamic and static digests when trials moved to the keyed Philox
     # streams; the prices digest before any command left numpy.random unloaded
-    "simulate": ((*SIMULATE_FIG, "--trials", "50", "--seed", "3"), None, True, None,
+    "simulate": ((*SIMULATE_FIG, "--trials", "50", "--seed", "3"), None, DRAWS, None,
                  "4c21203ba28b6739e3543194552fdb82b9d70ebbe773a12876bef52b36b2781d"),
     "simulate-static": ((*SIMULATE_FIG, "--trials", "50", "--seed", "3", "--mechanism", "static"),
-                        None, True, None,
+                        None, DRAWS, None,
                         "7e1cdbe6323d27d27de0b79d0e2410324e3d417e4df9042071562d9f3e0dc544"),
-    "simulate-pin-seeds": ((*SIMULATE_FIG, *PIN), None, False, None,
+    "simulate-pin-seeds": ((*SIMULATE_FIG, *PIN), None, (), None,
                            "b8c6424fa9b2e54b28f161f61daf4252f6f10f0fa114bd91e9319671cf93ffbd"),
     "simulate-prices": ((*SIMULATE_FIG, "--prices", ",".join(map(str, range(1, 11)))),
-                        None, False, None,
+                        None, (), None,
                         "c7deb86d995f7761835b585fd739864a8bc07cc017f4ec7a8e0df781c0b87aec"),
     # recorded before any command left numpy.random unloaded
     "experiment": (("experiment", "--model", FIG_MODEL,
                     "--instances", '{"kind": "iid", "count": 7, "n": 40}',
                     "--mechanisms", "r-dynamic,pinned:0.25,static",
-                    "--trials", "30", "--master-seed", "4"), None, True, None,
+                    "--trials", "30", "--master-seed", "4"), None, DRAWS, None,
                    "3f0a98a309524d3f5b94d1ca3f3a51ae72e80ab919a241aa5fc2e5f071c4c799"),
     "instances": (("instances", "--model", FIG_MODEL, "--seed", "5",
-                   "--spec", '{"kind": "low2high", "n1": 20, "n2": 20}'), None, True, None,
+                   "--spec", '{"kind": "low2high", "n1": 20, "n2": 20}'), None, DRAWS, None,
                   "debd520cb57572ca9f12ffa3d25bfe9209175bb6178c0d09e9cba415ac2cfe04"),
     "instances-hard": (("instances", "--model", FIG_MODEL, "--seed", "5",
-                        "--spec", '{"kind": "hard"}'), None, False, None,
+                        "--spec", '{"kind": "hard"}'), None, (), None,
                        "fdbd1e0d59230df430085ecce91cd4e757b9b5622b7a3dceb8ba8ce0e10127b7"),
     # each streamed array spans about 50 chunks; recorded when the chain's
     # tail step became u + (u - c) * expm1(alpha / k)
-    "solve-high-value-2e5": (("solve", "--model", HIGH_VALUE), None, False, None,
+    "solve-high-value-2e5": (("solve", "--model", HIGH_VALUE), None, FORMATS, None,
                              "560096945bdbf588015727ec18a6332a214a70e1d4516bd4833a426522dfc2d1"),
     # the ceilings of this row and of pricing-general-2e5 are 1.5 times
     # (solve-1e6's headroom) the peaks measured when the writer read the
     # float columns in place, 90 and 127 MB (107 and 148 MB when it copied
     # every number of the file into one array first)
     "pricing-high-value-2e5": (("pricing", "--model", HIGH_VALUE, "--out", "scheme.json"),
-                               "scheme.json", False, 135,
+                               "scheme.json", FORMATS, 135,
                                "b45b6a540d575fd2e3926ddbe838c0947c9f00dbe14e56f833acbdfe5a6ff742"),
     # recorded before the price intervals, kind and guarantee were computed
     # from the curves
-    "solve-general-2e5": (("solve", "--model", GENERAL), None, False, None,
+    "solve-general-2e5": (("solve", "--model", GENERAL), None, FORMATS, None,
                           "91113a676634e9be7a54141b74a7633bc9eb6b263a576898d5a502fedb607fdf"),
-    "pricing-general-2e5": (("pricing", "--model", GENERAL), None, False, 191,
+    "pricing-general-2e5": (("pricing", "--model", GENERAL), None, FORMATS, 191,
                             "d5c381a4f9cae16064e5bba62210a7434df6c5964af5b3a562e9909ab40322c3"),
     # streamed one decision at a time; recorded when each arrival was one
     # dict through the stdlib's indenting encoder, which peaked at 758 MB
     "simulate-pin-seeds-1e6": (("simulate", "--model", BENCHMARK, "--instance", ARRIVALS,
-                                *PIN, "--out", "trace.json"), "trace.json", False, 150,
+                                *PIN, "--out", "trace.json"), "trace.json", (), 150,
                                "801703dacc6a08c22dc7d942b7522449b951363db7c42a5b0bf6f7cc0e527ff4"),
     # written in blocks from one float column; recorded when the valuations
     # were a tuple and the text one string, which peaked at 369 MB
     "instances-sorted-2e6": (("instances", "--model", BENCHMARK, "--spec",
                               '{"kind": "sorted", "n": 2000000}', "--seed", "0",
-                              "--out", "sorted2m.txt"), "sorted2m.txt", True, 200,
+                              "--out", "sorted2m.txt"), "sorted2m.txt", DRAWS, 200,
                              "897e8e53057d39f68734bf9536ded7638218aa5a0d05f9c272624c78295598aa"),
     # k = MAX_K; recorded when the marginals were a tuple of Python floats,
     # which peaked at 235 MB (203 MB as one float column)
     "solve-1e6": (("solve", "--model", _model(10**6, 4.5e-07), "--out", "solve1m.json"),
-                  "solve1m.json", False, 255,
+                  "solve1m.json", FORMATS, 255,
                   "ae5086276d66945d3bff25ec6fd2881a45f7518a8a3c2f75649bce0054cc6019"),
 }
 # the simulate rows on the `model` object of the file `pricing` wrote for
@@ -166,8 +172,8 @@ KERNELS_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR AVX512F
 
 # Runs main(argv) for each [stdout file, argv] of the JSON list argv[1], with
 # sys.stdout that file itself, then prints the exit codes, which of
-# numpy.random and an argument parser's modules (argparse, and gettext and
-# locale for its messages) got loaded, and the float64 exp and log kernels.
+# numpy.random, orjson and an argument parser's modules (argparse, and gettext
+# and locale for its messages) got loaded, and the float64 exp and log kernels.
 _CHILD = """\
 import json, sys
 from kselect.cli import main
@@ -176,7 +182,8 @@ for path, argv in json.loads(sys.argv[1]):
     with open(path, "w", encoding="utf-8") as sys.stdout:
         codes.append(main(argv))
 sys.stdout = sys.__stdout__
-loaded = [m for m in ("numpy.random", "argparse", "gettext", "locale") if m in sys.modules]
+lazy = ("numpy.random", "orjson", "argparse", "gettext", "locale")
+loaded = [m for m in lazy if m in sys.modules]
 from numpy.lib.introspect import opt_func_info
 info = opt_func_info(func_name="^(exp|log)$", signature="float64")
 kernels = {name: kernel["dd"]["current"] for name, kernel in info.items()}
@@ -261,14 +268,15 @@ def run_row(request, workdir):
 
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_output_bytes_modules_and_peak(workdir, run_row, name):
-    _, output, draws, ceiling, want = OUTPUTS[name]
+    _, output, lazy, ceiling, want = OUTPUTS[name]
     codes, loaded, _, peak, err, took = run_row(name)
     print(f"{name}: {took:.2f} s, peak RSS {peak:.0f} MB")
     assert codes == [0], err
     assert digest(workdir / (output or f"{name}.stdout")) == want
-    # a command that makes no generator leaves numpy.random unloaded, and
-    # no command loads an argument parser's modules
-    assert loaded == (["numpy.random"] if draws else [])
+    # a command that makes no generator leaves numpy.random unloaded, one
+    # that writes fewer distinct floats leaves orjson unloaded, and no
+    # command loads an argument parser's modules
+    assert loaded == list(lazy)
     assert ceiling is None or peak < ceiling
 
 

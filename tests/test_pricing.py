@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 from array import array
 from collections.abc import Iterator
@@ -543,17 +544,38 @@ class TestSchemeJsonText:
 
 def number_lookup(columns: list[np.ndarray]):
     """``jsontext.number_texts(columns)`` and the floats it formatted, in the
-    order it formatted them, one array per ``float_texts`` call."""
+    order it formatted them, one array per ``float_texts`` call, with
+    whether that call took the orjson path."""
     with mock.patch.object(jsontext, "float_texts", wraps=jsontext.float_texts) as spy:
         text = jsontext.number_texts(columns)
-    return text, [values for (values,), _ in spy.call_args_list]
+    calls = [call.args for call in spy.call_args_list]
+    return text, [values for values, _ in calls], {fast for _, fast in calls}
+
+
+# each end of the band where orjson spells floats as repr does, [1e-4, 1e16),
+# of either sign, and the floats on either side of it
+_BAND_EDGES = [
+    np.nextafter(sign * end, toward)
+    for end in (1e-4, 1e16)
+    for sign in (1.0, -1.0)
+    for toward in (0.0, sign * end, sign * math.inf)
+]
 
 
 def test_number_texts_are_the_json_texts_of_the_column():
-    column = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -0.0, 1e300, 1.5])
-    text, formatted = number_lookup([column[:4], column[4:]])
-    assert text(column).tolist() == [json.dumps(x) for x in column.tolist()]
-    assert sum(map(len, formatted)) == 7  # each distinct float once; -0.0 and 0.0 apart
+    column = np.array(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -0.0, 1e300, 1.5, *_BAND_EDGES,
+         1e15, 9999999999999998.0, 5e-324, sys.float_info.max]
+    )
+    for least in (0, jsontext.ORJSON_MIN_FLOATS):  # by orjson, then by repr
+        with mock.patch.object(jsontext, "ORJSON_MIN_FLOATS", least):
+            text, formatted, fast = number_lookup([column[:4], column[4:]])
+        assert text(column).tolist() == [json.dumps(x) for x in column.tolist()]
+        assert fast == {least == 0}
+        # each distinct float once; -0.0 and 0.0 apart, and
+        # 9999999999999998.0 is the float below 1e16
+        assert sum(map(len, formatted)) == len(column) - 3
+    assert jsontext.float_texts(np.empty(0), fast=True) == []
 
 
 def test_number_texts_formats_its_distinct_floats_a_slice_at_a_time():
@@ -566,7 +588,7 @@ def test_number_texts_formats_its_distinct_floats_a_slice_at_a_time():
     floats = np.concatenate([distinct, distinct[::2]])
     tracemalloc.start()
     try:
-        text, formatted = number_lookup([distinct, distinct[::2]])
+        text, formatted, _ = number_lookup([distinct, distinct[::2]])
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -597,8 +619,6 @@ def test_number_texts_looks_up_any_window_of_any_column(pool, slice_, data):
     # over floats, as a column of a 2-D array does
     bits = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=40), min_size=1, max_size=3))
     columns = [np.array(column, dtype=np.uint64).view(np.float64) for column in bits]
-    with mock.patch.object(jsontext, "FORMAT_SLICE", slice_):
-        text, formatted = number_lookup(columns)
     windows = data.draw(
         st.lists(
             st.tuples(
@@ -610,13 +630,20 @@ def test_number_texts_looks_up_any_window_of_any_column(pool, slice_, data):
             max_size=8,
         )
     )
-    for c, a, b, step in windows:
-        window = columns[c][min(a, b) : max(a, b) : step]
-        assert text(window).tolist() == [json.dumps(x) for x in window.tolist()]
-    # each distinct bit pattern is formatted once, slice_ of them at a time
-    assert all(len(values) <= slice_ for values in formatted)
-    done = [int(x) for values in formatted for x in values.view(np.uint64)]
-    assert sorted(done) == sorted(set().union(*bits))
+    # every document by orjson, then those with more distinct floats than a
+    # slice holds
+    for least in (0, slice_ + 1):
+        with mock.patch.multiple(jsontext, FORMAT_SLICE=slice_, ORJSON_MIN_FLOATS=least):
+            text, formatted, fast = number_lookup(columns)
+        for c, a, b, step in windows:
+            window = columns[c][min(a, b) : max(a, b) : step]
+            assert text(window).tolist() == [json.dumps(x) for x in window.tolist()]
+        # each distinct bit pattern is formatted once, slice_ of them at a
+        # time, all by the writer the document's count of them picks
+        assert all(len(values) <= slice_ for values in formatted)
+        done = [int(x) for values in formatted for x in values.view(np.uint64)]
+        assert sorted(done) == sorted(set().union(*bits))
+        assert fast <= {len(done) >= least}
 
 
 _TEXT = st.text(st.characters(blacklist_characters="\0\1"), max_size=4)
